@@ -1,5 +1,6 @@
 //! End-to-end tests of the `sfa` binary (spawned as a real process).
 
+use sfa_workloads::ScratchDir;
 use std::process::{Command, Output};
 
 fn sfa(args: &[&str]) -> Output {
@@ -137,8 +138,7 @@ fn dot_renders() {
 
 #[test]
 fn fasta_input_round_trip() {
-    let dir = std::env::temp_dir().join("sfa_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("cli_test");
     let path = dir.join("input.fasta");
     std::fs::write(&path, ">rec1\nMKVARGDAA\n>rec2\nKKKK\n").unwrap();
     let out = sfa(&["match", "--regex", "RGD", "--fasta", path.to_str().unwrap()]);
@@ -150,8 +150,7 @@ fn fasta_input_round_trip() {
 
 #[test]
 fn grail_file_source() {
-    let dir = std::env::temp_dir().join("sfa_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("cli_test");
     let path = dir.join("auto.grail");
     std::fs::write(&path, "(START) |- 0\n0 a 1\n1 b 2\n2 -| (FINAL)\n").unwrap();
     let out = sfa(&["build", "--grail", path.to_str().unwrap(), "--validate"]);

@@ -625,8 +625,7 @@ mod tests {
     #[test]
     fn file_round_trip_and_verify() {
         let (dfa, sfa) = rg_sfa();
-        let dir = std::env::temp_dir().join("sfa_artifact_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = sfa_workloads::ScratchDir::new("artifact_test");
         let path = dir.join("rg.sfar");
         write_sfa(&path, &sfa).unwrap();
         let info = verify(&path).unwrap();

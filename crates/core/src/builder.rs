@@ -1,9 +1,9 @@
-//! The unified construction entry point: [`Sfa::builder`].
+//! The construction entry point: [`Sfa::builder`].
 //!
-//! Historically each algorithm family had its own free function
-//! (`construct_sequential`, `construct_sequential_budgeted`,
-//! `construct_parallel`), none of which could express resource limits or
-//! cancellation. The builder subsumes all of them behind one chain:
+//! The builder is the only public way to construct an SFA. One chain
+//! selects the engine (parallel or a sequential variant), configures it,
+//! and attaches resource limits, cancellation, checkpointing and
+//! observability hooks:
 //!
 //! ```
 //! use sfa_automata::prelude::*;
@@ -28,9 +28,6 @@
 //!     .unwrap();
 //! assert_eq!(result.sfa.num_states(), 6);
 //! ```
-//!
-//! The old free functions remain as `#[deprecated]` thin wrappers over
-//! the same governed engines.
 
 use crate::artifact::{self, CheckpointConfig};
 use crate::budget::{Budget, Governor};
@@ -298,6 +295,7 @@ mod tests {
     use super::*;
     use sfa_automata::alphabet::Alphabet;
     use sfa_automata::pipeline::Pipeline;
+    use sfa_workloads::ScratchDir;
 
     fn rg_dfa() -> Dfa {
         Pipeline::search(Alphabet::amino_acids())
@@ -318,20 +316,6 @@ mod tests {
         par.sfa.validate(&dfa).unwrap();
         assert_eq!(par.stats.threads, 2);
         assert_eq!(seq.stats.threads, 1);
-    }
-
-    #[test]
-    fn builder_wraps_deprecated_entry_points() {
-        // The wrappers must stay behaviourally identical to the builder.
-        let dfa = rg_dfa();
-        #[allow(deprecated)]
-        let old =
-            crate::parallel::construct_parallel(&dfa, &ParallelOptions::with_threads(2)).unwrap();
-        let new = Sfa::builder(&dfa)
-            .options(&ParallelOptions::with_threads(2))
-            .build()
-            .unwrap();
-        assert_eq!(old.sfa.num_states(), new.sfa.num_states());
     }
 
     #[test]
@@ -356,8 +340,7 @@ mod tests {
         // outcome depends on worker scheduling stay rejected (their
         // resumed artifacts could not be byte-identical).
         let dfa = rg_dfa();
-        let dir = std::env::temp_dir().join("sfa_builder_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("builder_test");
         let mut probabilistic = ParallelOptions::with_threads(2);
         probabilistic.probabilistic = true;
         let mut watermark = ParallelOptions::with_threads(2);
@@ -376,8 +359,7 @@ mod tests {
     #[test]
     fn parallel_checkpoint_then_resume_is_byte_identical() {
         let dfa = rg_dfa();
-        let dir = std::env::temp_dir().join("sfa_builder_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("builder_test");
         let path = dir.join("resume_par_unit.ckpt");
         let _ = std::fs::remove_file(&path);
 
@@ -418,8 +400,7 @@ mod tests {
         // versa) finishes to the same bytes as any uninterrupted build —
         // both engines number states in canonical (BFS) order.
         let dfa = rg_dfa();
-        let dir = std::env::temp_dir().join("sfa_builder_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("builder_test");
         let path = dir.join("resume_cross_unit.ckpt");
         let _ = std::fs::remove_file(&path);
 
@@ -450,8 +431,7 @@ mod tests {
     #[test]
     fn checkpoint_then_resume_is_byte_identical() {
         let dfa = rg_dfa();
-        let dir = std::env::temp_dir().join("sfa_builder_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("builder_test");
         let path = dir.join("resume_unit.ckpt");
         let _ = std::fs::remove_file(&path);
 
@@ -508,11 +488,11 @@ mod tests {
 
         // With one, the same budget becomes the demotion cap and the
         // build completes byte-identical to an unrestricted run.
-        let dir = std::env::temp_dir().join(format!("sfa-builder-spill-{}", std::process::id()));
+        let dir = ScratchDir::new("builder_spill");
         let capped = Sfa::builder(&dfa)
             .threads(2)
             .budget(budget)
-            .spill(&dir, u64::MAX)
+            .spill(dir.path(), u64::MAX)
             .build()
             .unwrap();
         let free = Sfa::builder(&dfa).threads(2).build().unwrap();
@@ -526,16 +506,15 @@ mod tests {
             "a 4 KiB cap on an rn(80) build must engage the spill tier"
         );
         capped.sfa.validate(&dfa).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sequential_builder_spill_is_byte_identical() {
         let dfa = sfa_automata::random::rn(60);
-        let dir = std::env::temp_dir().join(format!("sfa-builder-sspill-{}", std::process::id()));
+        let dir = ScratchDir::new("builder_sspill");
         let capped = Sfa::builder(&dfa)
             .sequential(SequentialVariant::Transposed)
-            .spill(&dir, 2048)
+            .spill(dir.path(), 2048)
             .build()
             .unwrap();
         let free = Sfa::builder(&dfa)
@@ -547,7 +526,6 @@ mod tests {
             crate::io::to_bytes(&free.sfa)
         );
         assert!(capped.stats.spilled_bytes > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,19 +22,20 @@
 //!    plain sequential DFA matching, which needs no construction and
 //!    always answers.
 //!
-//! Every tier returns the *same verdict* — the SFA simulates the DFA
-//! from every start state, and the speculative tier re-runs every
+//! [`MatchEngine::run`] walks this ladder (see its docs for the step-down
+//! rule). Every tier returns the *same verdict* — the SFA simulates the
+//! DFA from every start state, and the speculative tier re-runs every
 //! mispredicted seam, so degradation trades throughput, never
 //! correctness. The engine records which tier served each query in
 //! [`EngineStats`].
 
-use crate::budget::{Budget, Governor};
+use crate::budget::{Budget, BudgetResource, Governor};
 use crate::lazy::LazySfa;
-use crate::matcher::{match_sequential, ParallelMatcher};
+use crate::matcher::ParallelMatcher;
 use crate::obs::{MetricsRegistry, SpanRecord, Subscriber};
-use crate::parallel::{construct_parallel_governed, ParallelOptions};
-use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
-use crate::runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats};
+use crate::parallel::ParallelOptions;
+use crate::request::{MatchOutcome, MatchRequest, TierPolicy};
+use crate::runtime::{ByteClassifier, MatchRuntime, MatchStats};
 use crate::scan::{ScanEngine, ScanOptions};
 use crate::sfa::Sfa;
 use crate::speculative::SpeculativeMatcher;
@@ -45,7 +46,6 @@ use sfa_automata::dfa::Dfa;
 use sfa_sync::CancelToken;
 use std::io::Read;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which rung of the degradation ladder is serving queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +124,6 @@ enum Backend<'d> {
 /// degrades gracefully instead of failing — see the module docs.
 pub struct MatchEngine<'d> {
     dfa: &'d Dfa,
-    threads: usize,
     backend: Backend<'d>,
     stats: EngineStats,
     runtime: MatchRuntime,
@@ -158,8 +157,11 @@ impl<'d> MatchEngine<'d> {
         cancel: Option<CancelToken>,
     ) -> Self {
         let mut stats = EngineStats::default();
-        let governor = Governor::new(budget, cancel.clone());
-        let backend = match construct_parallel_governed(dfa, opts, &governor) {
+        let mut builder = Sfa::builder(dfa).options(opts).budget(budget.clone());
+        if let Some(token) = &cancel {
+            builder = builder.cancel(token.clone());
+        }
+        let backend = match builder.build() {
             Ok(result) => {
                 stats.construction = Some(result.stats);
                 let scan = Arc::new(ScanEngine::new(&result.sfa, dfa));
@@ -184,17 +186,14 @@ impl<'d> MatchEngine<'d> {
                         // chunks, predicted entries). Construction never
                         // lands on Sequential — only a speculative
                         // worker panic degrades that far.
-                        match SpeculativeMatcher::new(dfa) {
-                            Ok(spec) => Backend::Speculative(spec),
-                            Err(_) => Backend::Sequential,
-                        }
+                        SpeculativeMatcher::new(dfa)
+                            .map_or(Backend::Sequential, Backend::Speculative)
                     }
                 }
             }
         };
         MatchEngine {
             dfa,
-            threads: opts.threads.max(1),
             backend,
             stats,
             runtime: MatchRuntime::shared(),
@@ -224,25 +223,6 @@ impl<'d> MatchEngine<'d> {
     pub fn metrics(mut self, reg: &MetricsRegistry) -> Self {
         self.metrics = Some(reg.clone());
         self
-    }
-
-    /// Per-engine observability delivery for one answered query. An
-    /// associated fn over the two sinks (not `&self`) so call sites can
-    /// run it while `self.backend` is still borrowed.
-    fn deliver_match(
-        metrics: &Option<MetricsRegistry>,
-        subscriber: &Option<Arc<dyn Subscriber>>,
-        stats: &MatchStats,
-    ) {
-        if let Some(reg) = metrics {
-            crate::obs::record_match(reg, stats);
-        }
-        if let Some(sub) = subscriber {
-            sub.on_span(&SpanRecord {
-                name: "match/query",
-                nanos: stats.elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            });
-        }
     }
 
     /// Reconfigure the full tier's scan knobs (interleave width,
@@ -300,33 +280,35 @@ impl<'d> MatchEngine<'d> {
         &self.stats
     }
 
-    /// Does `input` match? Same verdict on every tier; a lazy tier that
-    /// exhausts its space budget mid-query — or a full tier whose worker
-    /// panics — steps down the ladder and still answers. A query
-    /// cancelled mid-match is also answered sequentially (the caller
-    /// asked for a verdict); use [`Self::run`] to receive cancellation
-    /// as a typed error instead.
+    /// Does `input` match? [`Self::run`] on a default request, so the
+    /// same ladder answers. A query cancelled mid-match is answered by
+    /// the ungoverned sequential oracle instead (the caller asked for a
+    /// verdict); use [`Self::run`] to receive cancellation as a typed
+    /// error.
     pub fn matches(&mut self, input: &[SymbolId]) -> bool {
-        let governor = self.match_governor();
-        match self.run_symbols(input, &governor) {
-            Ok((verdict, _)) => verdict,
-            // Answer sequentially with the full bookkeeping — this
-            // fallback used to bump the tier counter but skip the
-            // telemetry sinks and `last_match`, so observability
-            // silently lost exactly the queries that hit trouble.
-            Err(_) => self.match_sequentially(input).0,
+        let request = MatchRequest::symbols(input);
+        if let Ok(outcome) = self.run(&request) {
+            return outcome.verdict;
         }
+        let (verdict, stats) = self
+            .runtime
+            .sequential(self.dfa, &request, &Governor::unlimited())
+            .expect("an ungoverned sequential pass over symbols cannot fail");
+        self.record(&stats, false);
+        verdict
     }
 
-    /// Serve one [`MatchRequest`] — the unified entry point the CLI and
-    /// the `sfa serve` daemon share. The request's budget is enforced by
-    /// a fresh [`Governor`] carrying the engine's cancel token, so a
-    /// server can still abort in-flight queries.
+    /// Serve one [`MatchRequest`] — the engine's one ladder, shared by
+    /// the CLI and the `sfa serve` daemon. The request's budget is
+    /// enforced by a fresh [`Governor`] carrying the engine's cancel
+    /// token, so a server can still abort in-flight queries.
     ///
     /// Tier policy:
-    /// * [`TierPolicy::Auto`] — the ordinary degradation ladder: the
-    ///   current tier answers, and governance failures step the engine
-    ///   down rather than propagate (see [`Self::matches`]).
+    /// * [`TierPolicy::Auto`] — the engine's current tier answers. A
+    ///   worker panic, or the tier running out of its own space budget,
+    ///   steps the engine down one rung for good and the query is
+    ///   answered there. Cancellation or the request's deadline returns
+    ///   the typed error and leaves the engine where it is.
     /// * [`TierPolicy::Sequential`] — the plain-DFA oracle, whatever
     ///   tier the engine is on. Used for verdict cross-checks.
     /// * [`TierPolicy::Speculative`] — the speculative raw-DFA tier
@@ -351,25 +333,17 @@ impl<'d> MatchEngine<'d> {
             ));
         }
         let governor = Governor::new(&request.budget, self.cancel.clone());
-        let outcome = if request.tier == TierPolicy::Sequential {
-            self.serve_sequential(request, &governor)?
-        } else if request.tier == TierPolicy::Speculative {
-            self.serve_speculative(request, &governor)?
-        } else {
-            match &request.input {
-                InputSource::Symbols(symbols) => {
-                    let (verdict, stats) = self.run_symbols(symbols, &governor)?;
-                    MatchOutcome::new(verdict, stats)
-                }
-                _ => self.run_unencoded(request, &governor)?,
+        // Explicit tiers are service as ordered; only the engine's own
+        // backend steps down.
+        let ladder = matches!(request.tier, TierPolicy::Auto | TierPolicy::RequireFull);
+        let (verdict, stats) = loop {
+            match self.serve(request, &governor) {
+                Err(err) if ladder && self.steps_down(&err) => self.step_down(err),
+                served => break served?,
             }
         };
-        if request.trace {
-            crate::obs::report_span(
-                "match/request",
-                outcome.stats.elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
+        self.record(&stats, request.trace);
+        let outcome = MatchOutcome::new(verdict, stats);
         if request.tier == TierPolicy::RequireFull && outcome.tier != MatchTier::FullSfa {
             return Err(SfaError::InvalidOptions(
                 "tier policy requires the full SFA tier, but the engine degraded mid-query",
@@ -378,405 +352,133 @@ impl<'d> MatchEngine<'d> {
         // `degraded` means "this Auto request was answered below the
         // full tier because of <error>". An explicitly requested
         // sequential or speculative answer is service as ordered, not a
-        // degradation — attaching the marker there mislabelled every
-        // oracle cross-check run against a degraded engine.
-        if request.tier == TierPolicy::Auto && outcome.tier != MatchTier::FullSfa {
-            if let Some(err) = &self.stats.last_error {
-                return Ok(outcome.with_degraded(err.to_string()));
+        // degradation.
+        match &self.stats.last_error {
+            Some(err) if request.tier == TierPolicy::Auto && outcome.tier != MatchTier::FullSfa => {
+                Ok(outcome.with_degraded(err.to_string()))
             }
+            _ => Ok(outcome),
         }
-        Ok(outcome)
     }
 
-    /// Fallible, telemetry-carrying match. The engine's cancel token is
-    /// polled during the match; mid-match cancellation returns
-    /// [`SfaError::Cancelled`]. A worker panic on the full tier degrades
-    /// the engine to sequential (permanently, recorded in
-    /// [`EngineStats`]) and still answers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchEngine::run"
-    )]
-    pub fn try_matches(&mut self, input: &[SymbolId]) -> Result<(bool, MatchStats), SfaError> {
-        let governor = self.match_governor();
-        self.run_symbols(input, &governor)
-    }
-
-    /// The symbol-slice ladder shared by [`Self::matches`],
-    /// [`Self::run`], and the deprecated [`Self::try_matches`] shim.
-    fn run_symbols(
-        &mut self,
-        input: &[SymbolId],
+    /// One attempt at `request` on the tier its policy and the engine's
+    /// backend select — exactly one runtime implementation per tier.
+    fn serve(
+        &self,
+        request: &MatchRequest,
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
-        let degrade_err = match &self.backend {
-            Backend::Full { sfa, scan } => {
+        let rt = &self.runtime;
+        match (request.tier, &self.backend) {
+            (TierPolicy::Sequential, _) => rt.sequential(self.dfa, request, governor),
+            (_, Backend::Speculative(spec)) => rt.speculative(spec, request, governor),
+            (TierPolicy::Speculative, _) => {
+                rt.speculative(&SpeculativeMatcher::new(self.dfa)?, request, governor)
+            }
+            (_, Backend::Full { sfa, scan }) => {
                 let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
-                match self.runtime.matches_symbols(&matcher, input, governor) {
-                    Ok((verdict, stats)) => {
-                        self.stats.full_matches += 1;
-                        Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-                        self.stats.last_match = Some(stats.clone());
-                        return Ok((verdict, stats));
-                    }
-                    // A poisoned automaton: contain it, stop trusting the
-                    // full tier, serve sequentially from now on.
-                    Err(err @ SfaError::WorkerPanic { .. }) => err,
-                    // Governance (cancellation): the tier is fine, the
-                    // caller said stop.
-                    Err(other) => return Err(other),
-                }
+                rt.full(&matcher, request, governor)
             }
-            Backend::Lazy(lazy) => match lazy.matches(input, self.threads) {
-                Ok(verdict) => {
-                    self.stats.lazy_matches += 1;
-                    let stats = MatchStats {
-                        tier: MatchTier::LazySfa,
-                        blocks: 1,
-                        chunks: self.threads as u64,
-                        bytes: input.len() as u64,
-                        ..MatchStats::default()
-                    };
-                    Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-                    self.stats.last_match = Some(stats.clone());
-                    return Ok((verdict, stats));
-                }
-                // The lazy tier ran out of budget mid-query: degrade
-                // for good and serve this (and every later) query on
-                // the next rung down.
-                Err(err) => err,
-            },
-            Backend::Speculative(spec) => {
-                match self.runtime.speculative_symbols(spec, input, governor) {
-                    Ok((verdict, stats)) => {
-                        if stats.tier == MatchTier::PrunedSfa {
-                            self.stats.pruned_matches += 1;
-                        } else {
-                            self.stats.speculative_matches += 1;
-                        }
-                        Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-                        self.stats.last_match = Some(stats.clone());
-                        return Ok((verdict, stats));
-                    }
-                    // A speculative worker panicked: the last parallel
-                    // rung is gone, serve sequentially from now on.
-                    Err(err @ SfaError::WorkerPanic { .. }) => err,
-                    Err(other) => return Err(other),
-                }
-            }
-            Backend::Sequential => return Ok(self.match_sequentially(input)),
-        };
-        self.stats.degradations += 1;
-        self.stats.last_error = Some(degrade_err);
-        self.backend = self.next_backend();
-        // Re-enter the ladder one rung down; terminates because the
-        // ladder is finite and Sequential always answers.
-        self.run_symbols(input, governor)
-    }
-
-    /// The rung below the current backend: full-SFA and lazy failures
-    /// fall to the speculative tier (chunk-parallel over the raw DFA —
-    /// a full-tier worker panic poisons the SFA tables, not the DFA);
-    /// a speculative failure falls to sequential, which always answers.
-    fn next_backend(&self) -> Backend<'d> {
-        match &self.backend {
-            Backend::Full { .. } | Backend::Lazy(_) => match SpeculativeMatcher::new(self.dfa) {
-                Ok(spec) => Backend::Speculative(spec),
-                Err(_) => Backend::Sequential,
-            },
-            _ => Backend::Sequential,
+            (_, Backend::Lazy(lazy)) => rt.lazy(lazy, request, governor),
+            (_, Backend::Sequential) => rt.sequential(self.dfa, request, governor),
         }
     }
 
-    /// Stream an input through the engine in fixed-size blocks (see
-    /// [`MatchRuntime::matches_stream`]): the full tier chunk-matches
-    /// each block in parallel on the pool; other tiers scan the stream
+    /// The step-down rule: a worker panic, or the tier running out of its
+    /// own space budget, moves the engine one rung down. Governance of
+    /// the query itself (cancellation, the request's deadline) and input
+    /// errors do not. Sequential is the last rung.
+    fn steps_down(&self, err: &SfaError) -> bool {
+        !matches!(self.backend, Backend::Sequential)
+            && matches!(
+                err,
+                SfaError::WorkerPanic { .. }
+                    | SfaError::StateBudgetExceeded { .. }
+                    | SfaError::BudgetExceeded {
+                        resource: BudgetResource::States | BudgetResource::PayloadBytes,
+                        ..
+                    }
+            )
+    }
+
+    /// Move one rung down for good: full-SFA and lazy failures fall to
+    /// the speculative tier (chunk-parallel over the raw DFA — a
+    /// full-tier worker panic poisons the SFA tables, not the DFA); a
+    /// speculative failure falls to sequential, which always answers.
+    fn step_down(&mut self, err: SfaError) {
+        self.stats.degradations += 1;
+        self.stats.last_error = Some(err);
+        self.backend = match self.backend {
+            Backend::Full { .. } | Backend::Lazy(_) => {
+                SpeculativeMatcher::new(self.dfa).map_or(Backend::Sequential, Backend::Speculative)
+            }
+            _ => Backend::Sequential,
+        };
+    }
+
+    /// The one place an answered query is recorded: the tier counter
+    /// `stats.tier` selects, the metrics and span sinks, `last_match`,
+    /// and the request's `match/request` span when it asked for a trace.
+    fn record(&mut self, stats: &MatchStats, trace: bool) {
+        let served = &mut self.stats;
+        *match stats.tier {
+            MatchTier::FullSfa => &mut served.full_matches,
+            MatchTier::LazySfa => &mut served.lazy_matches,
+            MatchTier::PrunedSfa => &mut served.pruned_matches,
+            MatchTier::Speculative => &mut served.speculative_matches,
+            MatchTier::Sequential => &mut served.sequential_matches,
+        } += 1;
+        if let Some(reg) = &self.metrics {
+            crate::obs::record_match(reg, stats);
+        }
+        if let Some(sub) = &self.subscriber {
+            sub.on_span(&SpanRecord {
+                name: "match/query",
+                nanos: stats.elapsed_nanos(),
+            });
+        }
+        if trace {
+            crate::obs::report_span("match/request", stats.elapsed_nanos());
+        }
+        served.last_match = Some(stats.clone());
+    }
+
+    /// Stream an input through the engine in fixed-size blocks: the full
+    /// tier chunk-matches each block in parallel on the pool
+    /// ([`MatchRuntime::matches_stream`]); other tiers scan the stream
     /// sequentially through the DFA. Same verdict either way, and peak
-    /// memory stays at one block.
+    /// memory stays at one block. The engine's cancel token is polled; a
+    /// full-tier worker panic steps the engine down but still fails this
+    /// query, whose stream is partly consumed.
     pub fn match_stream<R: Read>(
         &mut self,
         classifier: &ByteClassifier,
         reader: R,
     ) -> Result<(bool, MatchStats), SfaError> {
-        let governor = self.match_governor();
-        match &self.backend {
+        let governor = Governor::new(&Budget::unlimited(), self.cancel.clone());
+        let served = match &self.backend {
             Backend::Full { sfa, scan } => {
                 let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
-                match self
-                    .runtime
+                self.runtime
                     .matches_stream(&matcher, classifier, reader, &governor)
-                {
-                    Ok((verdict, stats)) => {
-                        self.stats.full_matches += 1;
-                        Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-                        self.stats.last_match = Some(stats.clone());
-                        Ok((verdict, stats))
-                    }
-                    Err(err @ SfaError::WorkerPanic { .. }) => {
-                        // The stream is partially consumed, so this query
-                        // cannot be replayed — surface the error, but stop
-                        // trusting the full tier for later queries.
-                        self.stats.degradations += 1;
-                        self.stats.last_error = Some(err.clone());
-                        self.backend = self.next_backend();
-                        Err(err)
-                    }
-                    Err(other) => Err(other),
-                }
             }
-            _ => self.stream_sequentially(classifier, reader, &governor),
-        }
-    }
-
-    /// Batch matching: the full tier dispatches one pool task per input
-    /// ([`MatchRuntime::match_many`]); other tiers answer input by
-    /// input. One verdict per input, in order.
-    pub fn match_many(&mut self, inputs: &[&[SymbolId]]) -> Result<Vec<bool>, SfaError> {
-        if !matches!(self.backend, Backend::Full { .. }) {
-            return Ok(inputs.iter().map(|input| self.matches(input)).collect());
-        }
-        let governor = self.match_governor();
-        let err = match &self.backend {
-            Backend::Full { sfa, scan } => {
-                let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
-                match self.runtime.match_many(&matcher, inputs, &governor) {
-                    Ok(verdicts) => {
-                        self.stats.full_matches += inputs.len() as u64;
-                        return Ok(verdicts);
-                    }
-                    Err(err @ SfaError::WorkerPanic { .. }) => err,
-                    Err(other) => return Err(other),
-                }
-            }
-            _ => unreachable!("checked above"),
+            _ => self
+                .runtime
+                .sequential_stream(self.dfa, classifier, reader, &governor),
         };
-        self.stats.degradations += 1;
-        self.stats.last_error = Some(err);
-        self.backend = self.next_backend();
-        Ok(inputs.iter().map(|input| self.matches(input)).collect())
-    }
-
-    /// The governor every match polls: the construction budget's axes
-    /// were spent on construction, but the cancel token stays live so a
-    /// server can abort in-flight queries.
-    fn match_governor(&self) -> Governor {
-        Governor::new(&Budget::unlimited(), self.cancel.clone())
-    }
-
-    /// The byte classifier a request asked for, over this engine's
-    /// alphabet.
-    fn classifier_for(&self, request: &MatchRequest) -> ByteClassifier {
-        match request.classifier {
-            ClassifierMode::Strict => ByteClassifier::strict(self.dfa.alphabet()),
-            ClassifierMode::SkipWhitespace => {
-                ByteClassifier::skipping_ascii_whitespace(self.dfa.alphabet())
-            }
+        match &served {
+            Ok((_, stats)) => self.record(stats, false),
+            Err(err) if self.steps_down(err) => self.step_down(err.clone()),
+            Err(_) => {}
         }
-    }
-
-    /// One request through the plain-DFA oracle, with the engine's
-    /// bookkeeping (tier counter, telemetry sinks) applied.
-    fn serve_sequential(
-        &mut self,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<MatchOutcome, SfaError> {
-        let classifier = self.classifier_for(request);
-        let outcome = self
-            .runtime
-            .run_sequential(self.dfa, request, governor, &classifier)?;
-        self.stats.sequential_matches += 1;
-        Self::deliver_match(&self.metrics, &self.subscriber, &outcome.stats);
-        self.stats.last_match = Some(outcome.stats.clone());
-        Ok(outcome)
-    }
-
-    /// One request through the speculative raw-DFA tier (pruned or
-    /// predict/verify per input — see [`crate::speculative`]), with the
-    /// engine's bookkeeping applied.
-    fn serve_speculative(
-        &mut self,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<MatchOutcome, SfaError> {
-        let classifier = self.classifier_for(request);
-        let outcome = self
-            .runtime
-            .run_speculative(self.dfa, request, governor, &classifier)?;
-        if outcome.tier == MatchTier::PrunedSfa {
-            self.stats.pruned_matches += 1;
-        } else {
-            self.stats.speculative_matches += 1;
-        }
-        Self::deliver_match(&self.metrics, &self.subscriber, &outcome.stats);
-        self.stats.last_match = Some(outcome.stats.clone());
-        Ok(outcome)
-    }
-
-    /// Byte and file requests under [`TierPolicy::Auto`]: the full tier
-    /// fuses classification into its chunk scans; the lazy and
-    /// speculative tiers encode up front and take the symbol ladder;
-    /// the sequential tier runs the oracle. Both byte buffers and paths
-    /// are replayable, so a worker panic degrades the engine and still
-    /// answers this query.
-    fn run_unencoded(
-        &mut self,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<MatchOutcome, SfaError> {
-        let classifier = self.classifier_for(request);
-        let degrade_err = match &self.backend {
-            Backend::Full { sfa, scan } => {
-                let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
-                let served = match &request.input {
-                    InputSource::Bytes(bytes) => {
-                        self.runtime
-                            .matches_bytes(&matcher, &classifier, bytes, governor)
-                    }
-                    InputSource::File(path) => match std::fs::File::open(path) {
-                        Ok(file) => {
-                            self.runtime
-                                .matches_stream(&matcher, &classifier, file, governor)
-                        }
-                        Err(e) => Err(SfaError::Io(format!("open {}: {e}", path.display()))),
-                    },
-                    InputSource::Symbols(_) => {
-                        unreachable!("symbol inputs take the run_symbols path")
-                    }
-                };
-                match served {
-                    Ok((verdict, stats)) => {
-                        self.stats.full_matches += 1;
-                        Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-                        self.stats.last_match = Some(stats.clone());
-                        return Ok(MatchOutcome::new(verdict, stats));
-                    }
-                    Err(err @ SfaError::WorkerPanic { .. }) => err,
-                    Err(other) => return Err(other),
-                }
-            }
-            Backend::Lazy(_) | Backend::Speculative(_) => {
-                // These tiers need encoded symbols; classify up front
-                // (the whole input is in memory either way) and take
-                // the symbol ladder, which already handles their
-                // degradation.
-                let symbols = self.encode_input(&request.input, &classifier)?;
-                let (verdict, stats) = self.run_symbols(&symbols, governor)?;
-                return Ok(MatchOutcome::new(verdict, stats));
-            }
-            Backend::Sequential => return self.serve_sequential(request, governor),
-        };
-        self.stats.degradations += 1;
-        self.stats.last_error = Some(degrade_err);
-        self.backend = self.next_backend();
-        self.run_unencoded(request, governor)
-    }
-
-    /// Classify an unencoded input source into a symbol vector.
-    fn encode_input(
-        &self,
-        input: &InputSource,
-        classifier: &ByteClassifier,
-    ) -> Result<Vec<SymbolId>, SfaError> {
-        let classify_all = |bytes: &[u8]| -> Result<Vec<SymbolId>, SfaError> {
-            let mut out = Vec::with_capacity(bytes.len());
-            for (offset, &b) in bytes.iter().enumerate() {
-                match classifier.classify(b) {
-                    Classified::Symbol(sym) => out.push(sym),
-                    Classified::Skip => {}
-                    Classified::Invalid => {
-                        return Err(SfaError::InvalidByte {
-                            byte: b,
-                            offset: offset as u64,
-                        })
-                    }
-                }
-            }
-            Ok(out)
-        };
-        match input {
-            InputSource::Symbols(symbols) => Ok(symbols.clone()),
-            InputSource::Bytes(bytes) => classify_all(bytes),
-            InputSource::File(path) => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| SfaError::Io(format!("read {}: {e}", path.display())))?;
-                classify_all(&bytes)
-            }
-        }
-    }
-
-    fn match_sequentially(&mut self, input: &[SymbolId]) -> (bool, MatchStats) {
-        let start = Instant::now();
-        self.stats.sequential_matches += 1;
-        let verdict = match_sequential(self.dfa, input);
-        let stats = MatchStats {
-            tier: MatchTier::Sequential,
-            blocks: 1,
-            chunks: 1,
-            bytes: input.len() as u64,
-            elapsed: start.elapsed(),
-            ..MatchStats::default()
-        };
-        Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-        self.stats.last_match = Some(stats.clone());
-        (verdict, stats)
-    }
-
-    /// Sequential streaming scan used by the non-full tiers: classify
-    /// and step block by block, polling the governor between blocks.
-    fn stream_sequentially<R: Read>(
-        &mut self,
-        classifier: &ByteClassifier,
-        mut reader: R,
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let start = Instant::now();
-        let mut stats = MatchStats {
-            tier: MatchTier::Sequential,
-            chunks: 1,
-            ..MatchStats::default()
-        };
-        let mut buf = vec![0u8; self.runtime.block_bytes()];
-        let mut q = self.dfa.start();
-        let mut offset = 0u64;
-        loop {
-            governor.check(0, 0)?;
-            // Same bounded-retry read as the parallel streaming path.
-            let filled = self.runtime.read_block(&mut reader, &mut buf, &mut stats)?;
-            if filled == 0 {
-                break;
-            }
-            for (j, &b) in buf[..filled].iter().enumerate() {
-                match classifier.classify(b) {
-                    Classified::Symbol(sym) => q = self.dfa.next(q, sym),
-                    Classified::Skip => {}
-                    Classified::Invalid => {
-                        return Err(SfaError::InvalidByte {
-                            byte: b,
-                            offset: offset + j as u64,
-                        })
-                    }
-                }
-            }
-            offset += filled as u64;
-            stats.blocks += 1;
-            if filled < buf.len() {
-                break;
-            }
-        }
-        self.stats.sequential_matches += 1;
-        stats.bytes = offset;
-        stats.elapsed = start.elapsed();
-        Self::deliver_match(&self.metrics, &self.subscriber, &stats);
-        self.stats.last_match = Some(stats.clone());
-        Ok((self.dfa.is_accepting(q), stats))
+        served
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::BudgetResource;
+    use crate::matcher::match_sequential;
     use sfa_automata::alphabet::Alphabet;
     use sfa_automata::pipeline::Pipeline;
     use sfa_workloads::protein_text;
@@ -866,9 +568,9 @@ mod tests {
             .with_subscriber(sub.clone());
         let text = protein_text(5_000, 7);
         engine.matches(&text); // full tier
-                               // Force the sequential path too.
-        let (_, seq_stats) = engine.match_sequentially(&text);
-        assert_eq!(seq_stats.tier, MatchTier::Sequential);
+        let sequential = MatchRequest::symbols(text.clone()).with_tier(TierPolicy::Sequential);
+        let seq = engine.run(&sequential).unwrap();
+        assert_eq!(seq.tier, MatchTier::Sequential);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sfa_match_queries_total"), Some(2));
         assert_eq!(

@@ -523,8 +523,7 @@ mod tests {
     #[test]
     fn file_round_trip() {
         let (dfa, sfa) = rg_sfa();
-        let dir = std::env::temp_dir().join("sfa_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = sfa_workloads::ScratchDir::new("io_test");
         let path = dir.join("test.sfa");
         write_file(&sfa, &path).unwrap();
         let back = read_file(&path).unwrap();
@@ -664,8 +663,7 @@ mod tests {
     #[test]
     fn atomic_write_leaves_no_tmp_behind() {
         let (_, sfa) = rg_sfa();
-        let dir = std::env::temp_dir().join("sfa_io_atomic_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = sfa_workloads::ScratchDir::new("io_atomic_test");
         let path = dir.join("out.sfa");
         write_file(&sfa, &path).unwrap();
         assert!(path.exists());

@@ -25,6 +25,10 @@
 //!   compression scheme (§III-B, §III-C),
 //! * [`matcher`] — sequential DFA matching and parallel SFA matching with
 //!   mapping composition (§IV-D),
+//! * [`engine`] and [`runtime`] — the request API
+//!   ([`MatchRequest`] → [`MatchOutcome`]): one tier ladder (full SFA →
+//!   lazy SFA → speculative → sequential) over a pooled, streaming match
+//!   runtime,
 //! * [`sfa::Sfa`] — the constructed automaton (optionally with its state
 //!   vectors still compressed),
 //! * [`stats`] — construction statistics: comparisons, collisions, phase
@@ -88,17 +92,11 @@ pub use budget::{Budget, BudgetProgress, BudgetResource};
 pub use builder::SfaBuilder;
 pub use engine::{EngineStats, MatchEngine, MatchTier};
 pub use lazy::LazySfa;
-#[allow(deprecated)]
-pub use matcher::try_match_with_sfa;
 pub use matcher::{match_sequential, match_with_sfa, ParallelMatcher};
-#[allow(deprecated)]
-pub use parallel::construct_parallel;
 pub use parallel::{CompressionPolicy, ParallelOptions, Scheduler};
 pub use request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
 pub use runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats, RetryPolicy};
 pub use scan::{prefix_compose_on, ScanEngine, ScanOptions, ScanTable};
-#[allow(deprecated)]
-pub use sequential::construct_sequential;
 pub use sequential::SequentialVariant;
 pub use sfa::Sfa;
 pub use sfa_sync::fault_point;
@@ -270,17 +268,11 @@ pub mod prelude {
     pub use crate::builder::SfaBuilder;
     pub use crate::engine::{EngineStats, MatchEngine, MatchTier};
     pub use crate::lazy::LazySfa;
-    #[allow(deprecated)]
-    pub use crate::matcher::try_match_with_sfa;
     pub use crate::matcher::{match_sequential, match_with_sfa, ParallelMatcher};
-    #[allow(deprecated)]
-    pub use crate::parallel::construct_parallel;
     pub use crate::parallel::{CompressionPolicy, ParallelOptions, Scheduler};
     pub use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
     pub use crate::runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats, RetryPolicy};
     pub use crate::scan::{prefix_compose_on, ScanEngine, ScanOptions, ScanTable};
-    #[allow(deprecated)]
-    pub use crate::sequential::construct_sequential;
     pub use crate::sequential::SequentialVariant;
     pub use crate::sfa::Sfa;
     pub use crate::speculative::{shared_predictor, SpecStats, SpeculativeMatcher, StatePredictor};

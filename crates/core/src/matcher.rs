@@ -18,18 +18,17 @@
 //! query would bury the break-even argument under `clone(2)` noise.
 //! Every governed path polls a [`Governor`] every
 //! [`GOVERNOR_POLL_SYMBOLS`] symbols, so deadlines and cancellation
-//! apply to *matching* just as PR 1 applied them to construction, and
-//! worker panics surface as [`SfaError::WorkerPanic`] instead of
-//! aborting the process.
+//! apply to *matching* just as they do to construction, and worker
+//! panics surface as [`SfaError::WorkerPanic`] instead of aborting the
+//! process.
 //!
-//! The fallible entry points of this module (`try_*`, `*_on(pool,
-//! governor, …)`) are deprecated in favour of the unified
-//! request/response API: construct a
+//! The conveniences on [`ParallelMatcher`] run on the shared pool,
+//! ungoverned, and panic on failure. For typed errors, budgets, tier
+//! policies and telemetry, construct a
 //! [`MatchRequest`](crate::MatchRequest) and call
 //! [`MatchRuntime::run`](crate::MatchRuntime::run) (one automaton, an
 //! explicit pool) or [`MatchEngine::run`](crate::MatchEngine::run) (the
-//! degradation ladder). The panicking conveniences on
-//! [`ParallelMatcher`] remain for tests and examples.
+//! degradation ladder).
 
 use crate::budget::Governor;
 use crate::scan::{ScanEngine, ScanOptions};
@@ -69,27 +68,6 @@ pub fn match_with_sfa(sfa: &Sfa, dfa: &Dfa, input: &[SymbolId], threads: usize) 
         .expect("match_with_sfa failed")
 }
 
-/// Fallible variant of [`match_with_sfa`]: a mismatched SFA/DFA pair
-/// returns [`SfaError::Mismatch`], a worker panic returns
-/// [`SfaError::WorkerPanic`].
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-)]
-pub fn try_match_with_sfa(
-    sfa: &Sfa,
-    dfa: &Dfa,
-    input: &[SymbolId],
-    threads: usize,
-) -> Result<bool, SfaError> {
-    ParallelMatcher::new(sfa, dfa)?.matches_governed(
-        TaskPool::shared(),
-        &Governor::unlimited(),
-        input,
-        threads,
-    )
-}
-
 /// Reusable parallel matcher (construct once, match many inputs).
 ///
 /// Construction precomputes a [`ScanEngine`] — compact pre-scaled
@@ -126,17 +104,6 @@ impl<'a> ParallelMatcher<'a> {
             dfa,
             scan: Arc::new(ScanEngine::new(sfa, dfa)),
         })
-    }
-
-    /// Pair without the compatibility check, for internal callers that
-    /// just built the SFA from this very DFA and hold both by construction.
-    pub fn new_unchecked(sfa: &'a Sfa, dfa: &'a Dfa) -> Self {
-        debug_assert!(check_compatible(sfa, dfa).is_ok());
-        ParallelMatcher {
-            sfa,
-            dfa,
-            scan: Arc::new(ScanEngine::new(sfa, dfa)),
-        }
     }
 
     /// [`Self::new`] with explicit [`ScanOptions`] (interleave width,
@@ -210,107 +177,6 @@ impl<'a> ParallelMatcher<'a> {
     pub fn count_matches(&self, input: &[SymbolId], threads: usize) -> u64 {
         self.count_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
             .expect("parallel count_matches failed")
-    }
-
-    /// Fallible [`Self::final_state`] on the shared pool, ungoverned.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn try_final_state(&self, input: &[SymbolId], threads: usize) -> Result<u32, SfaError> {
-        self.final_state_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
-    }
-
-    /// Fallible [`Self::matches`] on the shared pool, ungoverned.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn try_matches(&self, input: &[SymbolId], threads: usize) -> Result<bool, SfaError> {
-        self.matches_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
-    }
-
-    /// Fallible [`Self::find_first_match`] on the shared pool, ungoverned.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn try_find_first_match(
-        &self,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<Option<usize>, SfaError> {
-        self.find_first_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
-    }
-
-    /// Fallible [`Self::count_matches`] on the shared pool, ungoverned.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn try_count_matches(&self, input: &[SymbolId], threads: usize) -> Result<u64, SfaError> {
-        self.count_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
-    }
-
-    /// [`Self::final_state`] on an explicit pool under a [`Governor`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn final_state_on(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<u32, SfaError> {
-        self.final_state_governed(pool, governor, input, threads)
-    }
-
-    /// [`Self::matches`] on an explicit pool under a [`Governor`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn matches_on(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<bool, SfaError> {
-        self.matches_governed(pool, governor, input, threads)
-    }
-
-    /// [`Self::find_first_match`] on an explicit pool under a
-    /// [`Governor`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn find_first_match_on(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<Option<usize>, SfaError> {
-        self.find_first_governed(pool, governor, input, threads)
-    }
-
-    /// [`Self::count_matches`] on an explicit pool under a [`Governor`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a MatchRequest and use MatchRuntime::run or MatchEngine::run"
-    )]
-    pub fn count_matches_on(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<u64, SfaError> {
-        self.count_governed(pool, governor, input, threads)
     }
 
     /// Governed final-state scan — the single implementation behind
@@ -616,11 +482,6 @@ mod tests {
             }
             other => panic!("expected Mismatch, got {other:?}"),
         }
-        // The deprecated shim still answers with the same typed error.
-        #[allow(deprecated)]
-        {
-            assert!(try_match_with_sfa(&sfa_rg, &dfa_other, &[0, 1], 2).is_err());
-        }
     }
 
     #[test]
@@ -771,6 +632,54 @@ mod tests {
             .unwrap()
             .sfa;
         assert!(match_with_sfa(&sfa2, &dfa2, &[], 4));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Under a racing deadline or cancellation the governed count and
+        /// find-first scans either answer exactly the oracle or fail with
+        /// the governance error — never a wrong count or position.
+        #[test]
+        fn prop_governed_count_and_find_first_are_exact_or_stopped(
+            seed in proptest::prelude::any::<u64>(),
+            input in proptest::collection::vec(0u8..2, 0..300),
+            threads in 1usize..4,
+            cancel_now in proptest::prelude::any::<bool>(),
+            deadline_us in 0u64..200,
+        ) {
+            let alpha = Alphabet::binary();
+            let dfa = sfa_automata::random::random_dfa(&alpha, 5, 0.4, seed);
+            let sfa = Sfa::builder(&dfa)
+                .sequential(SequentialVariant::Transposed)
+                .build()
+                .unwrap()
+                .sfa;
+            let opts = ScanOptions {
+                interleave: 4,
+                oversubscribe: 2,
+                min_chunk_symbols: 1,
+            };
+            let matcher = ParallelMatcher::with_options(&sfa, &dfa, opts).unwrap();
+            let token = sfa_sync::CancelToken::new();
+            if cancel_now {
+                token.cancel();
+            }
+            let budget = crate::budget::Budget::unlimited()
+                .with_deadline(std::time::Duration::from_micros(deadline_us));
+            let governor = Governor::new(&budget, Some(token));
+            let pool = TaskPool::shared();
+            match matcher.count_governed(pool, &governor, &input, threads) {
+                Ok(c) => proptest::prop_assert_eq!(c, count_matches_sequential(&dfa, &input)),
+                Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
+                Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+            }
+            match matcher.find_first_governed(pool, &governor, &input, threads) {
+                Ok(p) => proptest::prop_assert_eq!(p, find_first_match_sequential(&dfa, &input)),
+                Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
+                Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
+            }
+        }
     }
 
     #[test]

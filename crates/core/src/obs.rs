@@ -115,7 +115,7 @@ pub fn record_match(reg: &MetricsRegistry, stats: &MatchStats) {
     reg.gauge("sfa_match_last_untimed")
         .set(stats.untimed() as i64);
     reg.histogram("sfa_match_elapsed_nanos")
-        .observe(stats.elapsed.as_nanos().min(u64::MAX as u128) as u64);
+        .observe(stats.elapsed_nanos());
 }
 
 /// Record the shared match pool's load gauges into `reg` (`sfa_pool_*`)

@@ -243,32 +243,11 @@ impl ParallelOptions {
     }
 }
 
-/// Construct the SFA of `dfa` in parallel.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Sfa::builder(&dfa).options(&opts).build()"
-)]
-pub fn construct_parallel(
-    dfa: &Dfa,
-    opts: &ParallelOptions,
-) -> Result<ConstructionResult, SfaError> {
-    construct_parallel_governed(dfa, opts, &Governor::unlimited())
-}
-
-/// The canonical governed entry point ([`crate::builder::SfaBuilder`]
-/// calls this): every worker polls `governor` once per work item, in all
-/// three phases, and winds down cooperatively when a budget axis fires
-/// or the attached token is cancelled.
-pub fn construct_parallel_governed(
-    dfa: &Dfa,
-    opts: &ParallelOptions,
-    governor: &Governor,
-) -> Result<ConstructionResult, SfaError> {
-    construct_parallel_resumable(dfa, opts, governor, None, None)
-}
-
-/// Governed parallel construction with optional checkpointing and resume
-/// (`SfaBuilder::{checkpoint, resume_from}` are the public entry points).
+/// The parallel engine behind [`Sfa::builder`](crate::Sfa::builder):
+/// every worker polls `governor` once per work item, in all three
+/// phases, and winds down cooperatively when a budget axis fires or the
+/// attached token is cancelled. Optionally checkpoints and resumes
+/// (`SfaBuilder::{checkpoint, resume_from}`).
 ///
 /// Checkpoints written here use the same container as sequential builds:
 /// the snapshot is the canonical prefix of the automaton (see
@@ -277,7 +256,7 @@ pub fn construct_parallel_governed(
 /// uninterrupted run. Requires a schedule-independent compression policy
 /// ([`CompressionPolicy::Never`] or [`CompressionPolicy::FromStart`]) and
 /// the exact (non-probabilistic) mode.
-pub fn construct_parallel_resumable(
+pub(crate) fn construct_parallel_resumable(
     dfa: &Dfa,
     opts: &ParallelOptions,
     governor: &Governor,

@@ -1,8 +1,5 @@
-//! The unified match request/response surface.
-//!
-//! Five PRs of organic growth left matching spread across a dozen method
-//! variants (`try_*`, `*_on(pool, governor, …)`, per-call knobs). This
-//! module consolidates them behind two plain-data types:
+//! The match request/response surface: every match in the workspace is
+//! a [`MatchRequest`] → [`MatchOutcome`] exchange.
 //!
 //! * [`MatchRequest`] — *what* to match: a pattern reference (resolved
 //!   by servers, ignored by an engine already bound to a DFA), an input

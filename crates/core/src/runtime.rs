@@ -16,6 +16,13 @@
 //!   one pool task each: the pool dispatch cost is amortized across the
 //!   batch instead of splitting each tiny input into even tinier chunks.
 //!
+//! Each rung of the degradation ladder has exactly one implementation
+//! here — full SFA (the shapes above), lazy SFA, speculative and
+//! sequential — and each reads a request's symbols, bytes or file
+//! itself. [`MatchRuntime::run`] and [`MatchRuntime::run_dfa`] serve a
+//! request on one of them;
+//! [`MatchEngine::run`](crate::MatchEngine::run) picks among them.
+//!
 //! Every path polls a [`Governor`] at block/chunk granularity (deadline,
 //! cancellation), contains worker panics as
 //! [`SfaError::WorkerPanic`], and fills a [`MatchStats`] with what
@@ -31,12 +38,17 @@
 
 use crate::budget::Governor;
 use crate::engine::MatchTier;
-use crate::matcher::{AbortControl, ParallelMatcher};
+use crate::lazy::LazySfa;
+use crate::matcher::{AbortControl, ParallelMatcher, GOVERNOR_POLL_SYMBOLS};
 use crate::obs::{LazyCounter, LazyGauge, LazyHistogram, Stopwatch};
+use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
+use crate::speculative::SpeculativeMatcher;
 use crate::SfaError;
 use sfa_automata::alphabet::{Alphabet, SymbolId};
+use sfa_automata::dfa::Dfa;
 use sfa_sync::pool::TaskPool;
 use std::io::Read;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,6 +171,14 @@ impl ByteClassifier {
         this
     }
 
+    /// The classifier a request's [`ClassifierMode`] selects.
+    pub(crate) fn for_mode(mode: ClassifierMode, alpha: &Alphabet) -> Self {
+        match mode {
+            ClassifierMode::Strict => ByteClassifier::strict(alpha),
+            ClassifierMode::SkipWhitespace => ByteClassifier::skipping_ascii_whitespace(alpha),
+        }
+    }
+
     /// Classify one byte.
     #[inline]
     pub fn classify(&self, byte: u8) -> Classified {
@@ -247,6 +267,12 @@ impl MatchStats {
     pub fn untimed(&self) -> bool {
         self.bytes > 0 && self.elapsed < MIN_TIMED_ELAPSED
     }
+
+    /// Wall time in whole nanoseconds (saturating) — the unit spans and
+    /// latency histograms record.
+    pub(crate) fn elapsed_nanos(&self) -> u64 {
+        self.elapsed.as_nanos().min(u64::MAX as u128) as u64
+    }
 }
 
 /// Backoff sleep implementation — swappable for tests.
@@ -325,27 +351,17 @@ impl MatchRuntime {
         &self.pool
     }
 
-    /// Worker count of the underlying pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Serve one [`MatchRequest`] on this runtime (always the full SFA
-    /// tier — the degradation ladder lives in
+    /// Serve one [`MatchRequest`] on the tier its policy names: the full
+    /// SFA tier for `Auto`/`RequireFull`, else the sequential oracle or
+    /// the speculative tier (the degradation ladder lives in
     /// [`MatchEngine::run`](crate::MatchEngine::run)). The request's
     /// budget is enforced by a fresh [`Governor`]; use
     /// [`Self::run_cancelable`] to attach a cancel token as well.
-    ///
-    /// Dispatches on the input source: symbol slices chunk-match
-    /// directly, byte inputs fuse classification into the chunk scans,
-    /// and file inputs stream in [`Self::block_bytes`]-sized blocks.
-    /// A [`TierPolicy::Sequential`](crate::TierPolicy::Sequential)
-    /// request runs the plain DFA instead (the oracle mode).
     pub fn run(
         &self,
         matcher: &ParallelMatcher<'_>,
-        request: &crate::MatchRequest,
-    ) -> Result<crate::MatchOutcome, SfaError> {
+        request: &MatchRequest,
+    ) -> Result<MatchOutcome, SfaError> {
         self.run_cancelable(matcher, request, None)
     }
 
@@ -354,206 +370,211 @@ impl MatchRuntime {
     pub fn run_cancelable(
         &self,
         matcher: &ParallelMatcher<'_>,
-        request: &crate::MatchRequest,
+        request: &MatchRequest,
         cancel: Option<sfa_sync::CancelToken>,
-    ) -> Result<crate::MatchOutcome, SfaError> {
-        use crate::request::{ClassifierMode, InputSource, TierPolicy};
-        let governor = Governor::new(&request.budget, cancel);
-        let classifier = || match request.classifier {
-            ClassifierMode::Strict => ByteClassifier::strict(matcher.dfa.alphabet()),
-            ClassifierMode::SkipWhitespace => {
-                ByteClassifier::skipping_ascii_whitespace(matcher.dfa.alphabet())
-            }
-        };
-        if request.tier == TierPolicy::Sequential {
-            return self.run_sequential(matcher.dfa, request, &governor, &classifier());
-        }
-        if request.tier == TierPolicy::Speculative {
-            return self.run_speculative(matcher.dfa, request, &governor, &classifier());
-        }
-        let (verdict, stats) = match &request.input {
-            InputSource::Symbols(symbols) => self.matches_symbols(matcher, symbols, &governor)?,
-            InputSource::Bytes(bytes) => {
-                self.matches_bytes(matcher, &classifier(), bytes, &governor)?
-            }
-            InputSource::File(path) => {
-                let file = std::fs::File::open(path)
-                    .map_err(|e| SfaError::Io(format!("open {}: {e}", path.display())))?;
-                self.matches_stream(matcher, &classifier(), file, &governor)?
-            }
-        };
-        if request.trace {
-            crate::obs::report_span(
-                "match/request",
-                stats.elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
-        Ok(crate::MatchOutcome::new(verdict, stats))
+    ) -> Result<MatchOutcome, SfaError> {
+        self.serve(Some(matcher), matcher.dfa, request, cancel)
     }
 
     /// Serve a request with the raw DFA only — the public entry for
     /// callers that hold no SFA at all (e.g. a server pattern whose
-    /// construction exceeded its budget). A
-    /// [`TierPolicy::Speculative`](crate::TierPolicy::Speculative)
+    /// construction exceeded its budget). A [`TierPolicy::Speculative`]
     /// request runs the chunk-parallel speculative tier
     /// ([`crate::speculative`]); everything else runs the sequential
     /// oracle. Same verdict as every other path by construction.
     pub fn run_dfa(
         &self,
-        dfa: &sfa_automata::dfa::Dfa,
-        request: &crate::MatchRequest,
+        dfa: &Dfa,
+        request: &MatchRequest,
         cancel: Option<sfa_sync::CancelToken>,
-    ) -> Result<crate::MatchOutcome, SfaError> {
-        use crate::request::{ClassifierMode, TierPolicy};
-        let governor = Governor::new(&request.budget, cancel);
-        let classifier = match request.classifier {
-            ClassifierMode::Strict => ByteClassifier::strict(dfa.alphabet()),
-            ClassifierMode::SkipWhitespace => {
-                ByteClassifier::skipping_ascii_whitespace(dfa.alphabet())
-            }
-        };
-        if request.tier == TierPolicy::Speculative {
-            return self.run_speculative(dfa, request, &governor, &classifier);
-        }
-        self.run_sequential(dfa, request, &governor, &classifier)
+    ) -> Result<MatchOutcome, SfaError> {
+        self.serve(None, dfa, request, cancel)
     }
 
-    /// Serve a request on the speculative tier: chunk-parallel over the
-    /// raw DFA with predicted entry states and seam verification (or the
-    /// exact pruned-enumerative mode when the feasible entry sets are
-    /// narrow — see [`crate::speculative`]). Byte and file inputs are
-    /// classified up front into a symbol buffer; fused classification is
-    /// a full-SFA-tier luxury the speculative scan does not have.
-    pub(crate) fn run_speculative(
+    /// One request on the tier its policy names (the full tier needs a
+    /// `matcher`; without one, `Auto` runs sequentially), plus the
+    /// request's `match/request` span when it asked for a trace.
+    fn serve(
         &self,
-        dfa: &sfa_automata::dfa::Dfa,
-        request: &crate::MatchRequest,
+        matcher: Option<&ParallelMatcher<'_>>,
+        dfa: &Dfa,
+        request: &MatchRequest,
+        cancel: Option<sfa_sync::CancelToken>,
+    ) -> Result<MatchOutcome, SfaError> {
+        let governor = Governor::new(&request.budget, cancel);
+        let (verdict, stats) = match (request.tier, matcher) {
+            (TierPolicy::Speculative, _) => {
+                self.speculative(&SpeculativeMatcher::new(dfa)?, request, &governor)
+            }
+            (TierPolicy::Auto | TierPolicy::RequireFull, Some(matcher)) => {
+                self.full(matcher, request, &governor)
+            }
+            _ => self.sequential(dfa, request, &governor),
+        }?;
+        if request.trace {
+            crate::obs::report_span("match/request", stats.elapsed_nanos());
+        }
+        Ok(MatchOutcome::new(verdict, stats))
+    }
+
+    /// The full SFA tier: symbols chunk-match directly, bytes fuse
+    /// classification into the chunk scans, files stream block by block.
+    pub(crate) fn full(
+        &self,
+        matcher: &ParallelMatcher<'_>,
+        request: &MatchRequest,
         governor: &Governor,
-        classifier: &ByteClassifier,
-    ) -> Result<crate::MatchOutcome, SfaError> {
-        use crate::request::InputSource;
+    ) -> Result<(bool, MatchStats), SfaError> {
+        let classifier = || ByteClassifier::for_mode(request.classifier, matcher.dfa.alphabet());
+        match &request.input {
+            InputSource::Symbols(symbols) => self.matches_symbols(matcher, symbols, governor),
+            InputSource::Bytes(bytes) => {
+                self.matches_bytes(matcher, &classifier(), bytes, governor)
+            }
+            InputSource::File(path) => {
+                self.matches_stream(matcher, &classifier(), open(path)?, governor)
+            }
+        }
+    }
+
+    /// The lazy SFA tier: as many chunks as the pool has workers,
+    /// constructing SFA states on demand.
+    pub(crate) fn lazy(
+        &self,
+        lazy: &LazySfa<'_>,
+        request: &MatchRequest,
+        governor: &Governor,
+    ) -> Result<(bool, MatchStats), SfaError> {
+        self.over_symbols(lazy.dfa(), request, governor, |symbols| {
+            let threads = self.pool.threads();
+            let (verdict, chunks) = lazy.matches_governed(governor, symbols, threads)?;
+            let stats = MatchStats {
+                tier: MatchTier::LazySfa,
+                chunks,
+                ..MatchStats::default()
+            };
+            Ok((verdict, stats))
+        })
+    }
+
+    /// The speculative tier: chunk-parallel over the raw DFA with
+    /// predicted entry states and seam verification (or the exact
+    /// pruned-enumerative mode when the feasible entry sets are narrow —
+    /// see [`crate::speculative`]).
+    pub(crate) fn speculative(
+        &self,
+        matcher: &SpeculativeMatcher<'_>,
+        request: &MatchRequest,
+        governor: &Governor,
+    ) -> Result<(bool, MatchStats), SfaError> {
+        self.over_symbols(matcher.dfa(), request, governor, |symbols| {
+            let threads = self.pool.threads();
+            let (verdict, spec) = matcher.matches(&self.pool, governor, symbols, threads)?;
+            let stats = MatchStats {
+                tier: if spec.pruned {
+                    MatchTier::PrunedSfa
+                } else {
+                    MatchTier::Speculative
+                },
+                chunks: spec.chunks,
+                mispredicts: spec.mispredicts,
+                reruns: spec.reruns,
+                state_visits: spec.state_visits,
+                ..MatchStats::default()
+            };
+            Ok((verdict, stats))
+        })
+    }
+
+    /// A tier that scans dense symbols (lazy, speculative): raw inputs are
+    /// classified up front and files read whole. `scan` fills the tier's
+    /// own stats; this adds input size, wall time and pool backlog.
+    fn over_symbols(
+        &self,
+        dfa: &Dfa,
+        request: &MatchRequest,
+        governor: &Governor,
+        scan: impl FnOnce(&[SymbolId]) -> Result<(bool, MatchStats), SfaError>,
+    ) -> Result<(bool, MatchStats), SfaError> {
         let start = Instant::now();
         governor.check(0, 0)?;
-        let matcher = crate::speculative::SpeculativeMatcher::new(dfa)?;
-        let (verdict, mut stats) = match &request.input {
-            InputSource::Symbols(symbols) => self.speculative_symbols(&matcher, symbols, governor),
-            InputSource::Bytes(bytes) => {
-                let symbols = encode_classified(classifier, bytes, governor)?;
-                self.speculative_symbols(&matcher, &symbols, governor)
-                    .map(|(v, mut s)| {
-                        s.bytes = bytes.len() as u64;
-                        (v, s)
-                    })
-            }
+        let classify = |bytes: &[u8]| {
+            let classifier = ByteClassifier::for_mode(request.classifier, dfa.alphabet());
+            encode_classified(&classifier, bytes, governor)
+        };
+        let ((verdict, mut stats), len) = match &request.input {
+            InputSource::Symbols(symbols) => (scan(symbols)?, symbols.len()),
+            InputSource::Bytes(bytes) => (scan(&classify(bytes)?)?, bytes.len()),
             InputSource::File(path) => {
                 let bytes = std::fs::read(path)
                     .map_err(|e| SfaError::Io(format!("read {}: {e}", path.display())))?;
-                let symbols = encode_classified(classifier, &bytes, governor)?;
-                self.speculative_symbols(&matcher, &symbols, governor)
-                    .map(|(v, mut s)| {
-                        s.bytes = bytes.len() as u64;
-                        (v, s)
-                    })
+                (scan(&classify(&bytes)?)?, bytes.len())
             }
-        }?;
-        stats.elapsed = start.elapsed();
-        if request.trace {
-            crate::obs::report_span(
-                "match/request",
-                stats.elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
-        Ok(crate::MatchOutcome::new(verdict, stats))
-    }
-
-    /// One speculative pass over pre-encoded symbols, with the
-    /// [`SpecStats`](crate::speculative::SpecStats) folded into a
-    /// [`MatchStats`]. The caller stamps `elapsed` (and `bytes`, when
-    /// the input started as raw bytes).
-    pub(crate) fn speculative_symbols(
-        &self,
-        matcher: &crate::speculative::SpeculativeMatcher<'_>,
-        input: &[SymbolId],
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let start = Instant::now();
-        let threads = self.pool.threads();
-        let (verdict, spec) = matcher.matches(&self.pool, governor, input, threads)?;
-        let stats = MatchStats {
-            tier: if spec.pruned {
-                MatchTier::PrunedSfa
-            } else {
-                MatchTier::Speculative
-            },
-            blocks: 1,
-            chunks: spec.chunks,
-            bytes: input.len() as u64,
-            elapsed: start.elapsed(),
-            queue_depth: self.pool.queue_depth(),
-            mispredicts: spec.mispredicts,
-            reruns: spec.reruns,
-            state_visits: spec.state_visits,
-            ..MatchStats::default()
         };
+        stats.blocks = 1;
+        stats.bytes = len as u64;
+        stats.elapsed = start.elapsed();
+        stats.queue_depth = self.pool.queue_depth();
         note_match(&stats);
         Ok((verdict, stats))
     }
 
-    /// The sequential oracle behind
-    /// [`TierPolicy::Sequential`](crate::TierPolicy::Sequential) requests
-    /// (and the engine's degraded tier): one DFA pass, no pool, same
-    /// verdict by construction.
-    pub(crate) fn run_sequential(
+    /// The sequential oracle: one DFA pass, no pool, same verdict by
+    /// construction. Files stream one [`Self::block_bytes`] block at a
+    /// time.
+    pub(crate) fn sequential(
         &self,
-        dfa: &sfa_automata::dfa::Dfa,
-        request: &crate::MatchRequest,
+        dfa: &Dfa,
+        request: &MatchRequest,
         governor: &Governor,
+    ) -> Result<(bool, MatchStats), SfaError> {
+        let classifier = || ByteClassifier::for_mode(request.classifier, dfa.alphabet());
+        let start = Instant::now();
+        governor.check(0, 0)?;
+        let (q, len) = match &request.input {
+            InputSource::Symbols(symbols) => (run_governed(dfa, symbols, governor)?, symbols.len()),
+            InputSource::Bytes(bytes) => {
+                let q = step_classified(dfa, &classifier(), dfa.start(), bytes, 0, governor)?;
+                (q, bytes.len())
+            }
+            InputSource::File(path) => {
+                return self.sequential_stream(dfa, &classifier(), open(path)?, governor)
+            }
+        };
+        let stats = MatchStats {
+            tier: MatchTier::Sequential,
+            blocks: 1,
+            chunks: 1,
+            bytes: len as u64,
+            elapsed: start.elapsed(),
+            ..MatchStats::default()
+        };
+        note_match(&stats);
+        Ok((dfa.is_accepting(q), stats))
+    }
+
+    /// The sequential oracle over a stream, one [`Self::block_bytes`]
+    /// block at a time: peak memory is one block.
+    pub(crate) fn sequential_stream<R: Read>(
+        &self,
+        dfa: &Dfa,
         classifier: &ByteClassifier,
-    ) -> Result<crate::MatchOutcome, SfaError> {
-        use crate::request::InputSource;
+        reader: R,
+        governor: &Governor,
+    ) -> Result<(bool, MatchStats), SfaError> {
         let start = Instant::now();
         governor.check(0, 0)?;
         let mut stats = MatchStats {
             tier: MatchTier::Sequential,
-            blocks: 1,
             chunks: 1,
             ..MatchStats::default()
         };
-        let step_bytes = |bytes: &[u8], stats: &mut MatchStats| -> Result<u32, SfaError> {
-            let mut q = dfa.start();
-            for (offset, &b) in bytes.iter().enumerate() {
-                match classifier.classify(b) {
-                    Classified::Symbol(sym) => q = dfa.next(q, sym),
-                    Classified::Skip => {}
-                    Classified::Invalid => {
-                        return Err(SfaError::InvalidByte {
-                            byte: b,
-                            offset: offset as u64,
-                        })
-                    }
-                }
-                if (offset + 1) % crate::matcher::GOVERNOR_POLL_SYMBOLS == 0 {
-                    governor.check(0, 0)?;
-                }
-            }
-            stats.bytes = bytes.len() as u64;
-            Ok(q)
-        };
-        let q = match &request.input {
-            InputSource::Symbols(symbols) => {
-                stats.bytes = symbols.len() as u64;
-                dfa.run(symbols)
-            }
-            InputSource::Bytes(bytes) => step_bytes(bytes, &mut stats)?,
-            InputSource::File(path) => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| SfaError::Io(format!("read {}: {e}", path.display())))?;
-                step_bytes(&bytes, &mut stats)?
-            }
-        };
+        let q = self.fold_stream(reader, dfa.start(), &mut stats, |block, offset, q, _| {
+            step_classified(dfa, classifier, q, block, offset, governor)
+        })?;
         stats.elapsed = start.elapsed();
         note_match(&stats);
-        Ok(crate::MatchOutcome::new(dfa.is_accepting(q), stats))
+        Ok((dfa.is_accepting(q), stats))
     }
 
     /// Accept decision for a pre-encoded symbol slice, matched in
@@ -623,52 +644,23 @@ impl MatchRuntime {
         reader: R,
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
-        let (q, stats) = self.final_state_stream(matcher, classifier, reader, governor)?;
-        Ok((matcher.dfa.is_accepting(q), stats))
-    }
-
-    /// Final DFA state for a stream (the streaming analogue of
-    /// [`ParallelMatcher::final_state`]).
-    pub fn final_state_stream<R: Read>(
-        &self,
-        matcher: &ParallelMatcher<'_>,
-        classifier: &ByteClassifier,
-        mut reader: R,
-        governor: &Governor,
-    ) -> Result<(u32, MatchStats), SfaError> {
         let start = Instant::now();
         let mut stats = MatchStats {
             tier: MatchTier::FullSfa,
             ..MatchStats::default()
         };
-        let mut buf = vec![0u8; self.block_bytes];
-        let mut q = matcher.dfa.start();
-        let mut offset = 0u64;
-        loop {
-            let filled = self.read_block(&mut reader, &mut buf, &mut stats)?;
-            if filled == 0 {
-                break;
-            }
-            q = self.fold_block(
-                matcher,
-                classifier,
-                &buf[..filled],
-                offset,
-                q,
-                governor,
-                &mut stats,
-            )?;
-            offset += filled as u64;
-            stats.blocks += 1;
-            if filled < buf.len() {
-                break; // EOF
-            }
-        }
-        stats.bytes = offset;
+        let q = self.fold_stream(
+            reader,
+            matcher.dfa.start(),
+            &mut stats,
+            |block, offset, q, stats| {
+                self.fold_block(matcher, classifier, block, offset, q, governor, stats)
+            },
+        )?;
         stats.elapsed = start.elapsed();
         stats.queue_depth = self.pool.queue_depth();
         note_match(&stats);
-        Ok((q, stats))
+        Ok((matcher.dfa.is_accepting(q), stats))
     }
 
     /// Batch matching: one pool task per input (whole-input SFA run),
@@ -743,57 +735,41 @@ impl MatchRuntime {
         watch.record(&OBS_BLOCK_NANOS);
         Ok(folded)
     }
-}
 
-/// Classify raw bytes into a dense symbol buffer up front (the
-/// speculative tier's input shape), polling the governor at the usual
-/// granularity. Invalid bytes fail with their offset, exactly like the
-/// fused paths.
-fn encode_classified(
-    classifier: &ByteClassifier,
-    bytes: &[u8],
-    governor: &Governor,
-) -> Result<Vec<SymbolId>, SfaError> {
-    let mut symbols = Vec::with_capacity(bytes.len());
-    for (offset, &b) in bytes.iter().enumerate() {
-        match classifier.classify(b) {
-            Classified::Symbol(sym) => symbols.push(sym),
-            Classified::Skip => {}
-            Classified::Invalid => {
-                return Err(SfaError::InvalidByte {
-                    byte: b,
-                    offset: offset as u64,
-                })
+    /// Read `reader` one [`Self::block_bytes`] block at a time and fold
+    /// each block into the running state `q` with `fold(block, offset,
+    /// q, stats)`. Peak memory is one block; fills `stats.blocks` and
+    /// `stats.bytes`.
+    fn fold_stream<R: Read>(
+        &self,
+        mut reader: R,
+        mut q: u32,
+        stats: &mut MatchStats,
+        mut fold: impl FnMut(&[u8], u64, u32, &mut MatchStats) -> Result<u32, SfaError>,
+    ) -> Result<u32, SfaError> {
+        let mut buf = vec![0u8; self.block_bytes];
+        let mut offset = 0u64;
+        loop {
+            let filled = self.read_block(&mut reader, &mut buf, stats)?;
+            if filled == 0 {
+                break;
+            }
+            q = fold(&buf[..filled], offset, q, stats)?;
+            offset += filled as u64;
+            stats.blocks += 1;
+            if filled < buf.len() {
+                break; // EOF
             }
         }
-        if (offset + 1) % crate::matcher::GOVERNOR_POLL_SYMBOLS == 0 {
-            governor.check(0, 0)?;
-        }
+        stats.bytes = offset;
+        Ok(q)
     }
-    Ok(symbols)
-}
 
-/// Push one finished match's telemetry into the global metrics registry
-/// (no-ops unless the `obs` feature is on and recording is enabled).
-fn note_match(stats: &MatchStats) {
-    OBS_BLOCKS_TOTAL.add(stats.blocks);
-    OBS_BYTES_TOTAL.add(stats.bytes);
-    OBS_RETRIES_TOTAL.add(stats.retries);
-    OBS_QUEUE_DEPTH.set(stats.queue_depth as i64);
-}
-
-impl Default for MatchRuntime {
-    fn default() -> Self {
-        MatchRuntime::shared()
-    }
-}
-
-impl MatchRuntime {
     /// Fill `buf` as far as the reader allows; returns bytes read (0 at
     /// EOF). Transient errors are retried per the [`RetryPolicy`]
     /// (counted in `stats.retries`); permanent errors and exhausted
     /// retries become [`SfaError::Io`].
-    pub(crate) fn read_block<R: Read>(
+    fn read_block<R: Read>(
         &self,
         reader: &mut R,
         buf: &mut [u8],
@@ -829,6 +805,96 @@ impl MatchRuntime {
         }
         Ok(filled)
     }
+}
+
+impl Default for MatchRuntime {
+    fn default() -> Self {
+        MatchRuntime::shared()
+    }
+}
+
+/// Open a file input.
+fn open(path: &Path) -> Result<std::fs::File, SfaError> {
+    std::fs::File::open(path).map_err(|e| SfaError::Io(format!("open {}: {e}", path.display())))
+}
+
+/// Classify raw bytes into a dense symbol buffer (the lazy and
+/// speculative tiers' input shape).
+fn encode_classified(
+    classifier: &ByteClassifier,
+    bytes: &[u8],
+    governor: &Governor,
+) -> Result<Vec<SymbolId>, SfaError> {
+    let mut symbols = Vec::with_capacity(bytes.len());
+    classify_each(classifier, bytes, 0, governor, |sym| symbols.push(sym))?;
+    Ok(symbols)
+}
+
+/// Classify `block` (at input offset `offset`) and step the DFA through
+/// it from `q` (the sequential tier's scan).
+fn step_classified(
+    dfa: &Dfa,
+    classifier: &ByteClassifier,
+    mut q: u32,
+    block: &[u8],
+    offset: u64,
+    governor: &Governor,
+) -> Result<u32, SfaError> {
+    classify_each(classifier, block, offset, governor, |sym| {
+        q = dfa.next(q, sym)
+    })?;
+    Ok(q)
+}
+
+/// Classify `bytes` (at input offset `offset`) and hand each symbol to
+/// `visit`, polling the governor every [`GOVERNOR_POLL_SYMBOLS`] bytes.
+/// Invalid bytes fail with their offset, exactly like the fused paths.
+fn classify_each(
+    classifier: &ByteClassifier,
+    bytes: &[u8],
+    offset: u64,
+    governor: &Governor,
+    mut visit: impl FnMut(SymbolId),
+) -> Result<(), SfaError> {
+    for (part, base) in bytes
+        .chunks(GOVERNOR_POLL_SYMBOLS)
+        .zip((offset..).step_by(GOVERNOR_POLL_SYMBOLS))
+    {
+        governor.check(0, 0)?;
+        for (j, &byte) in part.iter().enumerate() {
+            match classifier.classify(byte) {
+                Classified::Symbol(sym) => visit(sym),
+                Classified::Skip => {}
+                Classified::Invalid => {
+                    return Err(SfaError::InvalidByte {
+                        byte,
+                        offset: base + j as u64,
+                    })
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `δ*(q₀, input)` over dense symbols, polling the governor every
+/// [`GOVERNOR_POLL_SYMBOLS`] symbols.
+fn run_governed(dfa: &Dfa, input: &[SymbolId], governor: &Governor) -> Result<u32, SfaError> {
+    let mut q = dfa.start();
+    for part in input.chunks(GOVERNOR_POLL_SYMBOLS) {
+        governor.check(0, 0)?;
+        q = dfa.run_from(q, part);
+    }
+    Ok(q)
+}
+
+/// Push one finished match's telemetry into the global metrics registry
+/// (no-ops unless the `obs` feature is on and recording is enabled).
+fn note_match(stats: &MatchStats) {
+    OBS_BLOCKS_TOTAL.add(stats.blocks);
+    OBS_BYTES_TOTAL.add(stats.bytes);
+    OBS_RETRIES_TOTAL.add(stats.retries);
+    OBS_QUEUE_DEPTH.set(stats.queue_depth as i64);
 }
 
 #[cfg(test)]

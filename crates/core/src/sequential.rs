@@ -58,83 +58,16 @@ pub enum SequentialVariant {
     Transposed,
 }
 
-/// Default sequential arena capacity (2²⁴ states — far beyond anything
-/// the sequential algorithms finish in reasonable time).
-pub const DEFAULT_SEQUENTIAL_STATE_BUDGET: usize = 1 << 24;
-
-/// Construct the SFA of `dfa` sequentially with the default state budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Sfa::builder(&dfa).sequential(variant).build()"
-)]
-pub fn construct_sequential(
-    dfa: &Dfa,
-    variant: SequentialVariant,
-) -> Result<ConstructionResult, SfaError> {
-    construct_sequential_governed(
-        dfa,
-        variant,
-        DEFAULT_SEQUENTIAL_STATE_BUDGET,
-        &Governor::unlimited(),
-    )
-}
-
-/// Construct with an explicit SFA-state budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Sfa::builder(&dfa).sequential(variant).state_budget(n).build()"
-)]
-pub fn construct_sequential_budgeted(
-    dfa: &Dfa,
-    variant: SequentialVariant,
-    state_budget: usize,
-) -> Result<ConstructionResult, SfaError> {
-    construct_sequential_governed(dfa, variant, state_budget, &Governor::unlimited())
-}
-
-/// The canonical governed entry point ([`crate::builder::SfaBuilder`]
-/// calls this): construct under an explicit arena capacity and a
-/// [`Governor`] polled once per processed SFA state.
-pub fn construct_sequential_governed(
-    dfa: &Dfa,
-    variant: SequentialVariant,
-    state_budget: usize,
-    governor: &Governor,
-) -> Result<ConstructionResult, SfaError> {
-    construct_sequential_resumable(dfa, variant, state_budget, governor, None, None)
-}
-
-/// Governed sequential construction with optional checkpointing and
-/// resume (see the module docs; `SfaBuilder::{checkpoint, resume_from}`
-/// are the public entry points).
-pub fn construct_sequential_resumable(
-    dfa: &Dfa,
-    variant: SequentialVariant,
-    state_budget: usize,
-    governor: &Governor,
-    checkpoint: Option<&CheckpointConfig>,
-    resume: Option<&Checkpoint>,
-) -> Result<ConstructionResult, SfaError> {
-    construct_sequential_spillable(
-        dfa,
-        variant,
-        state_budget,
-        governor,
-        checkpoint,
-        resume,
-        None,
-    )
-}
-
-/// The full sequential entry point: resumable construction with the
-/// tier ladder (`crate::store`) attached when `spill` is configured.
+/// The sequential engine behind [`Sfa::builder`](crate::Sfa::builder):
+/// governed, resumable construction with the tier ladder
+/// (`crate::store`) attached when `spill` is configured.
 /// With a spill config, crossing the resident-byte cap demotes cold
 /// mapping batches (compress, then disk) instead of growing without
 /// bound — and the result is byte-identical to an uncapped build,
 /// because every tier transition is a lossless byte round trip and the
 /// interning order never depends on where a row resides.
 #[allow(clippy::too_many_arguments)]
-pub fn construct_sequential_spillable(
+pub(crate) fn construct_sequential_spillable(
     dfa: &Dfa,
     variant: SequentialVariant,
     state_budget: usize,

@@ -309,6 +309,11 @@ impl<'d> SpeculativeMatcher<'d> {
         self
     }
 
+    /// The automaton this matcher runs.
+    pub(crate) fn dfa(&self) -> &'d Dfa {
+        self.dfa
+    }
+
     /// The visit counters backing this matcher's predictions.
     pub fn predictor(&self) -> &Arc<StatePredictor> {
         &self.predictor

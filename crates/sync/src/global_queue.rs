@@ -137,6 +137,7 @@ impl GlobalQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -188,6 +189,10 @@ mod tests {
         let consumers = 4;
         let per = n_items / producers;
 
+        // Consumers stop once the producers are done and the queue is
+        // empty; a fixed number of empty polls gave up early whenever a
+        // producer was not scheduled in time on a loaded host.
+        let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for p in 0..producers {
             let q = q.clone();
@@ -200,19 +205,17 @@ mod tests {
         let mut consumed: Vec<std::thread::JoinHandle<Vec<u32>>> = Vec::new();
         for _ in 0..consumers {
             let q = q.clone();
+            let done = done.clone();
             consumed.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
-                let mut dry = 0;
-                while dry < 1000 {
+                loop {
+                    // Read `done` before polling: an empty queue after
+                    // the producers finished is empty for good.
+                    let finished = done.load(Ordering::Acquire);
                     match q.dequeue() {
-                        Some(v) => {
-                            got.push(v);
-                            dry = 0;
-                        }
-                        None => {
-                            dry += 1;
-                            std::thread::yield_now();
-                        }
+                        Some(v) => got.push(v),
+                        None if finished => break,
+                        None => std::thread::yield_now(),
                     }
                 }
                 got
@@ -221,6 +224,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        done.store(true, Ordering::Release);
         let mut all: Vec<u32> = consumed
             .into_iter()
             .flat_map(|h| h.join().unwrap())

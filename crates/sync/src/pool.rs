@@ -49,6 +49,11 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Lets tests assert that matching never spawns threads per call.
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Pool workers spawned by pools created on this thread.
+    static SPAWNED_HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 struct Shared {
     queue: Mutex<VecDeque<Job>>,
     /// Signalled when a job is pushed or shutdown begins.
@@ -130,6 +135,7 @@ impl TaskPool {
             .map(|i| {
                 let shared = shared.clone();
                 THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+                SPAWNED_HERE.with(|n| n.set(n.get() + 1));
                 std::thread::Builder::new()
                     .name(format!("sfa-match-{i}"))
                     .spawn(move || worker_loop(&shared))
@@ -171,6 +177,14 @@ impl TaskPool {
     /// regression guard.
     pub fn threads_spawned_total() -> u64 {
         THREADS_SPAWNED.load(Ordering::Relaxed)
+    }
+
+    /// OS threads spawned by pools created on the calling thread. Unlike
+    /// [`Self::threads_spawned_total`], pools that other threads create
+    /// meanwhile do not move it, so a test can assert on it while
+    /// sibling tests run.
+    pub fn threads_spawned_by_this_thread() -> u64 {
+        SPAWNED_HERE.with(std::cell::Cell::get)
     }
 
     /// Run a batch of borrowed-data tasks on the pool and wait for all of
@@ -248,9 +262,16 @@ impl TaskPool {
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        // Publish shutdown under the queue lock: a worker checks the flag
+        // and starts waiting while it holds that lock, so a store between
+        // its check and its wait would lose the wake-up below and hang
+        // the join.
+        {
+            let _queue = lock_robust(&self.shared.queue);
+            self.shared
+                .shutdown
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+        }
         self.shared.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -404,9 +425,25 @@ mod tests {
     }
 
     #[test]
+    fn dropping_a_pool_never_loses_the_shutdown_wakeup() {
+        // Drop races worker start-up here; a lost wake-up used to hang
+        // `drop` about one run in two.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(TaskPool::new(2));
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(20))
+            .expect("dropping a TaskPool deadlocked");
+    }
+
+    #[test]
     fn no_threads_spawned_per_batch() {
         let pool = TaskPool::new(4);
-        let before = TaskPool::threads_spawned_total();
+        let before = TaskPool::threads_spawned_by_this_thread();
+        assert!(before >= 4, "the pool's own workers are counted");
         for round in 0..50 {
             let mut out = [0u64; 8];
             pool.scoped(|scope| {
@@ -416,7 +453,7 @@ mod tests {
             })
             .unwrap();
         }
-        assert_eq!(TaskPool::threads_spawned_total(), before);
+        assert_eq!(TaskPool::threads_spawned_by_this_thread(), before);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   frequencies and optional planted motif occurrences (for matching
 //!   experiments),
 //! * [`fasta`] — FASTA parsing so real protein files can feed the
-//!   matchers.
+//!   matchers,
+//! * [`scratch`] — unique, self-removing scratch directories for tests.
 //!
 //! The construction algorithms only ever see the *DFA* compiled from a
 //! pattern, so synthetic patterns over the same syntax exercise identical
@@ -22,10 +23,12 @@
 
 pub mod fasta;
 pub mod prosite;
+pub mod scratch;
 pub mod synth;
 pub mod text;
 
 pub use prosite::{embedded_patterns, EmbeddedPattern};
+pub use scratch::ScratchDir;
 pub use synth::{r500, rn, synthetic_prosite_patterns, SynthConfig};
 pub use text::{protein_text, protein_text_with_motif};
 

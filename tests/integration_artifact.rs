@@ -12,7 +12,8 @@ use sfa_core::budget::Budget;
 use sfa_core::io;
 use sfa_core::prelude::*;
 use sfa_core::sfa::Sfa;
-use std::path::PathBuf;
+use sfa_workloads::ScratchDir;
+use std::sync::OnceLock;
 
 fn rgd_dfa() -> sfa_automata::Dfa {
     Pipeline::search(Alphabet::amino_acids())
@@ -28,17 +29,12 @@ fn build_seq(dfa: &sfa_automata::Dfa) -> Sfa {
         .sfa
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("sfa_artifact_integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
 #[test]
 fn sfa_artifact_round_trips_and_verifies() {
+    let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
     let sfa = build_seq(&dfa);
-    let path = temp_path("roundtrip.sfa");
+    let path = scratch.join("roundtrip.sfa");
     artifact::write_sfa(&path, &sfa).unwrap();
 
     let info = artifact::verify(&path).unwrap();
@@ -57,8 +53,9 @@ fn sfa_artifact_round_trips_and_verifies() {
 
 #[test]
 fn interrupted_build_resumes_byte_identical() {
+    let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
-    let ckpt = temp_path("resume.ckpt");
+    let ckpt = scratch.join("resume.ckpt");
     let _ = std::fs::remove_file(&ckpt);
 
     // Interrupt mid-construction with a states budget; checkpoint every
@@ -92,6 +89,7 @@ fn interrupted_build_resumes_byte_identical() {
 
 #[test]
 fn every_sequential_variant_resumes_byte_identical() {
+    let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
     for (i, variant) in [
         SequentialVariant::Baseline,
@@ -102,7 +100,7 @@ fn every_sequential_variant_resumes_byte_identical() {
     .into_iter()
     .enumerate()
     {
-        let ckpt = temp_path(&format!("variant_{i}.ckpt"));
+        let ckpt = scratch.join(format!("variant_{i}.ckpt"));
         let _ = std::fs::remove_file(&ckpt);
         let err = Sfa::builder(&dfa)
             .sequential(variant)
@@ -132,8 +130,9 @@ fn every_sequential_variant_resumes_byte_identical() {
 
 #[test]
 fn interrupted_parallel_build_resumes_byte_identical() {
+    let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
-    let ckpt = temp_path("parallel_resume.ckpt");
+    let ckpt = scratch.join("parallel_resume.ckpt");
     let _ = std::fs::remove_file(&ckpt);
 
     // One symbol per work item so discovery is gradual enough for the
@@ -172,11 +171,12 @@ fn interrupted_parallel_build_resumes_byte_identical() {
 
 #[test]
 fn parallel_checkpoint_resumes_in_sequential_engine() {
+    let scratch = ScratchDir::new("artifact_it");
     // Checkpoints are engine-interchangeable: a snapshot taken at a
     // parallel rendezvous is exactly the sequential arena at the same
     // cursor, so the sequential engine can finish the build.
     let dfa = rgd_dfa();
-    let ckpt = temp_path("cross_engine.ckpt");
+    let ckpt = scratch.join("cross_engine.ckpt");
     let _ = std::fs::remove_file(&ckpt);
 
     let interrupt = ParallelOptions::with_threads(4)
@@ -204,11 +204,12 @@ fn parallel_checkpoint_resumes_in_sequential_engine() {
 
 #[test]
 fn checkpoint_for_a_different_dfa_is_rejected() {
+    let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
     let other = Pipeline::search(Alphabet::amino_acids())
         .compile_str("NPST")
         .unwrap();
-    let ckpt = temp_path("wrong_dfa.ckpt");
+    let ckpt = scratch.join("wrong_dfa.ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let _ = Sfa::builder(&dfa)
         .sequential(SequentialVariant::Transposed)
@@ -228,23 +229,26 @@ fn checkpoint_for_a_different_dfa_is_rejected() {
     std::fs::remove_file(&ckpt).unwrap();
 }
 
-/// The serialized artifacts the corruption properties run against.
-fn artifact_corpora() -> Vec<Vec<u8>> {
-    let dfa = rgd_dfa();
-    let sfa = build_seq(&dfa);
-    let sfa_bytes = artifact::sfa_to_bytes(&sfa);
+/// The serialized artifacts the corruption properties run against,
+/// built once per test binary and shared read-only.
+fn artifact_corpora() -> &'static [Vec<u8>] {
+    static CORPORA: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    CORPORA.get_or_init(|| {
+        let dfa = rgd_dfa();
+        let sfa = build_seq(&dfa);
+        let sfa_bytes = artifact::sfa_to_bytes(&sfa);
 
-    let ckpt = temp_path("corpus.ckpt");
-    let _ = std::fs::remove_file(&ckpt);
-    let _ = Sfa::builder(&dfa)
-        .sequential(SequentialVariant::Transposed)
-        .budget(Budget::unlimited().with_max_states(4))
-        .checkpoint(&ckpt, 1)
-        .build()
-        .unwrap_err();
-    let ckpt_bytes = std::fs::read(&ckpt).unwrap();
-    let _ = std::fs::remove_file(&ckpt);
-    vec![sfa_bytes, ckpt_bytes]
+        let scratch = ScratchDir::new("artifact_corpus");
+        let ckpt = scratch.join("corpus.ckpt");
+        let _ = Sfa::builder(&dfa)
+            .sequential(SequentialVariant::Transposed)
+            .budget(Budget::unlimited().with_max_states(4))
+            .checkpoint(&ckpt, 1)
+            .build()
+            .unwrap_err();
+        let ckpt_bytes = std::fs::read(&ckpt).unwrap();
+        vec![sfa_bytes, ckpt_bytes]
+    })
 }
 
 proptest! {

@@ -185,3 +185,61 @@ fn engine_positive_verdict_parity_across_tiers() {
     assert_eq!(lazy.tier(), MatchTier::LazySfa);
     assert!(lazy.matches(&text));
 }
+
+/// A lazy-tier engine whose full build missed its (zero) deadline.
+fn lazy_engine(dfa: &sfa_automata::Dfa, cancel: Option<CancelToken>) -> MatchEngine<'_> {
+    let budget = Budget::unlimited().with_deadline(Duration::ZERO);
+    let engine = MatchEngine::with_budget(dfa, &ParallelOptions::with_threads(2), &budget, cancel);
+    assert_eq!(engine.tier(), MatchTier::LazySfa);
+    assert_eq!(engine.stats().degradations, 1);
+    engine
+}
+
+#[test]
+fn lazy_tier_obeys_the_request_deadline() {
+    let dfa = rg_dfa();
+    let text = sfa_workloads::protein_text(200_000, 5);
+    let expired = MatchRequest::symbols(text.clone())
+        .with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
+    let missed_deadline = |result: Result<MatchOutcome, SfaError>| {
+        matches!(
+            result,
+            Err(SfaError::BudgetExceeded {
+                resource: BudgetResource::Deadline,
+                ..
+            })
+        )
+    };
+    assert!(missed_deadline(MatchEngine::new(&dfa, 2).run(&expired)));
+    let mut lazy = lazy_engine(&dfa, None);
+    assert_eq!(lazy.matches(&text), match_sequential(&dfa, &text)); // warm
+    assert!(missed_deadline(lazy.run(&expired)));
+    assert_eq!(lazy.tier(), MatchTier::LazySfa);
+    assert_eq!(lazy.stats().degradations, 1);
+}
+
+#[test]
+fn cancelled_lazy_query_leaves_the_engine_on_its_tier() {
+    let dfa = rg_dfa();
+    let token = CancelToken::new();
+    let mut engine = lazy_engine(&dfa, Some(token.clone()));
+    token.cancel();
+    let text = sfa_workloads::protein_text(50_000, 6);
+    assert!(matches!(
+        engine.run(&MatchRequest::symbols(text)),
+        Err(SfaError::Cancelled { .. })
+    ));
+    assert_eq!(engine.tier(), MatchTier::LazySfa);
+    assert_eq!(engine.stats().degradations, 1);
+}
+
+#[test]
+fn lazy_answers_are_timed() {
+    let dfa = rg_dfa();
+    let mut engine = lazy_engine(&dfa, None);
+    let text = sfa_workloads::protein_text(4 << 20, 8);
+    let outcome = engine.run(&MatchRequest::symbols(text)).unwrap();
+    assert_eq!(outcome.tier, MatchTier::LazySfa);
+    assert!(outcome.stats.elapsed > Duration::ZERO);
+    assert!(!outcome.stats.untimed());
+}

@@ -25,8 +25,10 @@ use sfa_core::io;
 use sfa_core::matcher::{match_sequential, ParallelMatcher};
 use sfa_core::prelude::*;
 use sfa_core::sfa::Sfa;
+use sfa_workloads::ScratchDir;
 use std::path::PathBuf;
 use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Every fault site threaded through the stack.
@@ -61,16 +63,18 @@ fn seeds() -> Vec<u64> {
         .collect()
 }
 
+/// The armed fault plan is process-global, so a test's fault-free
+/// oracle build would hit the plan another test armed meanwhile. Every
+/// test holds this lock for its whole run.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn rgd_dfa() -> Dfa {
     Pipeline::search(Alphabet::amino_acids())
         .compile_str("R[GA]D")
         .unwrap()
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("sfa_fault_matrix");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 enum Outcome<T> {
@@ -120,6 +124,8 @@ fn assert_resumable(dfa: &Dfa, ckpt: &PathBuf, oracle: &[u8], context: &str) {
 
 #[test]
 fn sequential_construction_matrix() {
+    let _serial = serial();
+    let scratch = ScratchDir::new("fault_matrix");
     let dfa = rgd_dfa();
     let oracle = io::to_bytes(
         &Sfa::builder(&dfa)
@@ -139,7 +145,7 @@ fn sequential_construction_matrix() {
         for kind in KINDS {
             for nth in [1, 2] {
                 let context = format!("seq build, {site} {kind:?} nth={nth}");
-                let ckpt = temp_path("seq_matrix.ckpt");
+                let ckpt = scratch.join("seq_matrix.ckpt");
                 let _ = std::fs::remove_file(&ckpt);
                 let guard = faults::arm(FaultPlan::new().rule(FaultRule::nth(site, nth, kind)));
                 let (dfa_t, ckpt_t) = (dfa.clone(), ckpt.clone());
@@ -172,6 +178,7 @@ fn sequential_construction_matrix() {
 
 #[test]
 fn parallel_construction_matrix() {
+    let _serial = serial();
     let dfa = rgd_dfa();
     let oracle_states = Sfa::builder(&dfa)
         .sequential(SequentialVariant::Transposed)
@@ -213,6 +220,7 @@ fn parallel_construction_matrix() {
 
 #[test]
 fn forced_race_losers_still_yield_canonical_bytes() {
+    let _serial = serial();
     // Regression for the dense-renumbering gap: `construct/race` makes
     // every worker skip the duplicate pre-check, so the insert CAS race
     // is lost as often as possible and the arena fills with tombstoned
@@ -247,6 +255,8 @@ fn forced_race_losers_still_yield_canonical_bytes() {
 
 #[test]
 fn parallel_checkpoint_write_faults_are_typed_and_resumable() {
+    let _serial = serial();
+    let scratch = ScratchDir::new("fault_matrix");
     let dfa = rgd_dfa();
     let oracle = io::to_bytes(
         &Sfa::builder(&dfa)
@@ -258,7 +268,7 @@ fn parallel_checkpoint_write_faults_are_typed_and_resumable() {
     for kind in KINDS {
         for nth in [1, 2] {
             let context = format!("parallel ckpt build, checkpoint/write {kind:?} nth={nth}");
-            let ckpt = temp_path("par_ckpt_fault.ckpt");
+            let ckpt = scratch.join("par_ckpt_fault.ckpt");
             let _ = std::fs::remove_file(&ckpt);
             let guard =
                 faults::arm(FaultPlan::new().rule(FaultRule::nth("checkpoint/write", nth, kind)));
@@ -299,6 +309,8 @@ fn parallel_checkpoint_write_faults_are_typed_and_resumable() {
 
 #[test]
 fn spill_tier_matrix() {
+    let _serial = serial();
+    let scratch = ScratchDir::new("fault_matrix");
     // The tiered state store under fire: every tier-transition fault
     // site (`store/demote` before a segment write, `store/promote`
     // before a spilled fetch, `io/mmap` inside the segment map) armed
@@ -324,9 +336,9 @@ fn spill_tier_matrix() {
                 // Sequential, checkpointed mid-spill: crash safety and
                 // byte-identical resume.
                 let context = format!("seq spill build, {site} {kind:?} nth={nth}");
-                let ckpt = temp_path("spill_matrix.ckpt");
+                let ckpt = scratch.join("spill_matrix.ckpt");
                 let _ = std::fs::remove_file(&ckpt);
-                let dir = temp_path(&format!("spill_seq_{tag}"));
+                let dir = scratch.join(format!("spill_seq_{tag}"));
                 let guard = faults::arm(FaultPlan::new().rule(FaultRule::nth(site, nth, kind)));
                 let (dfa_t, ckpt_t, dir_t) = (dfa.clone(), ckpt.clone(), dir.clone());
                 let outcome = bounded(&context, move || {
@@ -365,7 +377,7 @@ fn spill_tier_matrix() {
                 // the rendezvous, so its panic must be contained by the
                 // engine like any worker panic — never escape the build.
                 let context = format!("par spill build, {site} {kind:?} nth={nth}");
-                let dir = temp_path(&format!("spill_par_{tag}"));
+                let dir = scratch.join(format!("spill_par_{tag}"));
                 let guard = faults::arm(FaultPlan::new().rule(FaultRule::nth(site, nth, kind)));
                 let (dfa_t, dir_t) = (dfa.clone(), dir.clone());
                 let outcome = bounded(&context, move || {
@@ -406,6 +418,8 @@ fn spill_tier_matrix() {
 
 #[test]
 fn spill_checkpoint_resumes_mid_spill_byte_identically() {
+    let _serial = serial();
+    let scratch = ScratchDir::new("fault_matrix");
     // Kill the build (simulated crash) while the spill tier is engaged,
     // then resume from the snapshot WITHOUT a spill tier: checkpoints
     // store plaintext rows, so the artifact must come out byte-identical
@@ -418,9 +432,9 @@ fn spill_checkpoint_resumes_mid_spill_byte_identically() {
             .unwrap()
             .sfa,
     );
-    let ckpt = temp_path("spill_resume.ckpt");
+    let ckpt = scratch.join("spill_resume.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let dir = temp_path("spill_resume_dir");
+    let dir = scratch.join("spill_resume_dir");
     // Crash on a late demotion so several snapshots exist by then.
     let guard =
         faults::arm(FaultPlan::new().rule(FaultRule::nth("store/demote", 4, FaultKind::Panic)));
@@ -464,6 +478,7 @@ fn spill_checkpoint_resumes_mid_spill_byte_identically() {
 
 #[test]
 fn streaming_match_matrix() {
+    let _serial = serial();
     let dfa = rgd_dfa();
     let sfa_bytes = io::to_bytes(
         &Sfa::builder(&dfa)
@@ -527,6 +542,7 @@ fn streaming_match_matrix() {
 
 #[test]
 fn transient_read_faults_are_absorbed_by_retry() {
+    let _serial = serial();
     let dfa = rgd_dfa();
     let sfa = Sfa::builder(&dfa)
         .sequential(SequentialVariant::Transposed)
@@ -585,13 +601,15 @@ fn transient_read_faults_are_absorbed_by_retry() {
 
 #[test]
 fn kill_between_write_and_rename_preserves_the_old_artifact() {
+    let _serial = serial();
+    let scratch = ScratchDir::new("fault_matrix");
     let dfa = rgd_dfa();
     let sfa = Sfa::builder(&dfa)
         .sequential(SequentialVariant::Transposed)
         .build()
         .unwrap()
         .sfa;
-    let path = temp_path("torn_write.sfa");
+    let path = scratch.join("torn_write.sfa");
     let _ = std::fs::remove_file(&path);
     artifact::write_sfa(&path, &sfa).unwrap();
     let before = std::fs::read(&path).unwrap();
@@ -628,6 +646,8 @@ fn kill_between_write_and_rename_preserves_the_old_artifact() {
 
 #[test]
 fn seeded_whole_stack_plans() {
+    let _serial = serial();
+    let scratch = ScratchDir::new("fault_matrix");
     let dfa = rgd_dfa();
     let oracle = io::to_bytes(
         &Sfa::builder(&dfa)
@@ -643,7 +663,7 @@ fn seeded_whole_stack_plans() {
 
     for seed in seeds() {
         let context = format!("seeded plan {seed}");
-        let ckpt = temp_path(&format!("seeded_{seed}.ckpt"));
+        let ckpt = scratch.join(format!("seeded_{seed}.ckpt"));
         let _ = std::fs::remove_file(&ckpt);
         let plan = FaultPlan::seeded(seed, ALL_SITES);
 

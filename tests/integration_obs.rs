@@ -193,3 +193,44 @@ fn json_export_round_trips_live_registry() {
         snap.counter("sfa_match_queries_total").unwrap() as f64
     );
 }
+
+/// Every traced request reports exactly one `match/request` span,
+/// whichever entry point and tier answer it.
+#[test]
+fn one_request_span_per_traced_request() {
+    let dfa = Pipeline::search(Alphabet::amino_acids())
+        .compile_str("R[GA]D")
+        .unwrap();
+    let sfa = Sfa::builder(&dfa).threads(2).build().unwrap().sfa;
+    let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
+    let runtime = MatchRuntime::new(2);
+    let mut engine = MatchEngine::new(&dfa, 2);
+    let text = sfa_workloads::protein_text(50_000, 9);
+    let sub = Arc::new(RingSubscriber::new(1024));
+    let _guard = obs::subscribe(sub.clone());
+    for tier in [
+        TierPolicy::Auto,
+        TierPolicy::Sequential,
+        TierPolicy::Speculative,
+    ] {
+        let request = MatchRequest::symbols(text.clone())
+            .with_tier(tier)
+            .with_trace(true);
+        for entry in [
+            "MatchEngine::run",
+            "MatchRuntime::run",
+            "MatchRuntime::run_dfa",
+        ] {
+            sub.clear();
+            match entry {
+                "MatchEngine::run" => engine.run(&request),
+                "MatchRuntime::run" => runtime.run(&matcher, &request),
+                _ => runtime.run_dfa(&dfa, &request, None),
+            }
+            .unwrap();
+            let spans = sub.spans();
+            let reported = spans.iter().filter(|s| s.name == "match/request").count();
+            assert_eq!(reported, 1, "{entry} under {tier:?}: {spans:?}");
+        }
+    }
+}

@@ -348,9 +348,10 @@ proptest! {
         }
     }
 
-    /// Under a racing deadline or cancellation the governed scan paths
-    /// either answer exactly the oracle or fail with the governance
-    /// error — never a wrong verdict, count or position.
+    /// Under a racing deadline or cancellation the governed request
+    /// path either answers exactly the oracle or fails with the
+    /// governance error — never a wrong verdict. (The governed count and
+    /// find-first scans have the same property in `matcher.rs`.)
     #[test]
     fn prop_governed_scan_is_exact_or_stopped(
         seed in any::<u64>(),
@@ -375,8 +376,6 @@ proptest! {
             token.cancel();
         }
         let budget = Budget::unlimited().with_deadline(Duration::from_micros(deadline_us));
-        let governor = Governor::new(&budget, Some(token.clone()));
-        let pool = TaskPool::shared();
 
         // The verdict path goes through the request API.
         let rt = MatchRuntime::new(threads);
@@ -385,28 +384,6 @@ proptest! {
             Ok(o) => prop_assert_eq!(o.verdict, match_sequential(&dfa, &input)),
             Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
-        }
-        // Governed counting and find-first have no request-API
-        // equivalent; the deprecated shims stay covered here until the
-        // family is removed.
-        #[allow(deprecated)]
-        {
-            match matcher.count_matches_on(pool, &governor, &input, threads) {
-                Ok(c) => prop_assert_eq!(
-                    c,
-                    sfa_core::matcher::count_matches_sequential(&dfa, &input)
-                ),
-                Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
-                Err(other) => prop_assert!(false, "unexpected error: {other}"),
-            }
-            match matcher.find_first_match_on(pool, &governor, &input, threads) {
-                Ok(p) => prop_assert_eq!(
-                    p,
-                    sfa_core::matcher::find_first_match_sequential(&dfa, &input)
-                ),
-                Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
-                Err(other) => prop_assert!(false, "unexpected error: {other}"),
-            }
         }
     }
 }

@@ -13,7 +13,7 @@ use sfa_core::prelude::*;
 use sfa_core::sfa::MappingStore;
 use sfa_core::SfaError;
 use sfa_sync::pool::TaskPool;
-use sfa_workloads::protein_text;
+use sfa_workloads::{protein_text, ScratchDir};
 use std::io::Cursor;
 use std::time::Duration;
 
@@ -78,8 +78,7 @@ proptest! {
     }
 
     /// The matcher conveniences agree with their oracles on random DFAs
-    /// at edge-case thread counts, and the deprecated `try_*` shims
-    /// still answer identically.
+    /// at edge-case thread counts.
     #[test]
     fn prop_matcher_apis_agree_with_oracles(
         states in 2u32..5,
@@ -99,20 +98,6 @@ proptest! {
             prop_assert_eq!(matcher.matches(&input, threads), match_sequential(&dfa, &input));
             prop_assert_eq!(
                 matcher.find_first_match(&input, threads),
-                dfa.first_match_end(&input)
-            );
-        }
-        // Shim regression: the deprecated fallible family must keep
-        // returning the same verdicts until it is removed.
-        #[allow(deprecated)]
-        {
-            prop_assert_eq!(matcher.try_final_state(&input, 2).unwrap(), dfa.run(&input));
-            prop_assert_eq!(
-                matcher.try_matches(&input, 2).unwrap(),
-                match_sequential(&dfa, &input)
-            );
-            prop_assert_eq!(
-                matcher.try_find_first_match(&input, 2).unwrap(),
                 dfa.first_match_end(&input)
             );
         }
@@ -157,12 +142,12 @@ fn pool_is_reused_across_matches() {
     let text = protein_text(50_000, 3);
     let governor = Governor::unlimited();
     rt.matches_symbols(&matcher, &text, &governor).unwrap(); // warm-up
-    let before = TaskPool::threads_spawned_total();
+    let before = TaskPool::threads_spawned_by_this_thread();
     for _ in 0..50 {
         rt.matches_symbols(&matcher, &text, &governor).unwrap();
     }
     assert_eq!(
-        TaskPool::threads_spawned_total(),
+        TaskPool::threads_spawned_by_this_thread(),
         before,
         "matching must never spawn threads per call"
     );
@@ -187,14 +172,14 @@ fn scan_paths_never_spawn_threads_per_call() {
     matcher.final_state(&text, 4);
     matcher.find_first_match(&text, 4);
     matcher.count_matches(&text, 4);
-    let before = TaskPool::threads_spawned_total();
+    let before = TaskPool::threads_spawned_by_this_thread();
     for _ in 0..20 {
         matcher.final_state(&text, 4);
         matcher.find_first_match(&text, 4);
         matcher.count_matches(&text, 4);
     }
     assert_eq!(
-        TaskPool::threads_spawned_total(),
+        TaskPool::threads_spawned_by_this_thread(),
         before,
         "scan-engine paths must never spawn threads per call"
     );
@@ -213,15 +198,6 @@ fn mismatched_pair_is_a_typed_error() {
         Err(SfaError::Mismatch { .. }) => {}
         Err(other) => panic!("expected Mismatch, got {other:?}"),
         Ok(_) => panic!("mismatched pair must be rejected"),
-    }
-    // Shim regression: the deprecated helper reports the same typed
-    // error as the constructor.
-    #[allow(deprecated)]
-    {
-        assert!(matches!(
-            try_match_with_sfa(&sfa_rg, &other, &[0, 1, 2], 4),
-            Err(SfaError::Mismatch { .. })
-        ));
     }
 }
 
@@ -319,7 +295,8 @@ fn engine_threads_match_stats_and_polls_cancellation() {
     assert!(outcome.degraded.is_none());
     assert!(engine.stats().last_match.is_some());
 
-    // Streaming through the engine gives the same verdict.
+    // Streaming through the engine gives the same verdict, from a
+    // reader and from a file request.
     let alpha = Alphabet::amino_acids();
     let classifier = ByteClassifier::strict(&alpha);
     let bytes = alpha.decode_symbols(&text);
@@ -328,13 +305,23 @@ fn engine_threads_match_stats_and_polls_cancellation() {
         .unwrap();
     assert_eq!(stream_verdict, verdict);
     assert_eq!(stream_stats.bytes, bytes.len() as u64);
+    assert_eq!(stream_stats.tier, MatchTier::FullSfa);
+    let scratch = ScratchDir::new("engine_stream");
+    let path = scratch.join("text.txt");
+    std::fs::write(&path, &bytes).unwrap();
+    let file = engine.run(&MatchRequest::file(&path)).unwrap();
+    assert_eq!(file.verdict, verdict);
+    assert_eq!(file.tier, MatchTier::FullSfa);
+    assert_eq!(file.stats.bytes, bytes.len() as u64);
 
-    // Batch through the engine agrees input by input.
-    let a = protein_text(5_000, 1);
-    let b = protein_text(5_000, 2);
-    let verdicts = engine.match_many(&[&a, &b]).unwrap();
-    assert_eq!(verdicts[0], match_sequential(&dfa, &a));
-    assert_eq!(verdicts[1], match_sequential(&dfa, &b));
+    // Several file inputs through the engine agree input by input.
+    for seed in [1, 2] {
+        let input = protein_text(5_000, seed);
+        std::fs::write(&path, alpha.decode_symbols(&input)).unwrap();
+        let outcome = engine.run(&MatchRequest::file(&path)).unwrap();
+        assert_eq!(outcome.verdict, match_sequential(&dfa, &input));
+    }
+    assert_eq!(engine.stats().full_matches, 5);
 
     // A cancelled engine returns Cancelled from run() but still
     // answers from matches().
@@ -356,8 +343,8 @@ fn engine_threads_match_stats_and_polls_cancellation() {
 
 #[test]
 fn engine_stream_on_sequential_tier_agrees() {
-    // Force the sequential tier; streaming must still answer correctly
-    // (sequential block scan) with whitespace skipped.
+    // Below the full tier, streams and file requests take the
+    // sequential scan, block by block, with whitespace skipped.
     let dfa = Pipeline::search(Alphabet::amino_acids())
         .compile_str("RGD")
         .unwrap();
@@ -366,22 +353,46 @@ fn engine_stream_on_sequential_tier_agrees() {
         .with_max_states(0);
     let mut engine =
         MatchEngine::with_budget(&dfa, &ParallelOptions::with_threads(2), &budget, None);
+    engine.set_runtime(MatchRuntime::new(2).with_block_bytes(4096));
     let alpha = Alphabet::amino_acids();
     let text = sfa_workloads::protein_text_with_motif(10_000, 8, b"RGD", &[9_000]);
-    let mut bytes = alpha.decode_symbols(&text);
     // Wrap lines every 60 chars, as FASTA-ish files do.
-    let mut wrapped = Vec::with_capacity(bytes.len() + bytes.len() / 60 + 1);
-    for chunk in bytes.chunks(60) {
+    let mut wrapped = Vec::new();
+    for chunk in alpha.decode_symbols(&text).chunks(60) {
         wrapped.extend_from_slice(chunk);
         wrapped.push(b'\n');
     }
-    bytes = wrapped;
+    let expected = match_sequential(&dfa, &text);
     let classifier = ByteClassifier::skipping_ascii_whitespace(&alpha);
     let (verdict, stats) = engine
-        .match_stream(&classifier, Cursor::new(&bytes))
+        .match_stream(&classifier, Cursor::new(&wrapped))
         .unwrap();
-    assert_eq!(verdict, match_sequential(&dfa, &text));
+    assert_eq!(verdict, expected);
     assert_eq!(stats.tier, MatchTier::Sequential);
+    assert_eq!(stats.bytes, wrapped.len() as u64);
+
+    let scratch = ScratchDir::new("engine_stream_seq");
+    let path = scratch.join("wrapped.txt");
+    std::fs::write(&path, &wrapped).unwrap();
+    let request = MatchRequest::file(&path)
+        .with_classifier(ClassifierMode::SkipWhitespace)
+        .with_tier(TierPolicy::Sequential);
+    let outcome = engine.run(&request).unwrap();
+    assert_eq!(outcome.verdict, expected);
+    assert_eq!(outcome.tier, MatchTier::Sequential);
+    assert_eq!(outcome.stats.bytes, wrapped.len() as u64);
+    assert!(outcome.stats.blocks > 1, "the file streams in blocks");
+    assert_eq!(engine.stats().sequential_matches, 2);
+
+    // Strict classification rejects the newline with its offset.
+    let strict = MatchRequest::file(&path).with_tier(TierPolicy::Sequential);
+    assert!(matches!(
+        engine.run(&strict),
+        Err(SfaError::InvalidByte {
+            byte: b'\n',
+            offset: 60
+        })
+    ));
 }
 
 /// Satellite regression: tier/degraded coherence on every degradation
