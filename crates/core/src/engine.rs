@@ -113,10 +113,11 @@ enum Backend<'d> {
         scan: Arc<ScanEngine>,
     },
     Lazy(Box<LazySfa<'d>>),
-    /// Chunk-parallel matching over the raw DFA (pruned or speculative
-    /// per query — see [`crate::speculative`]); reported as
-    /// [`MatchTier::PrunedSfa`] or [`MatchTier::Speculative`].
-    Speculative(SpeculativeMatcher<'d>),
+    /// Chunk-parallel matching over the raw DFA with the engine's
+    /// [`SpeculativeMatcher`] (pruned or speculative per query — see
+    /// [`crate::speculative`]); reported as [`MatchTier::PrunedSfa`] or
+    /// [`MatchTier::Speculative`].
+    Speculative,
     Sequential,
 }
 
@@ -125,6 +126,9 @@ enum Backend<'d> {
 pub struct MatchEngine<'d> {
     dfa: &'d Dfa,
     backend: Backend<'d>,
+    /// The speculative tier, built once: finding its warm predictor
+    /// takes a CRC-64 over the whole DFA. `None` only for an empty DFA.
+    spec: Option<SpeculativeMatcher<'d>>,
     stats: EngineStats,
     runtime: MatchRuntime,
     /// Matching polls the same token construction did, so a server can
@@ -157,6 +161,7 @@ impl<'d> MatchEngine<'d> {
         cancel: Option<CancelToken>,
     ) -> Self {
         let mut stats = EngineStats::default();
+        let spec = SpeculativeMatcher::new(dfa).ok();
         let mut builder = Sfa::builder(dfa).options(opts).budget(budget.clone());
         if let Some(token) = &cancel {
             builder = builder.cancel(token.clone());
@@ -186,8 +191,8 @@ impl<'d> MatchEngine<'d> {
                         // chunks, predicted entries). Construction never
                         // lands on Sequential — only a speculative
                         // worker panic degrades that far.
-                        SpeculativeMatcher::new(dfa)
-                            .map_or(Backend::Sequential, Backend::Speculative)
+                        spec.as_ref()
+                            .map_or(Backend::Sequential, |_| Backend::Speculative)
                     }
                 }
             }
@@ -195,6 +200,7 @@ impl<'d> MatchEngine<'d> {
         MatchEngine {
             dfa,
             backend,
+            spec,
             stats,
             runtime: MatchRuntime::shared(),
             cancel,
@@ -225,20 +231,17 @@ impl<'d> MatchEngine<'d> {
         self
     }
 
-    /// Reconfigure the full tier's scan knobs (interleave width,
-    /// oversubscription). Rebuilds the compact tables once; a no-op on
-    /// the other tiers. Fails only on invalid options.
+    /// Reconfigure the scan knobs (interleave width, oversubscription)
+    /// of the full tier and the speculative tier. Rebuilds the full
+    /// tier's compact tables once; the speculative predictor carries
+    /// over. Fails only on invalid options.
     pub fn set_scan_options(&mut self, opts: ScanOptions) -> Result<(), SfaError> {
         opts.validate()?;
-        match &mut self.backend {
-            Backend::Full { sfa, scan } => {
-                *scan = Arc::new(ScanEngine::with_options(sfa, self.dfa, opts)?);
-            }
-            Backend::Speculative(spec) => {
-                // Same chunk-geometry knobs; the predictor carries over.
-                *spec = SpeculativeMatcher::with_options(self.dfa, opts)?;
-            }
-            _ => {}
+        if let Backend::Full { sfa, scan } = &mut self.backend {
+            *scan = Arc::new(ScanEngine::with_options(sfa, self.dfa, opts)?);
+        }
+        if let Some(spec) = &mut self.spec {
+            spec.set_options(opts);
         }
         Ok(())
     }
@@ -269,7 +272,7 @@ impl<'d> MatchEngine<'d> {
         match self.backend {
             Backend::Full { .. } => MatchTier::FullSfa,
             Backend::Lazy(_) => MatchTier::LazySfa,
-            Backend::Speculative(_) => MatchTier::Speculative,
+            Backend::Speculative => MatchTier::Speculative,
             Backend::Sequential => MatchTier::Sequential,
         }
     }
@@ -371,9 +374,9 @@ impl<'d> MatchEngine<'d> {
         let rt = &self.runtime;
         match (request.tier, &self.backend) {
             (TierPolicy::Sequential, _) => rt.sequential(self.dfa, request, governor),
-            (_, Backend::Speculative(spec)) => rt.speculative(spec, request, governor),
-            (TierPolicy::Speculative, _) => {
-                rt.speculative(&SpeculativeMatcher::new(self.dfa)?, request, governor)
+            (TierPolicy::Speculative, _) | (_, Backend::Speculative) => {
+                let spec = self.spec.as_ref().ok_or(SfaError::EmptyDfa)?;
+                rt.speculative(spec, request, governor)
             }
             (_, Backend::Full { sfa, scan }) => {
                 let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
@@ -409,9 +412,10 @@ impl<'d> MatchEngine<'d> {
         self.stats.degradations += 1;
         self.stats.last_error = Some(err);
         self.backend = match self.backend {
-            Backend::Full { .. } | Backend::Lazy(_) => {
-                SpeculativeMatcher::new(self.dfa).map_or(Backend::Sequential, Backend::Speculative)
-            }
+            Backend::Full { .. } | Backend::Lazy(_) => self
+                .spec
+                .as_ref()
+                .map_or(Backend::Sequential, |_| Backend::Speculative),
             _ => Backend::Sequential,
         };
     }

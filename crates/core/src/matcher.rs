@@ -62,10 +62,9 @@ pub fn match_sequential(dfa: &Dfa, input: &[SymbolId]) -> bool {
 /// [`MatchRuntime::run`](crate::MatchRuntime::run) or
 /// [`MatchEngine::run`](crate::MatchEngine::run) instead.
 pub fn match_with_sfa(sfa: &Sfa, dfa: &Dfa, input: &[SymbolId], threads: usize) -> bool {
-    let matcher = ParallelMatcher::new(sfa, dfa).expect("match_with_sfa failed");
-    matcher
-        .matches_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
+    ParallelMatcher::new(sfa, dfa)
         .expect("match_with_sfa failed")
+        .matches(input, threads)
 }
 
 /// Reusable parallel matcher (construct once, match many inputs).
@@ -130,7 +129,10 @@ impl<'a> ParallelMatcher<'a> {
         &self.scan
     }
 
-    /// The final DFA state after `input`, computed with parallel chunks.
+    /// The final DFA state after `input`, computed with parallel chunks:
+    /// pass 1 scans chunks K-way interleaved on the compact table, pass 2
+    /// reduces the chunk mappings with the Ladner–Fischer tree (see
+    /// [`crate::scan`]).
     ///
     /// # Panics
     ///
@@ -138,7 +140,15 @@ impl<'a> ParallelMatcher<'a> {
     /// [`MatchRuntime::run`](crate::MatchRuntime::run) with a
     /// [`MatchRequest`](crate::MatchRequest).
     pub fn final_state(&self, input: &[SymbolId], threads: usize) -> u32 {
-        self.final_state_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
+        self.scan
+            .final_state(
+                TaskPool::shared(),
+                &Governor::unlimited(),
+                self.sfa,
+                input,
+                self.dfa.start(),
+                threads,
+            )
             .expect("parallel final_state failed")
     }
 
@@ -150,125 +160,52 @@ impl<'a> ParallelMatcher<'a> {
     /// [`MatchRuntime::run`](crate::MatchRuntime::run) with a
     /// [`MatchRequest`](crate::MatchRequest).
     pub fn matches(&self, input: &[SymbolId], threads: usize) -> bool {
-        self.matches_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
-            .expect("parallel matches failed")
+        self.dfa.is_accepting(self.final_state(input, threads))
     }
 
     /// Position after which the first match ends (number of symbols
     /// consumed; `Some(0)` when the start state itself accepts), or
     /// `None` when no prefix of `input` is accepted.
     ///
+    /// Three passes: (1) every chunk's SFA state in parallel; (2) the
+    /// prefix composition of their mappings gives every chunk its exact
+    /// entry DFA state; (3) the chunks re-scan with the DFA from those
+    /// entries, reporting the earliest accepting position.
+    ///
     /// # Panics
     ///
     /// If a worker panics.
     pub fn find_first_match(&self, input: &[SymbolId], threads: usize) -> Option<usize> {
-        self.find_first_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
+        self.scan
+            .find_first(
+                TaskPool::shared(),
+                &Governor::unlimited(),
+                self.sfa,
+                input,
+                self.dfa.start(),
+                threads,
+            )
             .expect("parallel find_first_match failed")
     }
 
-    /// Parallel occurrence counting (same two-pass scheme as
-    /// [`Self::find_first_match`]): chunk mappings give every chunk its
-    /// exact entry state; chunks then count accepting positions
-    /// independently and the counts sum.
+    /// Parallel occurrence counting (same three passes as
+    /// [`Self::find_first_match`]): chunks count accepting positions from
+    /// their exact entry states and the counts sum.
     ///
     /// # Panics
     ///
     /// If a worker panics.
     pub fn count_matches(&self, input: &[SymbolId], threads: usize) -> u64 {
-        self.count_governed(TaskPool::shared(), &Governor::unlimited(), input, threads)
+        self.scan
+            .count_matches(
+                TaskPool::shared(),
+                &Governor::unlimited(),
+                self.sfa,
+                input,
+                self.dfa.start(),
+                threads,
+            )
             .expect("parallel count_matches failed")
-    }
-
-    /// Governed final-state scan — the single implementation behind
-    /// every public entry point. Workers poll the governor every
-    /// [`GOVERNOR_POLL_SYMBOLS`] symbols; the first failure
-    /// (cancellation, deadline, worker panic) aborts the remaining scans
-    /// and is returned.
-    pub(crate) fn final_state_governed(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<u32, SfaError> {
-        if input.is_empty() {
-            governor.check(0, 0)?;
-            return Ok(self.dfa.start());
-        }
-        // Pass 1 scans chunks K-way interleaved on the compact table;
-        // pass 2 reduces the chunk mappings with the Ladner–Fischer
-        // tree (see [`crate::scan`]).
-        self.scan
-            .final_state(pool, governor, self.sfa, input, self.dfa.start(), threads)
-    }
-
-    /// Governed accept decision.
-    pub(crate) fn matches_governed(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<bool, SfaError> {
-        Ok(self
-            .dfa
-            .is_accepting(self.final_state_governed(pool, governor, input, threads)?))
-    }
-
-    /// Governed first-match search.
-    ///
-    /// Two-pass parallel algorithm: (1) compute each chunk's SFA mapping
-    /// in parallel; (2) prefix-compose the mappings (cheap, `O(threads·n)`)
-    /// to learn every chunk's true *entry* DFA state; (3) re-scan chunks in
-    /// parallel with the DFA from their entry states, reporting the
-    /// earliest accepting position. Unlike the speculative approaches the
-    /// paper surveys (§V), no re-matching is ever needed — entry states
-    /// are exact.
-    pub(crate) fn find_first_governed(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<Option<usize>, SfaError> {
-        let dfa = self.dfa;
-        governor.check(0, 0)?;
-        // `Dfa::first_match_end` (the oracle) reports `Some(0)` for an
-        // accepting start state even on empty input: zero symbols consume
-        // an accepted (empty) prefix. Keep that order here.
-        if dfa.is_accepting(dfa.start()) {
-            return Ok(Some(0));
-        }
-        if input.is_empty() {
-            return Ok(None);
-        }
-        // Passes 1–3 on the scan engine. Pass 3 publishes the
-        // best-so-far chunk index, so chunks that can no longer improve
-        // the answer abort at block granularity instead of scanning on.
-        self.scan
-            .find_first(pool, governor, self.sfa, input, dfa.start(), threads)
-    }
-
-    /// Governed occurrence counting.
-    pub(crate) fn count_governed(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        input: &[SymbolId],
-        threads: usize,
-    ) -> Result<u64, SfaError> {
-        let dfa = self.dfa;
-        governor.check(0, 0)?;
-        let base = u64::from(dfa.is_accepting(dfa.start()));
-        if input.is_empty() {
-            return Ok(base);
-        }
-        // Passes 1–3 on the scan engine; pass 3 counts K-way
-        // interleaved from the exact entry states.
-        let counted =
-            self.scan
-                .count_matches(pool, governor, self.sfa, input, dfa.start(), threads)?;
-        Ok(base + counted)
     }
 }
 
@@ -668,13 +605,13 @@ mod tests {
             let budget = crate::budget::Budget::unlimited()
                 .with_deadline(std::time::Duration::from_micros(deadline_us));
             let governor = Governor::new(&budget, Some(token));
-            let pool = TaskPool::shared();
-            match matcher.count_governed(pool, &governor, &input, threads) {
+            let (pool, scan, q0) = (TaskPool::shared(), matcher.scan(), dfa.start());
+            match scan.count_matches(pool, &governor, &sfa, &input, q0, threads) {
                 Ok(c) => proptest::prop_assert_eq!(c, count_matches_sequential(&dfa, &input)),
                 Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
                 Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),
             }
-            match matcher.find_first_governed(pool, &governor, &input, threads) {
+            match scan.find_first(pool, &governor, &sfa, &input, q0, threads) {
                 Ok(p) => proptest::prop_assert_eq!(p, find_first_match_sequential(&dfa, &input)),
                 Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
                 Err(other) => proptest::prop_assert!(false, "unexpected error: {other}"),

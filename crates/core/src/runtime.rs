@@ -1,20 +1,19 @@
-//! The persistent match runtime: pooled, streaming, batched.
+//! The persistent match runtime: pooled and streaming.
 //!
 //! [`MatchRuntime`] is the serving-side counterpart of the construction
-//! engine. It owns (or shares) a [`TaskPool`] and drives three input
-//! shapes through the SFA chunk-matching scheme of [`crate::matcher`]:
+//! engine. It owns (or shares) a [`TaskPool`] and drives a request's
+//! input through the SFA chunk-matching scheme of [`crate::matcher`]:
 //!
-//! * **Byte slices** ([`MatchRuntime::matches_bytes`]) — classification
-//!   from raw bytes to dense [`SymbolId`]s is *fused* into the per-chunk
-//!   SFA scan, so no intermediate `Vec<SymbolId>` is ever allocated.
+//! * **Symbols** ([`MatchRuntime::matches_symbols`]) — dense
+//!   [`SymbolId`]s, chunk-matched in parallel.
+//! * **Bytes** — classification from raw bytes to dense symbols is
+//!   *fused* into the per-chunk SFA scan, so no intermediate
+//!   `Vec<SymbolId>` is ever allocated.
 //! * **Streams** ([`MatchRuntime::matches_stream`]) — any `impl Read`,
 //!   consumed in fixed-size blocks ([`MatchRuntime::block_bytes`]).
 //!   Each block is chunk-matched in parallel and folded into a running
 //!   DFA state; memory stays at one block regardless of input size, so
 //!   multi-GB inputs stream through without materializing anything.
-//! * **Batches** ([`MatchRuntime::match_many`]) — many small inputs,
-//!   one pool task each: the pool dispatch cost is amortized across the
-//!   batch instead of splitting each tiny input into even tinier chunks.
 //!
 //! Each rung of the degradation ladder has exactly one implementation
 //! here — full SFA (the shapes above), lazy SFA, speculative and
@@ -39,9 +38,10 @@
 use crate::budget::Governor;
 use crate::engine::MatchTier;
 use crate::lazy::LazySfa;
-use crate::matcher::{AbortControl, ParallelMatcher, GOVERNOR_POLL_SYMBOLS};
+use crate::matcher::{ParallelMatcher, GOVERNOR_POLL_SYMBOLS};
 use crate::obs::{LazyCounter, LazyGauge, LazyHistogram, Stopwatch};
 use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
+use crate::scan::{Decode, Dense};
 use crate::speculative::SpeculativeMatcher;
 use crate::SfaError;
 use sfa_automata::alphabet::{Alphabet, SymbolId};
@@ -380,8 +380,10 @@ impl MatchRuntime {
     /// callers that hold no SFA at all (e.g. a server pattern whose
     /// construction exceeded its budget). A [`TierPolicy::Speculative`]
     /// request runs the chunk-parallel speculative tier
-    /// ([`crate::speculative`]); everything else runs the sequential
-    /// oracle. Same verdict as every other path by construction.
+    /// ([`crate::speculative`]), a [`TierPolicy::RequireFull`] request
+    /// fails with [`SfaError::InvalidOptions`], and everything else runs
+    /// the sequential oracle. Same verdict as every other path by
+    /// construction.
     pub fn run_dfa(
         &self,
         dfa: &Dfa,
@@ -409,6 +411,9 @@ impl MatchRuntime {
             (TierPolicy::Auto | TierPolicy::RequireFull, Some(matcher)) => {
                 self.full(matcher, request, &governor)
             }
+            (TierPolicy::RequireFull, None) => Err(SfaError::InvalidOptions(
+                "tier policy requires the full SFA tier, but the request has no SFA",
+            )),
             _ => self.sequential(dfa, request, &governor),
         }?;
         if request.trace {
@@ -417,8 +422,10 @@ impl MatchRuntime {
         Ok(MatchOutcome::new(verdict, stats))
     }
 
-    /// The full SFA tier: symbols chunk-match directly, bytes fuse
-    /// classification into the chunk scans, files stream block by block.
+    /// The full SFA tier: symbols and bytes chunk-match as one block,
+    /// files stream block by block. Byte classification is fused into
+    /// the chunk scans (no symbol buffer); an invalid byte fails with
+    /// [`SfaError::InvalidByte`] carrying its offset.
     pub(crate) fn full(
         &self,
         matcher: &ParallelMatcher<'_>,
@@ -428,9 +435,7 @@ impl MatchRuntime {
         let classifier = || ByteClassifier::for_mode(request.classifier, matcher.dfa.alphabet());
         match &request.input {
             InputSource::Symbols(symbols) => self.matches_symbols(matcher, symbols, governor),
-            InputSource::Bytes(bytes) => {
-                self.matches_bytes(matcher, &classifier(), bytes, governor)
-            }
+            InputSource::Bytes(bytes) => self.one_block(matcher, &classifier(), bytes, governor),
             InputSource::File(path) => {
                 self.matches_stream(matcher, &classifier(), open(path)?, governor)
             }
@@ -532,7 +537,10 @@ impl MatchRuntime {
         let start = Instant::now();
         governor.check(0, 0)?;
         let (q, len) = match &request.input {
-            InputSource::Symbols(symbols) => (run_governed(dfa, symbols, governor)?, symbols.len()),
+            InputSource::Symbols(symbols) => {
+                let q = step_classified(dfa, Dense, dfa.start(), symbols, 0, governor)?;
+                (q, symbols.len())
+            }
             InputSource::Bytes(bytes) => {
                 let q = step_classified(dfa, &classifier(), dfa.start(), bytes, 0, governor)?;
                 (q, bytes.len())
@@ -585,29 +593,14 @@ impl MatchRuntime {
         input: &[SymbolId],
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
-        let start = Instant::now();
-        let threads = self.pool.threads();
-        let verdict = matcher.matches_governed(&self.pool, governor, input, threads)?;
-        let stats = MatchStats {
-            tier: MatchTier::FullSfa,
-            blocks: 1,
-            chunks: matcher.scan.chunk_count(input.len(), threads) as u64,
-            bytes: input.len() as u64,
-            elapsed: start.elapsed(),
-            queue_depth: self.pool.queue_depth(),
-            ..MatchStats::default()
-        };
-        note_match(&stats);
-        Ok((verdict, stats))
+        self.one_block(matcher, Dense, input, governor)
     }
 
-    /// Accept decision for raw bytes: classification is fused into the
-    /// parallel chunk scans (no symbol buffer). Invalid bytes fail with
-    /// [`SfaError::InvalidByte`] carrying the byte's offset.
-    pub fn matches_bytes(
+    /// An in-memory input chunk-matched as one block.
+    fn one_block<D: Decode>(
         &self,
         matcher: &ParallelMatcher<'_>,
-        classifier: &ByteClassifier,
+        decode: D,
         input: &[u8],
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
@@ -615,18 +608,11 @@ impl MatchRuntime {
         let mut stats = MatchStats {
             tier: MatchTier::FullSfa,
             blocks: 1,
+            bytes: input.len() as u64,
             ..MatchStats::default()
         };
-        let q = self.fold_block(
-            matcher,
-            classifier,
-            input,
-            0,
-            matcher.dfa.start(),
-            governor,
-            &mut stats,
-        )?;
-        stats.bytes = input.len() as u64;
+        let q0 = matcher.dfa.start();
+        let q = self.fold_block(matcher, decode, input, 0, q0, governor, &mut stats)?;
         stats.elapsed = start.elapsed();
         stats.queue_depth = self.pool.queue_depth();
         note_match(&stats);
@@ -663,48 +649,14 @@ impl MatchRuntime {
         Ok((matcher.dfa.is_accepting(q), stats))
     }
 
-    /// Batch matching: one pool task per input (whole-input SFA run),
-    /// amortizing dispatch across the batch — many small inputs is the
-    /// workload where per-input chunk splitting would be all overhead.
-    /// Returns one verdict per input, in order.
-    pub fn match_many(
-        &self,
-        matcher: &ParallelMatcher<'_>,
-        inputs: &[&[SymbolId]],
-        governor: &Governor,
-    ) -> Result<Vec<bool>, SfaError> {
-        governor.check(0, 0)?;
-        let sfa = matcher.sfa;
-        let dfa = matcher.dfa;
-        let tbl = matcher.scan.sfa_table()?;
-        let shift = tbl.shift();
-        let mut verdicts = vec![false; inputs.len()];
-        let ctl = AbortControl::new(governor);
-        let scoped = {
-            let ctl = &ctl;
-            self.pool.scoped(|scope| {
-                for (&input, slot) in inputs.iter().zip(verdicts.iter_mut()) {
-                    scope.execute(move || {
-                        // Whole-input single-chain scan on the compact
-                        // pre-scaled table.
-                        if let Some(scaled) = tbl.scan_lane(input, tbl.start_offset(), ctl) {
-                            *slot = dfa.is_accepting(sfa.apply(scaled >> shift, dfa.start()));
-                        }
-                    });
-                }
-            })
-        };
-        ctl.finish(scoped)?;
-        Ok(verdicts)
-    }
-
-    /// Chunk-match one block of raw bytes (fused classification) from
-    /// running state `q`, returning the state after the block.
+    /// Chunk-match one block — dense symbols, or raw bytes with their
+    /// classification fused into the chunk scans — from running state
+    /// `q`, returning the state after the block.
     #[allow(clippy::too_many_arguments)]
-    fn fold_block(
+    fn fold_block<D: Decode>(
         &self,
         matcher: &ParallelMatcher<'_>,
-        classifier: &ByteClassifier,
+        decode: D,
         block: &[u8],
         block_offset: u64,
         q: u32,
@@ -716,22 +668,22 @@ impl MatchRuntime {
             return Ok(q);
         }
         let watch = Stopwatch::start();
-        // Pass 1 with fused classification, K-way interleaved on the
-        // compact table; pass 2 reduces the chunk mappings with the
-        // composition tree and folds the running state through.
+        // Pass 1, K-way interleaved on the compact table; pass 2 reduces
+        // the chunk mappings with the composition tree and folds the
+        // running state through.
         let threads = self.pool.threads().max(1);
-        let plan = matcher.scan.chunk_states_bytes(
+        let (states, _) = matcher.scan.chunk_states(
             &self.pool,
             governor,
-            classifier,
+            decode,
             block,
             block_offset,
             threads,
         )?;
-        stats.chunks += plan.states.len() as u64;
+        stats.chunks += states.len() as u64;
         let (_, folded) = matcher
             .scan
-            .entry_states(&self.pool, matcher.sfa, &plan.states, q)?;
+            .entry_states(&self.pool, matcher.sfa, &states, q)?;
         watch.record(&OBS_BLOCK_NANOS);
         Ok(folded)
     }
@@ -830,27 +782,25 @@ fn encode_classified(
     Ok(symbols)
 }
 
-/// Classify `block` (at input offset `offset`) and step the DFA through
-/// it from `q` (the sequential tier's scan).
-fn step_classified(
+/// Decode `block` (at input offset `offset`) and step the DFA through
+/// it from `q` — the sequential tier's one DFA pass.
+fn step_classified<D: Decode>(
     dfa: &Dfa,
-    classifier: &ByteClassifier,
+    decode: D,
     mut q: u32,
     block: &[u8],
     offset: u64,
     governor: &Governor,
 ) -> Result<u32, SfaError> {
-    classify_each(classifier, block, offset, governor, |sym| {
-        q = dfa.next(q, sym)
-    })?;
+    classify_each(decode, block, offset, governor, |sym| q = dfa.next(q, sym))?;
     Ok(q)
 }
 
-/// Classify `bytes` (at input offset `offset`) and hand each symbol to
+/// Decode `bytes` (at input offset `offset`) and hand each symbol to
 /// `visit`, polling the governor every [`GOVERNOR_POLL_SYMBOLS`] bytes.
 /// Invalid bytes fail with their offset, exactly like the fused paths.
-fn classify_each(
-    classifier: &ByteClassifier,
+fn classify_each<D: Decode>(
+    decode: D,
     bytes: &[u8],
     offset: u64,
     governor: &Governor,
@@ -862,7 +812,7 @@ fn classify_each(
     {
         governor.check(0, 0)?;
         for (j, &byte) in part.iter().enumerate() {
-            match classifier.classify(byte) {
+            match decode.decode(byte) {
                 Classified::Symbol(sym) => visit(sym),
                 Classified::Skip => {}
                 Classified::Invalid => {
@@ -875,17 +825,6 @@ fn classify_each(
         }
     }
     Ok(())
-}
-
-/// `δ*(q₀, input)` over dense symbols, polling the governor every
-/// [`GOVERNOR_POLL_SYMBOLS`] symbols.
-fn run_governed(dfa: &Dfa, input: &[SymbolId], governor: &Governor) -> Result<u32, SfaError> {
-    let mut q = dfa.start();
-    for part in input.chunks(GOVERNOR_POLL_SYMBOLS) {
-        governor.check(0, 0)?;
-        q = dfa.run_from(q, part);
-    }
-    Ok(q)
 }
 
 /// Push one finished match's telemetry into the global metrics registry
@@ -948,32 +887,24 @@ mod tests {
     fn bytes_path_fuses_classification() {
         let (dfa, sfa) = setup("RG");
         let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
-        let alpha = Alphabet::amino_acids();
         let rt = MatchRuntime::new(2);
-        let strict = ByteClassifier::strict(&alpha);
-        let (verdict, stats) = rt
-            .matches_bytes(&matcher, &strict, b"MKVARGAA", &Governor::unlimited())
-            .unwrap();
-        assert!(verdict);
-        assert_eq!(stats.bytes, 8);
-        assert_eq!(stats.tier, MatchTier::FullSfa);
+        let outcome = rt.run(&matcher, &MatchRequest::text("MKVARGAA")).unwrap();
+        assert!(outcome.verdict);
+        assert_eq!(outcome.stats.bytes, 8);
+        assert_eq!(outcome.tier, MatchTier::FullSfa);
     }
 
     #[test]
     fn whitespace_skipping_and_invalid_bytes() {
         let (dfa, sfa) = setup("RG");
         let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
-        let alpha = Alphabet::amino_acids();
         let rt = MatchRuntime::new(2);
-        let skipping = ByteClassifier::skipping_ascii_whitespace(&alpha);
-        let (verdict, _) = rt
-            .matches_bytes(&matcher, &skipping, b"MKV AR\nG AA", &Governor::unlimited())
-            .unwrap();
-        assert!(verdict, "whitespace must not break the motif");
-        let strict = ByteClassifier::strict(&alpha);
-        let err = rt
-            .matches_bytes(&matcher, &strict, b"MKV ARG", &Governor::unlimited())
-            .unwrap_err();
+        let skipping =
+            MatchRequest::text("MKV AR\nG AA").with_classifier(ClassifierMode::SkipWhitespace);
+        let outcome = rt.run(&matcher, &skipping).unwrap();
+        assert!(outcome.verdict, "whitespace must not break the motif");
+        let strict = MatchRequest::text("MKV ARG").with_classifier(ClassifierMode::Strict);
+        let err = rt.run(&matcher, &strict).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -984,23 +915,6 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn match_many_agrees_with_sequential() {
-        let (dfa, sfa) = setup("R[GA]D");
-        let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
-        let rt = MatchRuntime::new(3);
-        let inputs: Vec<Vec<u8>> = (0..40)
-            .map(|s| sfa_workloads::protein_text(200, s))
-            .collect();
-        let slices: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let verdicts = rt
-            .match_many(&matcher, &slices, &Governor::unlimited())
-            .unwrap();
-        for (input, verdict) in inputs.iter().zip(&verdicts) {
-            assert_eq!(*verdict, match_sequential(&dfa, input));
-        }
     }
 
     /// A reader that fails with `kind` a fixed number of times before

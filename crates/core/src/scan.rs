@@ -18,14 +18,16 @@
 //!    loop is then `s = table[s + sym]`: add + load, no multiply, and no
 //!    per-step bounds check (entries and symbols are validated once at
 //!    table build; see the safety argument on [`Entry::step`]).
-//! 2. **K-way interleaving**. The input is oversubscribed into
-//!    `threads × oversubscribe × interleave` chunks and each pool task
-//!    scans `interleave` chunks in one software-pipelined loop. The K
-//!    chains are independent, so K loads are in flight at once and the
-//!    per-symbol cost drops toward the throughput limit instead of the
-//!    latency limit. Oversubscription leaves more tasks than workers, so
-//!    stragglers rebalance on the FIFO [`TaskPool`] with no new
-//!    machinery.
+//! 2. **K-way interleaving** (the lane kernel, [`run_lanes`]). The input
+//!    is oversubscribed into `threads × oversubscribe × interleave`
+//!    chunks and each pool task steps `interleave` chunks in one
+//!    software-pipelined loop. The K chains are independent, so K loads
+//!    are in flight at once and the per-symbol cost drops toward the
+//!    throughput limit instead of the latency limit. Oversubscription
+//!    leaves more tasks than workers, so stragglers rebalance on the FIFO
+//!    [`TaskPool`] with no new machinery. The same kernel runs pass 1
+//!    (symbols or classified bytes), pass 3 (counting, first match) and
+//!    the speculative tier's lanes over the raw DFA table.
 //! 3. **Reduction-tree composition** ([`prefix_compose_on`]). Pass 2
 //!    (exact entry states) composes whole chunk mappings with a
 //!    Ladner–Fischer-style tree — `O(chunks)` vectorized compositions of
@@ -48,7 +50,7 @@ use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
 use sfa_simd::gather_u32;
-use sfa_sync::pool::TaskPool;
+use sfa_sync::pool::{JobPanic, TaskPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Global-registry scan metrics (DESIGN.md §12); zero-sized no-ops unless
@@ -100,6 +102,17 @@ impl ScanOptions {
         }
         Ok(())
     }
+
+    /// Chunk length for an input of `len` symbols at `threads` workers:
+    /// oversubscribed to `threads × oversubscribe × interleave` chunks,
+    /// floored at `min_chunk_symbols`. The SFA tiers and the speculative
+    /// tier share it, so their chunk seams land in the same places.
+    pub fn chunk_len(&self, len: usize, threads: usize) -> usize {
+        let want = threads.max(1) * self.oversubscribe * self.interleave;
+        len.div_ceil(want)
+            .max(self.min_chunk_symbols.min(len))
+            .max(1)
+    }
 }
 
 /// A 64-byte-aligned allocation for table rows: base address and row
@@ -137,7 +150,7 @@ impl AlignedBuf {
 
 /// Entry width of a [`ScanTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Packed {
+enum Width {
     U8,
     U16,
     U32,
@@ -215,7 +228,7 @@ impl Entry for u32 {
 /// point 1).
 pub struct ScanTable {
     buf: AlignedBuf,
-    packed: Packed,
+    width: Width,
     /// Entries = `num_states << shift`.
     len: usize,
     num_states: usize,
@@ -225,7 +238,7 @@ pub struct ScanTable {
     stride: usize,
     shift: u32,
     mask: u32,
-    /// The automaton's start state, pre-scaled.
+    /// The automaton's start state.
     start: u32,
 }
 
@@ -268,45 +281,45 @@ impl ScanTable {
                 "state id {bad} out of bounds ({num_states} states)"
             ));
         }
-        let (packed, stride) = Self::choose_layout(num_states, k)?;
+        let (width, stride) = Self::choose_layout(num_states, k)?;
         let shift = stride.trailing_zeros();
         let len = num_states * stride;
         let mut this = ScanTable {
-            buf: AlignedBuf::zeroed(len * entry_bytes(packed)),
-            packed,
+            buf: AlignedBuf::zeroed(len * entry_bytes(width)),
+            width,
             len,
             num_states,
             k,
             stride,
             shift,
             mask: (stride - 1) as u32,
-            start: start << shift,
+            start,
         };
-        match packed {
-            Packed::U8 => this.fill::<u8>(table),
-            Packed::U16 => this.fill::<u16>(table),
-            Packed::U32 => this.fill::<u32>(table),
+        match width {
+            Width::U8 => this.fill::<u8>(table),
+            Width::U16 => this.fill::<u16>(table),
+            Width::U32 => this.fill::<u32>(table),
         }
         Ok(this)
     }
 
     /// Smallest entry width whose pre-scaled offsets fit, with the
     /// width's stride (rows must cover ≥ 64 bytes *and* ≥ k entries).
-    fn choose_layout(num_states: usize, k: usize) -> Result<(Packed, usize), String> {
-        for packed in [Packed::U8, Packed::U16, Packed::U32] {
-            let bytes = entry_bytes(packed);
+    fn choose_layout(num_states: usize, k: usize) -> Result<(Width, usize), String> {
+        for width in [Width::U8, Width::U16, Width::U32] {
+            let bytes = entry_bytes(width);
             let stride = k.next_power_of_two().max(64 / bytes);
             // Ids 0 ..= (num_states-1) << shift must fit the entry, i.e.
             // the id *count* `num_states << shift` minus the final
             // stride-1 padding positions; reuse the elem width rules.
             let scaled_ids = (num_states as u64 - 1) * stride as u64 + 1;
-            let fits = match packed {
-                Packed::U8 => scaled_ids <= u32::MAX as u64 && fits_u8(scaled_ids as u32),
-                Packed::U16 => scaled_ids <= u32::MAX as u64 && fits_u16(scaled_ids as u32),
-                Packed::U32 => (num_states as u64) * stride as u64 <= u32::MAX as u64,
+            let fits = match width {
+                Width::U8 => scaled_ids <= u32::MAX as u64 && fits_u8(scaled_ids as u32),
+                Width::U16 => scaled_ids <= u32::MAX as u64 && fits_u16(scaled_ids as u32),
+                Width::U32 => (num_states as u64) * stride as u64 <= u32::MAX as u64,
             };
             if fits {
-                return Ok((packed, stride));
+                return Ok((width, stride));
             }
         }
         Err(format!(
@@ -328,14 +341,9 @@ impl ScanTable {
         }
     }
 
-    fn entries<T: Entry>(&self) -> &[T] {
-        debug_assert_eq!(T::BYTES, self.entry_bytes());
-        self.buf.as_slice::<T>(self.len)
-    }
-
     /// Bytes per packed entry (1, 2 or 4).
     pub fn entry_bytes(&self) -> usize {
-        entry_bytes(self.packed)
+        entry_bytes(self.width)
     }
 
     /// Entries per row (power of two; row bytes are a multiple of 64).
@@ -348,511 +356,389 @@ impl ScanTable {
         self.len * self.entry_bytes()
     }
 
-    /// The pre-scale shift: `offset = state << shift`.
-    pub fn shift(&self) -> u32 {
-        self.shift
-    }
-
-    /// The start state's row offset.
-    pub(crate) fn start_offset(&self) -> u32 {
+    /// The automaton's start state.
+    pub(crate) fn start(&self) -> u32 {
         self.start
     }
 
-    /// Scale a state id to its row offset.
-    #[inline]
-    pub(crate) fn scale(&self, state: u32) -> u32 {
-        debug_assert!((state as usize) < self.num_states);
-        state << self.shift
+    fn packed<T: Entry>(&self) -> Packed<'_, T> {
+        debug_assert_eq!(T::BYTES, self.entry_bytes());
+        Packed {
+            tbl: self.buf.as_slice::<T>(self.len),
+            mask: self.mask,
+            shift: self.shift,
+        }
     }
 
-    /// Scan a group of ≤ K chunks interleaved from `start`; writes each
-    /// chunk's final *scaled* state to `out`. Returns `false` if the
-    /// scan was aborted via `ctl`.
-    fn scan_group(
+    /// The width dispatch: [`run_lanes`] on this table's packed width.
+    pub(crate) fn run_lanes<D: Decode, R: Record>(
         &self,
-        group: &[&[SymbolId]],
-        out: &mut [u32],
-        ctl: &AbortControl,
+        decode: D,
         k_way: usize,
+        lanes: &mut [Lane<'_>],
+        rec: &R,
+        ctl: &AbortControl,
     ) -> bool {
-        match self.packed {
-            Packed::U8 => scan_group_width::<u8>(
-                self.entries(),
-                self.mask,
-                self.start,
-                group,
-                out,
-                ctl,
-                k_way,
-            ),
-            Packed::U16 => scan_group_width::<u16>(
-                self.entries(),
-                self.mask,
-                self.start,
-                group,
-                out,
-                ctl,
-                k_way,
-            ),
-            Packed::U32 => scan_group_width::<u32>(
-                self.entries(),
-                self.mask,
-                self.start,
-                group,
-                out,
-                ctl,
-                k_way,
-            ),
-        }
-    }
-
-    /// Byte-classifying variant of [`Self::scan_group`]: `offsets[j]` is
-    /// chunk j's absolute byte offset for [`SfaError::InvalidByte`].
-    #[allow(clippy::too_many_arguments)]
-    fn scan_group_bytes(
-        &self,
-        classifier: &ByteClassifier,
-        group: &[&[u8]],
-        offsets: &[u64],
-        out: &mut [u32],
-        ctl: &AbortControl,
-        k_way: usize,
-    ) -> bool {
-        match self.packed {
-            Packed::U8 => scan_group_bytes_width::<u8>(
-                self.entries(),
-                self.mask,
-                self.start,
-                classifier,
-                group,
-                offsets,
-                out,
-                ctl,
-                k_way,
-            ),
-            Packed::U16 => scan_group_bytes_width::<u16>(
-                self.entries(),
-                self.mask,
-                self.start,
-                classifier,
-                group,
-                offsets,
-                out,
-                ctl,
-                k_way,
-            ),
-            Packed::U32 => scan_group_bytes_width::<u32>(
-                self.entries(),
-                self.mask,
-                self.start,
-                classifier,
-                group,
-                offsets,
-                out,
-                ctl,
-                k_way,
-            ),
-        }
-    }
-
-    /// Count accepting positions over a group of ≤ K chunks interleaved,
-    /// each lane starting from its own (scaled) entry state.
-    fn count_group(
-        &self,
-        accepting: &[bool],
-        group: &[&[SymbolId]],
-        entries_scaled: &[u32],
-        out: &mut [u64],
-        ctl: &AbortControl,
-        k_way: usize,
-    ) -> bool {
-        match self.packed {
-            Packed::U8 => count_group_width::<u8>(
-                self.entries(),
-                self.mask,
-                self.shift,
-                accepting,
-                group,
-                entries_scaled,
-                out,
-                ctl,
-                k_way,
-            ),
-            Packed::U16 => count_group_width::<u16>(
-                self.entries(),
-                self.mask,
-                self.shift,
-                accepting,
-                group,
-                entries_scaled,
-                out,
-                ctl,
-                k_way,
-            ),
-            Packed::U32 => count_group_width::<u32>(
-                self.entries(),
-                self.mask,
-                self.shift,
-                accepting,
-                group,
-                entries_scaled,
-                out,
-                ctl,
-                k_way,
-            ),
-        }
-    }
-
-    /// Single-chain scan of one whole input from `from` (scaled);
-    /// `None` if aborted.
-    pub(crate) fn scan_lane(
-        &self,
-        input: &[SymbolId],
-        from: u32,
-        ctl: &AbortControl,
-    ) -> Option<u32> {
-        match self.packed {
-            Packed::U8 => scan_lane_width::<u8>(self.entries(), self.mask, from, input, ctl),
-            Packed::U16 => scan_lane_width::<u16>(self.entries(), self.mask, from, input, ctl),
-            Packed::U32 => scan_lane_width::<u32>(self.entries(), self.mask, from, input, ctl),
-        }
-    }
-
-    /// Scan one chunk from a (scaled) entry state until the first
-    /// accepting position; `Ok(None)` = no match, `Err(())` = aborted.
-    /// The position is 1-based (symbols consumed), matching
-    /// `Dfa::first_match_end`.
-    fn find_first_lane(
-        &self,
-        accepting: &[bool],
-        input: &[SymbolId],
-        from: u32,
-        ctl: &AbortControl,
-        stop: impl Fn() -> bool,
-    ) -> Result<Option<usize>, ()> {
-        match self.packed {
-            Packed::U8 => find_first_width::<u8>(
-                self.entries(),
-                self.mask,
-                self.shift,
-                accepting,
-                input,
-                from,
-                ctl,
-                stop,
-            ),
-            Packed::U16 => find_first_width::<u16>(
-                self.entries(),
-                self.mask,
-                self.shift,
-                accepting,
-                input,
-                from,
-                ctl,
-                stop,
-            ),
-            Packed::U32 => find_first_width::<u32>(
-                self.entries(),
-                self.mask,
-                self.shift,
-                accepting,
-                input,
-                from,
-                ctl,
-                stop,
-            ),
+        match self.width {
+            Width::U8 => run_lanes(self.packed::<u8>(), decode, k_way, lanes, rec, ctl),
+            Width::U16 => run_lanes(self.packed::<u16>(), decode, k_way, lanes, rec, ctl),
+            Width::U32 => run_lanes(self.packed::<u32>(), decode, k_way, lanes, rec, ctl),
         }
     }
 }
 
-fn entry_bytes(packed: Packed) -> usize {
-    match packed {
-        Packed::U8 => 1,
-        Packed::U16 => 2,
-        Packed::U32 => 4,
+fn entry_bytes(width: Width) -> usize {
+    match width {
+        Width::U8 => 1,
+        Width::U16 => 2,
+        Width::U32 => 4,
     }
 }
 
 // ----------------------------------------------------------------------
-// Interleaved scan loops (monomorphized per width × K)
+// The lane kernel
 // ----------------------------------------------------------------------
 
-fn scan_group_width<T: Entry>(
-    tbl: &[T],
-    mask: u32,
-    start: u32,
-    group: &[&[SymbolId]],
-    out: &mut [u32],
-    ctl: &AbortControl,
-    k_way: usize,
-) -> bool {
-    match k_way {
-        1 => scan_group_k::<T, 1>(tbl, mask, start, group, out, ctl),
-        2 => scan_group_k::<T, 2>(tbl, mask, start, group, out, ctl),
-        4 => scan_group_k::<T, 4>(tbl, mask, start, group, out, ctl),
-        _ => scan_group_k::<T, 8>(tbl, mask, start, group, out, ctl),
-    }
+/// Checkpoint spacing of a [`Trails`] recording (symbols). The
+/// speculative tier's re-runs compare against the trail at these
+/// positions and stop at the first hit, so a mispredict costs on
+/// average far less than a full chunk.
+pub(crate) const CHECKPOINT_SYMBOLS: usize = 4096;
+
+/// A transition function the kernel steps. A lane's running state is
+/// the function's own handle for it: the pre-scaled row offset on a
+/// packed [`ScanTable`], the state id itself on a [`Raw`] table.
+pub(crate) trait Delta: Copy {
+    /// The handle of state `q`.
+    fn handle(self, q: u32) -> u32;
+    /// The state behind handle `s`.
+    fn state(self, s: u32) -> u32;
+    /// The successor of handle `s` on `sym`.
+    fn next(self, s: u32, sym: SymbolId) -> u32;
 }
 
-/// The software-pipelined kernel: K independent chains step in lockstep,
-/// so K loads are in flight per iteration instead of one.
-fn scan_group_k<T: Entry, const K: usize>(
-    tbl: &[T],
-    mask: u32,
-    start: u32,
-    group: &[&[SymbolId]],
-    out: &mut [u32],
-    ctl: &AbortControl,
-) -> bool {
-    debug_assert!(group.len() <= K && group.len() == out.len());
-    let mut lanes: [&[SymbolId]; K] = [&[]; K];
-    lanes[..group.len()].copy_from_slice(group);
-    let mut s = [start; K];
-    // Shorter lanes (a partial final group, or the division remainder)
-    // bound the interleaved phase; tails finish single-chain below.
-    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
-    // Poll cadence: K symbols retire per pipelined step.
-    let poll = (GOVERNOR_POLL_SYMBOLS / K).max(1);
-    let mut pos = 0;
-    while pos < common {
-        if ctl.should_stop() {
-            return false;
-        }
-        let end = (pos + poll).min(common);
-        for i in pos..end {
-            for j in 0..K {
-                // SAFETY: i < common ≤ lanes[j].len().
-                let sym = unsafe { *lanes[j].get_unchecked(i) };
-                s[j] = T::step(tbl, mask, s[j], sym);
-            }
-        }
-        pos = end;
-    }
-    for (j, slot) in out.iter_mut().enumerate() {
-        let mut q = s[j];
-        for block in lanes[j][common..].chunks(GOVERNOR_POLL_SYMBOLS) {
-            if ctl.should_stop() {
-                return false;
-            }
-            for &sym in block {
-                q = T::step(tbl, mask, q, sym);
-            }
-        }
-        *slot = q;
-    }
-    true
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_group_bytes_width<T: Entry>(
-    tbl: &[T],
-    mask: u32,
-    start: u32,
-    classifier: &ByteClassifier,
-    group: &[&[u8]],
-    offsets: &[u64],
-    out: &mut [u32],
-    ctl: &AbortControl,
-    k_way: usize,
-) -> bool {
-    match k_way {
-        1 => scan_group_bytes_k::<T, 1>(tbl, mask, start, classifier, group, offsets, out, ctl),
-        2 => scan_group_bytes_k::<T, 2>(tbl, mask, start, classifier, group, offsets, out, ctl),
-        4 => scan_group_bytes_k::<T, 4>(tbl, mask, start, classifier, group, offsets, out, ctl),
-        _ => scan_group_bytes_k::<T, 8>(tbl, mask, start, classifier, group, offsets, out, ctl),
-    }
-}
-
-/// Interleaved scan with fused byte classification. Skips are per-lane;
-/// an invalid byte records [`SfaError::InvalidByte`] with its absolute
-/// offset and aborts the pass.
-#[allow(clippy::too_many_arguments)]
-fn scan_group_bytes_k<T: Entry, const K: usize>(
-    tbl: &[T],
-    mask: u32,
-    start: u32,
-    classifier: &ByteClassifier,
-    group: &[&[u8]],
-    offsets: &[u64],
-    out: &mut [u32],
-    ctl: &AbortControl,
-) -> bool {
-    debug_assert!(group.len() <= K && group.len() == out.len());
-    let mut lanes: [&[u8]; K] = [&[]; K];
-    lanes[..group.len()].copy_from_slice(group);
-    let mut s = [start; K];
-    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
-    let poll = (GOVERNOR_POLL_SYMBOLS / K).max(1);
-    let mut pos = 0;
-    while pos < common {
-        if ctl.should_stop() {
-            return false;
-        }
-        let end = (pos + poll).min(common);
-        for i in pos..end {
-            for j in 0..K {
-                // SAFETY: i < common ≤ lanes[j].len().
-                let b = unsafe { *lanes[j].get_unchecked(i) };
-                match classifier.classify(b) {
-                    Classified::Symbol(sym) => s[j] = T::step(tbl, mask, s[j], sym),
-                    Classified::Skip => {}
-                    Classified::Invalid => {
-                        ctl.fail(SfaError::InvalidByte {
-                            byte: b,
-                            offset: offsets[j] + i as u64,
-                        });
-                        return false;
-                    }
-                }
-            }
-        }
-        pos = end;
-    }
-    for (j, slot) in out.iter_mut().enumerate() {
-        let mut q = s[j];
-        for (block_no, block) in lanes[j][common..].chunks(GOVERNOR_POLL_SYMBOLS).enumerate() {
-            if ctl.should_stop() {
-                return false;
-            }
-            for (i, &b) in block.iter().enumerate() {
-                match classifier.classify(b) {
-                    Classified::Symbol(sym) => q = T::step(tbl, mask, q, sym),
-                    Classified::Skip => {}
-                    Classified::Invalid => {
-                        ctl.fail(SfaError::InvalidByte {
-                            byte: b,
-                            offset: offsets[j]
-                                + (common + block_no * GOVERNOR_POLL_SYMBOLS + i) as u64,
-                        });
-                        return false;
-                    }
-                }
-            }
-        }
-        *slot = q;
-    }
-    true
-}
-
-#[allow(clippy::too_many_arguments)]
-fn count_group_width<T: Entry>(
-    tbl: &[T],
+/// One packed width of a [`ScanTable`].
+#[derive(Clone, Copy)]
+struct Packed<'t, T> {
+    tbl: &'t [T],
     mask: u32,
     shift: u32,
-    accepting: &[bool],
-    group: &[&[SymbolId]],
-    entries_scaled: &[u32],
-    out: &mut [u64],
-    ctl: &AbortControl,
-    k_way: usize,
-) -> bool {
-    match k_way {
-        1 => count_group_k::<T, 1>(tbl, mask, shift, accepting, group, entries_scaled, out, ctl),
-        2 => count_group_k::<T, 2>(tbl, mask, shift, accepting, group, entries_scaled, out, ctl),
-        4 => count_group_k::<T, 4>(tbl, mask, shift, accepting, group, entries_scaled, out, ctl),
-        _ => count_group_k::<T, 8>(tbl, mask, shift, accepting, group, entries_scaled, out, ctl),
+}
+
+impl<T: Entry> Delta for Packed<'_, T> {
+    fn handle(self, q: u32) -> u32 {
+        q << self.shift
+    }
+    fn state(self, s: u32) -> u32 {
+        s >> self.shift
+    }
+    #[inline(always)]
+    fn next(self, s: u32, sym: SymbolId) -> u32 {
+        T::step(self.tbl, self.mask, s, sym)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn count_group_k<T: Entry, const K: usize>(
-    tbl: &[T],
-    mask: u32,
-    shift: u32,
-    accepting: &[bool],
-    group: &[&[SymbolId]],
-    entries_scaled: &[u32],
-    out: &mut [u64],
+/// A DFA's own row-major `states × k` table, stepped with checked
+/// indexing. The speculative tier runs on it: a padded copy of a DFA
+/// too large for an SFA would cost more memory than the tier saves.
+#[derive(Clone, Copy)]
+pub(crate) struct Raw<'t> {
+    table: &'t [u32],
+    k: usize,
+}
+
+impl<'t> Raw<'t> {
+    pub(crate) fn of(dfa: &'t Dfa) -> Raw<'t> {
+        Raw {
+            table: dfa.table(),
+            k: dfa.num_symbols(),
+        }
+    }
+}
+
+impl Delta for Raw<'_> {
+    fn handle(self, q: u32) -> u32 {
+        q
+    }
+    fn state(self, s: u32) -> u32 {
+        s
+    }
+    #[inline(always)]
+    fn next(self, s: u32, sym: SymbolId) -> u32 {
+        self.table[s as usize * self.k + sym as usize]
+    }
+}
+
+/// How the kernel reads a lane's bytes.
+pub(crate) trait Decode: Copy + Send + Sync {
+    fn decode(self, byte: u8) -> Classified;
+}
+
+/// The lane bytes are dense symbols already.
+#[derive(Clone, Copy)]
+pub(crate) struct Dense;
+
+impl Decode for Dense {
+    #[inline(always)]
+    fn decode(self, byte: u8) -> Classified {
+        Classified::Symbol(byte)
+    }
+}
+
+impl Decode for &ByteClassifier {
+    #[inline(always)]
+    fn decode(self, byte: u8) -> Classified {
+        self.classify(byte)
+    }
+}
+
+/// One chain of the kernel.
+pub(crate) struct Lane<'a> {
+    pub input: &'a [u8],
+    /// The entry state on the way in, the exit state on the way out.
+    pub state: u32,
+    /// Absolute offset of `input[0]`, for [`SfaError::InvalidByte`].
+    pub offset: u64,
+    /// What a [`Count`] or [`First`] recording tallied.
+    pub tally: u64,
+    /// What a [`Trails`] recording appended.
+    pub trail: Vec<u32>,
+}
+
+impl<'a> Lane<'a> {
+    pub(crate) fn new(input: &'a [u8], state: u32) -> Lane<'a> {
+        Lane {
+            input,
+            state,
+            offset: 0,
+            tally: 0,
+            trail: Vec::new(),
+        }
+    }
+}
+
+/// What a lane records besides its exit state.
+pub(crate) trait Record {
+    /// Block length in symbols: the kernel polls for an abort, and calls
+    /// [`Self::block_end`], at every multiple of it from a lane's start
+    /// and at the lane's end. Capped at `GOVERNOR_POLL_SYMBOLS / K`.
+    const BLOCK: usize = GOVERNOR_POLL_SYMBOLS;
+
+    /// The lane reached state `q` after `consumed` bytes; `tally` is its
+    /// [`Lane::tally`]. `true` ends the whole scan.
+    #[inline(always)]
+    fn step(&self, _tally: &mut u64, _consumed: usize, _q: u32) -> bool {
+        false
+    }
+
+    /// The lane is in state `q` at a block end; `trail` is its
+    /// [`Lane::trail`].
+    fn block_end(&self, _trail: &mut Vec<u32>, _q: u32) {}
+
+    /// Polled with the abort flag: `true` abandons the scan.
+    fn stop(&self) -> bool {
+        false
+    }
+}
+
+/// Exit states only.
+pub(crate) struct Exits;
+
+impl Record for Exits {}
+
+/// Accepting states visited, counted into [`Lane::tally`]; `.0` holds
+/// the per-state accept flags.
+pub(crate) struct Count<'a>(pub &'a [bool]);
+
+impl Record for Count<'_> {
+    #[inline(always)]
+    fn step(&self, tally: &mut u64, _consumed: usize, q: u32) -> bool {
+        *tally += u64::from(self.0[q as usize]);
+        false
+    }
+}
+
+/// The first accepting position (symbols consumed) into [`Lane::tally`],
+/// 0 for none. A hit ends the scan, so run one lane at a time; `stop`
+/// abandons a scan whose result can no longer matter.
+pub(crate) struct First<'a, F> {
+    pub accepting: &'a [bool],
+    pub stop: F,
+}
+
+impl<F: Fn() -> bool> Record for First<'_, F> {
+    #[inline(always)]
+    fn step(&self, tally: &mut u64, consumed: usize, q: u32) -> bool {
+        let hit = self.accepting[q as usize];
+        if hit {
+            *tally = consumed as u64;
+        }
+        hit
+    }
+
+    fn stop(&self) -> bool {
+        (self.stop)()
+    }
+}
+
+/// Each lane's state at every multiple of [`CHECKPOINT_SYMBOLS`] from
+/// its start and at its end, appended to [`Lane::trail`] — one entry per
+/// `input.chunks(CHECKPOINT_SYMBOLS)` chunk, the geometry the
+/// speculative tier's `rerun_chunk` replays.
+pub(crate) struct Trails;
+
+impl Record for Trails {
+    const BLOCK: usize = CHECKPOINT_SYMBOLS;
+
+    fn block_end(&self, trail: &mut Vec<u32>, q: u32) {
+        trail.push(q);
+    }
+}
+
+/// The K dispatch of the lane kernel: run the (at most `k_way`) `lanes`
+/// over `delta`. Returns `false` if the scan was abandoned — through
+/// `ctl`, an invalid byte (recorded in `ctl`) or `rec.stop()` — in which
+/// case the lanes' exits and tallies are unspecified.
+pub(crate) fn run_lanes<X: Delta, D: Decode, R: Record>(
+    delta: X,
+    decode: D,
+    k_way: usize,
+    lanes: &mut [Lane<'_>],
+    rec: &R,
     ctl: &AbortControl,
 ) -> bool {
-    debug_assert!(group.len() <= K && group.len() == out.len());
-    let mut lanes: [&[SymbolId]; K] = [&[]; K];
-    lanes[..group.len()].copy_from_slice(group);
+    match k_way {
+        1 => lanes_k::<X, D, R, 1>(delta, decode, lanes, rec, ctl),
+        2 => lanes_k::<X, D, R, 2>(delta, decode, lanes, rec, ctl),
+        4 => lanes_k::<X, D, R, 4>(delta, decode, lanes, rec, ctl),
+        _ => lanes_k::<X, D, R, 8>(delta, decode, lanes, rec, ctl),
+    }
+}
+
+/// The software-pipelined kernel: K independent chains, each from its
+/// own entry state, step in lockstep over their common length, so K
+/// loads are in flight per iteration instead of one; then each lane
+/// finishes on its own. A group of fewer than K lanes runs single-chain.
+fn lanes_k<X: Delta, D: Decode, R: Record, const K: usize>(
+    delta: X,
+    decode: D,
+    lanes: &mut [Lane<'_>],
+    rec: &R,
+    ctl: &AbortControl,
+) -> bool {
+    debug_assert!(lanes.len() <= K);
+    // K symbols retire per pipelined step, so K-lane blocks are K times
+    // shorter to keep the poll cadence in symbols.
+    let block = R::BLOCK.min(GOVERNOR_POLL_SYMBOLS / K);
+    let mut input: [&[u8]; K] = [&[]; K];
     let mut s = [0u32; K];
-    s[..group.len()].copy_from_slice(entries_scaled);
-    let mut counts = [0u64; K];
-    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
-    let poll = (GOVERNOR_POLL_SYMBOLS / K).max(1);
+    let mut tally = [0u64; K];
+    for (j, lane) in lanes.iter().enumerate() {
+        input[j] = lane.input;
+        s[j] = delta.handle(lane.state);
+        tally[j] = lane.tally;
+    }
+    let common = input.iter().map(|l| l.len()).min().unwrap_or(0);
     let mut pos = 0;
     while pos < common {
-        if ctl.should_stop() {
+        if ctl.should_stop() || rec.stop() {
             return false;
         }
-        let end = (pos + poll).min(common);
+        let end = (pos + block).min(common);
         for i in pos..end {
             for j in 0..K {
-                // SAFETY: i < common ≤ lanes[j].len().
-                let sym = unsafe { *lanes[j].get_unchecked(i) };
-                s[j] = T::step(tbl, mask, s[j], sym);
-                // SAFETY: every scaled offset unshifts to < num_states
-                // (the `Entry::step` invariant), and `accepting` has
-                // num_states entries.
-                counts[j] +=
-                    u64::from(unsafe { *accepting.get_unchecked((s[j] >> shift) as usize) });
+                // SAFETY: i < common ≤ input[j].len().
+                let byte = unsafe { *input[j].get_unchecked(i) };
+                match decode.decode(byte) {
+                    Classified::Symbol(sym) => {
+                        s[j] = delta.next(s[j], sym);
+                        if rec.step(&mut tally[j], i + 1, delta.state(s[j])) {
+                            lanes[j].tally = tally[j];
+                            return true;
+                        }
+                    }
+                    Classified::Skip => {}
+                    Classified::Invalid => {
+                        ctl.fail(SfaError::InvalidByte {
+                            byte,
+                            offset: lanes[j].offset + i as u64,
+                        });
+                        return false;
+                    }
+                }
+            }
+        }
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            if end % block == 0 || end == lane.input.len() {
+                rec.block_end(&mut lane.trail, delta.state(s[j]));
             }
         }
         pos = end;
     }
-    for (j, slot) in out.iter_mut().enumerate() {
-        let mut q = s[j];
-        let mut count = counts[j];
-        for block in lanes[j][common..].chunks(GOVERNOR_POLL_SYMBOLS) {
-            if ctl.should_stop() {
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        let (mut q, mut t) = (s[j], tally[j]);
+        let mut pos = common;
+        while pos < lane.input.len() {
+            if ctl.should_stop() || rec.stop() {
                 return false;
             }
-            for &sym in block {
-                q = T::step(tbl, mask, q, sym);
-                count += u64::from(accepting[(q >> shift) as usize]);
+            let end = ((pos / block + 1) * block).min(lane.input.len());
+            for (i, &byte) in (pos..).zip(&lane.input[pos..end]) {
+                match decode.decode(byte) {
+                    Classified::Symbol(sym) => {
+                        q = delta.next(q, sym);
+                        if rec.step(&mut t, i + 1, delta.state(q)) {
+                            lane.tally = t;
+                            return true;
+                        }
+                    }
+                    Classified::Skip => {}
+                    Classified::Invalid => {
+                        ctl.fail(SfaError::InvalidByte {
+                            byte,
+                            offset: lane.offset + i as u64,
+                        });
+                        return false;
+                    }
+                }
             }
+            rec.block_end(&mut lane.trail, delta.state(q));
+            pos = end;
         }
-        *slot = count;
+        lane.state = delta.state(q);
+        lane.tally = t;
     }
     true
 }
 
-fn scan_lane_width<T: Entry>(
-    tbl: &[T],
-    mask: u32,
-    from: u32,
-    input: &[SymbolId],
-    ctl: &AbortControl,
-) -> Option<u32> {
-    let mut s = from;
-    for block in input.chunks(GOVERNOR_POLL_SYMBOLS) {
-        if ctl.should_stop() {
-            return None;
-        }
-        for &sym in block {
-            s = T::step(tbl, mask, s, sym);
-        }
-    }
-    Some(s)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn find_first_width<T: Entry>(
-    tbl: &[T],
-    mask: u32,
-    shift: u32,
-    accepting: &[bool],
-    input: &[SymbolId],
-    from: u32,
-    ctl: &AbortControl,
-    stop: impl Fn() -> bool,
-) -> Result<Option<usize>, ()> {
-    let mut s = from;
-    for (block_no, block) in input.chunks(GOVERNOR_POLL_SYMBOLS).enumerate() {
-        if ctl.should_stop() || stop() {
-            return Err(());
-        }
-        for (j, &sym) in block.iter().enumerate() {
-            s = T::step(tbl, mask, s, sym);
-            if accepting[(s >> shift) as usize] {
-                return Ok(Some(block_no * GOVERNOR_POLL_SYMBOLS + j + 1));
+/// Run `lanes` on `pool`, `k_way` lanes to a task, each group through
+/// `scan(group_index, group, ctl)`. Every group polls one
+/// [`AbortControl`]; the first failure, or a panic, is returned. A
+/// single group runs on the calling thread, with its panic contained
+/// all the same.
+pub(crate) fn run_pooled<'l>(
+    pool: &TaskPool,
+    governor: &Governor,
+    k_way: usize,
+    lanes: &mut [Lane<'l>],
+    scan: impl Fn(usize, &mut [Lane<'l>], &AbortControl) + Sync,
+) -> Result<(), SfaError> {
+    let ctl = AbortControl::new(governor);
+    let scoped = if lanes.len() <= k_way {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scan(0, lanes, &ctl))).map_err(
+            |payload| JobPanic {
+                message: panic_payload_message(payload),
+            },
+        )
+    } else {
+        let (ctl, scan) = (&ctl, &scan);
+        pool.scoped(|scope| {
+            for (i, group) in lanes.chunks_mut(k_way).enumerate() {
+                scope.execute(move || scan(i, group, ctl));
             }
-        }
-    }
-    Ok(None)
+        })
+    };
+    ctl.finish(scoped)
 }
 
 // ----------------------------------------------------------------------
@@ -925,13 +811,6 @@ where
 // ----------------------------------------------------------------------
 // The engine
 // ----------------------------------------------------------------------
-
-/// Pass-1 result: the SFA state of every chunk plus the chunk geometry
-/// that produced it (pass 3 must re-split identically).
-pub(crate) struct ChunkPlan {
-    pub states: Vec<u32>,
-    pub chunk: usize,
-}
 
 /// Precomputed scan state for one SFA/DFA pair — build once, match many
 /// inputs. Owns no borrows: engines cache it in an `Arc` across queries.
@@ -1006,128 +885,40 @@ impl ScanEngine {
         })
     }
 
-    /// Chunk length for an input of `len` symbols at `threads` workers:
-    /// oversubscribed to `threads × oversubscribe × interleave` chunks,
-    /// floored at `min_chunk_symbols`.
-    pub fn chunk_len(&self, len: usize, threads: usize) -> usize {
-        let want = threads.max(1) * self.opts.oversubscribe * self.opts.interleave;
-        len.div_ceil(want)
-            .max(self.opts.min_chunk_symbols.min(len))
-            .max(1)
-    }
-
-    /// How many chunks an input of `len` symbols splits into.
-    pub fn chunk_count(&self, len: usize, threads: usize) -> usize {
-        if len == 0 {
-            1
-        } else {
-            len.div_ceil(self.chunk_len(len, threads))
-        }
-    }
-
-    /// Pass 1: the SFA state of every chunk, scanned K-way interleaved
-    /// on the pool. `input` must be non-empty.
-    pub(crate) fn chunk_states(
+    /// Pass 1: the SFA state of every chunk of `input`, scanned K-way
+    /// interleaved on the pool, and the chunk length (pass 3 must
+    /// re-split identically). `decode` reads dense symbols, or raw bytes
+    /// whose invalid ones fail with their offset counted from `offset`.
+    /// `input` must be non-empty.
+    pub(crate) fn chunk_states<D: Decode>(
         &self,
         pool: &TaskPool,
         governor: &Governor,
-        input: &[SymbolId],
+        decode: D,
+        input: &[u8],
+        offset: u64,
         threads: usize,
-    ) -> Result<ChunkPlan, SfaError> {
+    ) -> Result<(Vec<u32>, usize), SfaError> {
         governor.check(0, 0)?;
         debug_assert!(!input.is_empty());
         let _span = crate::obs::span!("scan/chunk_pass");
         let tbl = self.sfa_table()?;
-        let chunk = self.chunk_len(input.len(), threads);
-        let chunks: Vec<&[SymbolId]> = input.chunks(chunk).collect();
-        OBS_CHUNKS.add(chunks.len() as u64);
+        let chunk = self.opts.chunk_len(input.len(), threads);
+        let mut lanes: Vec<Lane<'_>> = input
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, c)| Lane {
+                offset: offset + (i * chunk) as u64,
+                ..Lane::new(c, tbl.start())
+            })
+            .collect();
+        OBS_CHUNKS.add(lanes.len() as u64);
         OBS_SYMBOLS.add(input.len() as u64);
         let k_way = self.opts.interleave;
-        let mut scaled: Vec<u32> = vec![0; chunks.len()];
-        let ctl = AbortControl::new(governor);
-
-        if chunks.len() == 1 && governor.is_unlimited() {
-            // Single chunk, nothing to govern: run inline but still
-            // contain a panic (a poisoned classifier path or table must
-            // not kill the caller).
-            let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut out = [0u32; 1];
-                tbl.scan_group(&chunks, &mut out, &ctl, 1);
-                out[0]
-            }));
-            match scan {
-                Ok(s) => scaled[0] = s,
-                Err(payload) => {
-                    return Err(SfaError::WorkerPanic {
-                        message: panic_payload_message(payload),
-                    })
-                }
-            }
-        } else {
-            let scoped = {
-                let ctl = &ctl;
-                pool.scoped(|scope| {
-                    for (group, out) in chunks.chunks(k_way).zip(scaled.chunks_mut(k_way)) {
-                        scope.execute(move || {
-                            tbl.scan_group(group, out, ctl, k_way);
-                        });
-                    }
-                })
-            };
-            ctl.finish(scoped)?;
-        }
-        let shift = tbl.shift();
-        Ok(ChunkPlan {
-            states: scaled.iter().map(|&s| s >> shift).collect(),
-            chunk,
-        })
-    }
-
-    /// Pass 1 over raw bytes with fused classification (the streaming
-    /// block path). `block` must be non-empty.
-    pub(crate) fn chunk_states_bytes(
-        &self,
-        pool: &TaskPool,
-        governor: &Governor,
-        classifier: &ByteClassifier,
-        block: &[u8],
-        block_offset: u64,
-        threads: usize,
-    ) -> Result<ChunkPlan, SfaError> {
-        governor.check(0, 0)?;
-        debug_assert!(!block.is_empty());
-        let _span = crate::obs::span!("scan/chunk_pass");
-        let tbl = self.sfa_table()?;
-        let chunk = self.chunk_len(block.len(), threads);
-        let chunks: Vec<&[u8]> = block.chunks(chunk).collect();
-        OBS_CHUNKS.add(chunks.len() as u64);
-        OBS_SYMBOLS.add(block.len() as u64);
-        let offsets: Vec<u64> = (0..chunks.len())
-            .map(|i| block_offset + (i * chunk) as u64)
-            .collect();
-        let k_way = self.opts.interleave;
-        let mut scaled: Vec<u32> = vec![0; chunks.len()];
-        let ctl = AbortControl::new(governor);
-        let scoped = {
-            let ctl = &ctl;
-            pool.scoped(|scope| {
-                for ((group, offs), out) in chunks
-                    .chunks(k_way)
-                    .zip(offsets.chunks(k_way))
-                    .zip(scaled.chunks_mut(k_way))
-                {
-                    scope.execute(move || {
-                        tbl.scan_group_bytes(classifier, group, offs, out, ctl, k_way);
-                    });
-                }
-            })
-        };
-        ctl.finish(scoped)?;
-        let shift = tbl.shift();
-        Ok(ChunkPlan {
-            states: scaled.iter().map(|&s| s >> shift).collect(),
-            chunk,
-        })
+        run_pooled(pool, governor, k_way, &mut lanes, |_, group, ctl| {
+            tbl.run_lanes(decode, k_way, group, &Exits, ctl);
+        })?;
+        Ok((lanes.iter().map(|lane| lane.state).collect(), chunk))
     }
 
     /// Pass 2: every chunk's exact entry DFA state, and the final state
@@ -1162,6 +953,9 @@ impl ScanEngine {
     }
 
     /// Passes 1+2 fused: the DFA state after `input`, starting at `q0`.
+    /// Workers poll the governor every [`GOVERNOR_POLL_SYMBOLS`]
+    /// symbols; the first failure (cancellation, deadline, worker
+    /// panic) aborts the remaining scans and is returned.
     pub(crate) fn final_state(
         &self,
         pool: &TaskPool,
@@ -1171,28 +965,57 @@ impl ScanEngine {
         q0: u32,
         threads: usize,
     ) -> Result<u32, SfaError> {
-        let plan = self.chunk_states(pool, governor, input, threads)?;
-        Ok(self.entry_states(pool, sfa, &plan.states, q0)?.1)
+        if input.is_empty() {
+            governor.check(0, 0)?;
+            return Ok(q0);
+        }
+        let (states, _) = self.chunk_states(pool, governor, Dense, input, 0, threads)?;
+        Ok(self.entry_states(pool, sfa, &states, q0)?.1)
     }
 
-    /// Pass 3 for first-match search: per-chunk DFA scans from the exact
-    /// entry states, with a best-so-far chunk index published in an
-    /// `AtomicUsize` so chunks that can no longer win abort at block
-    /// granularity instead of finishing their scan.
+    /// Passes 1+2, then the entry lanes of pass 3: every chunk of
+    /// `input` as a lane from its exact entry DFA state. Unlike the
+    /// speculative approaches the paper surveys (§V), no re-matching is
+    /// ever needed — entry states are exact. `input` must be non-empty.
+    fn entry_lanes<'i>(
+        &self,
+        pool: &TaskPool,
+        governor: &Governor,
+        sfa: &Sfa,
+        input: &'i [SymbolId],
+        q0: u32,
+        threads: usize,
+    ) -> Result<(Vec<Lane<'i>>, usize), SfaError> {
+        let (states, chunk) = self.chunk_states(pool, governor, Dense, input, 0, threads)?;
+        let (entries, _) = self.entry_states(pool, sfa, &states, q0)?;
+        let lanes = input
+            .chunks(chunk)
+            .zip(entries)
+            .map(|(c, q)| Lane::new(c, q))
+            .collect();
+        Ok((lanes, chunk))
+    }
+
+    /// First-match search from `q0`: the number of symbols consumed when
+    /// the DFA first accepts (`Some(0)` when `q0` accepts). Pass 3 scans
+    /// every chunk from its exact entry state, one lane per task, with a
+    /// best-so-far chunk index published in an `AtomicUsize` so chunks
+    /// that can no longer win abort at block granularity instead of
+    /// finishing their scan.
     ///
     /// Why `Relaxed` is enough for `best` (audited; pinned by the
     /// `prop_find_first_two_winner_abort` seam proptest):
     ///
     /// * `best` is a pure *hint*. The answer is reduced after the join
-    ///   from `firsts`, never from `best`, and chunk index order equals
-    ///   position order, so the earliest `Some` slot wins regardless of
-    ///   which sibling published first.
+    ///   from the lanes' tallies, never from `best`, and chunk index
+    ///   order equals position order, so the earliest hit wins
+    ///   regardless of which sibling published first.
     /// * A chunk aborts only when `best < i` — a *strictly earlier*
     ///   chunk has already found a match, so chunk `i`'s own result
     ///   cannot improve the answer. `fetch_min` only ever stores indices
     ///   of chunks that really matched, so a stale/relaxed read can at
     ///   worst delay an abort (wasted work), never discard a winner.
-    /// * Each `slot` write is ordered before the post-join read by the
+    /// * Each lane's write is ordered before the post-join read by the
     ///   pool's scope join (happens-before via the scope barrier), so no
     ///   chunk's match is lost even when two chunks match concurrently.
     pub(crate) fn find_first(
@@ -1204,43 +1027,39 @@ impl ScanEngine {
         q0: u32,
         threads: usize,
     ) -> Result<Option<usize>, SfaError> {
-        let plan = self.chunk_states(pool, governor, input, threads)?;
-        let (entries, _) = self.entry_states(pool, sfa, &plan.states, q0)?;
+        governor.check(0, 0)?;
+        // `Dfa::first_match_end` (the oracle) reports `Some(0)` for an
+        // accepting start state even on empty input: zero symbols consume
+        // an accepted (empty) prefix. Keep that order here.
+        if self.accepting[q0 as usize] {
+            return Ok(Some(0));
+        }
+        if input.is_empty() {
+            return Ok(None);
+        }
+        let (mut lanes, chunk) = self.entry_lanes(pool, governor, sfa, input, q0, threads)?;
         let dtbl = self.dfa_table()?;
         let accepting = self.accepting.as_slice();
-        let chunks: Vec<&[SymbolId]> = input.chunks(plan.chunk).collect();
-        let mut firsts: Vec<Option<usize>> = vec![None; chunks.len()];
         let best = AtomicUsize::new(usize::MAX);
-        let ctl = AbortControl::new(governor);
-        let scoped = {
-            let (ctl, best) = (&ctl, &best);
-            pool.scoped(|scope| {
-                for ((i, &c), slot) in chunks.iter().enumerate().zip(firsts.iter_mut()) {
-                    let entry = dtbl.scale(entries[i]);
-                    scope.execute(move || {
-                        // A sibling with a smaller chunk index already
-                        // matched: this chunk cannot improve the answer.
-                        let found = dtbl.find_first_lane(accepting, c, entry, ctl, || {
-                            best.load(Ordering::Relaxed) < i
-                        });
-                        if let Ok(Some(local)) = found {
-                            *slot = Some(local);
-                            best.fetch_min(i, Ordering::Relaxed);
-                        }
-                    });
-                }
-            })
-        };
-        ctl.finish(scoped)?;
-        Ok(firsts
+        run_pooled(pool, governor, 1, &mut lanes, |i, lane, ctl| {
+            // A sibling with a smaller chunk index already matched: this
+            // chunk cannot improve the answer.
+            let stop = || best.load(Ordering::Relaxed) < i;
+            dtbl.run_lanes(Dense, 1, lane, &First { accepting, stop }, ctl);
+            if lane[0].tally > 0 {
+                best.fetch_min(i, Ordering::Relaxed);
+            }
+        })?;
+        Ok(lanes
             .iter()
             .enumerate()
-            .find_map(|(i, &local)| local.map(|j| i * plan.chunk + j)))
+            .find(|(_, lane)| lane.tally > 0)
+            .map(|(i, lane)| i * chunk + lane.tally as usize))
     }
 
-    /// Pass 3 for occurrence counting: K-way interleaved DFA counting
-    /// scans from the exact entry states. Returns the total over all
-    /// chunks (the accepting-start position 0 is the caller's).
+    /// Occurrence counting from `q0`: the positions (including 0) at
+    /// which the DFA accepts. Pass 3 counts K-way interleaved from the
+    /// exact entry states.
     pub(crate) fn count_matches(
         &self,
         pool: &TaskPool,
@@ -1250,31 +1069,19 @@ impl ScanEngine {
         q0: u32,
         threads: usize,
     ) -> Result<u64, SfaError> {
-        let plan = self.chunk_states(pool, governor, input, threads)?;
-        let (entries, _) = self.entry_states(pool, sfa, &plan.states, q0)?;
+        governor.check(0, 0)?;
+        let base = u64::from(self.accepting[q0 as usize]);
+        if input.is_empty() {
+            return Ok(base);
+        }
+        let (mut lanes, _) = self.entry_lanes(pool, governor, sfa, input, q0, threads)?;
         let dtbl = self.dfa_table()?;
         let accepting = self.accepting.as_slice();
-        let entries_scaled: Vec<u32> = entries.iter().map(|&q| dtbl.scale(q)).collect();
-        let chunks: Vec<&[SymbolId]> = input.chunks(plan.chunk).collect();
         let k_way = self.opts.interleave;
-        let mut counts: Vec<u64> = vec![0; chunks.len()];
-        let ctl = AbortControl::new(governor);
-        let scoped = {
-            let ctl = &ctl;
-            pool.scoped(|scope| {
-                for ((group, entry_group), out) in chunks
-                    .chunks(k_way)
-                    .zip(entries_scaled.chunks(k_way))
-                    .zip(counts.chunks_mut(k_way))
-                {
-                    scope.execute(move || {
-                        dtbl.count_group(accepting, group, entry_group, out, ctl, k_way);
-                    });
-                }
-            })
-        };
-        ctl.finish(scoped)?;
-        Ok(counts.iter().sum())
+        run_pooled(pool, governor, k_way, &mut lanes, |_, group, ctl| {
+            dtbl.run_lanes(Dense, k_way, group, &Count(accepting), ctl);
+        })?;
+        Ok(base + lanes.iter().map(|lane| lane.tally).sum::<u64>())
     }
 }
 
@@ -1282,6 +1089,7 @@ impl ScanEngine {
 mod tests {
     use super::*;
     use crate::sequential::SequentialVariant;
+    use rand::rngs::StdRng;
     use sfa_automata::alphabet::Alphabet;
     use sfa_automata::pipeline::Pipeline;
 
@@ -1295,6 +1103,29 @@ mod tests {
             .unwrap()
             .sfa;
         (dfa, sfa)
+    }
+
+    /// One ungoverned kernel run; `Err` is the failure it recorded.
+    fn run<X: Delta, D: Decode, R: Record>(
+        delta: X,
+        decode: D,
+        k_way: usize,
+        lanes: &mut [Lane<'_>],
+        rec: &R,
+    ) -> Result<bool, SfaError> {
+        let governor = Governor::unlimited();
+        let ctl = AbortControl::new(&governor);
+        let done = run_lanes(delta, decode, k_way, lanes, rec, &ctl);
+        ctl.finish(Ok(())).map(|()| done)
+    }
+
+    /// The state one lane reaches on `tbl` from its start state.
+    fn exit(tbl: &ScanTable, input: &[u8]) -> u32 {
+        let governor = Governor::unlimited();
+        let ctl = AbortControl::new(&governor);
+        let mut lane = [Lane::new(input, tbl.start())];
+        assert!(tbl.run_lanes(Dense, 1, &mut lane, &Exits, &ctl));
+        lane[0].state
     }
 
     #[test]
@@ -1318,11 +1149,8 @@ mod tests {
         let (dfa, sfa) = setup("R[GA]N");
         let engine = ScanEngine::new(&sfa, &dfa);
         let tbl = engine.sfa_table().unwrap();
-        let governor = Governor::unlimited();
-        let ctl = AbortControl::new(&governor);
         let input: Vec<u8> = (0..257u32).map(|i| (i % 20) as u8).collect();
-        let scaled = tbl.scan_lane(&input, tbl.start_offset(), &ctl).unwrap();
-        assert_eq!(scaled >> tbl.shift(), sfa.run(&input));
+        assert_eq!(exit(tbl, &input), sfa.run(&input));
     }
 
     #[test]
@@ -1389,10 +1217,147 @@ mod tests {
         let (dfa, sfa) = setup("RG");
         let engine = ScanEngine::new(&sfa, &dfa);
         let tbl = engine.sfa_table().unwrap();
-        let governor = Governor::unlimited();
-        let ctl = AbortControl::new(&governor);
         let junk: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let scaled = tbl.scan_lane(&junk, tbl.start_offset(), &ctl).unwrap();
-        assert!(((scaled >> tbl.shift()) as usize) < sfa.num_states() as usize);
+        assert!((exit(tbl, &junk) as usize) < sfa.num_states() as usize);
+    }
+
+    const SYMBOLS: usize = 20;
+
+    /// Lane `j` runs `inputs[j]` from `starts[j]` at offset `j << 32`.
+    fn lanes_from<'a>(inputs: &'a [Vec<u8>], starts: &[u32]) -> Vec<Lane<'a>> {
+        (0..)
+            .zip(inputs.iter().zip(starts))
+            .map(|(j, (w, &q))| Lane {
+                offset: j << 32,
+                ..Lane::new(w, q)
+            })
+            .collect()
+    }
+
+    /// Every recording of `k_way` random lanes on `delta`, the transition
+    /// function of `table`, against a plain `table[q * k + sym]` loop;
+    /// then the same lanes as classified bytes.
+    fn check_kernel<X: Delta>(
+        delta: X,
+        table: &[u32],
+        accepting: &[bool],
+        k_way: usize,
+        rng: &mut StdRng,
+    ) {
+        // Unequal lengths, some past several checkpoints, own start states.
+        let inputs: Vec<Vec<u8>> = (0..k_way)
+            .map(|_| {
+                let len = rng.random_range(0..3 * CHECKPOINT_SYMBOLS);
+                (0..len)
+                    .map(|_| rng.random_range(0..SYMBOLS as u8))
+                    .collect()
+            })
+            .collect();
+        let starts: Vec<u32> = (0..k_way)
+            .map(|_| rng.random_range(0..accepting.len() as u32))
+            .collect();
+        let mut exits = lanes_from(&inputs, &starts);
+        assert!(run(delta, Dense, k_way, &mut exits, &Exits).unwrap());
+        let mut counts = lanes_from(&inputs, &starts);
+        assert!(run(delta, Dense, k_way, &mut counts, &Count(accepting)).unwrap());
+        let mut firsts = lanes_from(&inputs, &starts);
+        let first = First {
+            accepting,
+            stop: || false,
+        };
+        assert!(run(delta, Dense, k_way, &mut firsts, &first).unwrap());
+        let mut trails = lanes_from(&inputs, &starts);
+        assert!(run(delta, Dense, k_way, &mut trails, &Trails).unwrap());
+        let mut any_hit = false;
+        for (j, (input, &start)) in inputs.iter().zip(&starts).enumerate() {
+            let (mut q, mut count, mut hit, mut trail) = (start, 0, 0, Vec::new());
+            for (i, &sym) in input.iter().enumerate() {
+                q = table[q as usize * SYMBOLS + sym as usize];
+                count += u64::from(accepting[q as usize]);
+                if accepting[q as usize] && hit == 0 {
+                    hit = i as u64 + 1;
+                }
+                if (i + 1) % CHECKPOINT_SYMBOLS == 0 || i + 1 == input.len() {
+                    trail.push(q);
+                }
+            }
+            assert_eq!(
+                (exits[j].state, counts[j].tally),
+                (q, count),
+                "lane {j}/{k_way}"
+            );
+            assert_eq!(trails[j].trail, trail, "trail of lane {j}/{k_way}");
+            // A hit ends the scan: the one lane that reports has the
+            // right position.
+            assert!(
+                firsts[j].tally == 0 || firsts[j].tally == hit,
+                "lane {j}/{k_way}"
+            );
+            any_hit |= hit > 0;
+        }
+        let reported = firsts.iter().filter(|lane| lane.tally > 0).count();
+        assert_eq!(reported, usize::from(any_hit));
+
+        // Classified bytes: whitespace does not step, and an invalid byte
+        // fails the scan with its absolute offset.
+        let alpha = Alphabet::amino_acids();
+        let classifier = ByteClassifier::skipping_ascii_whitespace(&alpha);
+        let mut texts: Vec<Vec<u8>> = inputs
+            .iter()
+            .map(|w| {
+                w.iter()
+                    .flat_map(|&sym| [b'\n', alpha.decode(sym)])
+                    .collect()
+            })
+            .collect();
+        let mut bytes = lanes_from(&texts, &starts);
+        assert!(run(delta, &classifier, k_way, &mut bytes, &Exits).unwrap());
+        for (lane, exit) in bytes.iter().zip(&exits) {
+            assert_eq!(lane.state, exit.state);
+        }
+        let j = rng.random_range(0..k_way);
+        if !texts[j].is_empty() {
+            let at = rng.random_range(0..texts[j].len());
+            texts[j][at] = b'#';
+            match run(
+                delta,
+                &classifier,
+                k_way,
+                &mut lanes_from(&texts, &starts),
+                &Exits,
+            ) {
+                Err(SfaError::InvalidByte { byte: b'#', offset }) => {
+                    assert_eq!(offset, ((j as u64) << 32) + at as u64)
+                }
+                other => panic!("expected an invalid byte, got {other:?}"),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The lane kernel on random tables of about 3, 300 and 5,000
+        /// states, one per packed width, and on the same tables raw, for
+        /// K ∈ {1, 2, 4, 8}.
+        #[test]
+        fn prop_kernel_agrees_with_plain_loop(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (n, width) in [(3usize, 1usize), (300, 2), (5000, 4)] {
+                let table: Vec<u32> = (0..n * SYMBOLS).map(|_| rng.random_range(0..n as u32)).collect();
+                // About two accepting states, so first hits land anywhere.
+                let accepting: Vec<bool> = (0..n).map(|_| rng.random_range(0..n) < 2).collect();
+                let tbl = ScanTable::build(&table, n, SYMBOLS, 0).unwrap();
+                proptest::prop_assert_eq!(tbl.entry_bytes(), width);
+                for k_way in [1usize, 2, 4, 8] {
+                    match tbl.width {
+                        Width::U8 => check_kernel(tbl.packed::<u8>(), &table, &accepting, k_way, &mut rng),
+                        Width::U16 => check_kernel(tbl.packed::<u16>(), &table, &accepting, k_way, &mut rng),
+                        Width::U32 => check_kernel(tbl.packed::<u32>(), &table, &accepting, k_way, &mut rng),
+                    }
+                    check_kernel(Raw { table: &table, k: SYMBOLS }, &table, &accepting, k_way, &mut rng);
+                }
+            }
+        }
     }
 }

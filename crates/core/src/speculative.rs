@@ -39,8 +39,10 @@
 //! [`MatchTier::PrunedSfa`]: crate::MatchTier::PrunedSfa
 
 use crate::budget::Governor;
-use crate::matcher::{AbortControl, GOVERNOR_POLL_SYMBOLS};
-use crate::scan::ScanOptions;
+use crate::matcher::GOVERNOR_POLL_SYMBOLS;
+use crate::scan::{
+    run_lanes, run_pooled, Dense, Exits, Lane, Raw, ScanOptions, Trails, CHECKPOINT_SYMBOLS,
+};
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
@@ -58,11 +60,6 @@ const LOOKBACK: usize = 32;
 /// chunk costs `|F|` passes, spread across the pool — beyond this the
 /// redundant work eats the parallel speedup and speculation wins.
 const PRUNE_LIMIT: usize = 4;
-
-/// Checkpoint granularity of the speculative trail (symbols). Re-runs
-/// compare against the trail at these positions and stop at the first
-/// hit, so a mispredict costs on average far less than a full chunk.
-const CHECKPOINT_SYMBOLS: usize = 4096;
 
 /// Above this many DFA states the feasible-set fold (O(n) per folded
 /// symbol per boundary) stops paying for itself; prediction falls back
@@ -309,6 +306,12 @@ impl<'d> SpeculativeMatcher<'d> {
         self
     }
 
+    /// Replace the chunk geometry (already validated); the predictor
+    /// carries over.
+    pub(crate) fn set_options(&mut self, opts: ScanOptions) {
+        self.opts = opts;
+    }
+
     /// The automaton this matcher runs.
     pub(crate) fn dfa(&self) -> &'d Dfa {
         self.dfa
@@ -317,16 +320,6 @@ impl<'d> SpeculativeMatcher<'d> {
     /// The visit counters backing this matcher's predictions.
     pub fn predictor(&self) -> &Arc<StatePredictor> {
         &self.predictor
-    }
-
-    /// Chunk length for an input of `len` symbols at `threads` workers —
-    /// identical to [`ScanEngine::chunk_len`](crate::ScanEngine::chunk_len)
-    /// so speculation inherits the tuned SFA chunk geometry.
-    pub fn chunk_len(&self, len: usize, threads: usize) -> usize {
-        let want = threads.max(1) * self.opts.oversubscribe * self.opts.interleave;
-        len.div_ceil(want)
-            .max(self.opts.min_chunk_symbols.min(len))
-            .max(1)
     }
 
     /// Membership test: the DFA's accept decision for `input`, plus the
@@ -361,11 +354,11 @@ impl<'d> SpeculativeMatcher<'d> {
         if input.is_empty() {
             return Ok((q0, stats));
         }
-        let chunk = self.chunk_len(input.len(), threads);
+        let chunk = self.opts.chunk_len(input.len(), threads);
         let chunks: Vec<&[SymbolId]> = input.chunks(chunk).collect();
         stats.chunks = chunks.len() as u64;
         if chunks.len() == 1 {
-            let q = run_governed(self.dfa, q0, input, governor)?;
+            let q = rerun_chunk(self.dfa, input, q0, &[], q0, governor)?;
             return Ok((q, stats));
         }
         let feasible = self.feasible_entry_sets(input, chunk, chunks.len());
@@ -444,43 +437,32 @@ impl<'d> SpeculativeMatcher<'d> {
             .chain(feasible.iter().map(|set| set.iter().collect()))
             .collect();
         // Flatten (chunk, feasible row) pairs into lanes and run them
-        // in K-way lockstep groups: rows of neighbouring chunks share a
-        // task, so K transition loads stay in flight per iteration even
-        // when most chunks have a single feasible entry.
-        let lane_slices: Vec<&[SymbolId]> = chunks
+        // K to a task: rows of neighbouring chunks share a task, so K
+        // transition loads stay in flight per iteration even when most
+        // chunks have a single feasible entry.
+        let mut lanes: Vec<Lane<'_>> = chunks
             .iter()
             .zip(entries.iter())
-            .flat_map(|(chunk, e)| std::iter::repeat_n(*chunk, e.len()))
+            .flat_map(|(chunk, e)| e.iter().map(|&q| Lane::new(chunk, q)))
             .collect();
-        let mut lane_states: Vec<u32> = entries.iter().flatten().copied().collect();
         let k_way = self.opts.interleave;
-        let ctl = AbortControl::new(governor);
-        let scoped = {
-            let ctl = &ctl;
-            pool.scoped(|scope| {
-                for (group, states) in lane_slices.chunks(k_way).zip(lane_states.chunks_mut(k_way))
-                {
-                    scope.execute(move || run_lane_group(dfa, group, states, None, ctl, k_way));
-                }
-            })
-        };
-        ctl.finish(scoped)?;
-        let mut lane_exits = lane_states.iter();
-        let exits: Vec<Vec<u32>> = entries
-            .iter()
-            .map(|e| e.iter().map(|_| *lane_exits.next().unwrap()).collect())
-            .collect();
+        run_pooled(pool, governor, k_way, &mut lanes, |_, group, ctl| {
+            run_lanes(Raw::of(dfa), Dense, k_way, group, &Exits, ctl);
+        })?;
         let mut state = q0;
-        for (i, chunk) in chunks.iter().enumerate() {
+        let mut rows = lanes.as_slice();
+        for (chunk, entries) in chunks.iter().zip(&entries) {
             self.predictor.record(state);
             stats.state_visits += 1;
-            match entries[i].iter().position(|&e| e == state) {
-                Some(pos) => state = exits[i][pos],
+            let (exits, rest) = rows.split_at(entries.len());
+            rows = rest;
+            match entries.iter().position(|&e| e == state) {
+                Some(pos) => state = exits[pos].state,
                 None => {
                     // Unreachable if the feasible sets are sound; answer
                     // exactly anyway rather than trusting the analysis.
                     stats.reruns += 1;
-                    state = run_governed(dfa, state, chunk, governor)?;
+                    state = rerun_chunk(dfa, chunk, state, &[], state, governor)?;
                 }
             }
         }
@@ -511,28 +493,18 @@ impl<'d> SpeculativeMatcher<'d> {
             };
             preds.push(pred.unwrap_or(q0));
         }
-        let mut exits = preds.clone();
-        let mut trails: Vec<Vec<u32>> = chunks
+        let mut lanes: Vec<Lane<'_>> = chunks
             .iter()
-            .map(|ch| Vec::with_capacity(ch.len().div_ceil(CHECKPOINT_SYMBOLS)))
+            .zip(&preds)
+            .map(|(chunk, &q)| Lane {
+                trail: Vec::with_capacity(chunk.len().div_ceil(CHECKPOINT_SYMBOLS)),
+                ..Lane::new(chunk, q)
+            })
             .collect();
         let k_way = self.opts.interleave;
-        let ctl = AbortControl::new(governor);
-        let scoped = {
-            let ctl = &ctl;
-            pool.scoped(|scope| {
-                for ((group, states), trail_group) in chunks
-                    .chunks(k_way)
-                    .zip(exits.chunks_mut(k_way))
-                    .zip(trails.chunks_mut(k_way))
-                {
-                    scope.execute(move || {
-                        run_lane_group(dfa, group, states, Some(trail_group), ctl, k_way)
-                    });
-                }
-            })
-        };
-        ctl.finish(scoped)?;
+        run_pooled(pool, governor, k_way, &mut lanes, |_, group, ctl| {
+            run_lanes(Raw::of(dfa), Dense, k_way, group, &Trails, ctl);
+        })?;
         // Seam verification: thread the true state left-to-right. Chunk
         // 0 ran from the real start state, so it can never mispredict.
         let mut state = q0;
@@ -540,179 +512,23 @@ impl<'d> SpeculativeMatcher<'d> {
             self.predictor.record(state);
             stats.state_visits += 1;
             if preds[i] == state {
-                state = exits[i];
+                state = lanes[i].state;
                 continue;
             }
             stats.mispredicts += 1;
             stats.reruns += 1;
-            state = rerun_chunk(dfa, chunks[i], state, &trails[i], exits[i], governor)?;
+            let lane = &lanes[i];
+            state = rerun_chunk(dfa, lane.input, state, &lane.trail, lane.state, governor)?;
         }
         Ok(state)
     }
 }
 
-/// Run one chunk under the shared abort flag; `None` = stop requested.
-fn run_chunk(dfa: &Dfa, mut q: u32, chunk: &[SymbolId], ctl: &AbortControl) -> Option<u32> {
-    for block in chunk.chunks(GOVERNOR_POLL_SYMBOLS) {
-        if ctl.should_stop() {
-            return None;
-        }
-        q = dfa.run_from(q, block);
-    }
-    Some(q)
-}
-
-/// Run one task's group of lanes. A full group of equal-length lanes —
-/// every group except the one holding the remainder chunk — steps
-/// K-way interleaved, the same software pipeline as `scan_group_k` in
-/// `scan.rs`: K independent transition loads in flight per iteration
-/// instead of one, which is what makes chunk parallelism pay even on a
-/// single core. Anything else finishes single-chain. When `trails` is
-/// given, each lane records its state after every [`CHECKPOINT_SYMBOLS`]
-/// block (the geometry `rerun_chunk` replays).
-fn run_lane_group(
-    dfa: &Dfa,
-    group: &[&[SymbolId]],
-    states: &mut [u32],
-    trails: Option<&mut [Vec<u32>]>,
-    ctl: &AbortControl,
-    k_way: usize,
-) {
-    let uniform =
-        group.len() == k_way && k_way > 1 && group.iter().all(|l| l.len() == group[0].len());
-    match trails {
-        Some(trails) if uniform => {
-            match k_way {
-                2 => lockstep_trails_k::<2>(dfa, group, states, trails, ctl),
-                4 => lockstep_trails_k::<4>(dfa, group, states, trails, ctl),
-                _ => lockstep_trails_k::<8>(dfa, group, states, trails, ctl),
-            };
-        }
-        None if uniform => {
-            match k_way {
-                2 => lockstep_k::<2>(dfa, group, states, ctl),
-                4 => lockstep_k::<4>(dfa, group, states, ctl),
-                _ => lockstep_k::<8>(dfa, group, states, ctl),
-            };
-        }
-        Some(trails) => {
-            for (j, lane) in group.iter().enumerate() {
-                let mut q = states[j];
-                let mut since_poll = 0usize;
-                for block in lane.chunks(CHECKPOINT_SYMBOLS) {
-                    since_poll += block.len();
-                    if since_poll >= GOVERNOR_POLL_SYMBOLS {
-                        since_poll = 0;
-                        if ctl.should_stop() {
-                            return;
-                        }
-                    }
-                    q = dfa.run_from(q, block);
-                    trails[j].push(q);
-                }
-                states[j] = q;
-            }
-        }
-        None => {
-            for (j, lane) in group.iter().enumerate() {
-                match run_chunk(dfa, states[j], lane, ctl) {
-                    Some(q) => states[j] = q,
-                    None => return,
-                }
-            }
-        }
-    }
-}
-
-/// The pipelined kernel: `K` equal-length lanes step in lockstep.
-/// Returns `false` (leaving `states` unwritten) if aborted.
-fn lockstep_k<const K: usize>(
-    dfa: &Dfa,
-    lanes: &[&[SymbolId]],
-    states: &mut [u32],
-    ctl: &AbortControl,
-) -> bool {
-    debug_assert!(lanes.len() == K && states.len() == K);
-    let len = lanes[0].len();
-    debug_assert!(lanes.iter().all(|l| l.len() == len));
-    let mut s = [0u32; K];
-    s.copy_from_slice(states);
-    let poll = (GOVERNOR_POLL_SYMBOLS / K).max(1);
-    let mut pos = 0;
-    while pos < len {
-        if ctl.should_stop() {
-            return false;
-        }
-        let end = (pos + poll).min(len);
-        for i in pos..end {
-            for (j, s_j) in s.iter_mut().enumerate() {
-                // SAFETY: i < len == lanes[j].len() for every lane.
-                let sym = unsafe { *lanes[j].get_unchecked(i) };
-                *s_j = dfa.next(*s_j, sym);
-            }
-        }
-        pos = end;
-    }
-    states.copy_from_slice(&s);
-    true
-}
-
-/// [`lockstep_k`] with a checkpoint trail per lane: the block loop runs
-/// in [`CHECKPOINT_SYMBOLS`] strides so every lane's trail matches the
-/// `lane.chunks(CHECKPOINT_SYMBOLS)` geometry exactly.
-fn lockstep_trails_k<const K: usize>(
-    dfa: &Dfa,
-    lanes: &[&[SymbolId]],
-    states: &mut [u32],
-    trails: &mut [Vec<u32>],
-    ctl: &AbortControl,
-) -> bool {
-    debug_assert!(lanes.len() == K && states.len() == K && trails.len() == K);
-    let len = lanes[0].len();
-    debug_assert!(lanes.iter().all(|l| l.len() == len));
-    let mut s = [0u32; K];
-    s.copy_from_slice(states);
-    let mut pos = 0;
-    while pos < len {
-        if ctl.should_stop() {
-            return false;
-        }
-        let end = (pos + CHECKPOINT_SYMBOLS).min(len);
-        for i in pos..end {
-            for (j, s_j) in s.iter_mut().enumerate() {
-                // SAFETY: i < len == lanes[j].len() for every lane.
-                let sym = unsafe { *lanes[j].get_unchecked(i) };
-                *s_j = dfa.next(*s_j, sym);
-            }
-        }
-        for (j, trail) in trails.iter_mut().enumerate() {
-            trail.push(s[j]);
-        }
-        pos = end;
-    }
-    states.copy_from_slice(&s);
-    true
-}
-
-/// Sequential governed run — the single-chunk path and the defensive
-/// pruned fallback.
-fn run_governed(
-    dfa: &Dfa,
-    mut q: u32,
-    input: &[SymbolId],
-    governor: &Governor,
-) -> Result<u32, SfaError> {
-    for block in input.chunks(GOVERNOR_POLL_SYMBOLS) {
-        governor.check(0, 0)?;
-        q = dfa.run_from(q, block);
-    }
-    Ok(q)
-}
-
 /// Re-run a mispredicted chunk from its true entry, comparing against
 /// the speculative checkpoint trail: the first checkpoint where the
 /// states agree proves the suffixes identical, so the speculative exit
-/// is adopted and the rest of the chunk is skipped.
+/// is adopted and the rest of the chunk is skipped. With an empty trail
+/// this is a plain governed run from `entry`.
 fn rerun_chunk(
     dfa: &Dfa,
     chunk: &[SymbolId],
@@ -922,7 +738,7 @@ mod tests {
         let dfa = search_dfa("RG");
         let matcher = SpeculativeMatcher::with_options(&dfa, tiny_chunks()).unwrap();
         let input = text(4096, 5, dfa.num_symbols());
-        let chunk = matcher.chunk_len(input.len(), 4);
+        let chunk = tiny_chunks().chunk_len(input.len(), 4);
         let c = input.len().div_ceil(chunk);
         let sets = matcher.feasible_entry_sets(&input, chunk, c).unwrap();
         for (i, set) in sets.iter().enumerate() {

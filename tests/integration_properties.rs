@@ -713,3 +713,60 @@ proptest! {
         }
     }
 }
+
+/// Mispredicted re-runs that converge onto the checkpoint trail partway
+/// through a chunk. Every chunk spans several `CHECKPOINT_SYMBOLS`
+/// (10,000 symbols; the last one 7,000), and symbol 1 resets the
+/// counter mid-chunk, so a re-run from the true entry meets the
+/// speculative run at the first checkpoint after the reset and adopts
+/// its exit. The cold predictor picks state 0 while every chunk exits in
+/// state 1, so every seam after the first mispredicts.
+#[test]
+fn speculative_reruns_converge_on_checkpoints() {
+    use sfa_automata::dfa::DfaBuilder;
+    const M: u32 = 8;
+    const CHUNK: usize = 10_000;
+    let mut b = DfaBuilder::new(Alphabet::amino_acids());
+    for q in 0..M {
+        b.add_state(q == 0);
+    }
+    for q in 0..M {
+        b.add_transition(q, 0, (q + 1) % M);
+        b.add_transition(q, 1, 0);
+        b.default_transition(q, q);
+    }
+    b.set_start(0);
+    let dfa = b.build_strict().unwrap();
+    for k_way in [1usize, 2, 4, 8] {
+        let len = 2 * k_way * CHUNK - 3_000;
+        let input: Vec<u8> = (0..len)
+            .map(|i| match i % CHUNK {
+                100 | 200 | 6_000 => 0,
+                5_000 => 1,
+                j => 2 + (j * 7 % 18) as u8,
+            })
+            .collect();
+        let opts = ScanOptions {
+            interleave: k_way,
+            oversubscribe: 1,
+            min_chunk_symbols: CHUNK,
+        };
+        let matcher = || {
+            SpeculativeMatcher::with_options(&dfa, opts)
+                .unwrap()
+                .with_predictor(std::sync::Arc::new(StatePredictor::new(M)))
+        };
+        let (pool, governor) = (TaskPool::shared(), Governor::unlimited());
+        let (q, stats) = matcher().final_state(pool, &governor, &input, 2).unwrap();
+        assert_eq!(q, dfa.run(&input), "K={k_way}");
+        assert!(
+            !stats.pruned,
+            "K={k_way}: wide feasible sets must speculate"
+        );
+        assert_eq!(stats.chunks, 2 * k_way as u64);
+        assert_eq!(stats.mispredicts, stats.chunks - 1, "K={k_way}");
+        assert_eq!(stats.reruns, stats.mispredicts, "K={k_way}");
+        let (verdict, _) = matcher().matches(pool, &governor, &input, 2).unwrap();
+        assert_eq!(verdict, match_sequential(&dfa, &input), "K={k_way}");
+    }
+}

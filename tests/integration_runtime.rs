@@ -1,4 +1,4 @@
-//! Match-runtime integration: the pooled, streaming and batch paths must
+//! Match-runtime integration: the pooled and streaming paths must
 //! agree with the sequential oracle on random DFAs and inputs (including
 //! inputs straddling streaming block boundaries), never spawn threads
 //! per call, surface mismatches and worker panics as typed errors, and
@@ -32,8 +32,8 @@ fn build(pattern: &str) -> (sfa_automata::Dfa, sfa_core::Sfa) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pooled slice matching, streaming at several block sizes, and
-    /// batch matching all agree with `match_sequential` on random DFAs.
+    /// Pooled slice matching and streaming at several block sizes agree
+    /// with `match_sequential` on random DFAs.
     #[test]
     fn prop_runtime_paths_agree_with_sequential(
         states in 2u32..6,
@@ -67,14 +67,6 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(verdict, expected, "block size {}", block);
         }
-
-        // Batch path (the input plus a few derived ones).
-        let shorter: Vec<u8> = input.iter().copied().take(input.len() / 2).collect();
-        let batch: Vec<&[u8]> = vec![&input, &shorter, &[]];
-        let verdicts = rt.match_many(&matcher, &batch, &governor).unwrap();
-        prop_assert_eq!(verdicts[0], expected);
-        prop_assert_eq!(verdicts[1], match_sequential(&dfa, &shorter));
-        prop_assert_eq!(verdicts[2], match_sequential(&dfa, &[]));
     }
 
     /// The matcher conveniences agree with their oracles on random DFAs
@@ -536,5 +528,18 @@ fn run_dfa_speculative_tier_agrees_with_oracle() {
     ) {
         Err(SfaError::Cancelled { .. }) => {}
         other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
+/// `TierPolicy::RequireFull` means "the full tier or `InvalidOptions`":
+/// the raw-DFA entry holds no SFA, so it must refuse rather than answer
+/// sequentially.
+#[test]
+fn run_dfa_refuses_require_full() {
+    let (dfa, _) = build("RG");
+    let request = MatchRequest::text("MKVARGAA").with_tier(TierPolicy::RequireFull);
+    match MatchRuntime::new(2).run_dfa(&dfa, &request, None) {
+        Err(SfaError::InvalidOptions(_)) => {}
+        other => panic!("expected InvalidOptions, got {other:?}"),
     }
 }
