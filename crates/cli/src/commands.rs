@@ -263,19 +263,19 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
     // Both engines produce canonically numbered (byte-identical)
     // automata, so `--checkpoint`/`--resume` compose with either; a
     // checkpoint written by one engine can be resumed by the other.
-    let mut builder = if parsed.opt("seq").is_some() {
-        let variant = match parsed.opt("seq").unwrap_or("transposed") {
+    // `--budget` and `--codec` reach both engines.
+    let mut builder = Sfa::builder(&dfa)
+        .options(&parallel_options(parsed)?)
+        .budget(budget);
+    if let Some(seq) = parsed.opt("seq") {
+        builder = builder.sequential(match seq {
             "baseline" => SequentialVariant::Baseline,
             "pointer-tree" => SequentialVariant::BaselinePointerTree,
             "hashing" => SequentialVariant::Hashing,
             "transposed" => SequentialVariant::Transposed,
             other => return Err(format!("unknown sequential variant {other:?}")),
-        };
-        Sfa::builder(&dfa).sequential(variant).budget(budget)
-    } else {
-        let opts = parallel_options(parsed)?;
-        Sfa::builder(&dfa).options(&opts).budget(budget)
-    };
+        });
+    }
     // `--spill-dir` enables the tiered state store: builds that would
     // abort on `--memory-cap` (or `--max-bytes`) instead demote cold
     // states — compressed, then to disk — and finish byte-identical.

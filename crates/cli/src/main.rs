@@ -115,7 +115,7 @@ COMMON OPTIONS:
                          --max-bytes also folds into the cap when given)
     --out <path>         build: write the SFA as a checksummed artifact
     --checkpoint <path>  build: snapshot construction state to this artifact
-                         (implies a sequential engine; default transposed)
+                         (either engine can resume it)
     --checkpoint-every <n>  build: states between snapshots (default 1024)
     --resume             build: continue from the --checkpoint artifact if it
                          exists (byte-identical result; fresh build otherwise)

@@ -80,6 +80,21 @@ fn build_sequential_variants() {
 }
 
 #[test]
+fn sequential_build_obeys_the_state_budget() {
+    let out = sfa(&[
+        "build",
+        "--rn",
+        "100",
+        "--seq",
+        "transposed",
+        "--budget",
+        "10",
+    ]);
+    assert!(!out.status.success(), "a 10-state budget must stop rn(100)");
+    assert!(stderr(&out).contains("state budget"), "{}", stderr(&out));
+}
+
+#[test]
 fn match_with_planted_text() {
     let out = sfa(&[
         "match",

@@ -8,13 +8,13 @@
 //! is already running. Every construction path (sequential, parallel,
 //! lazy) polls the same [`Governor`] at work-item granularity, so an
 //! exhausted budget surfaces as a typed
-//! [`SfaError::BudgetExceeded`](crate::SfaError::BudgetExceeded) carrying
+//! [`SfaError::BudgetExceeded`] carrying
 //! the progress made — never a panic, never an unbounded run.
 //!
 //! Budgets compose with the engine-level capacity limit
 //! (`ParallelOptions::state_budget`, the arena size): the arena limit is
 //! a hard structural cap reported as
-//! [`SfaError::StateBudgetExceeded`](crate::SfaError::StateBudgetExceeded),
+//! [`SfaError::StateBudgetExceeded`],
 //! while [`Budget::max_states`] is a caller-facing policy knob that can
 //! be tightened per build without resizing the arena.
 

@@ -129,7 +129,8 @@ impl<'d> SfaBuilder<'d> {
         self
     }
 
-    /// Codec used by the compression phase.
+    /// Codec of the compressed tier: the parallel engine's compression
+    /// phase and both engines' spill tier.
     pub fn codec(mut self, c: CodecChoice) -> Self {
         self.opts.codec = c;
         self
@@ -168,13 +169,6 @@ impl<'d> SfaBuilder<'d> {
     /// [`budget`]: SfaBuilder::budget
     pub fn spill(mut self, dir: impl Into<PathBuf>, cap_bytes: u64) -> Self {
         self.opts.spill = Some(SpillConfig::new(dir, cap_bytes));
-        self
-    }
-
-    /// Enable the spill tier from a full [`SpillConfig`] (custom codec or
-    /// retry policy); see [`spill`](SfaBuilder::spill).
-    pub fn spill_config(mut self, cfg: SpillConfig) -> Self {
-        self.opts.spill = Some(cfg);
         self
     }
 
@@ -266,11 +260,10 @@ impl<'d> SfaBuilder<'d> {
             Some(variant) => construct_sequential_spillable(
                 self.dfa,
                 variant,
-                opts.state_budget,
+                &opts,
                 &governor,
                 self.checkpoint.as_ref(),
                 resume.as_ref(),
-                opts.spill.as_ref(),
             )?,
             None => construct_parallel_resumable(
                 self.dfa,
@@ -526,6 +519,18 @@ mod tests {
             crate::io::to_bytes(&free.sfa)
         );
         assert!(capped.stats.spilled_bytes > 0);
+    }
+
+    #[test]
+    fn sequential_spill_compresses_with_the_builder_codec() {
+        let dfa = sfa_automata::random::rn(60);
+        let dir = ScratchDir::new("builder_scodec");
+        let spilled = |b: SfaBuilder| b.spill(dir.path(), 2048).build().unwrap().stats;
+        let base = Sfa::builder(&dfa).sequential(SequentialVariant::Transposed);
+        let stored = spilled(base.clone().codec(CodecChoice::Store));
+        let deflated = spilled(base);
+        assert!(stored.spilled_bytes > 0 && deflated.spilled_bytes > 0);
+        assert_ne!(stored.spilled_bytes, deflated.spilled_bytes);
     }
 
     #[test]

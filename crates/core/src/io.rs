@@ -458,18 +458,6 @@ fn tmp_sibling(path: &std::path::Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Write `sfa` to a file (atomically — see [`atomic_write`]).
-pub fn write_file(sfa: &Sfa, path: &std::path::Path) -> std::io::Result<()> {
-    atomic_write(path, &to_bytes(sfa))
-}
-
-/// Read an SFA from a file.
-pub fn read_file(path: &std::path::Path) -> std::io::Result<Sfa> {
-    sfa_sync::fault_point!("io/read")?;
-    let bytes = std::fs::read(path)?;
-    from_bytes(&bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,17 +506,6 @@ mod tests {
         let back = from_bytes(&bytes).unwrap();
         assert!(back.is_compressed());
         back.validate(&dfa).unwrap();
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let (dfa, sfa) = rg_sfa();
-        let dir = sfa_workloads::ScratchDir::new("io_test");
-        let path = dir.join("test.sfa");
-        write_file(&sfa, &path).unwrap();
-        let back = read_file(&path).unwrap();
-        back.validate(&dfa).unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -662,16 +639,16 @@ mod tests {
 
     #[test]
     fn atomic_write_leaves_no_tmp_behind() {
+        use crate::artifact::{read_sfa, write_sfa};
         let (_, sfa) = rg_sfa();
         let dir = sfa_workloads::ScratchDir::new("io_atomic_test");
         let path = dir.join("out.sfa");
-        write_file(&sfa, &path).unwrap();
+        write_sfa(&path, &sfa).unwrap();
         assert!(path.exists());
         assert!(!dir.join("out.sfa.tmp").exists());
         // Overwrite in place: the old file is replaced whole.
-        write_file(&sfa, &path).unwrap();
-        read_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        write_sfa(&path, &sfa).unwrap();
+        read_sfa(&path).unwrap();
     }
 
     #[test]

@@ -15,38 +15,34 @@
 //! removes almost the entire construction cost from the §IV-D break-even
 //! equation.
 //!
-//! Internals deliberately reuse the batch engine's substrate:
-//! [`StateStore`] (lock-free arena records with fingerprint, chain link
-//! and successor slots) and [`ChainedTable`] (find-or-insert keyed by
-//! fingerprint). Mappings are stored as raw little-endian `u32` ids —
-//! lazy matching visits few states, so the 2× width versus `u16` does
-//! not matter and keeps the code monomorphic.
+//! Internals deliberately reuse the batch engine's substrate: the state
+//! store of `crate::state` (lock-free arena records with fingerprint,
+//! chain link and successor slots, interned through its fingerprint
+//! table by the same operation the parallel engine uses). Mappings are
+//! stored as raw native-endian `u32` ids — lazy matching visits few
+//! states, so the 2× width versus `u16` does not matter and keeps the
+//! code monomorphic.
 
 use crate::budget::{Budget, Governor};
 use crate::elem::Elem;
 use crate::matcher::{panic_payload_message, GOVERNOR_POLL_SYMBOLS};
-use crate::state::StateStore;
+use crate::parallel::ParallelOptions;
+use crate::state::{InternStats, StateStore};
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
 use sfa_sync::CancelToken;
-use sfa_sync::{ChainedTable, FindOrInsert, Links, NIL};
-use std::sync::atomic::{AtomicU32, Ordering};
+use sfa_sync::NIL;
 
 /// A thread-safe, incrementally constructed SFA.
 pub struct LazySfa<'d> {
     dfa: &'d Dfa,
     n: usize,
     start: u32,
-    state_budget: usize,
     store: StateStore,
-    table: ChainedTable,
     fingerprinter: CityFingerprinter,
     governor: Governor,
-    /// Arena records that lost a concurrent insert race (tombstones, not
-    /// states).
-    race_losers: AtomicU32,
 }
 
 impl<'d> LazySfa<'d> {
@@ -77,28 +73,19 @@ impl<'d> LazySfa<'d> {
         // token, zero space budget) before allocating the arena.
         governor.check(0, 0)?;
         let n = dfa.num_states() as usize;
-        let store = StateStore::new(state_budget, n, 4, dfa.num_symbols());
-        let table = ChainedTable::new((state_budget / 64).clamp(1 << 10, 1 << 22));
+        let opts = ParallelOptions::default().state_budget(state_budget);
+        let store = StateStore::new(&opts, n, dfa.num_symbols())?;
         let fingerprinter = CityFingerprinter;
         let identity: Vec<u32> = (0..n as u32).collect();
         let bytes = <u32 as Elem>::as_bytes(&identity);
-        let fp = fingerprinter.fingerprint(bytes);
-        let start = store
-            .alloc(fp, bytes.to_vec().into_boxed_slice(), false)
-            .ok_or(SfaError::StateBudgetExceeded {
-                budget: state_budget,
-            })?;
-        table.insert_unchecked(fp, start, &store);
+        let (start, _) = store.seed(fingerprinter.fingerprint(bytes), bytes, false)?;
         Ok(LazySfa {
             dfa,
             n,
             start,
-            state_budget,
             store,
-            table,
             fingerprinter,
             governor,
-            race_losers: AtomicU32::new(0),
         })
     }
 
@@ -115,19 +102,19 @@ impl<'d> LazySfa<'d> {
     /// SFA states discovered so far (records that lost a concurrent
     /// insert race are not states and are not counted).
     pub fn states_built(&self) -> u32 {
-        (self.store.len() as u32).saturating_sub(self.race_losers.load(Ordering::Relaxed))
+        self.store.states() as u32
     }
 
     /// The mapping vector of a discovered state.
     pub fn mapping_of(&self, s: u32) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.n);
-        <u32 as Elem>::read_bytes(&self.store.mapping(s).data, &mut out);
+        <u32 as Elem>::read_bytes(self.store.raw(s), &mut out);
         out
     }
 
     /// Apply state `s`'s mapping to DFA state `q`.
     pub fn apply(&self, s: u32, q: u32) -> u32 {
-        let buf = &self.store.mapping(s).data;
+        let buf = self.store.raw(s);
         let base = q as usize * 4;
         u32::from_ne_bytes(buf[base..base + 4].try_into().unwrap())
     }
@@ -154,7 +141,7 @@ impl<'d> LazySfa<'d> {
             self.governor.check(states, states * self.n as u64 * 4)?;
         }
         // Compute the candidate mapping: one δ column over s's mapping.
-        let src = &self.store.mapping(s).data;
+        let src = self.store.raw(s);
         let mut cand: Vec<u32> = Vec::with_capacity(self.n);
         for i in 0..self.n {
             let q = u32::from_ne_bytes(src[i * 4..i * 4 + 4].try_into().unwrap());
@@ -162,29 +149,10 @@ impl<'d> LazySfa<'d> {
         }
         let bytes = <u32 as Elem>::as_bytes(&cand);
         let fp = self.fingerprinter.fingerprint(bytes);
-        let eq = |other: u32| {
-            self.store.fingerprint(other) == fp && self.store.mapping_equals(other, bytes)
-        };
-        let succ = if let Some(found) = self.table.find(fp, &self.store, eq) {
-            found
-        } else {
-            let id = self
-                .store
-                .alloc(fp, bytes.to_vec().into_boxed_slice(), false)
-                .ok_or(SfaError::StateBudgetExceeded {
-                    budget: self.state_budget,
-                })?;
-            match self.table.find_or_insert(fp, id, &self.store, eq) {
-                FindOrInsert::Inserted => id,
-                FindOrInsert::Found(existing) => {
-                    // Lost the race; tombstone our record (it is arena
-                    // garbage but must never alias a live chain entry).
-                    self.store.link(id).store(u32::MAX - 1, Ordering::SeqCst);
-                    self.race_losers.fetch_add(1, Ordering::Relaxed);
-                    existing
-                }
-            }
-        };
+        let succ = self
+            .store
+            .intern(fp, bytes, false, true, &InternStats::default())?
+            .id;
         self.store.set_succ(s, sym as usize, succ);
         Ok(succ)
     }
@@ -264,7 +232,6 @@ impl<'d> LazySfa<'d> {
 mod tests {
     use super::*;
     use crate::matcher::match_sequential;
-    use crate::parallel::ParallelOptions;
     use crate::sfa::Sfa;
     use sfa_automata::pipeline::Pipeline;
     use sfa_automata::Alphabet;

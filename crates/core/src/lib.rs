@@ -82,7 +82,7 @@ pub mod scan;
 pub mod sequential;
 pub mod sfa;
 pub mod speculative;
-pub mod state;
+mod state;
 pub mod stats;
 pub mod store;
 pub mod treemap;

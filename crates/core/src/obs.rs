@@ -15,7 +15,7 @@
 //!   `construct/phase3`), derived from the same durations stored in the
 //!   stats so span sums always equal `total_secs`.
 //!
-//! Construction engines call [`observe_construction`] on every
+//! Construction engines call `observe_construction` on every
 //! successful run, so the [`global()`] registry and any installed
 //! global subscriber see every build with no per-run wiring.
 

@@ -6,24 +6,27 @@
 //!   through a single CAS-synchronized [`GlobalQueue`]; once it fills to
 //!   its threshold capacity, workers switch to **thread-local Chase–Lev
 //!   deques** with closest-victim-first stealing (§III-B2).
-//! * **State interning** goes through the lock-free [`ChainedTable`]:
-//!   fingerprint → bucket → chain walk (fingerprint short-circuit, then
-//!   SIMD exhaustive compare) → CAS insert at head (§III-A).
+//! * **State interning** goes through the state store (`crate::state`)
+//!   and its lock-free table: fingerprint → bucket → chain walk → CAS
+//!   insert at head (§III-A). The store owns every stored form, the
+//!   memory ledger and the spill tier; this module never sees them.
 //! * **Successor generation** uses the parameterized-transposition SIMD
 //!   kernels: all `|Σ|` candidate mappings of a state in one pass.
-//! * **Three phases** (§III-C): build raw until the [`MemoryManager`]
-//!   watermark trips; stop the world behind a barrier; all workers jointly
+//! * **Three phases** (§III-C): build raw until the ledger's watermark
+//!   trips; stop the world behind a barrier; all workers jointly
 //!   compress every state and rebuild the hash table without duplicate
 //!   checks; resume in compressed mode, compressing each new state and
 //!   comparing candidates by their *compressed* bytes (our codecs are
-//!   deterministic, so equal plaintexts ⇔ equal ciphertexts).
+//!   deterministic, so equal plaintexts ⇔ equal ciphertexts). The phase
+//!   flags, barriers and leader elections live here.
 //! * **Schedulers** ([`Scheduler`]) swap the work-distribution structure
 //!   to reproduce the paper's TBB-queue comparison (§IV-B) and the
 //!   global-queue-only ablation.
 //! * **Canonical renumbering**: arena ids are assigned in whatever order
-//!   workers win their CAS races, so the harvest renumbers every state
-//!   by BFS from the start state in symbol order — exactly the discovery
-//!   order of the sequential FIFO worklist. A parallel build is therefore
+//!   workers win their CAS races, so the harvest takes the store's
+//!   canonical snapshot: every state renumbered by BFS from the start
+//!   state in symbol order — exactly the discovery order of the
+//!   sequential FIFO worklist. A parallel build is therefore
 //!   **byte-identical** to the sequential one for any thread count,
 //!   scheduler, and work granularity (with a schedule-independent
 //!   compression policy), and race-loser arena garbage can never leave
@@ -38,20 +41,17 @@ use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
 use crate::elem::{fits_u16, Elem};
 use crate::io::IoError;
-use crate::memory::MemoryManager;
 use crate::sfa::{CodecChoice, MappingStore, Sfa};
-use crate::state::{MappingBuf, StateStore};
+use crate::state::{InternStats, ReadBuf, Rows, StateStore, ID_LIMIT};
 use crate::stats::{ConstructionResult, ConstructionStats};
-use crate::store::{SpillConfig, SpillRef, SpillStore};
+use crate::store::SpillConfig;
 use crate::SfaError;
 use sfa_automata::dfa::Dfa;
-use sfa_compress::Codec;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
 use sfa_sync::counters::ContentionSnapshot;
 use sfa_sync::deque::{work_stealing_deque, Steal, StealPolicy, Stealer, Worker};
 use sfa_sync::mutex::Mutex;
-use sfa_sync::{ChainedTable, FindOrInsert, GlobalQueue, Links, MsQueue, NIL};
-use std::cell::Cell;
+use sfa_sync::{GlobalQueue, MsQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -90,25 +90,6 @@ pub enum FingerprintAlgo {
     City,
     /// Rabin fingerprints (PCLMULQDQ-accelerated; tight collision bounds).
     Rabin,
-    /// FxHash (fast, weak — for experiments only).
-    Fx,
-}
-
-impl FingerprintAlgo {
-    /// Boxed, dynamically-dispatched fingerprinter for callers that only
-    /// know the algorithm at runtime (the CLI flag). The construction
-    /// engine itself never calls this on its hot path: [`Engine::run`]
-    /// matches on the algorithm **once** and monomorphizes the whole
-    /// worker body over a concrete fingerprinter type, so the
-    /// per-candidate fingerprint call is static (and inlinable) instead
-    /// of a virtual call per candidate state.
-    pub fn create(self) -> Box<dyn Fingerprinter> {
-        match self {
-            FingerprintAlgo::City => Box::new(CityFingerprinter),
-            FingerprintAlgo::Rabin => Box::new(sfa_hash::RabinFingerprinter::default()),
-            FingerprintAlgo::Fx => Box::new(sfa_hash::FxFingerprinter),
-        }
-    }
 }
 
 /// Options for parallel construction (see
@@ -134,8 +115,6 @@ pub struct ParallelOptions {
     /// Global-queue capacity — the start-up threshold after which workers
     /// switch to their local deques (§III-B2).
     pub global_queue_capacity: usize,
-    /// Hash-table buckets (`None`: sized from the state budget).
-    pub hash_buckets: Option<usize>,
     /// Ablation switch: when `false`, chain walks skip the fingerprint
     /// short-circuit and byte-compare every entry.
     pub fingerprint_short_circuit: bool,
@@ -164,8 +143,9 @@ pub struct ParallelOptions {
     /// segments under `dir` at stop-the-world rendezvous points (tier 3),
     /// promoting them back on access. The harvested store is materialized
     /// to plaintext, so a capped build stays byte-identical to an
-    /// uncapped one. Incompatible with the probabilistic mode (which
-    /// stores no payloads to spill).
+    /// uncapped one. Both engines compress this tier with
+    /// [`ParallelOptions::codec`]. Incompatible with the probabilistic
+    /// mode (which stores no payloads to spill).
     pub spill: Option<SpillConfig>,
 }
 
@@ -178,7 +158,6 @@ impl Default for ParallelOptions {
             codec: CodecChoice::Deflate,
             state_budget: 1 << 22,
             global_queue_capacity: 1024,
-            hash_buckets: None,
             fingerprint_short_circuit: true,
             fingerprint: FingerprintAlgo::City,
             symbol_blocks: 1,
@@ -250,12 +229,11 @@ impl ParallelOptions {
 /// (`SfaBuilder::{checkpoint, resume_from}`).
 ///
 /// Checkpoints written here use the same container as sequential builds:
-/// the snapshot is the canonical prefix of the automaton (see
-/// [`canonical_order`]), so a parallel checkpoint can be resumed by
-/// either engine and the finished SFA is byte-identical to an
-/// uninterrupted run. Requires a schedule-independent compression policy
-/// ([`CompressionPolicy::Never`] or [`CompressionPolicy::FromStart`]) and
-/// the exact (non-probabilistic) mode.
+/// the snapshot is the canonical prefix of the automaton, so either
+/// engine can resume a parallel checkpoint and the finished SFA is
+/// byte-identical to an uninterrupted run. Requires a
+/// schedule-independent compression policy ([`CompressionPolicy::Never`]
+/// or [`CompressionPolicy::FromStart`]) and the exact mode.
 pub(crate) fn construct_parallel_resumable(
     dfa: &Dfa,
     opts: &ParallelOptions,
@@ -272,7 +250,7 @@ pub(crate) fn construct_parallel_resumable(
     if opts.symbol_blocks == 0 || opts.symbol_blocks > dfa.num_symbols() {
         return Err(SfaError::InvalidOptions("symbol_blocks must be in 1..=|Σ|"));
     }
-    if (opts.state_budget as u64) * (opts.symbol_blocks as u64) >= TOMBSTONE as u64 {
+    if (opts.state_budget as u64) * (opts.symbol_blocks as u64) >= ID_LIMIT {
         return Err(SfaError::InvalidOptions(
             "state_budget × symbol_blocks must fit the u32 work-item encoding",
         ));
@@ -405,7 +383,6 @@ struct Shared<E: Elem> {
     k: usize,
     opts: ParallelOptions,
     store: StateStore,
-    table: ChainedTable,
     global_q: GlobalQueue,
     mpmc: MsQueue,
     /// Outstanding work items (incremented before enqueue, decremented
@@ -416,7 +393,6 @@ struct Shared<E: Elem> {
     switched: AtomicBool,
     phase: AtomicU8,
     barrier: PhaseBarrier,
-    mem: MemoryManager,
     error: Mutex<Option<SfaError>>,
     has_error: AtomicBool,
     clock: Mutex<PhaseClock>,
@@ -435,42 +411,15 @@ struct Shared<E: Elem> {
     /// One-shot leader latch for the compression protocol (CAS-elected —
     /// worker 0 may have exited on an error path before compressing).
     compress_leader: AtomicBool,
-    /// The disk tier, when [`ParallelOptions::spill`] is configured.
-    spill: Option<SpillStore>,
-    /// Raised when a worker observes resident bytes above the cap in
-    /// compressed mode; everyone converges on the rendezvous and one
-    /// leader runs a [`WorkerCtx::spill_pass`].
+    /// Raised when a worker in compressed mode finds a spill pass due;
+    /// everyone converges on the rendezvous and one leader demotes.
     spill_requested: AtomicBool,
-    /// Arena length at the end of the last spill pass. A new pass is only
-    /// requested once the arena has grown (or payloads were promoted)
-    /// since — a pass over an unchanged arena would find nothing new to
-    /// demote, and re-requesting it forever would livelock the build.
-    spill_last_len: AtomicU64,
-    /// Promotion count at the end of the last spill pass (same guard).
-    spill_last_promotions: AtomicU64,
 }
 
 #[derive(Default)]
 struct PhaseClock {
     compression_start: Option<Instant>,
     compression_end: Option<Instant>,
-}
-
-/// Per-worker statistics (thread-local; merged at the end). `Cell`s so
-/// the interning closure (an immutable-capture `Fn`) can bump them.
-#[derive(Default)]
-struct LocalStats {
-    candidates: Cell<u64>,
-    duplicates: Cell<u64>,
-    exhaustive: Cell<u64>,
-    collisions: Cell<u64>,
-}
-
-impl LocalStats {
-    #[inline]
-    fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
 }
 
 struct Engine<E: Elem> {
@@ -480,8 +429,8 @@ struct Engine<E: Elem> {
 impl<E: Elem> Engine<E> {
     /// Dispatch on the fingerprint algorithm **once**, then run the
     /// whole construction monomorphized over the concrete fingerprinter
-    /// (satellite of the scan-engine PR: the old `Box<dyn Fingerprinter>`
-    /// cost a virtual call per candidate state).
+    /// (a `Box<dyn Fingerprinter>` would cost a virtual call per
+    /// candidate state).
     fn run(
         dfa: &Dfa,
         opts: &ParallelOptions,
@@ -501,14 +450,6 @@ impl<E: Elem> Engine<E> {
                 resume,
                 sfa_hash::RabinFingerprinter::default(),
             ),
-            FingerprintAlgo::Fx => Self::run_with(
-                dfa,
-                opts,
-                governor,
-                checkpoint,
-                resume,
-                sfa_hash::FxFingerprinter,
-            ),
         }
     }
 
@@ -524,30 +465,7 @@ impl<E: Elem> Engine<E> {
         let n = dfa.num_states() as usize;
         let k = dfa.num_symbols();
         let threads = opts.threads;
-
-        // Bucket-count heuristic: budget/64 keeps expected chains short
-        // for real SFAs while avoiding a multi-megabyte zeroed allocation
-        // for small patterns (chains absorb the tail gracefully).
-        let buckets = opts
-            .hash_buckets
-            .unwrap_or_else(|| (opts.state_budget / 64).clamp(1 << 12, 1 << 22));
         let start_compressed = matches!(opts.compression, CompressionPolicy::FromStart);
-        // With a spill tier, its cap IS the watermark: the first crossing
-        // trips the compression phase (tier 2), and `over_limit` polls
-        // against the same value to drive spill passes (tier 3). An
-        // explicit compression watermark composes by `min`.
-        let mem_limit = match (&opts.spill, opts.compression) {
-            (Some(cfg), CompressionPolicy::WhenMemoryExceeds(w)) => {
-                Some(w.min(cfg.cap_bytes as usize))
-            }
-            (Some(cfg), _) => Some(cfg.cap_bytes as usize),
-            (None, CompressionPolicy::WhenMemoryExceeds(w)) => Some(w),
-            (None, _) => None,
-        };
-        let spill = match &opts.spill {
-            Some(cfg) => Some(SpillStore::create(&cfg.dir, cfg.retry.clone())?),
-            None => None,
-        };
 
         // The seed phase must be able to enqueue one item per symbol
         // block — and, on resume, one per persisted frontier state per
@@ -562,8 +480,7 @@ impl<E: Elem> Engine<E> {
             n,
             k,
             opts: opts.clone(),
-            store: StateStore::new(opts.state_budget, n, E::BYTES, k),
-            table: ChainedTable::new(buckets),
+            store: StateStore::new(opts, n, k)?,
             global_q: GlobalQueue::new(
                 match opts.scheduler {
                     Scheduler::GlobalOnly => opts.state_budget,
@@ -580,7 +497,6 @@ impl<E: Elem> Engine<E> {
                 PHASE_RAW
             }),
             barrier: PhaseBarrier::new(threads),
-            mem: MemoryManager::new(mem_limit),
             error: Mutex::new(None),
             has_error: AtomicBool::new(false),
             clock: Mutex::new(PhaseClock::default()),
@@ -590,13 +506,9 @@ impl<E: Elem> Engine<E> {
             ckpt_requested: AtomicBool::new(false),
             ckpt_next: AtomicU64::new(u64::MAX),
             compress_leader: AtomicBool::new(false),
-            spill,
             spill_requested: AtomicBool::new(false),
-            spill_last_len: AtomicU64::new(0),
-            spill_last_promotions: AtomicU64::new(0),
         };
 
-        let codec = opts.codec.codec();
         let blocks = opts.symbol_blocks as u32;
         let enqueue = |item: u32| match opts.scheduler {
             Scheduler::SharedMpmc => shared.mpmc.enqueue(item),
@@ -607,12 +519,8 @@ impl<E: Elem> Engine<E> {
         let seed_row = |row: &[E]| -> Result<u32, SfaError> {
             let bytes = E::as_bytes(row);
             let fp = fingerprinter.fingerprint(bytes);
-            let payload: Box<[u8]> = if start_compressed {
-                codec.compress_to_vec(bytes).into_boxed_slice()
-            } else {
-                bytes.to_vec().into_boxed_slice()
-            };
-            if shared.mem.charge(payload.len()) {
+            let (id, tripped) = shared.store.seed(fp, bytes, start_compressed)?;
+            if tripped {
                 // A watermark below the seeded states still has to trigger
                 // the (one-shot) compression phase once workers start —
                 // unless the build already starts compressed (FromStart
@@ -624,12 +532,6 @@ impl<E: Elem> Engine<E> {
                     Ordering::SeqCst,
                 );
             }
-            let id = shared.store.alloc(fp, payload, start_compressed).ok_or(
-                SfaError::StateBudgetExceeded {
-                    budget: opts.state_budget,
-                },
-            )?;
-            shared.table.insert_unchecked(fp, id, &shared.store);
             Ok(id)
         };
         match resume {
@@ -719,7 +621,6 @@ impl<E: Elem> Engine<E> {
                         deque: worker,
                         victims,
                         fingerprinter,
-                        codec: shared_ref.opts.codec.codec(),
                     };
                     ctx.run()
                 }));
@@ -750,10 +651,7 @@ impl<E: Elem> Engine<E> {
         // Assemble statistics.
         let mut stats = ConstructionStats::with_threads(threads);
         for l in &merged_local {
-            stats.candidates += l.candidates.get();
-            stats.duplicates += l.duplicates.get();
-            stats.exhaustive_compares += l.exhaustive.get();
-            stats.fingerprint_collisions += l.collisions.get();
+            l.add_to(&mut stats);
         }
         let clock = shared.clock.lock();
         let total = t0.elapsed().as_secs_f64();
@@ -772,118 +670,47 @@ impl<E: Elem> Engine<E> {
         }
         drop(clock);
 
-        // Harvest the SFA in **canonical order**: BFS from the identity
-        // state (arena id 0) with a FIFO worklist expanding successors
-        // in symbol order — exactly the id order the sequential engine
-        // assigns — so the harvested automaton is byte-identical to a
-        // sequential build regardless of thread count, scheduler, or
-        // CAS race outcomes. Arena ids wasted on lost races are never
-        // BFS-reachable (only insert winners are recorded as
-        // successors), so the canonical id space is dense by
+        // Harvest the SFA in **canonical order**: the store's snapshot
+        // numbers states exactly as the sequential engine does, so the
+        // automaton is byte-identical to a sequential build regardless of
+        // thread count, scheduler, or CAS race outcomes. Arena ids wasted
+        // on lost races are never BFS-reachable (only insert winners are
+        // recorded as successors), so the canonical id space is dense by
         // construction: no gap handling, no aliasing.
-        let (order, canon_of, bfs_processed) = canonical_order(&shared.store, k);
-        let num_states = order.len();
+        let compressed_mode = shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED;
+        let snap = shared.store.snapshot::<E>(compressed_mode)?;
+        let num_states = snap.delta.len() / k;
         debug_assert_eq!(
-            bfs_processed, num_states,
+            snap.processed, num_states,
             "unprocessed state escaped the frontier drain"
         );
         stats.states = num_states as u64;
         stats.uncompressed_bytes = (num_states * n * E::BYTES) as u64;
-
-        let mut delta = vec![0u32; num_states * k];
-        let compressed_mode = shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED;
-        let probabilistic = opts.probabilistic;
-        // A spill-capped build materializes the store back to plaintext:
-        // where (or whether) the compression watermark tripped depends on
-        // the schedule, and materializing erases that difference — the
-        // capped artifact stays byte-identical to an uncapped build.
-        let materialize = shared.spill.is_some();
-        let mut blobs: Vec<Box<[u8]>> = Vec::new();
-        let mut flat: Vec<E> = Vec::new();
-        if compressed_mode && !materialize {
-            blobs = vec![Box::default(); num_states];
-        } else if !probabilistic {
-            flat = vec![E::from_u32(0); num_states * n];
-        }
-        let mut scratch = Vec::new();
-        let mut raw_scratch: Vec<u8> = Vec::new();
-        let mut fetch_scratch: Vec<u8> = Vec::new();
-        for (new_id, &id) in order.iter().enumerate() {
-            for sym in 0..k {
-                let succ = shared.store.succ(id, sym);
-                debug_assert_ne!(succ, NIL, "unprocessed state escaped");
-                debug_assert_ne!(canon_of[succ as usize], NIL, "successor outside BFS order");
-                delta[new_id * k + sym] = canon_of[succ as usize];
-            }
-            if probabilistic {
-                continue; // payloads were dropped; reconstructed below
-            }
-            let buf = shared.store.mapping(id);
-            if compressed_mode && !materialize {
-                debug_assert!(buf.compressed);
-                blobs[new_id] = buf.data.clone();
-            } else {
-                let bytes: &[u8] = if let Some(r) = buf.spill {
-                    shared
-                        .spill
-                        .as_ref()
-                        .expect("spill marker without a spill store")
-                        .fetch(r, &mut fetch_scratch)?;
-                    &fetch_scratch
-                } else {
-                    &buf.data
-                };
-                let raw: &[u8] = if buf.compressed {
-                    raw_scratch.clear();
-                    codec.decompress(bytes, &mut raw_scratch).map_err(|_| {
-                        SfaError::Artifact(IoError::Corrupt(
-                            "stored state failed to decompress at harvest",
-                        ))
-                    })?;
-                    &raw_scratch
-                } else {
-                    bytes
-                };
-                E::read_bytes(raw, &mut scratch);
-                flat[new_id * n..(new_id + 1) * n].copy_from_slice(&scratch);
-            }
-        }
-        if probabilistic {
-            // Reconstruct every mapping from δₛ and δ: the start state is
-            // the identity, and mapping(δₛ(s,σ))[q] = δ(mapping(s)[q], σ).
-            flat = reconstruct_mappings::<E>(&shared.table_typed, n, k, &delta, num_states, 0);
-        }
-        let mappings = if compressed_mode && !materialize {
-            MappingStore::Compressed {
+        let mappings = match snap.rows {
+            Rows::Plain(flat) => E::into_store(flat),
+            Rows::Compressed(blobs) => MappingStore::Compressed {
                 elem_bytes: E::BYTES,
                 blobs,
                 codec: opts.codec,
+            },
+            // Payloads were dropped: reconstruct them from δₛ.
+            Rows::Dropped => {
+                E::into_store(reconstruct_mappings(&shared.table_typed, n, &snap.delta))
             }
-        } else {
-            E::into_store(flat)
         };
         stats.stored_bytes = mappings.payload_bytes() as u64;
-        stats.peak_bytes = shared.mem.peak();
-        stats.resident_bytes = shared.mem.used();
-        if let Some(store) = &shared.spill {
-            stats.spilled_bytes = store.spilled_bytes();
-            stats.demotions = store.demotions();
-            stats.promotions = store.promotions();
-        }
+        shared.store.record_stats(&mut stats);
 
         // Merge contention counters.
         stats.contention = merge_snap(
             merge_snap(deque_contention, shared.global_q.counters().snapshot()),
-            merge_snap(
-                shared.table.counters().snapshot(),
-                shared.mpmc.counters().snapshot(),
-            ),
+            merge_snap(shared.store.contention(), shared.mpmc.counters().snapshot()),
         );
 
         // The identity state is arena id 0 (first allocation, fresh and
         // resumed alike) and BFS starts there, so canonical start is 0 —
         // the same start id the sequential engine produces.
-        let sfa = Sfa::from_parts(n, k, 0, delta, mappings);
+        let sfa = Sfa::from_parts(n, k, 0, snap.delta, mappings);
         // Phase spans + global metrics come from the very stats fields
         // assembled above, so spans always sum to `total_secs`.
         crate::obs::observe_construction(&stats);
@@ -891,74 +718,19 @@ impl<E: Elem> Engine<E> {
     }
 }
 
-/// Canonical (= sequential) numbering of the arena: BFS from arena id 0
-/// (the identity state) with a FIFO worklist, expanding successors in
-/// symbol order, stopping at the first state whose δₛ row is incomplete.
-///
-/// Returns `(order, canon_of, processed)` where `order[c]` is the arena
-/// id holding canonical id `c`, `canon_of` is the inverse permutation
-/// (`NIL` for unreached arena slots — race-loser allocations and, mid
-/// build, states only discoverable through unprocessed rows), and
-/// `processed` is the length of the complete-row prefix of `order`.
-///
-/// The sequential worklist is a FIFO over monotonically assigned ids
-/// that generates successors in symbol order, so after the frontier
-/// drains this reproduces the sequential id assignment exactly; mid
-/// build, `order[..processed]` + the discovered tail is exactly the
-/// arena a sequential build would hold at cursor `processed`, which is
-/// what makes parallel checkpoints interchangeable with sequential ones.
-fn canonical_order(store: &StateStore, k: usize) -> (Vec<u32>, Vec<u32>, usize) {
-    let len = store.len();
-    let mut canon_of = vec![NIL; len];
-    let mut order: Vec<u32> = Vec::with_capacity(len);
-    if len == 0 {
-        return (order, canon_of, 0);
-    }
-    canon_of[0] = 0;
-    order.push(0);
-    let mut cursor = 0usize;
-    while cursor < order.len() {
-        let id = order[cursor];
-        // An incomplete row means the sequential engine would not have
-        // processed this state yet — and, FIFO, none after it either.
-        // Stop discovering: everything already in `order` is exactly the
-        // sequential arena at this cursor.
-        if (0..k).any(|sym| store.succ(id, sym) == NIL) {
-            break;
-        }
-        for sym in 0..k {
-            let succ = store.succ(id, sym) as usize;
-            if canon_of[succ] == NIL {
-                canon_of[succ] = order.len() as u32;
-                order.push(succ as u32);
-            }
-        }
-        cursor += 1;
-    }
-    (order, canon_of, cursor)
-}
-
-/// Rebuild all mapping vectors from the SFA transition table and the DFA
-/// transition table (used by the probabilistic mode, whose construction
-/// discards payloads). BFS from the identity start mapping.
-fn reconstruct_mappings<E: Elem>(
-    dfa_table: &[E],
-    n: usize,
-    k: usize,
-    delta: &[u32],
-    num_states: usize,
-    start: u32,
-) -> Vec<E> {
+/// Rebuild all mapping vectors from δₛ and the DFA transition table
+/// (`n` states, row-major) for the probabilistic mode, whose construction
+/// discards payloads. BFS from the identity start mapping, state 0.
+fn reconstruct_mappings<E: Elem>(dfa_table: &[E], n: usize, delta: &[u32]) -> Vec<E> {
+    let k = dfa_table.len() / n;
+    let num_states = delta.len() / k;
     let mut flat: Vec<E> = vec![E::from_u32(0); num_states * n];
     let mut visited = vec![false; num_states];
-    for (q, slot) in flat[start as usize * n..(start as usize + 1) * n]
-        .iter_mut()
-        .enumerate()
-    {
+    for (q, slot) in flat[..n].iter_mut().enumerate() {
         *slot = E::from_u32(q as u32);
     }
-    visited[start as usize] = true;
-    let mut queue = std::collections::VecDeque::from([start]);
+    visited[0] = true;
+    let mut queue = std::collections::VecDeque::from([0u32]);
     while let Some(s) = queue.pop_front() {
         for sym in 0..k {
             let succ = delta[s as usize * k + sym];
@@ -994,13 +766,12 @@ struct WorkerCtx<'s, E: Elem, F: Fingerprinter> {
     deque: Worker,
     victims: Vec<Stealer>,
     /// Concrete fingerprinter type: the per-candidate fingerprint call
-    /// is statically dispatched (see [`FingerprintAlgo::create`]).
+    /// is statically dispatched (see `Engine::run`).
     fingerprinter: F,
-    codec: Box<dyn Codec>,
 }
 
 impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
-    fn run(self) -> (LocalStats, ContentionSnapshot) {
+    fn run(self) -> (InternStats, ContentionSnapshot) {
         let shared = self.shared;
         // On ANY exit from this function — including a panic unwinding out
         // of process() — mark the run failed and leave the barrier quorum,
@@ -1024,14 +795,13 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         let n = shared.n;
         let k = shared.k;
         let governed = !shared.governor.is_unlimited();
-        let stats = LocalStats::default();
+        let stats = InternStats::default();
 
         // Scratch buffers reused across states.
         let mut rows_u32: Vec<u32> = vec![0; n];
         let mut transposed: Vec<E> = vec![E::from_u32(0); k * n];
-        let mut raw_scratch: Vec<u8> = Vec::new();
+        let mut read_buf = ReadBuf::default();
         let mut elems_scratch: Vec<E> = Vec::new();
-        let mut spill_scratch: Vec<u8> = Vec::new();
 
         let mut backoff = sfa_sync::backoff::Backoff::new();
         loop {
@@ -1064,27 +834,18 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                 // live arena and memory-manager counters.
                 if let Err(e) = shared
                     .governor
-                    .check(shared.store.len() as u64, shared.mem.used())
+                    .check(shared.store.len() as u64, shared.store.resident_bytes())
                 {
                     self.record_error(e);
                     break;
                 }
             }
             // Spill trigger (tier 3), at the same per-item cadence: once
-            // the arena is compressed and resident bytes still exceed the
-            // cap, raise a stop-the-world spill pass — but only when the
-            // arena grew (or payloads were promoted back) since the last
-            // pass, else a pass over unchanged residents could recur
-            // without ever freeing another byte.
-            if let Some(store) = &shared.spill {
-                if shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED
-                    && shared.mem.over_limit()
-                    && (shared.store.len() as u64 > shared.spill_last_len.load(Ordering::SeqCst)
-                        || store.promotions() > shared.spill_last_promotions.load(Ordering::SeqCst))
-                {
-                    shared.spill_requested.store(true, Ordering::SeqCst);
-                    continue;
-                }
+            // the arena is compressed, the store says when a stop-the-world
+            // spill pass is due.
+            if shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED && shared.store.spill_due() {
+                shared.spill_requested.store(true, Ordering::SeqCst);
+                continue;
             }
             // Checkpoint trigger, at the same per-item cadence: the
             // worker that advances the discovered-state watermark raises
@@ -1113,16 +874,17 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                     backoff.reset();
                     let blocks = shared.opts.symbol_blocks as u32;
                     let (id, block) = (item / blocks, item % blocks);
-                    self.process(
+                    if let Err(e) = self.process(
                         id,
                         block,
                         &stats,
                         &mut rows_u32,
                         &mut transposed,
-                        &mut raw_scratch,
+                        &mut read_buf,
                         &mut elems_scratch,
-                        &mut spill_scratch,
-                    );
+                    ) {
+                        self.record_error(e);
+                    }
                     shared.pending.fetch_sub(1, Ordering::SeqCst);
                 }
                 None => {
@@ -1206,58 +968,23 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         &self,
         id: u32,
         block: u32,
-        stats: &LocalStats,
+        stats: &InternStats,
         rows_u32: &mut [u32],
         transposed: &mut [E],
-        raw_scratch: &mut Vec<u8>,
+        read_buf: &mut ReadBuf,
         elems_scratch: &mut Vec<E>,
-        spill_scratch: &mut Vec<u8>,
-    ) {
+    ) -> Result<(), SfaError> {
         let shared = self.shared;
+        let store = &shared.store;
         let n = shared.n;
         let k = shared.k;
         let blocks = shared.opts.symbol_blocks;
         let compressed_mode = shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED;
 
-        // Source mapping → u32 rows (fetch from the spill tier and
-        // decompress first when needed).
-        {
-            let buf = shared.store.mapping(id);
-            let raw: &[u8] = if let Some(r) = buf.spill {
-                let store = shared
-                    .spill
-                    .as_ref()
-                    .expect("spill marker without a spill store");
-                if let Err(e) = store.fetch(r, spill_scratch) {
-                    self.record_error(e);
-                    return;
-                }
-                // On-access promotion: re-install the fetched blob so the
-                // next reader finds it resident. Losing the CAS (a racing
-                // promoter won) just drops our copy — the segment bytes
-                // are immutable either way, so both copies are identical.
-                let promoted = MappingBuf::resident(true, spill_scratch.clone().into_boxed_slice());
-                if shared.store.try_promote(id, promoted) {
-                    let _ = shared.mem.charge(spill_scratch.len());
-                }
-                raw_scratch.clear();
-                self.codec
-                    .decompress(spill_scratch, raw_scratch)
-                    .expect("spilled state failed to decompress");
-                raw_scratch
-            } else if buf.compressed {
-                raw_scratch.clear();
-                self.codec
-                    .decompress(&buf.data, raw_scratch)
-                    .expect("stored state failed to decompress");
-                raw_scratch
-            } else {
-                &buf.data
-            };
-            E::read_bytes(raw, elems_scratch);
-            for (r, e) in rows_u32.iter_mut().zip(elems_scratch.iter()) {
-                *r = e.to_u32();
-            }
+        // Source mapping → u32 rows.
+        E::read_bytes(store.read(id, read_buf)?, elems_scratch);
+        for (r, e) in rows_u32.iter_mut().zip(elems_scratch.iter()) {
+            *r = e.to_u32();
         }
 
         // Symbol range of this work item: the whole alphabet for the
@@ -1281,111 +1008,26 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         }
 
         for sym in sym_lo..sym_hi {
-            LocalStats::bump(&stats.candidates);
-            let cand = &transposed[sym * n..(sym + 1) * n];
-            let cand_bytes = E::as_bytes(cand);
+            let cand_bytes = E::as_bytes(&transposed[sym * n..(sym + 1) * n]);
             let fp = self.fingerprinter.fingerprint(cand_bytes);
-
-            // Representation used for comparison and storage: compressed
-            // candidates compare against compressed residents — the codec
-            // is deterministic, so equal plaintexts ⇔ equal ciphertexts.
-            let compressed_repr: Option<Vec<u8>> = if compressed_mode {
-                Some(self.codec.compress_to_vec(cand_bytes))
-            } else {
-                None
-            };
-            let repr: &[u8] = compressed_repr.as_deref().unwrap_or(cand_bytes);
-
-            let probabilistic = shared.opts.probabilistic;
-            let eq = |other: u32| {
-                if probabilistic {
-                    // Fingerprint-only identity (the §III-A probabilistic
-                    // variant): no payload to compare.
-                    return shared.store.fingerprint(other) == fp;
-                }
-                if shared.opts.fingerprint_short_circuit && shared.store.fingerprint(other) != fp {
-                    return false;
-                }
-                LocalStats::bump(&stats.exhaustive);
-                let obuf = shared.store.mapping(other);
-                let equal = if let Some(r) = obuf.spill {
-                    // The resident marker is empty: compare against the
-                    // spilled bytes (same compressed representation). A
-                    // fetch failure marks the run failed — the returned
-                    // `false` can at worst insert a duplicate into an
-                    // already-discarded build.
-                    let store = shared
-                        .spill
-                        .as_ref()
-                        .expect("spill marker without a spill store");
-                    let mut spilled = Vec::new();
-                    match store.fetch(r, &mut spilled) {
-                        Ok(()) => spilled.as_slice() == repr,
-                        Err(e) => {
-                            self.record_error(e);
-                            false
-                        }
-                    }
-                } else {
-                    shared.store.mapping_equals(other, repr)
-                };
-                if !equal && shared.store.fingerprint(other) == fp {
-                    LocalStats::bump(&stats.collisions);
-                }
-                equal
-            };
-
-            // Cheap pre-check avoids allocating a record for duplicates
-            // (the overwhelmingly common case). The fault site lets the
-            // regression suite force the race-loser path deterministically:
-            // with it armed the pre-check is skipped, so this worker
-            // allocates an arena record and then loses the insert race
-            // whenever the candidate already exists — exactly the arena
-            // gap pattern real CAS races produce.
-            let force_race = sfa_sync::fault_point!("construct/race").is_err();
-            if !force_race {
-                if let Some(found) = shared.table.find(fp, &shared.store, eq) {
-                    LocalStats::bump(&stats.duplicates);
-                    shared.store.set_succ(id, sym, found);
-                    continue;
-                }
-            }
-
-            let payload: Box<[u8]> = repr.to_vec().into_boxed_slice();
-            let payload_len = payload.len();
-            let Some(new_id) = shared.store.alloc(fp, payload, compressed_mode) else {
-                self.record_error(SfaError::StateBudgetExceeded {
-                    budget: shared.opts.state_budget,
-                });
-                return;
-            };
-            if shared.mem.charge(payload_len) && shared.phase.load(Ordering::SeqCst) == PHASE_RAW {
+            // The fault site lets the regression suite force the
+            // race-loser path: with it armed the store skips its duplicate
+            // probe, so this worker allocates a record and then loses the
+            // insert race whenever the candidate already exists — exactly
+            // the arena gap pattern real CAS races produce.
+            let probe_first = sfa_sync::fault_point!("construct/race").is_ok();
+            let interned = store.intern(fp, cand_bytes, compressed_mode, probe_first, stats)?;
+            if interned.tripped && shared.phase.load(Ordering::SeqCst) == PHASE_RAW {
                 // First crossing of the watermark: request compression.
                 shared
                     .phase
                     .store(PHASE_COMPRESS_REQUESTED, Ordering::SeqCst);
             }
-            match shared.table.find_or_insert(fp, new_id, &shared.store, eq) {
-                FindOrInsert::Found(existing) => {
-                    // Lost an insert race: `new_id` becomes arena garbage.
-                    // Tombstone it so the compression-phase table rebuild
-                    // never resurrects it (harvest also filters on table
-                    // membership), and uncharge its payload — the bytes
-                    // stay allocated until the arena drops, but they are
-                    // dead weight, and leaving them charged would drift
-                    // `used` away from live bytes (inflating `over_limit`
-                    // pressure on the spill tier for the whole build).
-                    LocalStats::bump(&stats.duplicates);
-                    shared.store.link(new_id).store(TOMBSTONE, Ordering::SeqCst);
-                    shared.mem.credit(payload_len);
-                    shared.store.set_succ(id, sym, existing);
-                }
-                FindOrInsert::Inserted => {
-                    shared.store.set_succ(id, sym, new_id);
-                    shared.pending.fetch_add(blocks as u64, Ordering::SeqCst);
-                    for blk in 0..blocks as u32 {
-                        self.dispatch_work(new_id * blocks as u32 + blk);
-                    }
+            store.set_succ(id, sym, interned.id);
+            if interned.new {
+                shared.pending.fetch_add(blocks as u64, Ordering::SeqCst);
+                for blk in 0..blocks as u32 {
+                    self.dispatch_work(interned.id * blocks as u32 + blk);
                 }
             }
         }
@@ -1398,12 +1040,9 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
             // blocks of the same state may still need the payload, so the
             // drop is skipped — granularity 1 is the probabilistic mode's
             // intended configuration.)
-            let len = shared.store.mapping(id).data.len();
-            shared.mem.credit(len);
-            shared
-                .store
-                .replace_mapping(id, MappingBuf::resident(false, Box::default()));
+            store.drop_payload(id);
         }
+        Ok(())
     }
 
     fn record_error(&self, err: SfaError) {
@@ -1487,75 +1126,36 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         // completes the whole barrier protocol — leaving the quorum
         // mid-phase could strand peers, and on the error path the
         // automaton is discarded anyway, so the skipped work is moot.
-        let mut processed = 0u64;
-        let mut id = self.index;
-        while id < total {
+        for (processed, id) in (self.index..total).step_by(threads).enumerate() {
             if shared.has_error.load(Ordering::SeqCst) {
                 break;
             }
             if governed && processed.is_multiple_of(64) {
                 if let Err(e) = shared
                     .governor
-                    .check(shared.store.len() as u64, shared.mem.used())
+                    .check(shared.store.len() as u64, shared.store.resident_bytes())
                 {
                     self.record_error(e);
                     break;
                 }
             }
-            processed += 1;
-            // Tombstoned race losers are dead weight: they are never read
-            // again and their payload was already uncharged when they
-            // lost, so re-encoding them here would waste work and drift
-            // the credit/charge balance.
-            if shared.store.link(id as u32).load(Ordering::SeqCst) != TOMBSTONE {
-                let buf = shared.store.mapping(id as u32);
-                if !buf.compressed {
-                    let compressed = self.codec.compress_to_vec(&buf.data);
-                    shared.mem.credit(buf.data.len());
-                    let _ = shared.mem.charge(compressed.len());
-                    shared.store.replace_mapping(
-                        id as u32,
-                        MappingBuf::resident(true, compressed.into_boxed_slice()),
-                    );
-                }
-            }
-            id += threads;
+            shared.store.compress(id as u32);
         }
         // B2: all states compressed.
         shared.barrier.wait();
         if leader {
             // "the hash-table is emptied" — then rebuilt without
             // duplicate checks.
-            shared.table.clear();
+            shared.store.clear_index();
         }
         // B3: table cleared.
         shared.barrier.wait();
-        let mut id = self.index;
-        while id < total {
+        for id in (self.index..total).step_by(threads) {
             if shared.has_error.load(Ordering::SeqCst) {
                 break;
             }
-            // Only re-insert live states: wasted duplicate allocations
-            // were never in the table; re-inserting them would resurrect
-            // duplicates. Live = referenced as some successor or the
-            // start state — cheapest reliable criterion here is: the
-            // record was reachable through the old table. We preserved
-            // that knowledge in the chain links being part of the old
-            // table; after clear() it is gone, so instead we re-insert
-            // every allocated record that is *not* marked wasted. Wasted
-            // records are recognizable: they lost their insert race, so
-            // their successor slots are still all NIL *and* they are not
-            // the processed frontier… — to keep this airtight the engine
-            // marks losers explicitly via a tombstone fingerprint chain
-            // link: see `find_or_insert` loser handling below.
-            if shared.store.link(id as u32).load(Ordering::SeqCst) != TOMBSTONE {
-                shared.table.insert_unchecked(
-                    shared.store.fingerprint(id as u32),
-                    id as u32,
-                    &shared.store,
-                );
-            }
-            id += threads;
+            // Race losers stay out: the store skips them.
+            shared.store.reindex(id as u32);
         }
         // B4: table rebuilt.
         shared.barrier.wait();
@@ -1568,99 +1168,23 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
     }
 
     /// The stop-the-world spill pass (tier 3 of `crate::store`). Entered
-    /// from [`WorkerCtx::rendezvous`] with all workers quiesced, so
-    /// mapping buffers can be swapped for spill markers safely. One
-    /// leader — the CAS winner that clears the request flag — demotes;
-    /// the closing barrier releases everyone.
+    /// from [`WorkerCtx::rendezvous`] with all workers quiesced, so the
+    /// store can swap payloads for spill markers safely. One leader — the
+    /// CAS winner that clears the request flag — demotes; the closing
+    /// barrier releases everyone.
     fn participate_spill(&self) {
         let shared = self.shared;
-        if shared
+        let leader = shared
             .spill_requested
             .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            if !shared.has_error.load(Ordering::SeqCst) {
-                if let Err(e) = self.spill_pass() {
-                    self.record_error(e);
-                }
+            .is_ok();
+        if leader && !shared.has_error.load(Ordering::SeqCst) {
+            if let Err(e) = shared.store.demote_oldest() {
+                self.record_error(e);
             }
-            // Advance the progress markers even when the pass failed or
-            // demoted nothing, so workers cannot immediately re-request
-            // an identical pass (see `Shared::spill_last_len`).
-            let store = shared
-                .spill
-                .as_ref()
-                .expect("spill requested without a store");
-            shared
-                .spill_last_len
-                .store(shared.store.len() as u64, Ordering::SeqCst);
-            shared
-                .spill_last_promotions
-                .store(store.promotions(), Ordering::SeqCst);
         }
         // Release the quiesced peers.
         shared.barrier.wait();
-    }
-
-    /// Demote the oldest resident compressed payloads to one spill
-    /// segment until resident bytes drop to half the cap (a refill
-    /// watermark — stopping exactly at the cap would re-arm the next
-    /// stop-the-world pass on the very next allocation). Runs quiesced:
-    /// `replace_mapping` is safe, and ids are scanned in allocation order
-    /// so the *oldest* (least likely to be re-read — BFS frontiers move
-    /// forward) go first. Tombstoned race losers were already uncharged
-    /// when they lost, so demoting them would double-credit; skip them.
-    fn spill_pass(&self) -> Result<(), SfaError> {
-        let shared = self.shared;
-        let store = shared
-            .spill
-            .as_ref()
-            .expect("spill pass without a spill store");
-        let floor = shared.mem.limit().unwrap_or(u64::MAX) / 2;
-        let total = shared.store.len() as u32;
-        let mut batch: Vec<u8> = Vec::new();
-        let mut refs: Vec<(u32, SpillRef)> = Vec::new();
-        let mut would_free = 0u64;
-        for id in 0..total {
-            if shared.mem.used().saturating_sub(would_free) <= floor {
-                break;
-            }
-            if shared.store.link(id).load(Ordering::SeqCst) == TOMBSTONE {
-                continue;
-            }
-            let buf = shared.store.mapping(id);
-            if !buf.compressed || buf.spill.is_some() || buf.data.is_empty() {
-                continue;
-            }
-            let off = batch.len() as u32;
-            batch.extend_from_slice(&buf.data);
-            refs.push((
-                id,
-                SpillRef {
-                    seg: 0,
-                    off,
-                    len: buf.data.len() as u32,
-                },
-            ));
-            would_free += buf.data.len() as u64;
-            if batch.len() >= (u32::MAX / 2) as usize {
-                break; // keep the u32 segment offsets comfortably in range
-            }
-        }
-        if refs.is_empty() {
-            return Ok(());
-        }
-        let seg = store.write_segment(&batch, refs.len() as u64)?;
-        for (id, mut r) in refs {
-            r.seg = seg;
-            let len = r.len as usize;
-            shared.store.replace_mapping(id, MappingBuf::spilled(r));
-            shared.mem.credit(len);
-        }
-        // All resident payloads are compressed in this phase, so the hot
-        // tier is empty by definition.
-        crate::store::publish_tier_gauges(0, shared.mem.used(), store.spilled_bytes());
-        Ok(())
     }
 
     /// The stop-the-world checkpoint snapshot. Entered from
@@ -1696,73 +1220,29 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
     /// Snapshot the canonical prefix to the checkpoint artifact (atomic
     /// write). The persisted shape is exactly the sequential engine's:
     /// `{mappings, δₛ, cursor}` in canonical order, plaintext rows —
-    /// which is what makes the two engines' checkpoints interchangeable.
+    /// which is what makes the two engines' checkpoints interchangeable
+    /// (the resuming engine re-compresses under its own policy).
     fn write_checkpoint(&self, cfg: &CheckpointConfig) -> Result<(), SfaError> {
         sfa_sync::fault_point!("checkpoint/write")
             .map_err(|e| SfaError::Artifact(IoError::Io(e.to_string())))?;
         let shared = self.shared;
-        let n = shared.n;
-        let k = shared.k;
-        let (order, canon_of, processed) = canonical_order(&shared.store, k);
-        let num_states = order.len();
-        // δₛ in canonical ids: complete rows below the cursor, MAX above
-        // (frontier rows are recomputed from scratch on resume).
-        let mut delta = vec![u32::MAX; num_states * k];
-        for (c, &id) in order.iter().take(processed).enumerate() {
-            for sym in 0..k {
-                let succ = shared.store.succ(id, sym);
-                debug_assert_ne!(succ, NIL);
-                delta[c * k + sym] = canon_of[succ as usize];
-            }
-        }
-        // Mapping arena in canonical order, decompressed: checkpoints
-        // persist plaintext rows (the resuming engine re-compresses
-        // under its own policy), matching the sequential engine.
-        let mut flat: Vec<E> = vec![E::from_u32(0); num_states * n];
-        let mut raw_scratch: Vec<u8> = Vec::new();
-        let mut fetch_scratch: Vec<u8> = Vec::new();
-        let mut elems: Vec<E> = Vec::new();
-        for (c, &id) in order.iter().enumerate() {
-            let buf = shared.store.mapping(id);
-            let bytes: &[u8] = if let Some(r) = buf.spill {
-                shared
-                    .spill
-                    .as_ref()
-                    .expect("spill marker without a spill store")
-                    .fetch(r, &mut fetch_scratch)?;
-                &fetch_scratch
-            } else {
-                &buf.data
-            };
-            let raw: &[u8] = if buf.compressed {
-                raw_scratch.clear();
-                self.codec
-                    .decompress(bytes, &mut raw_scratch)
-                    .expect("stored state failed to decompress");
-                &raw_scratch
-            } else {
-                bytes
-            };
-            E::read_bytes(raw, &mut elems);
-            flat[c * n..(c + 1) * n].copy_from_slice(&elems);
-        }
+        let snap = shared.store.snapshot::<E>(false)?;
+        let Rows::Plain(flat) = snap.rows else {
+            unreachable!("checkpointed builds keep their payloads")
+        };
         let ckpt = Checkpoint {
-            dfa_states: n as u32,
-            symbols: k as u32,
+            dfa_states: shared.n as u32,
+            symbols: shared.k as u32,
             elem_bytes: E::BYTES as u8,
-            processed: processed as u64,
-            num_states: num_states as u64,
+            processed: snap.processed as u64,
+            num_states: (snap.delta.len() / shared.k) as u64,
             dfa_crc: shared.dfa_crc,
-            delta,
+            delta: snap.delta,
             mappings_le: artifact::mappings_to_le(&flat),
         };
         artifact::write_checkpoint(&cfg.path, &ckpt).map_err(SfaError::Artifact)
     }
 }
-
-/// Chain-link tombstone marking arena records that lost their insert race
-/// and must never re-enter the hash table.
-const TOMBSTONE: u32 = u32::MAX - 1;
 
 #[cfg(test)]
 mod tests {
@@ -2119,6 +1599,27 @@ mod error_robustness_tests {
     }
 
     #[test]
+    fn memory_accounting_balances_after_compression() {
+        // The same balance with the compressed tier in play: race losers,
+        // the compression phase re-encoding raw payloads, and phase-3
+        // payloads inserted compressed.
+        let policies = [
+            CompressionPolicy::WhenMemoryExceeds(4096),
+            CompressionPolicy::FromStart,
+        ];
+        for (n, threads) in [(60, 8), (80, 4), (120, 2)] {
+            let dfa = sfa_automata::random::rn(n);
+            for policy in policies.into_iter().flat_map(|p| [p; 3]) {
+                let opts = ParallelOptions::with_threads(threads).compression(policy);
+                let s = Sfa::builder(&dfa).options(&opts).build().unwrap().stats;
+                assert!(s.compressed, "rn({n}) {policy:?}");
+                let context = format!("rn({n}) at {threads} threads under {policy:?}");
+                assert_eq!(s.resident_bytes, s.stored_bytes, "{context}");
+            }
+        }
+    }
+
+    #[test]
     fn memory_accounting_credits_race_losers() {
         // After a run with no compression, `used` accounting should equal
         // live payload bytes (losers credited back), so peak ≥ used and
@@ -2138,13 +1639,7 @@ mod error_robustness_tests {
 mod spill_tests {
     use super::*;
     use crate::io;
-
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("sfa_par_spill_{}_{}", tag, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use sfa_workloads::ScratchDir;
 
     #[test]
     fn capped_build_is_byte_identical_to_uncapped() {
@@ -2157,9 +1652,8 @@ mod spill_tests {
         // what even the compressed tier needs resident, forcing passes
         // all the way down to disk.
         let cap = (uncapped.stats.stored_bytes / 20).max(1);
-        let dir = tmp_dir("ident");
-        let opts =
-            ParallelOptions::with_threads(4).spill(crate::store::SpillConfig::new(&dir, cap));
+        let dir = ScratchDir::new("par_spill_ident");
+        let opts = ParallelOptions::with_threads(4).spill(SpillConfig::new(dir.path(), cap));
         let capped = Sfa::builder(&dfa).options(&opts).build().unwrap();
         assert!(capped.stats.compressed, "cap must trip the compressed tier");
         assert!(
@@ -2180,8 +1674,6 @@ mod spill_tests {
             "capped artifact must be byte-identical to the uncapped one"
         );
         capped.sfa.validate(&dfa).unwrap();
-        drop(capped);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2189,9 +1681,8 @@ mod spill_tests {
         // A tiny cap spills unprocessed frontier states, so workers must
         // fetch (and re-install) them to continue — promotions happen.
         let dfa = sfa_automata::random::rn(100);
-        let dir = tmp_dir("promote");
-        let opts =
-            ParallelOptions::with_threads(2).spill(crate::store::SpillConfig::new(&dir, 2048));
+        let dir = ScratchDir::new("par_spill_promote");
+        let opts = ParallelOptions::with_threads(2).spill(SpillConfig::new(dir.path(), 2048));
         let r = Sfa::builder(&dfa).options(&opts).build().unwrap();
         assert!(r.stats.demotions > 0);
         assert!(
@@ -2199,37 +1690,33 @@ mod spill_tests {
             "spilled frontier must have been promoted back on access"
         );
         r.sfa.validate(&dfa).unwrap();
-        drop(r);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn spill_rejects_probabilistic() {
         let dfa = sfa_automata::random::rn(20);
-        let dir = tmp_dir("prob");
+        let dir = ScratchDir::new("par_spill_prob");
         let opts = ParallelOptions::with_threads(2)
             .probabilistic(FingerprintAlgo::City)
-            .spill(crate::store::SpillConfig::new(&dir, 1024));
+            .spill(SpillConfig::new(dir.path(), 1024));
         assert!(matches!(
             Sfa::builder(&dfa).options(&opts).build(),
             Err(SfaError::InvalidOptions(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn spill_dir_unavailable_is_typed() {
         // A path under a *file* can never become a directory.
-        let blocker =
-            std::env::temp_dir().join(format!("sfa_spill_blocker_{}", std::process::id()));
+        let dir = ScratchDir::new("par_spill_blocker");
+        let blocker = dir.join("blocker");
         std::fs::write(&blocker, b"not a dir").unwrap();
         let dfa = sfa_automata::random::rn(20);
-        let opts = ParallelOptions::with_threads(2)
-            .spill(crate::store::SpillConfig::new(blocker.join("sub"), 1024));
+        let opts =
+            ParallelOptions::with_threads(2).spill(SpillConfig::new(blocker.join("sub"), 1024));
         match Sfa::builder(&dfa).options(&opts).build() {
             Err(SfaError::SpillDirUnavailable { .. }) => {}
             other => panic!("expected SpillDirUnavailable, got {other:?}"),
         }
-        let _ = std::fs::remove_file(&blocker);
     }
 }

@@ -17,8 +17,8 @@
 //!    `next_state << shift` — the row *offset* of the successor. The hot
 //!    loop is then `s = table[s + sym]`: add + load, no multiply, and no
 //!    per-step bounds check (entries and symbols are validated once at
-//!    table build; see the safety argument on [`Entry::step`]).
-//! 2. **K-way interleaving** (the lane kernel, [`run_lanes`]). The input
+//!    table build; see the safety argument on `Entry::step`).
+//! 2. **K-way interleaving** (the lane kernel, `run_lanes`). The input
 //!    is oversubscribed into `threads × oversubscribe × interleave`
 //!    chunks and each pool task steps `interleave` chunks in one
 //!    software-pipelined loop. The K chains are independent, so K loads
@@ -38,7 +38,7 @@
 //! Verdicts, positions and counts are byte-identical to the sequential
 //! oracle: the chunk geometry changes, but mapping composition is
 //! associative and entry states are exact. Governance keeps the same
-//! granularity — every worker polls its [`AbortControl`] at least once
+//! granularity — every worker polls its `AbortControl` at least once
 //! per [`GOVERNOR_POLL_SYMBOLS`] symbols of its own progress.
 
 use crate::budget::Governor;

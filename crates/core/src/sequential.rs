@@ -19,7 +19,7 @@
 //!
 //! The sequential worklist is a FIFO whose ids are assigned
 //! monotonically, so the pop order is exactly the id order — the
-//! worklist *is* a cursor over the arena. [`SeqEngine`] exploits this:
+//! worklist *is* a cursor over the arena. `SeqEngine` exploits this:
 //! its resumable state is just `{mappings, δₛ, processed-cursor}`, which
 //! is what a [`crate::artifact::Checkpoint`] persists (the state-set is
 //! rebuilt by re-interning the persisted rows, in id order, so hash
@@ -34,9 +34,10 @@ use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
 use crate::elem::{fits_u16, Elem};
 use crate::io::IoError;
+use crate::parallel::ParallelOptions;
 use crate::sfa::Sfa;
 use crate::stats::{ConstructionResult, ConstructionStats};
-use crate::store::{SpillConfig, TieredRows};
+use crate::store::TieredRows;
 use crate::SfaError;
 use sfa_automata::dfa::Dfa;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
@@ -59,46 +60,29 @@ pub enum SequentialVariant {
 }
 
 /// The sequential engine behind [`Sfa::builder`](crate::Sfa::builder):
-/// governed, resumable construction with the tier ladder
-/// (`crate::store`) attached when `spill` is configured.
+/// governed, resumable construction under `opts.state_budget`, with the
+/// tier ladder (`crate::store`) attached when `opts.spill` is set.
 /// With a spill config, crossing the resident-byte cap demotes cold
-/// mapping batches (compress, then disk) instead of growing without
-/// bound — and the result is byte-identical to an uncapped build,
-/// because every tier transition is a lossless byte round trip and the
-/// interning order never depends on where a row resides.
-#[allow(clippy::too_many_arguments)]
+/// mapping batches (compressed with `opts.codec`, then to disk) instead
+/// of growing without bound — and the result is byte-identical to an
+/// uncapped build, because every tier transition is a lossless byte
+/// round trip and the interning order never depends on where a row
+/// resides.
 pub(crate) fn construct_sequential_spillable(
     dfa: &Dfa,
     variant: SequentialVariant,
-    state_budget: usize,
+    opts: &ParallelOptions,
     governor: &Governor,
     checkpoint: Option<&CheckpointConfig>,
     resume: Option<&Checkpoint>,
-    spill: Option<&SpillConfig>,
 ) -> Result<ConstructionResult, SfaError> {
     if dfa.num_states() == 0 {
         return Err(SfaError::EmptyDfa);
     }
     if fits_u16(dfa.num_states()) {
-        construct_impl::<u16>(
-            dfa,
-            variant,
-            state_budget,
-            governor,
-            checkpoint,
-            resume,
-            spill,
-        )
+        construct_impl::<u16>(dfa, variant, opts, governor, checkpoint, resume)
     } else {
-        construct_impl::<u32>(
-            dfa,
-            variant,
-            state_budget,
-            governor,
-            checkpoint,
-            resume,
-            spill,
-        )
+        construct_impl::<u32>(dfa, variant, opts, governor, checkpoint, resume)
     }
 }
 
@@ -149,10 +133,10 @@ impl<E: Elem> SeqEngine<E> {
         }
     }
 
-    fn make_rows(n: usize, spill: Option<&SpillConfig>) -> Result<TieredRows<E>, SfaError> {
-        match spill {
+    fn make_rows(n: usize, opts: &ParallelOptions) -> Result<TieredRows<E>, SfaError> {
+        match &opts.spill {
             None => Ok(TieredRows::plain(n)),
-            Some(cfg) => TieredRows::spilling(n, cfg),
+            Some(cfg) => TieredRows::spilling(n, cfg, opts.codec),
         }
     }
 
@@ -160,18 +144,17 @@ impl<E: Elem> SeqEngine<E> {
     fn new(
         dfa: &Dfa,
         variant: SequentialVariant,
-        state_budget: usize,
-        spill: Option<&SpillConfig>,
+        opts: &ParallelOptions,
     ) -> Result<SeqEngine<E>, SfaError> {
         let n = dfa.num_states() as usize;
         let k = dfa.num_symbols();
         let mut engine = SeqEngine {
             variant,
-            state_budget,
+            state_budget: opts.state_budget,
             n,
             k,
             table: dfa.table().iter().map(|&q| E::from_u32(q)).collect(),
-            rows: Self::make_rows(n, spill)?,
+            rows: Self::make_rows(n, opts)?,
             delta: Vec::new(),
             processed: 0,
             set: Self::empty_set(variant),
@@ -191,9 +174,8 @@ impl<E: Elem> SeqEngine<E> {
     fn resume(
         dfa: &Dfa,
         variant: SequentialVariant,
-        state_budget: usize,
+        opts: &ParallelOptions,
         ckpt: &Checkpoint,
-        spill: Option<&SpillConfig>,
     ) -> Result<SeqEngine<E>, SfaError> {
         let n = dfa.num_states() as usize;
         let k = dfa.num_symbols();
@@ -219,13 +201,13 @@ impl<E: Elem> SeqEngine<E> {
         // Checkpoints persist plaintext rows regardless of what tier a
         // row transited before the snapshot; refill the (possibly
         // spilling) arena from them, demotion restarting from scratch.
-        let mut rows = Self::make_rows(n, spill)?;
+        let mut rows = Self::make_rows(n, opts)?;
         for id in 0..num_states {
             rows.push_row(&mappings[id * n..(id + 1) * n]);
         }
         Ok(SeqEngine {
             variant,
-            state_budget,
+            state_budget: opts.state_budget,
             n,
             k,
             table: dfa.table().iter().map(|&q| E::from_u32(q)).collect(),
@@ -420,20 +402,18 @@ impl<E: Elem> SeqEngine<E> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn construct_impl<E: Elem>(
     dfa: &Dfa,
     variant: SequentialVariant,
-    state_budget: usize,
+    opts: &ParallelOptions,
     governor: &Governor,
     checkpoint: Option<&CheckpointConfig>,
     resume: Option<&Checkpoint>,
-    spill: Option<&SpillConfig>,
 ) -> Result<ConstructionResult, SfaError> {
     let t0 = Instant::now();
     let mut engine = match resume {
-        None => SeqEngine::<E>::new(dfa, variant, state_budget, spill)?,
-        Some(ckpt) => SeqEngine::<E>::resume(dfa, variant, state_budget, ckpt, spill)?,
+        None => SeqEngine::<E>::new(dfa, variant, opts)?,
+        Some(ckpt) => SeqEngine::<E>::resume(dfa, variant, opts, ckpt)?,
     };
     engine.run(governor, checkpoint)?;
     let result = engine.finish(t0)?;

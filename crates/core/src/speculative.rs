@@ -31,10 +31,11 @@
 //!   prediction wrong, no convergence — degenerates to one sequential
 //!   pass plus the wasted speculative work, and still answers exactly.
 //!
-//! Both modes are verdict-identical to [`match_sequential`]
-//! (`crate::matcher::match_sequential`) by construction; the property
-//! suite in `tests/integration_properties.rs` pins this against the
-//! oracle, including a forced-100%-mispredict adversary.
+//! Both modes are verdict-identical to
+//! [`match_sequential`](crate::matcher::match_sequential) by
+//! construction; the property suite in `tests/integration_properties.rs`
+//! pins this against the oracle, including a forced-100%-mispredict
+//! adversary.
 //!
 //! [`MatchTier::PrunedSfa`]: crate::MatchTier::PrunedSfa
 

@@ -1,69 +1,91 @@
-//! Concurrent SFA state repository.
+//! The SFA state store: the one owner of how a constructed state is stored.
 //!
-//! Each SFA state is one [`StateRecord`]: the 64-bit fingerprint, the hash
-//! chain link (making the store a [`Links`] provider for the lock-free
-//! table), the `|Σ|` successor slots, and the mapping bytes — either raw
-//! or compressed, swapped in place by the compression phase (§III-C).
+//! Each SFA state is one `StateRecord`: the 64-bit fingerprint, the hash
+//! chain link, the `|Σ|` successor slots, and the mapping payload.
 //! Records live in a lock-free [`Arena`] and are addressed by dense `u32`
 //! ids; one id is one work item in the construction queues.
+//!
+//! A payload changes form during a build (DESIGN.md §15): raw id bytes,
+//! then codec output once the §III-C compression phase has run, then a
+//! marker for bytes demoted to a [`SpillStore`] segment. `StateStore`
+//! owns everything that depends on the form — the fingerprint table, the
+//! [`MemoryManager`] ledger, the codec and the spill tier. The engines
+//! intern candidates, read states back as plaintext, re-encode or demote
+//! payloads at a stop-the-world barrier and take the canonical snapshot
+//! without seeing a stored form. Every ledger charge and credit is made
+//! here: resident bytes equal the bytes of live resident payloads.
 
-use crate::store::SpillRef;
-use sfa_sync::{Arena, Links, NIL};
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
-use std::sync::Mutex;
+use crate::elem::Elem;
+use crate::io::IoError;
+use crate::memory::MemoryManager;
+use crate::parallel::{CompressionPolicy, ParallelOptions};
+use crate::runtime::RetryPolicy;
+use crate::stats::ConstructionStats;
+use crate::store::{SpillRef, SpillStore};
+use crate::SfaError;
+use sfa_compress::Codec;
+use sfa_sync::counters::ContentionSnapshot;
+use sfa_sync::{Arena, ChainedTable, FindOrInsert, Links, NIL};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Mapping payload of one SFA state.
+/// Chain-link value marking a record that lost its insert race: it must
+/// never re-enter the fingerprint table.
+const TOMBSTONE: u32 = u32::MAX - 1;
+
+/// State ids and work items stay below this bound, clear of the reserved
+/// link values ([`NIL`] and the tombstone).
+pub(crate) const ID_LIMIT: u64 = TOMBSTONE as u64;
+
+/// The stored form of one state's mapping.
 #[derive(Debug)]
-pub struct MappingBuf {
-    /// True once the data holds codec output instead of raw id bytes.
-    pub compressed: bool,
-    /// Raw little-endian id bytes, or codec output. Empty when the
-    /// payload lives in the spill tier (`spill` is `Some`).
-    pub data: Box<[u8]>,
-    /// Where the payload went when it was demoted to disk
-    /// (`crate::store::SpillStore`); `None` for resident payloads.
-    pub spill: Option<SpillRef>,
+enum Payload {
+    /// Raw native-endian id bytes (empty once the probabilistic mode
+    /// drops them).
+    Raw(Box<[u8]>),
+    /// Codec output.
+    Compressed(Box<[u8]>),
+    /// Codec output demoted to a spill segment.
+    Spilled(SpillRef),
 }
 
-impl MappingBuf {
-    /// A resident payload.
-    pub fn resident(compressed: bool, data: Box<[u8]>) -> MappingBuf {
-        MappingBuf {
-            compressed,
-            data,
-            spill: None,
+impl Payload {
+    fn resident(compressed: bool, bytes: &[u8]) -> Payload {
+        if compressed {
+            Payload::Compressed(bytes.into())
+        } else {
+            Payload::Raw(bytes.into())
         }
     }
 
-    /// A spill marker: the payload's bytes live at `r` in the spill
-    /// store (always compressed — only the compressed tier demotes).
-    pub fn spilled(r: SpillRef) -> MappingBuf {
-        MappingBuf {
-            compressed: true,
-            data: Box::new([]),
-            spill: Some(r),
+    /// Bytes held in memory: what the ledger charges for this payload.
+    fn resident_len(&self) -> usize {
+        match self {
+            Payload::Raw(d) | Payload::Compressed(d) => d.len(),
+            Payload::Spilled(_) => 0,
         }
     }
 }
 
 /// One SFA state record; see module docs.
-pub struct StateRecord {
+struct StateRecord {
     fingerprint: u64,
     next: AtomicU32,
-    mapping: AtomicPtr<MappingBuf>,
+    mapping: AtomicPtr<Payload>,
     succ: Box<[AtomicU32]>,
 }
 
-/// A retired `MappingBuf` pointer: swapped out by a lock-free promotion
-/// while concurrent readers may still hold the old `&MappingBuf`, so it
-/// is freed only when the whole store drops.
-struct RetiredBuf(*mut MappingBuf);
+/// A payload pointer swapped out by a lock-free promotion while
+/// concurrent readers may still hold it, so it is freed only when the
+/// whole store drops.
+struct Retired(*mut Payload);
 // SAFETY: the pointee is never accessed through this handle until Drop,
 // at which point the store owns it exclusively.
-unsafe impl Send for RetiredBuf {}
+unsafe impl Send for Retired {}
 
 impl StateRecord {
-    fn new(fingerprint: u64, mapping: MappingBuf, k: usize) -> Self {
+    fn new(fingerprint: u64, mapping: Payload, k: usize) -> Self {
         StateRecord {
             fingerprint,
             next: AtomicU32::new(NIL),
@@ -84,73 +106,169 @@ impl Drop for StateRecord {
     }
 }
 
-/// Lock-free repository of SFA state records.
-pub struct StateStore {
+/// Per-worker interning counters (`Cell`s: the table's equality closure
+/// is an immutable-capture `Fn`).
+#[derive(Default)]
+pub(crate) struct InternStats {
+    candidates: Cell<u64>,
+    duplicates: Cell<u64>,
+    exhaustive: Cell<u64>,
+    collisions: Cell<u64>,
+}
+
+impl InternStats {
+    /// Add these counters to the build's totals.
+    pub(crate) fn add_to(&self, stats: &mut ConstructionStats) {
+        stats.candidates += self.candidates.get();
+        stats.duplicates += self.duplicates.get();
+        stats.exhaustive_compares += self.exhaustive.get();
+        stats.fingerprint_collisions += self.collisions.get();
+    }
+}
+
+/// Outcome of [`StateStore::intern`]: the state's `id`, whether this call
+/// inserted it (`new`), and whether its ledger charge was the one that
+/// first crossed the watermark (`tripped`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interned {
+    pub id: u32,
+    pub new: bool,
+    pub tripped: bool,
+}
+
+/// Scratch buffers for [`StateStore::read`].
+#[derive(Default)]
+pub(crate) struct ReadBuf {
+    fetched: Vec<u8>,
+    plain: Vec<u8>,
+}
+
+/// Mapping rows of a [`Snapshot`], in canonical order.
+pub(crate) enum Rows<E> {
+    /// Plaintext rows, flat, `n` elements each.
+    Plain(Vec<E>),
+    /// The compressed payloads exactly as stored.
+    Compressed(Vec<Box<[u8]>>),
+    /// The probabilistic mode kept no payloads.
+    Dropped,
+}
+
+/// The canonical snapshot: see [`StateStore::snapshot`].
+pub(crate) struct Snapshot<E> {
+    /// Length of the prefix of states whose δₛ rows are complete.
+    pub processed: usize,
+    /// δₛ in canonical ids, row-major; `u32::MAX` in rows from `processed` on.
+    pub delta: Vec<u32>,
+    /// Mapping rows.
+    pub rows: Rows<E>,
+}
+
+/// Lock-free repository of SFA states; see module docs.
+pub(crate) struct StateStore {
     arena: Arena<StateRecord>,
+    table: ChainedTable,
+    n: usize,
     k: usize,
-    raw_bytes_per_state: usize,
-    /// Buffers replaced by [`try_promote`](Self::try_promote) outside a
-    /// quiescence window; freed when the store drops (see [`RetiredBuf`]).
-    retired: Mutex<Vec<RetiredBuf>>,
+    mem: MemoryManager,
+    codec: Box<dyn Codec>,
+    spill: Option<SpillStore>,
+    /// Identity by fingerprint alone (the §III-A probabilistic variant).
+    probabilistic: bool,
+    /// `false` skips the fingerprint short-circuit in chain walks (ablation).
+    short_circuit: bool,
+    /// Records that lost an insert race (tombstones, not states).
+    losers: AtomicUsize,
+    /// Arena length and promotion count at the end of the last spill
+    /// pass: a new pass is due only after progress since (see
+    /// [`StateStore::spill_due`]).
+    spill_mark: [AtomicU64; 2],
+    /// Payloads replaced by a promotion outside a quiescence window;
+    /// freed when the store drops (see [`Retired`]).
+    retired: Mutex<Vec<Retired>>,
 }
 
 impl StateStore {
-    /// Store for at most `capacity` states of `n` `elem_bytes`-wide ids
-    /// over a `k`-symbol alphabet.
-    pub fn new(capacity: usize, n: usize, elem_bytes: usize, k: usize) -> Self {
-        StateStore {
-            arena: Arena::new(capacity, 4096),
+    /// Store for a build under `opts`: at most `opts.state_budget`
+    /// states of `n` ids over `k` symbols. The table gets a bucket per
+    /// 64 states: short chains for real SFAs without a multi-megabyte
+    /// zeroed table for small patterns. With a spill tier its cap is the
+    /// ledger watermark — the first crossing trips the compression phase,
+    /// later ones drive spill passes — and an explicit compression
+    /// watermark composes by `min`.
+    pub(crate) fn new(opts: &ParallelOptions, n: usize, k: usize) -> Result<Self, SfaError> {
+        let limit = match (&opts.spill, opts.compression) {
+            (Some(cfg), CompressionPolicy::WhenMemoryExceeds(w)) => {
+                Some(w.min(cfg.cap_bytes as usize))
+            }
+            (Some(cfg), _) => Some(cfg.cap_bytes as usize),
+            (None, CompressionPolicy::WhenMemoryExceeds(w)) => Some(w),
+            (None, _) => None,
+        };
+        let spill = match &opts.spill {
+            Some(cfg) => Some(SpillStore::create(&cfg.dir, RetryPolicy::default())?),
+            None => None,
+        };
+        Ok(StateStore {
+            arena: Arena::new(opts.state_budget, 4096),
+            table: ChainedTable::new((opts.state_budget / 64).clamp(1 << 12, 1 << 22)),
+            n,
             k,
-            raw_bytes_per_state: n * elem_bytes,
-            retired: Mutex::new(Vec::new()),
-        }
+            mem: MemoryManager::new(limit),
+            codec: opts.codec.codec(),
+            spill,
+            probabilistic: opts.probabilistic,
+            short_circuit: opts.fingerprint_short_circuit,
+            losers: AtomicUsize::new(0),
+            spill_mark: Default::default(),
+            retired: Mutex::default(),
+        })
     }
 
-    /// Number of allocated states.
-    pub fn len(&self) -> usize {
+    /// Allocated records, race losers included.
+    pub(crate) fn len(&self) -> usize {
         self.arena.len()
     }
 
-    /// True when no state has been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+    /// Interned states: allocated records less the race losers.
+    pub(crate) fn states(&self) -> usize {
+        self.len() - self.losers.load(Ordering::Relaxed)
     }
 
-    /// Symbols per state (successor slots).
-    pub fn num_symbols(&self) -> usize {
-        self.k
+    /// Payload bytes the ledger holds resident.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.mem.used()
     }
 
-    /// Raw (uncompressed) mapping size in bytes.
-    pub fn raw_bytes_per_state(&self) -> usize {
-        self.raw_bytes_per_state
-    }
-
-    /// Allocate a record; `None` when the capacity is exhausted.
-    pub fn alloc(&self, fingerprint: u64, data: Box<[u8]>, compressed: bool) -> Option<u32> {
-        let record = StateRecord::new(fingerprint, MappingBuf::resident(compressed, data), self.k);
-        self.arena.push(record).ok()
-    }
-
-    /// The record for `id`.
     #[inline]
-    pub fn record(&self, id: u32) -> &StateRecord {
+    fn record(&self, id: u32) -> &StateRecord {
         self.arena.index(id)
     }
 
-    /// Fingerprint of state `id`.
     #[inline]
-    pub fn fingerprint(&self, id: u32) -> u64 {
+    fn fingerprint(&self, id: u32) -> u64 {
         self.record(id).fingerprint
     }
 
-    /// Borrow the mapping buffer of state `id`.
-    ///
-    /// The returned reference is valid until `replace_mapping` is called
-    /// for the same id; the compression phase guarantees (via its barrier
-    /// protocol) that no reader holds a buffer across that swap.
+    fn is_tombstone(&self, id: u32) -> bool {
+        self.link(id).load(Ordering::SeqCst) == TOMBSTONE
+    }
+
+    /// Successor of state `id` on `sym`, or [`NIL`] if not yet computed.
     #[inline]
-    pub fn mapping(&self, id: u32) -> &MappingBuf {
+    pub(crate) fn succ(&self, id: u32, sym: usize) -> u32 {
+        self.record(id).succ[sym].load(Ordering::Acquire)
+    }
+
+    /// Set the successor of `id` on `sym`.
+    #[inline]
+    pub(crate) fn set_succ(&self, id: u32, sym: usize, to: u32) {
+        self.record(id).succ[sym].store(to, Ordering::Release);
+    }
+
+    /// Borrow the payload of state `id`. Valid until `replace_mapping`
+    /// for the same id, which only runs quiesced.
+    #[inline]
+    fn mapping(&self, id: u32) -> &Payload {
         let ptr = self.record(id).mapping.load(Ordering::Acquire);
         debug_assert!(!ptr.is_null());
         // SAFETY: the pointer is non-null (set at construction) and only
@@ -159,13 +277,9 @@ impl StateStore {
         unsafe { &*ptr }
     }
 
-    /// Replace the mapping of `id`, freeing the previous buffer.
-    ///
-    /// # Concurrency contract
-    /// Caller must guarantee no concurrent reader of `mapping(id)` — the
-    /// engine only calls this between the compression-phase barriers,
-    /// partitioned so exactly one worker touches each id.
-    pub fn replace_mapping(&self, id: u32, buf: MappingBuf) {
+    /// Replace the mapping of `id`, freeing the previous buffer. The
+    /// caller guarantees no concurrent reader of `mapping(id)`.
+    fn replace_mapping(&self, id: u32, buf: Payload) {
         let new_ptr = Box::into_raw(Box::new(buf));
         let old = self.record(id).mapping.swap(new_ptr, Ordering::AcqRel);
         if !old.is_null() {
@@ -175,19 +289,17 @@ impl StateStore {
         }
     }
 
-    /// Lock-free promotion: install `buf` over the *spill marker* of
-    /// `id`, outside any quiescence window. Returns `false` (dropping
-    /// `buf`) when the current mapping is not a marker — either the
-    /// payload is already resident or a racing promoter won. The
-    /// replaced marker is retired, not freed, because concurrent readers
-    /// may still hold a `&MappingBuf` to it (see [`RetiredBuf`]).
-    pub fn try_promote(&self, id: u32, buf: MappingBuf) -> bool {
+    /// Lock-free promotion: install `buf` over the spill marker of `id`.
+    /// Returns `false` (dropping `buf`) when the mapping is not a marker —
+    /// already resident, or a racing promoter won. The replaced marker is
+    /// retired, not freed: concurrent readers may still hold it.
+    fn try_promote(&self, id: u32, buf: Payload) -> bool {
         let record = self.record(id);
         let current = record.mapping.load(Ordering::Acquire);
         debug_assert!(!current.is_null());
         // SAFETY: mapping pointers are non-null and only retired (never
         // freed) while the store is alive — see `mapping`.
-        if unsafe { &*current }.spill.is_none() {
+        if !matches!(unsafe { &*current }, Payload::Spilled(_)) {
             return false;
         }
         let new_ptr = Box::into_raw(Box::new(buf));
@@ -196,42 +308,401 @@ impl StateStore {
             .compare_exchange(current, new_ptr, Ordering::AcqRel, Ordering::Acquire)
         {
             Ok(old) => {
-                self.retired.lock().unwrap().push(RetiredBuf(old));
+                // A poisoned lock means a push panicked: out of memory.
+                let mut retired = self.retired.lock().expect("retired list poisoned");
+                retired.push(Retired(old));
                 true
             }
             Err(_) => {
-                // A racing promoter won; our buffer was never published.
-                // SAFETY: new_ptr came from Box::into_raw above.
+                // SAFETY: new_ptr came from Box::into_raw above and was
+                // never published.
                 unsafe { drop(Box::from_raw(new_ptr)) };
                 false
             }
         }
     }
 
-    /// Successor of state `id` on `sym`, or [`NIL`] if not yet computed.
-    #[inline]
-    pub fn succ(&self, id: u32, sym: usize) -> u32 {
-        self.record(id).succ[sym].load(Ordering::Acquire)
+    fn spill_store(&self) -> &SpillStore {
+        self.spill
+            .as_ref()
+            .expect("spill marker without a spill store")
     }
 
-    /// Set the successor of `id` on `sym`.
-    #[inline]
-    pub fn set_succ(&self, id: u32, sym: usize, to: u32) {
-        self.record(id).succ[sym].store(to, Ordering::Release);
+    /// Allocate a record for `payload` and charge it to the ledger;
+    /// returns the id and whether the charge first crossed the watermark.
+    fn alloc(&self, fp: u64, payload: Payload) -> Result<(u32, bool), SfaError> {
+        let len = payload.resident_len();
+        let id = self
+            .arena
+            .push(StateRecord::new(fp, payload, self.k))
+            .map_err(|_| SfaError::StateBudgetExceeded {
+                budget: self.arena.capacity(),
+            })?;
+        Ok((id, self.mem.charge(len)))
     }
 
-    /// Compare state `id`'s stored mapping against `data` (same
-    /// representation: raw vs raw, or compressed vs compressed). Uses the
-    /// SIMD byte comparison — the "exhaustive" compare of §III-A.
-    #[inline]
-    pub fn mapping_equals(&self, id: u32, data: &[u8]) -> bool {
-        sfa_simd::bytes_equal(&self.mapping(id).data, data)
+    /// Store plaintext `row` (fingerprint `fp`) as the next state without
+    /// a duplicate check — the start state, or a checkpoint row being
+    /// re-interned in canonical order — compressed if `compress`.
+    /// Returns the id and whether the charge first crossed the watermark.
+    pub(crate) fn seed(
+        &self,
+        fp: u64,
+        row: &[u8],
+        compress: bool,
+    ) -> Result<(u32, bool), SfaError> {
+        let encoded = compress.then(|| self.codec.compress_to_vec(row));
+        let payload = Payload::resident(compress, encoded.as_deref().unwrap_or(row));
+        let (id, tripped) = self.alloc(fp, payload)?;
+        self.table.insert_unchecked(fp, id, self);
+        Ok((id, tripped))
+    }
+
+    /// Find-or-insert the candidate row `plain` with fingerprint `fp`,
+    /// stored compressed if `compressed` (the phase-3 rule: a compressed
+    /// candidate compares against compressed residents — the codecs are
+    /// deterministic, so equal plaintexts ⇔ equal ciphertexts).
+    ///
+    /// With `probe_first` a lookup runs before the allocation, so a
+    /// duplicate costs no record. A record that then loses the insert
+    /// race is tombstoned, so the compression-phase table rebuild never
+    /// resurrects it, and its bytes are credited back to the ledger.
+    pub(crate) fn intern(
+        &self,
+        fp: u64,
+        plain: &[u8],
+        compressed: bool,
+        probe_first: bool,
+        stats: &InternStats,
+    ) -> Result<Interned, SfaError> {
+        stats.candidates.update(|c| c + 1);
+        let encoded = compressed.then(|| self.codec.compress_to_vec(plain));
+        let repr = encoded.as_deref().unwrap_or(plain);
+        let failed = Cell::new(None);
+        let eq = |other: u32| self.equals(other, fp, repr, stats, &failed);
+        let found = if probe_first {
+            self.table.find(fp, self, eq)
+        } else {
+            None
+        };
+        let (id, new, tripped) = match found {
+            Some(id) => (id, false, false),
+            None => {
+                if let Some(err) = failed.take() {
+                    return Err(err);
+                }
+                let (id, tripped) = self.alloc(fp, Payload::resident(compressed, repr))?;
+                match self.table.find_or_insert(fp, id, self, eq) {
+                    FindOrInsert::Inserted => (id, true, tripped),
+                    FindOrInsert::Found(existing) => {
+                        self.link(id).store(TOMBSTONE, Ordering::SeqCst);
+                        self.losers.fetch_add(1, Ordering::Relaxed);
+                        self.mem.credit(repr.len());
+                        (existing, false, tripped)
+                    }
+                }
+            }
+        };
+        if let Some(err) = failed.take() {
+            return Err(err);
+        }
+        if !new {
+            stats.duplicates.update(|c| c + 1);
+        }
+        Ok(Interned { id, new, tripped })
+    }
+
+    /// Is resident `id` the candidate `repr` with fingerprint `fp`?
+    /// Compares in the stored form; a spilled resident is compared
+    /// against its segment bytes, and a failed fetch lands in `failed`.
+    fn equals(
+        &self,
+        id: u32,
+        fp: u64,
+        repr: &[u8],
+        stats: &InternStats,
+        failed: &Cell<Option<SfaError>>,
+    ) -> bool {
+        let same_fp = self.fingerprint(id) == fp;
+        if self.probabilistic || (self.short_circuit && !same_fp) {
+            return same_fp;
+        }
+        stats.exhaustive.update(|c| c + 1);
+        let equal = match self.mapping(id) {
+            Payload::Raw(d) | Payload::Compressed(d) => sfa_simd::bytes_equal(d, repr),
+            &Payload::Spilled(r) => {
+                let mut spilled = Vec::new();
+                match self.spill_store().fetch(r, &mut spilled) {
+                    Ok(()) => spilled == repr,
+                    Err(e) => {
+                        failed.set(Some(e));
+                        false
+                    }
+                }
+            }
+        };
+        if !equal && same_fp {
+            stats.collisions.update(|c| c + 1);
+        }
+        equal
+    }
+
+    /// State `id`'s mapping as plaintext bytes. A spilled payload is
+    /// fetched and promoted back into the arena (and the ledger); a
+    /// payload the codec rejects is a typed [`IoError::Corrupt`].
+    pub(crate) fn read<'a>(&'a self, id: u32, buf: &'a mut ReadBuf) -> Result<&'a [u8], SfaError> {
+        self.plaintext(id, buf, true)
+    }
+
+    fn plaintext<'a>(
+        &'a self,
+        id: u32,
+        buf: &'a mut ReadBuf,
+        promote: bool,
+    ) -> Result<&'a [u8], SfaError> {
+        let stored: &[u8] = match self.mapping(id) {
+            Payload::Raw(d) => return Ok(d),
+            Payload::Compressed(d) => d,
+            &Payload::Spilled(r) => {
+                self.spill_store().fetch(r, &mut buf.fetched)?;
+                // Losing the promotion race just drops our copy: segment
+                // bytes are immutable, so both copies are identical.
+                if promote && self.try_promote(id, Payload::Compressed(buf.fetched[..].into())) {
+                    let _ = self.mem.charge(buf.fetched.len());
+                }
+                &buf.fetched
+            }
+        };
+        buf.plain.clear();
+        self.codec
+            .decompress(stored, &mut buf.plain)
+            .map_err(|_| IoError::Corrupt("stored state failed to decompress"))?;
+        Ok(&buf.plain)
+    }
+
+    /// The stored bytes of state `id` in a store that never compresses
+    /// or spills (the lazy tier).
+    pub(crate) fn raw(&self, id: u32) -> &[u8] {
+        let Payload::Raw(d) = self.mapping(id) else {
+            unreachable!("the lazy tier stores raw rows")
+        };
+        d
+    }
+
+    /// Re-encode state `id` with the codec in place (the compression
+    /// phase), moving its ledger charge from the raw bytes to the
+    /// encoded ones. Race losers are skipped: they were credited when
+    /// they lost. Quiesced callers only, one per id.
+    pub(crate) fn compress(&self, id: u32) {
+        if self.is_tombstone(id) {
+            return;
+        }
+        if let Payload::Raw(d) = self.mapping(id) {
+            let encoded = self.codec.compress_to_vec(d);
+            self.mem.credit(d.len());
+            let _ = self.mem.charge(encoded.len());
+            self.replace_mapping(id, Payload::Compressed(encoded.into()));
+        }
+    }
+
+    /// Empty the fingerprint table ahead of [`StateStore::reindex`].
+    /// Quiesced, one caller.
+    pub(crate) fn clear_index(&self) {
+        self.table.clear();
+    }
+
+    /// Re-insert state `id` into the table without a duplicate check,
+    /// unless it lost its insert race. Quiesced callers only.
+    pub(crate) fn reindex(&self, id: u32) {
+        if !self.is_tombstone(id) {
+            self.table.insert_unchecked(self.fingerprint(id), id, self);
+        }
+    }
+
+    /// Should a spill pass run? True when a spill tier is attached,
+    /// resident bytes exceed the cap, and the arena grew or payloads
+    /// were promoted since the last pass — a pass over unchanged
+    /// residents could recur forever without freeing a byte.
+    pub(crate) fn spill_due(&self) -> bool {
+        let Some(spill) = &self.spill else {
+            return false;
+        };
+        self.mem.over_limit()
+            && (self.len() as u64 > self.spill_mark[0].load(Ordering::SeqCst)
+                || spill.promotions() > self.spill_mark[1].load(Ordering::SeqCst))
+    }
+
+    /// Demote the oldest resident compressed payloads to one spill
+    /// segment until resident bytes drop to half the cap (a refill
+    /// watermark: stopping at the cap would re-arm the next pass on the
+    /// very next allocation). Ids go in allocation order, so the oldest
+    /// — least likely to be re-read, as BFS frontiers move forward — go
+    /// first. Quiesced, one caller.
+    pub(crate) fn demote_oldest(&self) -> Result<(), SfaError> {
+        let spill = self.spill_store();
+        // Mark progress up front — the pass neither allocates nor
+        // fetches — so a pass that fails or frees nothing is not
+        // requested again at once.
+        self.spill_mark[0].store(self.len() as u64, Ordering::SeqCst);
+        self.spill_mark[1].store(spill.promotions(), Ordering::SeqCst);
+        let floor = self.mem.limit().unwrap_or(u64::MAX) / 2;
+        let mut batch: Vec<u8> = Vec::new();
+        let mut refs: Vec<(u32, u32, u32)> = Vec::new(); // (id, offset, length)
+        let mut would_free = 0u64;
+        for id in 0..self.len() as u32 {
+            if self.mem.used().saturating_sub(would_free) <= floor {
+                break;
+            }
+            // Race losers were credited when they lost; demoting them
+            // would credit them twice.
+            if self.is_tombstone(id) {
+                continue;
+            }
+            let Payload::Compressed(d) = self.mapping(id) else {
+                continue;
+            };
+            if d.is_empty() {
+                continue;
+            }
+            refs.push((id, batch.len() as u32, d.len() as u32));
+            batch.extend_from_slice(d);
+            would_free += d.len() as u64;
+            if batch.len() >= (u32::MAX / 2) as usize {
+                break; // keep the u32 segment offsets comfortably in range
+            }
+        }
+        if refs.is_empty() {
+            return Ok(());
+        }
+        let seg = spill.write_segment(&batch, refs.len() as u64)?;
+        for (id, off, len) in refs {
+            self.replace_mapping(id, Payload::Spilled(SpillRef { seg, off, len }));
+            self.mem.credit(len as usize);
+        }
+        // Every resident payload is compressed once spilling starts, so
+        // the hot tier is empty.
+        crate::store::publish_tier_gauges(0, self.mem.used(), spill.spilled_bytes());
+        Ok(())
+    }
+
+    /// Drop state `id`'s payload and credit its bytes (the probabilistic
+    /// mode, once the state is processed). The caller guarantees no
+    /// concurrent reader of the payload.
+    pub(crate) fn drop_payload(&self, id: u32) {
+        self.mem.credit(self.mapping(id).resident_len());
+        self.replace_mapping(id, Payload::Raw(Box::default()));
+    }
+
+    /// The canonical snapshot: states numbered by BFS from the identity
+    /// (see [`StateStore::canonical_order`]), δₛ remapped to those ids,
+    /// and the mapping rows in that order. Rows are plaintext unless
+    /// `keep_compressed` asks for the compressed payloads as stored —
+    /// granted only without a spill tier, since which payloads are
+    /// compressed or spilled then depends on the schedule. Harvest and
+    /// checkpoints both take this snapshot; quiesced callers only.
+    pub(crate) fn snapshot<E: Elem>(&self, keep_compressed: bool) -> Result<Snapshot<E>, SfaError> {
+        let (order, canon_of, processed) = self.canonical_order();
+        let (n, k, len) = (self.n, self.k, order.len());
+        let mut delta = vec![u32::MAX; len * k];
+        let mut rows = if self.probabilistic {
+            Rows::Dropped
+        } else if keep_compressed && self.spill.is_none() {
+            Rows::Compressed(Vec::with_capacity(len))
+        } else {
+            Rows::Plain(vec![E::from_u32(0); len * n])
+        };
+        let (mut buf, mut elems) = (ReadBuf::default(), Vec::with_capacity(n));
+        // One pass over the canonical order: each record is visited once.
+        for (c, &id) in order.iter().enumerate() {
+            if c < processed {
+                for sym in 0..k {
+                    let succ = self.succ(id, sym) as usize;
+                    debug_assert_ne!(canon_of[succ], NIL, "successor outside BFS order");
+                    delta[c * k + sym] = canon_of[succ];
+                }
+            }
+            match &mut rows {
+                Rows::Plain(flat) => {
+                    E::read_bytes(self.plaintext(id, &mut buf, false)?, &mut elems);
+                    flat[c * n..(c + 1) * n].copy_from_slice(&elems);
+                }
+                Rows::Compressed(blobs) => match self.mapping(id) {
+                    Payload::Compressed(d) => blobs.push(d.clone()),
+                    _ => unreachable!("a compressed build stores every live state compressed"),
+                },
+                Rows::Dropped => {}
+            }
+        }
+        Ok(Snapshot {
+            processed,
+            delta,
+            rows,
+        })
+    }
+
+    /// Canonical (= sequential) numbering: BFS from arena id 0, the
+    /// identity, expanding successors in symbol order and stopping at the
+    /// first incomplete δₛ row. Returns `(order, canon_of, processed)`:
+    /// `order[c]` is the arena id of canonical id `c`, `canon_of` the
+    /// inverse (`NIL` for race losers and, mid build, states reachable
+    /// only through unprocessed rows), and `processed` the length of the
+    /// complete-row prefix. The sequential FIFO worklist assigns exactly
+    /// these ids, so mid build `order` is the arena a sequential build
+    /// holds at cursor `processed` — which makes the engines' checkpoints
+    /// interchangeable (DESIGN.md §14).
+    fn canonical_order(&self) -> (Vec<u32>, Vec<u32>, usize) {
+        let len = self.len();
+        let mut canon_of = vec![NIL; len];
+        let mut order: Vec<u32> = Vec::with_capacity(len);
+        if len == 0 {
+            return (order, canon_of, 0);
+        }
+        canon_of[0] = 0;
+        order.push(0);
+        let mut cursor = 0usize;
+        while cursor < order.len() {
+            let id = order[cursor];
+            // An incomplete row means the sequential engine would not
+            // have processed this state yet — nor, FIFO, any after it.
+            if (0..self.k).any(|sym| self.succ(id, sym) == NIL) {
+                break;
+            }
+            for sym in 0..self.k {
+                let succ = self.succ(id, sym) as usize;
+                if canon_of[succ] == NIL {
+                    canon_of[succ] = order.len() as u32;
+                    order.push(succ as u32);
+                }
+            }
+            cursor += 1;
+        }
+        (order, canon_of, cursor)
+    }
+
+    /// Copy the ledger and spill-tier counters into `stats`.
+    pub(crate) fn record_stats(&self, stats: &mut ConstructionStats) {
+        stats.peak_bytes = self.mem.peak();
+        stats.resident_bytes = self.mem.used();
+        if let Some(spill) = &self.spill {
+            stats.spilled_bytes = spill.spilled_bytes();
+            stats.demotions = spill.demotions();
+            stats.promotions = spill.promotions();
+        }
+    }
+
+    /// Contention counters of the fingerprint table.
+    pub(crate) fn contention(&self) -> ContentionSnapshot {
+        self.table.counters().snapshot()
     }
 }
 
 impl Drop for StateStore {
     fn drop(&mut self) {
-        for RetiredBuf(ptr) in self.retired.get_mut().unwrap().drain(..) {
+        let retired = self
+            .retired
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for Retired(ptr) in retired.drain(..) {
             // SAFETY: retired pointers were Box::into_raw'd exactly once
             // and removed from their records by the promotion CAS; no
             // reader outlives the store.
@@ -250,112 +721,134 @@ impl Links for StateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sfa::CodecChoice;
 
+    /// Room for 100 states of four u16 ids (8 bytes) over 3 symbols.
     fn store() -> StateStore {
-        StateStore::new(100, 4, 2, 3)
+        StateStore::new(&ParallelOptions::default().state_budget(100), 4, 3).unwrap()
     }
 
     #[test]
     fn alloc_and_read_back() {
         let s = store();
-        let id = s
-            .alloc(
-                0xABCD,
-                vec![1, 0, 2, 0, 3, 0, 4, 0].into_boxed_slice(),
-                false,
-            )
-            .unwrap();
-        assert_eq!(id, 0);
-        assert_eq!(s.fingerprint(id), 0xABCD);
-        assert!(!s.mapping(id).compressed);
-        assert_eq!(&*s.mapping(id).data, &[1, 0, 2, 0, 3, 0, 4, 0]);
-        assert_eq!(s.len(), 1);
+        let row = [1, 0, 2, 0, 3, 0, 4, 0];
+        assert_eq!(s.seed(0xABCD, &row, false).unwrap(), (0, false));
+        assert_eq!(s.fingerprint(0), 0xABCD);
+        assert_eq!(s.read(0, &mut ReadBuf::default()).unwrap(), &row);
+        assert_eq!(s.raw(0), &row);
+        assert_eq!((s.len(), s.states(), s.resident_bytes()), (1, 1, 8));
     }
 
     #[test]
     fn successors_default_nil_and_update() {
         let s = store();
-        let id = s.alloc(1, vec![0; 8].into_boxed_slice(), false).unwrap();
-        for sym in 0..3 {
-            assert_eq!(s.succ(id, sym), NIL);
-        }
-        s.set_succ(id, 1, 42);
-        assert_eq!(s.succ(id, 1), 42);
-        assert_eq!(s.succ(id, 0), NIL);
+        s.seed(1, &[0; 8], false).unwrap();
+        s.set_succ(0, 1, 42);
+        assert_eq!([s.succ(0, 0), s.succ(0, 1), s.succ(0, 2)], [NIL, 42, NIL]);
     }
 
     #[test]
     fn mapping_equality() {
         let s = store();
-        let id = s
-            .alloc(7, vec![9, 9, 9, 9, 9, 9, 9, 9].into_boxed_slice(), false)
-            .unwrap();
-        assert!(s.mapping_equals(id, &[9; 8]));
-        assert!(!s.mapping_equals(id, &[9, 9, 9, 9, 9, 9, 9, 8]));
-        assert!(!s.mapping_equals(id, &[9; 7]));
+        let stats = InternStats::default();
+        s.seed(7, &[9; 8], false).unwrap();
+        let dup = s.intern(7, &[9; 8], false, true, &stats).unwrap();
+        assert_eq!((dup.id, dup.new), (0, false));
+        // Same fingerprint, different bytes: a collision, then a new state.
+        let other = s.intern(7, &[9, 9, 9, 9, 9, 9, 9, 8], false, true, &stats);
+        assert_eq!(other.map(|o| (o.id, o.new)), Ok((1, true)));
+        let mut totals = ConstructionStats::with_threads(1);
+        stats.add_to(&mut totals);
+        assert_eq!((totals.candidates, totals.duplicates), (2, 1));
+        // One collision per chain walk: the probe and the insert.
+        assert_eq!(totals.fingerprint_collisions, 2);
+    }
+
+    #[test]
+    fn lost_race_is_tombstoned_and_credited() {
+        let s = store();
+        s.seed(5, &[3; 8], false).unwrap();
+        // Skipping the probe allocates a record that then loses the insert.
+        let lost = s.intern(5, &[3; 8], false, false, &InternStats::default());
+        assert_eq!(lost.map(|l| (l.id, l.new)), Ok((0, false)));
+        assert_eq!((s.len(), s.states(), s.resident_bytes()), (2, 1, 8));
+        // The compression phase neither re-encodes nor re-indexes it.
+        s.compress(1);
+        s.clear_index();
+        s.reindex(1);
+        assert!(s.is_tombstone(1) && matches!(s.mapping(1), Payload::Raw(_)));
     }
 
     #[test]
     fn replace_mapping_swaps_payload() {
-        let s = store();
-        let id = s.alloc(7, vec![1; 8].into_boxed_slice(), false).unwrap();
-        s.replace_mapping(
-            id,
-            MappingBuf::resident(true, vec![0xFE, 0xED].into_boxed_slice()),
-        );
-        assert!(s.mapping(id).compressed);
-        assert_eq!(&*s.mapping(id).data, &[0xFE, 0xED]);
+        let mut s = store();
+        s.codec = CodecChoice::Rle.codec();
+        s.seed(7, &[1; 8], false).unwrap();
+        s.compress(0);
+        let Payload::Compressed(d) = s.mapping(0) else {
+            panic!("compress left {:?}", s.mapping(0));
+        };
+        assert_eq!(s.resident_bytes(), d.len() as u64);
+        assert_eq!(s.read(0, &mut ReadBuf::default()).unwrap(), &[1; 8]);
+    }
+
+    #[test]
+    fn corrupt_compressed_payload_reads_as_a_typed_error() {
+        let s = store(); // deflate, the default codec
+        s.seed(1, &[0; 8], false).unwrap();
+        (0..3).for_each(|sym| s.set_succ(0, sym, 0));
+        s.replace_mapping(0, Payload::Compressed(vec![0xFF; 4].into()));
+        let corrupt = |r: Result<(), SfaError>| {
+            assert!(
+                matches!(r, Err(SfaError::Artifact(IoError::Corrupt(_)))),
+                "{r:?}"
+            );
+        };
+        corrupt(s.read(0, &mut ReadBuf::default()).map(drop));
+        corrupt(s.snapshot::<u16>(false).map(drop));
     }
 
     #[test]
     fn promotion_only_replaces_spill_markers() {
         let s = store();
-        let id = s.alloc(7, vec![1; 8].into_boxed_slice(), false).unwrap();
+        s.seed(7, &[1; 8], false).unwrap();
+        let resident = |v: u8, len| Payload::Compressed(vec![v; len].into());
         // Resident payload: promotion must refuse.
-        assert!(!s.try_promote(
-            id,
-            MappingBuf::resident(true, vec![2; 2].into_boxed_slice())
-        ));
-        assert_eq!(&*s.mapping(id).data, &[1; 8]);
+        assert!(!s.try_promote(0, resident(2, 2)));
         // Demote to a marker (quiescent replace), then promote back.
-        let r = crate::store::SpillRef {
+        let r = SpillRef {
             seg: 0,
             off: 0,
             len: 8,
         };
-        s.replace_mapping(id, MappingBuf::spilled(r));
-        assert_eq!(s.mapping(id).spill, Some(r));
+        s.replace_mapping(0, Payload::Spilled(r));
         // A reader holding the marker across the promotion stays valid.
-        let marker = s.mapping(id);
-        assert!(s.try_promote(
-            id,
-            MappingBuf::resident(true, vec![3; 4].into_boxed_slice())
-        ));
-        assert_eq!(marker.spill, Some(r), "retired marker still readable");
-        assert_eq!(&*s.mapping(id).data, &[3; 4]);
-        assert!(s.mapping(id).spill.is_none());
+        let marker = s.mapping(0);
+        assert!(s.try_promote(0, resident(3, 4)));
+        assert!(
+            matches!(marker, Payload::Spilled(m) if *m == r),
+            "retired marker readable"
+        );
+        assert!(matches!(s.mapping(0), Payload::Compressed(d) if **d == [3; 4]));
         // Second promotion attempt loses (no longer a marker).
-        assert!(!s.try_promote(
-            id,
-            MappingBuf::resident(true, vec![4; 4].into_boxed_slice())
-        ));
+        assert!(!s.try_promote(0, resident(4, 4)));
     }
 
     #[test]
     fn capacity_exhaustion() {
-        let s = StateStore::new(2, 1, 2, 1);
-        s.alloc(0, vec![0; 2].into_boxed_slice(), false).unwrap();
-        s.alloc(1, vec![0; 2].into_boxed_slice(), false).unwrap();
-        assert!(s.alloc(2, vec![0; 2].into_boxed_slice(), false).is_none());
+        let s = StateStore::new(&ParallelOptions::default().state_budget(2), 1, 1).unwrap();
+        s.seed(0, &[0; 2], false).unwrap();
+        s.seed(1, &[1; 2], false).unwrap();
+        let full = s.seed(2, &[2; 2], false);
+        assert_eq!(full, Err(SfaError::StateBudgetExceeded { budget: 2 }));
     }
 
     #[test]
     fn links_trait_exposes_chain_slots() {
         let s = store();
-        let a = s.alloc(1, vec![0; 8].into_boxed_slice(), false).unwrap();
-        let b = s.alloc(2, vec![1; 8].into_boxed_slice(), false).unwrap();
-        s.link(a).store(b, Ordering::Relaxed);
-        assert_eq!(s.link(a).load(Ordering::Relaxed), b);
-        assert_eq!(s.link(b).load(Ordering::Relaxed), NIL);
+        s.seed(1, &[0; 8], false).unwrap();
+        s.seed(2, &[1; 8], false).unwrap();
+        s.link(0).store(1, Ordering::Relaxed);
+        assert_eq!(s.link(0).load(Ordering::Relaxed), 1);
     }
 }

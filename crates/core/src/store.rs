@@ -63,7 +63,9 @@ pub(crate) fn publish_tier_gauges(hot: u64, compressed: u64, spilled: u64) {
 }
 
 /// Configuration of the spill tier: where segments go and how many
-/// resident payload bytes to allow before demoting.
+/// resident payload bytes to allow before demoting. The compressed tier
+/// uses the build's codec (`ParallelOptions::codec`), and spill I/O
+/// retries transient errors under [`RetryPolicy::default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Directory the spill segments are written to (created if missing;
@@ -72,22 +74,14 @@ pub struct SpillConfig {
     pub dir: PathBuf,
     /// Resident payload-byte watermark that drives demotion.
     pub cap_bytes: u64,
-    /// Codec for the compressed tier (sequential engine; the parallel
-    /// engine uses its `ParallelOptions` codec).
-    pub codec: CodecChoice,
-    /// Bounded backoff absorbing transient spill I/O errors.
-    pub retry: RetryPolicy,
 }
 
 impl SpillConfig {
-    /// Spill to `dir`, demoting once resident payloads exceed
-    /// `cap_bytes` (Deflate compressed tier, default retry policy).
+    /// Spill to `dir`, demoting once resident payloads exceed `cap_bytes`.
     pub fn new(dir: impl Into<PathBuf>, cap_bytes: u64) -> SpillConfig {
         SpillConfig {
             dir: dir.into(),
             cap_bytes,
-            codec: CodecChoice::Deflate,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -340,9 +334,10 @@ impl<E: Elem> TieredRows<E> {
         }
     }
 
-    /// Arena with the full ladder enabled per `cfg`.
-    pub fn spilling(n: usize, cfg: &SpillConfig) -> Result<TieredRows<E>, SfaError> {
-        let store = SpillStore::create(&cfg.dir, cfg.retry.clone())?;
+    /// Arena with the full ladder enabled per `cfg`, compressing with
+    /// `codec`.
+    pub fn spilling(n: usize, cfg: &SpillConfig, codec: CodecChoice) -> Result<Self, SfaError> {
+        let store = SpillStore::create(&cfg.dir, RetryPolicy::default())?;
         let row_bytes = (n * E::BYTES).max(1);
         // A batch must be small relative to the cap, or demoting one can
         // never bring usage back under it (a 32 KiB batch is useless
@@ -354,7 +349,7 @@ impl<E: Elem> TieredRows<E> {
             batch_rows: (batch_bytes / row_bytes).max(1),
             hot: Vec::with_capacity(n * 64),
             frozen: Vec::new(),
-            codec: Some(cfg.codec.codec()),
+            codec: Some(codec.codec()),
             spill: Some(store),
             mem: MemoryManager::new(Some(cfg.cap_bytes as usize)),
             cache: Vec::new(),
@@ -544,17 +539,13 @@ impl<E: Elem> TieredRows<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sfa_store_{}_{}", tag, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use sfa_workloads::ScratchDir;
 
     #[test]
     fn spill_store_round_trips_segments() {
-        let dir = tmp_dir("roundtrip");
-        let store = SpillStore::create(&dir, RetryPolicy::none()).unwrap();
+        let scratch = ScratchDir::new("store_roundtrip");
+        let dir = scratch.path();
+        let store = SpillStore::create(dir, RetryPolicy::none()).unwrap();
         let seg = store.write_segment(b"hello spill tier", 2).unwrap();
         let mut out = Vec::new();
         store
@@ -597,49 +588,45 @@ mod tests {
             !dir.join("seg-0.spill").exists(),
             "segments are swept on drop"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn create_sweeps_stale_segments() {
-        let dir = tmp_dir("sweep");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("store_sweep");
+        let dir = scratch.path();
         std::fs::write(dir.join("seg-7.spill"), b"stale").unwrap();
         std::fs::write(dir.join("seg-7.spill.tmp"), b"torn").unwrap();
-        let _store = SpillStore::create(&dir, RetryPolicy::none()).unwrap();
+        let _store = SpillStore::create(dir, RetryPolicy::none()).unwrap();
         assert!(!dir.join("seg-7.spill").exists());
         assert!(!dir.join("seg-7.spill.tmp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
     #[test]
     fn read_only_dir_is_rejected_typed() {
         use std::os::unix::fs::PermissionsExt;
-        let dir = tmp_dir("readonly");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o555)).unwrap();
+        let scratch = ScratchDir::new("store_readonly");
+        let dir = scratch.path();
+        std::fs::set_permissions(dir, std::fs::Permissions::from_mode(0o555)).unwrap();
         // Root ignores permission bits; the scenario cannot be staged.
         if std::fs::write(dir.join(".cap_probe"), b"x").is_ok() {
-            let _ = std::fs::remove_dir_all(&dir);
             return;
         }
-        let err = SpillStore::create(&dir, RetryPolicy::none()).unwrap_err();
-        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let err = SpillStore::create(dir, RetryPolicy::none()).unwrap_err();
+        std::fs::set_permissions(dir, std::fs::Permissions::from_mode(0o755)).unwrap();
         match err {
             SfaError::SpillDirUnavailable { path, .. } => assert_eq!(path, dir),
             other => panic!("expected SpillDirUnavailable, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tiered_rows_round_trip_through_all_tiers() {
-        let dir = tmp_dir("tiers");
+        let dir = ScratchDir::new("store_tiers");
         let n = 8usize;
         // Cap small enough that most batches demote all the way to disk.
-        let cfg = SpillConfig::new(&dir, 256);
-        let mut rows = TieredRows::<u16>::spilling(n, &cfg).unwrap();
+        let cfg = SpillConfig::new(dir.path(), 256);
+        let mut rows = TieredRows::<u16>::spilling(n, &cfg, CodecChoice::Deflate).unwrap();
         let mut plain = TieredRows::<u16>::plain(n);
         let total = 500usize;
         for id in 0..total {
@@ -669,7 +656,5 @@ mod tests {
         assert!(rows.promotions > 0, "reads touched the disk tier");
         // ...and the materialized arena is byte-identical to plain.
         assert_eq!(rows.materialize().unwrap(), plain.materialize().unwrap());
-        drop(rows);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

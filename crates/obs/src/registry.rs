@@ -3,7 +3,7 @@
 //! Two parallel implementations selected by the `enabled` feature:
 //!
 //! * **enabled** — real handles backed by atomics. Counters are sharded
-//!   across [`CachePadded`] cells indexed by a per-thread slot (merged on
+//!   across [`CachePadded`](sfa_sync::CachePadded) cells indexed by a per-thread slot (merged on
 //!   scrape), so concurrent increments never contend on one cache line —
 //!   the same false-sharing discipline `sfa_sync` applies to its queues.
 //! * **disabled** — zero-sized stubs with empty `#[inline]` methods.

@@ -23,7 +23,8 @@
 //!
 //! Registry entries leak their automata (`Box::leak`): the daemon
 //! serves them for its whole lifetime from many worker threads, and a
-//! `&'static` borrow is what lets [`ParallelMatcher`] instances be
+//! `&'static` borrow is what lets
+//! [`ParallelMatcher`](sfa_core::ParallelMatcher) instances be
 //! built per-request without an `Arc` in every transition-table access.
 
 use sfa_automata::alphabet::Alphabet;
@@ -344,23 +345,17 @@ impl PatternRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("sfa-serve-registry-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use sfa_workloads::ScratchDir;
 
     #[test]
     fn loads_caches_and_reloads() {
-        let dir = temp_dir("reload");
+        let scratch = ScratchDir::new("serve_registry_reload");
+        let dir = scratch.path();
         std::fs::write(dir.join("rg.pat"), "RG\n").unwrap();
         std::fs::write(dir.join("motif.pat"), "RGD").unwrap();
         std::fs::write(dir.join("ignored.txt"), "not a pattern").unwrap();
 
-        let first = PatternRegistry::load(&dir, 1 << 20, 2).unwrap();
+        let first = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         assert_eq!(first.entries().len(), 2);
         assert_eq!(first.constructed(), 2);
         assert_eq!(first.reloaded(), 0);
@@ -374,12 +369,10 @@ mod tests {
         assert_eq!(by_hash.id, "rg");
 
         // A second start reloads both SFAs from the artifact cache.
-        let second = PatternRegistry::load(&dir, 1 << 20, 2).unwrap();
+        let second = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         assert_eq!(second.reloaded(), 2);
         assert_eq!(second.constructed(), 0);
         assert_eq!(second.resolve("motif").unwrap().tier(), "full");
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn sfar_files(dir: &Path) -> Vec<String> {
@@ -395,14 +388,15 @@ mod tests {
 
     #[test]
     fn restart_keeps_one_artifact_per_pattern() {
-        let dir = temp_dir("dedup-restart");
+        let scratch = ScratchDir::new("serve_registry_dedup_restart");
+        let dir = scratch.path();
         std::fs::write(dir.join("a.pat"), "RGD").unwrap();
 
-        let first = PatternRegistry::load(&dir, 1 << 20, 2).unwrap();
+        let first = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         assert_eq!(first.constructed(), 1);
-        assert_eq!(sfar_files(&dir).len(), 1, "one artifact per pattern");
+        assert_eq!(sfar_files(dir).len(), 1, "one artifact per pattern");
         // The artifact's name is the CRC of its own bytes.
-        let name = sfar_files(&dir).remove(0);
+        let name = sfar_files(dir).remove(0);
         let bytes = std::fs::read(dir.join("artifacts").join(&name)).unwrap();
         assert_eq!(
             format!("{:016x}.sfar", artifact::content_hash(&bytes)),
@@ -412,37 +406,37 @@ mod tests {
         // Restarts reload and never accumulate duplicates — the old
         // failure mode was a second `.sfar` per rebuild.
         for _ in 0..3 {
-            let again = PatternRegistry::load(&dir, 1 << 20, 4).unwrap();
+            let again = PatternRegistry::load(dir, 1 << 20, 4).unwrap();
             assert_eq!(again.reloaded(), 1);
             assert_eq!(again.constructed(), 0);
-            assert_eq!(sfar_files(&dir).len(), 1);
+            assert_eq!(sfar_files(dir).len(), 1);
             assert!(again.orphans().is_empty());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn identical_patterns_share_one_artifact() {
-        let dir = temp_dir("dedup-tenants");
+        let scratch = ScratchDir::new("serve_registry_dedup_tenants");
+        let dir = scratch.path();
         // Two tenants registering the same pattern under different ids
         // compile to the same DFA, so the second follows the first's
         // ref sidecar: one construction, one artifact.
         std::fs::write(dir.join("tenant-a.pat"), "RGD").unwrap();
         std::fs::write(dir.join("tenant-b.pat"), "RGD\n").unwrap();
 
-        let registry = PatternRegistry::load(&dir, 1 << 20, 2).unwrap();
+        let registry = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         assert_eq!(registry.constructed(), 1);
         assert_eq!(registry.reloaded(), 1);
-        assert_eq!(sfar_files(&dir).len(), 1, "identical patterns share");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sfar_files(dir).len(), 1, "identical patterns share");
     }
 
     #[test]
     fn rebuild_dedups_onto_existing_artifact() {
-        let dir = temp_dir("dedup-rebuild");
+        let scratch = ScratchDir::new("serve_registry_dedup_rebuild");
+        let dir = scratch.path();
         std::fs::write(dir.join("rg.pat"), "RG").unwrap();
 
-        let first = PatternRegistry::load(&dir, 1 << 20, 1).unwrap();
+        let first = PatternRegistry::load(dir, 1 << 20, 1).unwrap();
         assert_eq!(first.constructed(), 1);
         let fp = first.resolve("rg").unwrap().hash.clone();
 
@@ -451,17 +445,17 @@ mod tests {
         // being deterministic, land on byte-identical content and share
         // the existing artifact instead of writing a second one.
         std::fs::remove_file(dir.join("artifacts").join(format!("{fp}.ref"))).unwrap();
-        let second = PatternRegistry::load(&dir, 1 << 20, 4).unwrap();
+        let second = PatternRegistry::load(dir, 1 << 20, 4).unwrap();
         assert_eq!(second.constructed(), 1);
         assert_eq!(second.deduped(), 1);
-        assert_eq!(sfar_files(&dir).len(), 1, "rebuild must not duplicate");
+        assert_eq!(sfar_files(dir).len(), 1, "rebuild must not duplicate");
         assert!(second.orphans().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn legacy_artifacts_are_rehomed_and_orphan_noted() {
-        let dir = temp_dir("legacy");
+        let scratch = ScratchDir::new("serve_registry_legacy");
+        let dir = scratch.path();
         std::fs::write(dir.join("rg.pat"), "RG").unwrap();
         let artifacts = dir.join("artifacts");
         std::fs::create_dir_all(&artifacts).unwrap();
@@ -474,37 +468,36 @@ mod tests {
         let built = Sfa::builder(&dfa).build().unwrap();
         sfa_core::artifact::write_sfa(&artifacts.join(format!("{fp}.sfar")), &built.sfa).unwrap();
 
-        let registry = PatternRegistry::load(&dir, 1 << 20, 2).unwrap();
+        let registry = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         // Reloaded (not reconstructed) from the legacy file, which is
         // re-homed under its content hash and garbage-noted.
         assert_eq!(registry.reloaded(), 1);
         assert_eq!(registry.constructed(), 0);
         assert_eq!(registry.orphans(), &[format!("{fp}.sfar")]);
-        assert_eq!(sfar_files(&dir).len(), 2, "legacy + re-homed copy");
+        assert_eq!(sfar_files(dir).len(), 2, "legacy + re-homed copy");
 
         // The next start follows the ref and sees the same orphan.
-        let second = PatternRegistry::load(&dir, 1 << 20, 2).unwrap();
+        let second = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         assert_eq!(second.reloaded(), 1);
         assert_eq!(second.orphans(), &[format!("{fp}.sfar")]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn state_budget_degrades_to_sequential() {
-        let dir = temp_dir("degrade");
+        let scratch = ScratchDir::new("serve_registry_degrade");
+        let dir = scratch.path();
         // Bounded repetition explodes the SFA state count well past 2.
         std::fs::write(dir.join("hard.pat"), "RG").unwrap();
-        let registry = PatternRegistry::load(&dir, 2, 2).unwrap();
+        let registry = PatternRegistry::load(dir, 2, 2).unwrap();
         let hard = registry.resolve("hard").unwrap();
         assert_eq!(hard.tier(), "sequential");
         assert!(hard.degraded_reason().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_dir_is_an_error() {
-        let dir = temp_dir("empty");
-        assert!(PatternRegistry::load(&dir, 1 << 20, 1).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = ScratchDir::new("serve_registry_empty");
+        let dir = scratch.path();
+        assert!(PatternRegistry::load(dir, 1 << 20, 1).is_err());
     }
 }

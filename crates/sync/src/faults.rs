@@ -1,7 +1,7 @@
 //! Deterministic fault injection for robustness testing.
 //!
 //! Production code is threaded with named *fault sites* — calls to
-//! [`trigger`] (usually via the [`fault_point!`] macro) at every place
+//! [`trigger`] (usually via the [`fault_point!`](crate::fault_point) macro) at every place
 //! where the real world can fail: file reads and writes, fsync, rename,
 //! the streaming read loop, pool workers, and the construction engines.
 //! A test *arms* a [`FaultPlan`] that names sites and says what should
@@ -53,7 +53,7 @@ impl FaultKind {
 /// `kind`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRule {
-    /// Exact site name as passed to [`trigger`] / [`fault_point!`].
+    /// Exact site name as passed to [`trigger`] / [`fault_point!`](crate::fault_point).
     pub site: String,
     /// First hit (1-based) at which the rule fires.
     pub from_hit: u64,

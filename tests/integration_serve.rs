@@ -10,16 +10,15 @@ use sfa_serve::proto::ServeState;
 use sfa_serve::server::{self, ServerHandle};
 use sfa_serve::tenant::TenantSpec;
 use sfa_serve::{ErrorCode, ServeConfig};
+use sfa_workloads::ScratchDir;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-/// A fresh patterns dir with the standard test patterns.
-fn patterns_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sfa-serve-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+/// A fresh patterns dir with the standard test patterns, removed on drop.
+fn patterns_dir(tag: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("serve_it_{tag}"));
     std::fs::write(dir.join("rg.pat"), "RG\n").unwrap();
     std::fs::write(dir.join("rgd.pat"), "RGD\n").unwrap();
     dir
@@ -41,8 +40,9 @@ fn connect(handle: &ServerHandle) -> ServeClient {
 
 #[test]
 fn binary_protocol_matches_the_sequential_oracle() {
-    let dir = patterns_dir("oracle");
-    let handle = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("oracle");
+    let dir = scratch.path();
+    let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
     let mut client = connect(&handle);
 
     let alphabet = Alphabet::amino_acids();
@@ -106,15 +106,15 @@ fn binary_protocol_matches_the_sequential_oracle() {
     }
 
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn over_quota_tenant_is_rejected_without_affecting_others() {
-    let dir = patterns_dir("quota");
+    let scratch = patterns_dir("quota");
+    let dir = scratch.path();
     // `small` may scan 64 bytes ever; `alpha` is unlimited.
     let handle = start_server(
-        &dir,
+        dir,
         vec![
             TenantSpec::unlimited("alpha"),
             TenantSpec::limited("small", 64),
@@ -164,13 +164,13 @@ fn over_quota_tenant_is_rejected_without_affecting_others() {
     assert_eq!(small_state.admitted(), 1);
 
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn malformed_frames_and_envelopes_fail_typed_and_clean() {
-    let dir = patterns_dir("malformed");
-    let handle = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("malformed");
+    let dir = scratch.path();
+    let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
 
     // A syntactically valid frame with a bad envelope: typed error,
     // connection stays open.
@@ -207,13 +207,13 @@ fn malformed_frames_and_envelopes_fail_typed_and_clean() {
     assert!(client.request("alpha", &req).unwrap().outcome().is_some());
 
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn shutdown_completes_in_flight_requests() {
-    let dir = patterns_dir("drain");
-    let handle = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("drain");
+    let dir = scratch.path();
+    let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
     let mut client = connect(&handle);
 
     // Round-trip once so the connection is fully adopted by a worker.
@@ -238,13 +238,13 @@ fn shutdown_completes_in_flight_requests() {
 
     // After the drain the port is closed.
     assert!(TcpStream::connect(addr).is_err(), "listener survived drain");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn draining_state_sheds_with_a_typed_code() {
-    let dir = patterns_dir("shed");
-    let handle = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("shed");
+    let dir = scratch.path();
+    let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
     let state: &ServeState = handle.state();
     state
         .draining
@@ -270,13 +270,13 @@ fn draining_state_sheds_with_a_typed_code() {
         .draining
         .store(false, std::sync::atomic::Ordering::Relaxed);
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn http_face_serves_match_patterns_and_metrics() {
-    let dir = patterns_dir("http");
-    let handle = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("http");
+    let dir = scratch.path();
+    let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
 
     let http = |request: String| -> (u16, String) {
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
@@ -350,20 +350,20 @@ fn http_face_serves_match_patterns_and_metrics() {
     assert!(body.contains("BAD_REQUEST"));
 
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn restart_reloads_compiled_artifacts() {
-    let dir = patterns_dir("restart");
-    let first = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("restart");
+    let dir = scratch.path();
+    let first = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
     assert_eq!(first.state().registry.constructed(), 2);
     assert_eq!(first.state().registry.reloaded(), 0);
     first.shutdown_and_join();
 
     // Same patterns dir: the second daemon deserializes the cached
     // `.sfar` artifacts instead of reconstructing.
-    let second = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let second = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
     assert_eq!(second.state().registry.constructed(), 0);
     assert_eq!(second.state().registry.reloaded(), 2);
     let mut client = connect(&second);
@@ -377,13 +377,13 @@ fn restart_reloads_compiled_artifacts() {
             .verdict
     );
     second.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn speculative_tier_is_served_over_the_wire() {
-    let dir = patterns_dir("spec");
-    let handle = start_server(&dir, vec![TenantSpec::unlimited("alpha")]);
+    let scratch = patterns_dir("spec");
+    let dir = scratch.path();
+    let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
     let mut client = connect(&handle);
 
     let alphabet = Alphabet::amino_acids();
@@ -417,7 +417,7 @@ fn speculative_tier_is_served_over_the_wire() {
     // Drop the artifact cache first, or the capped daemon would just
     // reload the full-tier SFAs the first daemon built.
     let _ = std::fs::remove_dir_all(dir.join("artifacts"));
-    let config = ServeConfig::new("127.0.0.1:0", &dir)
+    let config = ServeConfig::new("127.0.0.1:0", dir)
         .with_tenants(vec![TenantSpec::unlimited("alpha")])
         .with_workers(2)
         .with_match_threads(2)
@@ -453,5 +453,4 @@ fn speculative_tier_is_served_over_the_wire() {
     );
 
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,13 +8,11 @@ use sfa_serve::client::ServeClient;
 use sfa_serve::server;
 use sfa_serve::tenant::TenantSpec;
 use sfa_serve::ServeConfig;
-use std::path::PathBuf;
+use sfa_workloads::ScratchDir;
 use std::time::Duration;
 
-fn patterns_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sfa-serve-faults-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn patterns_dir(tag: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("serve_faults_{tag}"));
     std::fs::write(dir.join("rg.pat"), "RG\n").unwrap();
     dir
 }
@@ -22,7 +20,7 @@ fn patterns_dir(tag: &str) -> PathBuf {
 #[test]
 fn transient_accept_fault_only_delays_connections() {
     let dir = patterns_dir("accept");
-    let config = ServeConfig::new("127.0.0.1:0", dir.clone())
+    let config = ServeConfig::new("127.0.0.1:0", dir.path())
         .with_tenants(vec![TenantSpec::unlimited("alpha")])
         .with_workers(1)
         .with_match_threads(2);
@@ -54,5 +52,4 @@ fn transient_accept_fault_only_delays_connections() {
     );
 
     handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
