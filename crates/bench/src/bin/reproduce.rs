@@ -1329,10 +1329,8 @@ fn serve_load(cfg: &Config) -> Result<(), String> {
 
 // --------------------------------------------------------------- memory-cap
 
-/// Current process peak RSS (`VmHWM`) in bytes; 0 where unreadable.
-/// Monotone over the process lifetime, so per-level values only bound the
-/// level from above — the honest per-level number is `peak_payload_bytes`
-/// from the engine's own memory manager.
+/// This process's resident high-water mark (`VmHWM`) in bytes; 0 where
+/// unreadable. Per build only after [`reset_peak_rss`].
 fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -1351,10 +1349,37 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
+/// Return freed heap pages to the kernel (glibc), then reset the
+/// resident high-water mark to the current RSS, so the next
+/// [`peak_rss_bytes`] covers only what follows. Where
+/// `/proc/self/clear_refs` is missing the mark stays process-wide.
+fn reset_peak_rss() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's malloc_trim only releases free heap pages.
+        unsafe { malloc_trim(0) };
+    }
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// Run one measured build: trimmed heap and a fresh high-water mark
+/// before, the mark read as soon as `build` returns (before anything is
+/// serialized). Returns `(wall secs, peak RSS bytes, result)`.
+fn measured_build(builder: SfaBuilder<'_>) -> (f64, u64, Result<ConstructionResult, SfaError>) {
+    reset_peak_rss();
+    let (secs, result) = time_once(|| builder.build());
+    (secs, peak_rss_bytes(), result)
+}
+
 /// Beyond-RAM construction through the tiered state store: an r500-class
 /// build under a ladder of resident payload caps that each previously
 /// returned `BudgetExceeded`, now completing by spilling — with the
 /// artifact checked byte-identical to the uncapped oracle at every level.
+/// Each level's peak RSS is its own: the oracle's artifact waits on disk
+/// and the oracle itself is dropped before the first capped build.
 fn memory_cap(cfg: &Config) -> Result<(), String> {
     struct MemoryCapRow {
         cap_bytes: Option<u64>,
@@ -1382,29 +1407,45 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
         peak_rss_bytes,
         identical,
     });
+    fn print_row(label: &str, row: &MemoryCapRow) {
+        println!(
+            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8.3} {:>8} {:>9}",
+            label,
+            row.sfa_states,
+            row.peak_payload_bytes >> 10,
+            row.resident_bytes >> 10,
+            row.spilled_bytes >> 10,
+            row.demotions,
+            row.promotions,
+            row.wall_secs,
+            row.peak_rss_bytes >> 20,
+            if row.identical { "yes" } else { "NO" }
+        );
+    }
 
     let n = cfg.rn_size.min(if cfg.quick { 150 } else { 500 });
     let threads = *cfg.threads.last().unwrap();
     let dfa = rn(n);
-    let spill_dir = std::env::temp_dir().join(format!("sfa_memcap_{}", std::process::id()));
+    let opts = ParallelOptions::with_threads(threads).state_budget(1 << 22);
+    let scratch = sfa_workloads::ScratchDir::new("memcap");
+    let spill_dir = scratch.join("spill");
+    let oracle_path = scratch.join("oracle.sfa");
 
-    // Uncapped oracle first (also the largest run, so the process-level
-    // RSS high-water mark is set here and the column stays comparable).
-    let (oracle_secs, oracle) = time_once(|| {
-        Sfa::builder(&dfa)
-            .options(&ParallelOptions::with_threads(threads).state_budget(1 << 22))
-            .build()
-    });
+    // Uncapped oracle: its artifact goes to disk and the automaton is
+    // dropped, so no capped level carries it.
+    let (oracle_secs, oracle_rss, oracle) = measured_build(Sfa::builder(&dfa).options(&opts));
     let oracle = oracle.map_err(|e| e.to_string())?;
-    let oracle_bytes = sfa_core::io::to_bytes(&oracle.sfa);
-    let stored = oracle.stats.stored_bytes;
+    sfa_core::artifact::write_sfa(&oracle_path, &oracle.sfa).map_err(|e| e.to_string())?;
+    let oracle_stats = oracle.stats;
+    drop(oracle);
+    let stored = oracle_stats.stored_bytes;
 
     println!(
         "memory-cap reproduction (r{n}, {threads} threads, uncapped store {} KB):",
         stored >> 10
     );
     println!(
-        "{:<12} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8} {:>9}",
+        "{:<12} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8} {:>8} {:>9}",
         "cap",
         "states",
         "peak KB",
@@ -1413,33 +1454,23 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
         "demote",
         "promote",
         "wall s",
+        "RSS MB",
         "identical"
     );
     let mut rows = vec![MemoryCapRow {
         cap_bytes: None,
         fails_without_spill: false,
-        sfa_states: oracle.stats.states as u32,
-        peak_payload_bytes: oracle.stats.peak_bytes,
-        resident_bytes: oracle.stats.resident_bytes,
+        sfa_states: oracle_stats.states as u32,
+        peak_payload_bytes: oracle_stats.peak_bytes,
+        resident_bytes: oracle_stats.resident_bytes,
         spilled_bytes: 0,
         demotions: 0,
         promotions: 0,
         wall_secs: oracle_secs,
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: oracle_rss,
         identical: true,
     }];
-    println!(
-        "{:<12} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8.3} {:>9}",
-        "uncapped",
-        oracle.stats.states,
-        oracle.stats.peak_bytes >> 10,
-        oracle.stats.resident_bytes >> 10,
-        0,
-        0,
-        0,
-        oracle_secs,
-        "yes"
-    );
+    print_row("uncapped", &rows[0]);
 
     // Deep enough that the bottom level sits below what in-memory
     // compression alone can reach (~20x on rN states), forcing the
@@ -1452,21 +1483,21 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
         let budget = Budget::unlimited().with_max_payload_bytes(cap);
         let fails_without_spill = matches!(
             Sfa::builder(&dfa)
-                .options(&ParallelOptions::with_threads(threads).state_budget(1 << 22))
+                .options(&opts)
                 .budget(budget.clone())
                 .build(),
             Err(SfaError::BudgetExceeded { .. })
         );
         // Same budget plus a spill directory: graceful degradation.
-        let (secs, capped) = time_once(|| {
+        let (secs, peak_rss, capped) = measured_build(
             Sfa::builder(&dfa)
-                .options(&ParallelOptions::with_threads(threads).state_budget(1 << 22))
+                .options(&opts)
                 .budget(budget)
-                .spill(&spill_dir, u64::MAX)
-                .build()
-        });
+                .spill(&spill_dir, u64::MAX),
+        );
         let capped = capped.map_err(|e| e.to_string())?;
-        let identical = sfa_core::io::to_bytes(&capped.sfa) == oracle_bytes;
+        let oracle_bytes = std::fs::read(&oracle_path).map_err(|e| e.to_string())?;
+        let identical = sfa_core::artifact::sfa_to_bytes(&capped.sfa) == oracle_bytes;
         let row = MemoryCapRow {
             cap_bytes: Some(cap),
             fails_without_spill,
@@ -1477,21 +1508,10 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
             demotions: capped.stats.demotions,
             promotions: capped.stats.promotions,
             wall_secs: secs,
-            peak_rss_bytes: peak_rss_bytes(),
+            peak_rss_bytes: peak_rss,
             identical,
         };
-        println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8.3} {:>9}",
-            format!("1/{div}"),
-            row.sfa_states,
-            row.peak_payload_bytes >> 10,
-            row.resident_bytes >> 10,
-            row.spilled_bytes >> 10,
-            row.demotions,
-            row.promotions,
-            row.wall_secs,
-            if identical { "yes" } else { "NO" }
-        );
+        print_row(&format!("1/{div}"), &row);
         if !identical {
             return Err(format!(
                 "cap {cap} produced an artifact different from the uncapped oracle"
@@ -1504,7 +1524,6 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
         }
         rows.push(row);
     }
-    let _ = std::fs::remove_dir_all(&spill_dir);
     println!(
         "(every capped level fails typed without the spill tier and is byte-identical with it)"
     );

@@ -198,9 +198,9 @@ impl BuildReport {
             "state memory         {} -> {} bytes",
             self.uncompressed_bytes, self.stored_bytes
         );
-        if self.demotions > 0 || self.spilled_bytes > 0 {
+        if self.spilled_bytes > 0 {
             // Degraded mode: the build ran under memory pressure and
-            // engaged the spill tier. Say how much left RAM and how
+            // reached the disk tier. Say how much left RAM and how
             // often states came back.
             println!(
                 "spill tier           {} bytes on disk, {} resident",
@@ -263,7 +263,7 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
     // Both engines produce canonically numbered (byte-identical)
     // automata, so `--checkpoint`/`--resume` compose with either; a
     // checkpoint written by one engine can be resumed by the other.
-    // `--budget` and `--codec` reach both engines.
+    // `--budget` reaches both engines.
     let mut builder = Sfa::builder(&dfa)
         .options(&parallel_options(parsed)?)
         .budget(budget);
@@ -276,9 +276,10 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
             other => return Err(format!("unknown sequential variant {other:?}")),
         });
     }
-    // `--spill-dir` enables the tiered state store: builds that would
-    // abort on `--memory-cap` (or `--max-bytes`) instead demote cold
-    // states — compressed, then to disk — and finish byte-identical.
+    // `--spill-dir` enables the parallel engine's spill tier: builds
+    // that would abort on `--memory-cap` (or `--max-bytes`) instead
+    // demote cold states — compressed, then to disk — and finish
+    // byte-identical. With `--seq` the builder refuses it.
     let memory_cap = match parsed.opt("memory-cap") {
         Some(v) => Some(crate::args::parse_bytes(v)? as u64),
         None => None,

@@ -93,7 +93,8 @@ PATTERN SOURCES (exactly one):
 COMMON OPTIONS:
     --exact              do not wrap the pattern in Σ*·r·Σ*
     --threads <n>        worker threads for `build`/`match` (default 4)
-    --seq <variant>      sequential engine: baseline | hashing | transposed
+    --seq <variant>      sequential engine: baseline | pointer-tree | hashing |
+                         transposed
     --budget <n>         SFA state budget (default 4194304)
     --compress <bytes>   memory watermark for the compression phase
                          (accepts suffixes K/M/G; `always`/`never`)
@@ -107,12 +108,14 @@ COMMON OPTIONS:
                          lazy/speculative/sequential instead)
     --max-bytes <b>      cap stored mapping-payload bytes (suffixes K/M/G)
     --max-states <n>     cap constructed SFA state count
-    --spill-dir <dir>    build: spill cold states to segment files in this
-                         directory instead of failing on memory pressure;
-                         the result is byte-identical to an uncapped build
-    --memory-cap <b>     build: resident payload-byte watermark that drives
-                         demotion (suffixes K/M/G; requires --spill-dir;
-                         --max-bytes also folds into the cap when given)
+    --spill-dir <dir>    build, parallel engine: spill cold states to segment
+                         files in this directory instead of failing on
+                         memory pressure; the result is byte-identical to
+                         an uncapped build (use --threads 1, not --seq)
+    --memory-cap <b>     build, parallel engine: resident payload-byte
+                         watermark that drives demotion (suffixes K/M/G;
+                         requires --spill-dir; --max-bytes also folds into
+                         the cap when given)
     --out <path>         build: write the SFA as a checksummed artifact
     --checkpoint <path>  build: snapshot construction state to this artifact
                          (either engine can resume it)

@@ -72,7 +72,7 @@ fn build_json_is_parseable() {
 
 #[test]
 fn build_sequential_variants() {
-    for variant in ["baseline", "hashing", "transposed"] {
+    for variant in ["baseline", "pointer-tree", "hashing", "transposed"] {
         let out = sfa(&["build", "--regex", "RG", "--seq", variant]);
         assert!(out.status.success(), "variant {variant}");
         assert!(stdout(&out).contains("SFA states           6"));
@@ -92,6 +92,26 @@ fn sequential_build_obeys_the_state_budget() {
     ]);
     assert!(!out.status.success(), "a 10-state budget must stop rn(100)");
     assert!(stderr(&out).contains("state budget"), "{}", stderr(&out));
+}
+
+#[test]
+fn sequential_build_refuses_a_spill_tier() {
+    let scratch = ScratchDir::new("cli_seq_spill");
+    let dir = scratch.join("spill");
+    let out = sfa(&[
+        "build",
+        "--rn",
+        "60",
+        "--seq",
+        "transposed",
+        "--spill-dir",
+        dir.to_str().unwrap(),
+        "--memory-cap",
+        "4K",
+    ]);
+    assert!(!out.status.success(), "--seq with --spill-dir must fail");
+    assert!(stderr(&out).contains("parallel engine"), "{}", stderr(&out));
+    assert!(!dir.exists(), "the refused build created {}", dir.display());
 }
 
 #[test]

@@ -35,7 +35,7 @@ use crate::obs::{MetricsRegistry, Subscriber};
 use crate::parallel::{
     construct_parallel_resumable, CompressionPolicy, FingerprintAlgo, ParallelOptions, Scheduler,
 };
-use crate::sequential::{construct_sequential_spillable, SequentialVariant};
+use crate::sequential::{construct_sequential, SequentialVariant};
 use crate::sfa::{CodecChoice, Sfa};
 use crate::stats::ConstructionResult;
 use crate::store::SpillConfig;
@@ -129,8 +129,8 @@ impl<'d> SfaBuilder<'d> {
         self
     }
 
-    /// Codec of the compressed tier: the parallel engine's compression
-    /// phase and both engines' spill tier.
+    /// Codec of the parallel engine's compressed tier: its compression
+    /// phase and its spill tier.
     pub fn codec(mut self, c: CodecChoice) -> Self {
         self.opts.codec = c;
         self
@@ -156,7 +156,7 @@ impl<'d> SfaBuilder<'d> {
         self
     }
 
-    /// Enable the spill tier (`crate::store`) for both engines: once
+    /// Enable the parallel engine's spill tier (`crate::store`): once
     /// resident state payloads exceed `cap_bytes`, cold payloads are
     /// demoted — compressed in memory first, then to mmap'd segments
     /// under `dir` — instead of the build failing on memory pressure,
@@ -166,7 +166,12 @@ impl<'d> SfaBuilder<'d> {
     /// becomes the cap and the axis stops being a hard error — graceful
     /// degradation replaces [`SfaError::BudgetExceeded`] for bytes.
     ///
+    /// A [`sequential`] variant with a spill tier is
+    /// [`SfaError::InvalidOptions`]; build with `threads(1)` instead,
+    /// which yields the same bytes.
+    ///
     /// [`budget`]: SfaBuilder::budget
+    /// [`sequential`]: SfaBuilder::sequential
     pub fn spill(mut self, dir: impl Into<PathBuf>, cap_bytes: u64) -> Self {
         self.opts.spill = Some(SpillConfig::new(dir, cap_bytes));
         self
@@ -240,6 +245,12 @@ impl<'d> SfaBuilder<'d> {
 
     /// Run the configured construction. The budget clock starts here.
     pub fn build(self) -> Result<ConstructionResult, SfaError> {
+        if self.variant.is_some() && self.opts.spill.is_some() {
+            return Err(SfaError::InvalidOptions(
+                "the spill tier runs on the parallel engine; a one-thread parallel \
+                 build is byte-identical to a sequential one",
+            ));
+        }
         let mut opts = self.opts;
         let mut budget = self.budget;
         if let Some(cfg) = &mut opts.spill {
@@ -257,10 +268,10 @@ impl<'d> SfaBuilder<'d> {
             None => None,
         };
         let result = match self.variant {
-            Some(variant) => construct_sequential_spillable(
+            Some(variant) => construct_sequential(
                 self.dfa,
                 variant,
-                &opts,
+                opts.state_budget,
                 &governor,
                 self.checkpoint.as_ref(),
                 resume.as_ref(),
@@ -495,42 +506,34 @@ mod tests {
             "spilled build must be byte-identical to the unrestricted one"
         );
         assert!(
-            capped.stats.demotions > 0,
+            capped.stats.spilled_bytes > 0,
             "a 4 KiB cap on an rn(80) build must engage the spill tier"
         );
         capped.sfa.validate(&dfa).unwrap();
     }
 
     #[test]
-    fn sequential_builder_spill_is_byte_identical() {
-        let dfa = sfa_automata::random::rn(60);
-        let dir = ScratchDir::new("builder_sspill");
-        let capped = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .spill(dir.path(), 2048)
-            .build()
-            .unwrap();
-        let free = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .build()
-            .unwrap();
-        assert_eq!(
-            crate::io::to_bytes(&capped.sfa),
-            crate::io::to_bytes(&free.sfa)
-        );
-        assert!(capped.stats.spilled_bytes > 0);
-    }
-
-    #[test]
-    fn sequential_spill_compresses_with_the_builder_codec() {
-        let dfa = sfa_automata::random::rn(60);
-        let dir = ScratchDir::new("builder_scodec");
-        let spilled = |b: SfaBuilder| b.spill(dir.path(), 2048).build().unwrap().stats;
-        let base = Sfa::builder(&dfa).sequential(SequentialVariant::Transposed);
-        let stored = spilled(base.clone().codec(CodecChoice::Store));
-        let deflated = spilled(base);
-        assert!(stored.spilled_bytes > 0 && deflated.spilled_bytes > 0);
-        assert_ne!(stored.spilled_bytes, deflated.spilled_bytes);
+    fn sequential_variants_reject_a_spill_tier() {
+        let dfa = rg_dfa();
+        let scratch = ScratchDir::new("builder_sspill");
+        let dir = scratch.join("spill");
+        for variant in [
+            SequentialVariant::Baseline,
+            SequentialVariant::BaselinePointerTree,
+            SequentialVariant::Hashing,
+            SequentialVariant::Transposed,
+        ] {
+            let err = Sfa::builder(&dfa)
+                .sequential(variant)
+                .spill(&dir, 2048)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, SfaError::InvalidOptions(msg) if msg.contains("parallel engine")),
+                "{variant:?}: {err:?}"
+            );
+            assert!(!dir.exists(), "{variant:?} created the spill directory");
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod engine;
 pub mod io;
 pub mod lazy;
 pub mod matcher;
-pub mod memory;
+mod memory;
 pub mod obs;
 pub mod parallel;
 pub mod request;
@@ -107,7 +107,7 @@ pub use sfa_sync::faults;
 pub use sfa_sync::CancelToken;
 pub use speculative::{shared_predictor, SpecStats, SpeculativeMatcher, StatePredictor};
 pub use stats::{ConstructionResult, ConstructionStats};
-pub use store::{SpillConfig, SpillStore};
+pub use store::SpillConfig;
 
 /// Errors produced by SFA construction.
 ///
@@ -277,7 +277,7 @@ pub mod prelude {
     pub use crate::sfa::Sfa;
     pub use crate::speculative::{shared_predictor, SpecStats, SpeculativeMatcher, StatePredictor};
     pub use crate::stats::{ConstructionResult, ConstructionStats};
-    pub use crate::store::{SpillConfig, SpillStore};
+    pub use crate::store::SpillConfig;
     pub use crate::SfaError;
     pub use sfa_sync::CancelToken;
 }

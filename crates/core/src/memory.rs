@@ -3,13 +3,14 @@
 //! "Once our memory manager detects that the overall memory usage exceeds
 //! a critical threshold, it flags the start of our algorithm's compression
 //! phase." [`MemoryManager`] tracks the bytes charged for SFA state
-//! payloads and raises a one-shot flag when a watermark is crossed.
+//! payloads and raises a one-shot flag when a watermark is crossed. The
+//! state store (`crate::state`) is its only owner.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Byte accounting with a one-shot watermark trigger.
 #[derive(Debug)]
-pub struct MemoryManager {
+pub(crate) struct MemoryManager {
     used: AtomicU64,
     peak: AtomicU64,
     limit: Option<u64>,
@@ -18,7 +19,7 @@ pub struct MemoryManager {
 
 impl MemoryManager {
     /// Manager with an optional watermark (`None` = never trips).
-    pub fn new(limit_bytes: Option<usize>) -> Self {
+    pub(crate) fn new(limit_bytes: Option<usize>) -> Self {
         MemoryManager {
             used: AtomicU64::new(0),
             peak: AtomicU64::new(0),
@@ -30,7 +31,7 @@ impl MemoryManager {
     /// Charge `bytes`; returns `true` exactly once — for the charge that
     /// first crosses the watermark (the caller then initiates the
     /// compression phase).
-    pub fn charge(&self, bytes: usize) -> bool {
+    pub(crate) fn charge(&self, bytes: usize) -> bool {
         let new = self.used.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
         self.peak.fetch_max(new, Ordering::Relaxed);
         match self.limit {
@@ -40,36 +41,30 @@ impl MemoryManager {
     }
 
     /// Credit back `bytes` (e.g. after compression shrinks a state).
-    pub fn credit(&self, bytes: usize) {
+    pub(crate) fn credit(&self, bytes: usize) {
         self.used.fetch_sub(bytes as u64, Ordering::Relaxed);
     }
 
     /// Bytes currently accounted.
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
     }
 
     /// High-water mark of accounted bytes.
-    pub fn peak(&self) -> u64 {
+    pub(crate) fn peak(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
 
-    /// Has the watermark been crossed?
-    pub fn is_tripped(&self) -> bool {
-        self.tripped.load(Ordering::Acquire)
-    }
-
     /// The configured watermark, if any.
-    pub fn limit(&self) -> Option<u64> {
+    pub(crate) fn limit(&self) -> Option<u64> {
         self.limit
     }
 
     /// Level-triggered companion to the one-shot [`charge`](Self::charge)
-    /// edge: is current usage above the watermark *right now*? The tier
-    /// ladder (`crate::store`) polls this to decide whether another round
-    /// of demotion is needed — unlike `is_tripped`, it goes back to
-    /// `false` once demotion has credited enough bytes.
-    pub fn over_limit(&self) -> bool {
+    /// edge: is current usage above the watermark *right now*? The state
+    /// store polls this to decide whether another spill pass is due — it
+    /// goes back to `false` once demotion has credited enough bytes.
+    pub(crate) fn over_limit(&self) -> bool {
         match self.limit {
             Some(limit) => self.used() > limit,
             None => false,
@@ -85,7 +80,7 @@ mod tests {
     fn no_limit_never_trips() {
         let m = MemoryManager::new(None);
         assert!(!m.charge(usize::MAX / 2));
-        assert!(!m.is_tripped());
+        assert!(!m.over_limit());
     }
 
     #[test]
@@ -94,19 +89,17 @@ mod tests {
         assert!(!m.charge(60));
         assert!(m.charge(60), "first crossing must report true");
         assert!(!m.charge(60), "subsequent charges must not re-trigger");
-        assert!(m.is_tripped());
         assert_eq!(m.used(), 180);
     }
 
     #[test]
     fn credit_reduces_usage_but_keeps_trip_state() {
         let m = MemoryManager::new(Some(100));
-        m.charge(150);
-        assert!(m.is_tripped());
+        assert!(m.charge(150));
         m.credit(140);
         assert_eq!(m.used(), 10);
         assert_eq!(m.peak(), 150, "peak must survive credits");
-        assert!(m.is_tripped(), "trip flag is one-shot by design");
+        assert!(!m.charge(140), "trip flag is one-shot by design");
     }
 
     #[test]
@@ -117,7 +110,7 @@ mod tests {
         assert!(m.over_limit());
         m.credit(100);
         assert!(!m.over_limit(), "dropping below the watermark clears it");
-        assert!(m.is_tripped(), "...but the one-shot edge stays latched");
+        assert!(!m.charge(100), "...but the one-shot edge stays latched");
         assert_eq!(m.limit(), Some(100));
         assert_eq!(MemoryManager::new(None).limit(), None);
         assert!(!MemoryManager::new(None).over_limit());

@@ -108,7 +108,8 @@ pub struct ParallelOptions {
     pub scheduler: Scheduler,
     /// Compression policy.
     pub compression: CompressionPolicy,
-    /// Codec used by the compression phase.
+    /// Codec of the compressed tier: the compression phase and the spill
+    /// tier.
     pub codec: CodecChoice,
     /// Maximum number of SFA states (arena capacity).
     pub state_budget: usize,
@@ -143,8 +144,9 @@ pub struct ParallelOptions {
     /// segments under `dir` at stop-the-world rendezvous points (tier 3),
     /// promoting them back on access. The harvested store is materialized
     /// to plaintext, so a capped build stays byte-identical to an
-    /// uncapped one. Both engines compress this tier with
-    /// [`ParallelOptions::codec`]. Incompatible with the probabilistic
+    /// uncapped one. The tier is compressed with
+    /// [`ParallelOptions::codec`] and belongs to this engine: the
+    /// sequential variants reject it. Incompatible with the probabilistic
     /// mode (which stores no payloads to spill).
     pub spill: Option<SpillConfig>,
 }
@@ -1684,7 +1686,7 @@ mod spill_tests {
         let dir = ScratchDir::new("par_spill_promote");
         let opts = ParallelOptions::with_threads(2).spill(SpillConfig::new(dir.path(), 2048));
         let r = Sfa::builder(&dfa).options(&opts).build().unwrap();
-        assert!(r.stats.demotions > 0);
+        assert!(r.stats.spilled_bytes > 0);
         assert!(
             r.stats.promotions > 0,
             "spilled frontier must have been promoted back on access"

@@ -29,15 +29,19 @@
 //! at its canonical-order barriers (see `parallel`), so checkpoints are
 //! interchangeable between the two engines: a parallel build can resume a
 //! sequential snapshot and vice versa, to the same bytes.
+//!
+//! The mapping arena is one flat `Vec<E>`: it becomes the finished
+//! automaton's mapping store as is, checkpoints encode straight from it,
+//! and a resume adopts the checkpoint's rows. Compression and the spill
+//! tier belong to the parallel engine, whose one-thread build is
+//! byte-identical to this one.
 
 use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
 use crate::elem::{fits_u16, Elem};
 use crate::io::IoError;
-use crate::parallel::ParallelOptions;
 use crate::sfa::Sfa;
 use crate::stats::{ConstructionResult, ConstructionStats};
-use crate::store::TieredRows;
 use crate::SfaError;
 use sfa_automata::dfa::Dfa;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
@@ -60,18 +64,11 @@ pub enum SequentialVariant {
 }
 
 /// The sequential engine behind [`Sfa::builder`](crate::Sfa::builder):
-/// governed, resumable construction under `opts.state_budget`, with the
-/// tier ladder (`crate::store`) attached when `opts.spill` is set.
-/// With a spill config, crossing the resident-byte cap demotes cold
-/// mapping batches (compressed with `opts.codec`, then to disk) instead
-/// of growing without bound — and the result is byte-identical to an
-/// uncapped build, because every tier transition is a lossless byte
-/// round trip and the interning order never depends on where a row
-/// resides.
-pub(crate) fn construct_sequential_spillable(
+/// governed, resumable construction of at most `state_budget` states.
+pub(crate) fn construct_sequential(
     dfa: &Dfa,
     variant: SequentialVariant,
-    opts: &ParallelOptions,
+    state_budget: usize,
     governor: &Governor,
     checkpoint: Option<&CheckpointConfig>,
     resume: Option<&Checkpoint>,
@@ -80,9 +77,9 @@ pub(crate) fn construct_sequential_spillable(
         return Err(SfaError::EmptyDfa);
     }
     if fits_u16(dfa.num_states()) {
-        construct_impl::<u16>(dfa, variant, opts, governor, checkpoint, resume)
+        construct_impl::<u16>(dfa, variant, state_budget, governor, checkpoint, resume)
     } else {
-        construct_impl::<u32>(dfa, variant, opts, governor, checkpoint, resume)
+        construct_impl::<u32>(dfa, variant, state_budget, governor, checkpoint, resume)
     }
 }
 
@@ -108,10 +105,8 @@ struct SeqEngine<E: Elem> {
     k: usize,
     /// Typed copy of the DFA transition table for the kernels.
     table: Vec<E>,
-    /// Tiered mapping arena: state id → row of `n` elements. In plain
-    /// mode (no spill config) this is exactly the old flat `Vec<E>`;
-    /// with a spill config, cold batches demote down the ladder.
-    rows: TieredRows<E>,
+    /// Mapping arena: state id → row of `n` elements, flat.
+    rows: Vec<E>,
     /// δₛ rows (`u32::MAX` = not yet filled).
     delta: Vec<u32>,
     /// States with complete δₛ rows; also the worklist cursor.
@@ -133,28 +128,21 @@ impl<E: Elem> SeqEngine<E> {
         }
     }
 
-    fn make_rows(n: usize, opts: &ParallelOptions) -> Result<TieredRows<E>, SfaError> {
-        match &opts.spill {
-            None => Ok(TieredRows::plain(n)),
-            Some(cfg) => TieredRows::spilling(n, cfg, opts.codec),
-        }
-    }
-
     /// Fresh build: intern the identity start mapping ⟨q₀, …, qₙ₋₁⟩.
     fn new(
         dfa: &Dfa,
         variant: SequentialVariant,
-        opts: &ParallelOptions,
+        state_budget: usize,
     ) -> Result<SeqEngine<E>, SfaError> {
         let n = dfa.num_states() as usize;
         let k = dfa.num_symbols();
         let mut engine = SeqEngine {
             variant,
-            state_budget: opts.state_budget,
+            state_budget,
             n,
             k,
             table: dfa.table().iter().map(|&q| E::from_u32(q)).collect(),
-            rows: Self::make_rows(n, opts)?,
+            rows: Vec::with_capacity(n * 64),
             delta: Vec::new(),
             processed: 0,
             set: Self::empty_set(variant),
@@ -167,24 +155,24 @@ impl<E: Elem> SeqEngine<E> {
         Ok(engine)
     }
 
-    /// Continue an interrupted build from a validated [`Checkpoint`].
-    /// The membership set is rebuilt by re-interning the persisted rows
-    /// in id order, so (for the hashing variants) fingerprint chains
-    /// come back in the same order a fresh build created them.
+    /// Continue an interrupted build from a validated [`Checkpoint`],
+    /// adopting its rows as the arena. The membership set is rebuilt by
+    /// re-interning the rows in id order, so (for the hashing variants)
+    /// fingerprint chains come back in the same order a fresh build
+    /// created them.
     fn resume(
         dfa: &Dfa,
         variant: SequentialVariant,
-        opts: &ParallelOptions,
+        state_budget: usize,
         ckpt: &Checkpoint,
     ) -> Result<SeqEngine<E>, SfaError> {
         let n = dfa.num_states() as usize;
         let k = dfa.num_symbols();
-        let mappings = ckpt.validate_for::<E>(dfa).map_err(SfaError::Artifact)?;
-        let num_states = mappings.len() / n;
+        let rows = ckpt.validate_for::<E>(dfa).map_err(SfaError::Artifact)?;
         let fingerprinter = CityFingerprinter;
         let mut set = Self::empty_set(variant);
-        for id in 0..num_states as u32 {
-            let bytes = E::as_bytes(&mappings[id as usize * n..(id as usize + 1) * n]);
+        for (id, row) in rows.chunks_exact(n).enumerate() {
+            let (id, bytes) = (id as u32, E::as_bytes(row));
             match &mut set {
                 StateSet::Tree(map) => {
                     map.insert(bytes.to_vec().into_boxed_slice(), id);
@@ -198,16 +186,9 @@ impl<E: Elem> SeqEngine<E> {
                 }
             }
         }
-        // Checkpoints persist plaintext rows regardless of what tier a
-        // row transited before the snapshot; refill the (possibly
-        // spilling) arena from them, demotion restarting from scratch.
-        let mut rows = Self::make_rows(n, opts)?;
-        for id in 0..num_states {
-            rows.push_row(&mappings[id * n..(id + 1) * n]);
-        }
         Ok(SeqEngine {
             variant,
-            state_budget: opts.state_budget,
+            state_budget,
             n,
             k,
             table: dfa.table().iter().map(|&q| E::from_u32(q)).collect(),
@@ -222,7 +203,7 @@ impl<E: Elem> SeqEngine<E> {
     }
 
     fn num_states(&self) -> usize {
-        self.rows.num_rows()
+        self.rows.len() / self.n
     }
 
     /// Find-or-insert a candidate mapping; returns its id.
@@ -241,7 +222,8 @@ impl<E: Elem> SeqEngine<E> {
                     for &id in chain {
                         // Fingerprints matched: exhaustive compare (§III-A).
                         self.stats.exhaustive_compares += 1;
-                        let row = self.rows.row(id as usize)?;
+                        let at = id as usize * self.n;
+                        let row = &self.rows[at..at + self.n];
                         if sfa_simd::bytes_equal(E::as_bytes(row), bytes) {
                             hit = Some(id);
                             break;
@@ -256,13 +238,13 @@ impl<E: Elem> SeqEngine<E> {
             self.stats.duplicates += 1;
             return Ok(id);
         }
-        let id = self.rows.num_rows() as u32;
+        let id = self.num_states() as u32;
         if id as usize >= self.state_budget {
             return Err(SfaError::StateBudgetExceeded {
                 budget: self.state_budget,
             });
         }
-        self.rows.push_row(cand);
+        self.rows.extend_from_slice(cand);
         self.delta.extend(std::iter::repeat_n(u32::MAX, self.k));
         match &mut self.set {
             StateSet::Tree(map) => {
@@ -279,16 +261,13 @@ impl<E: Elem> SeqEngine<E> {
         Ok(id)
     }
 
-    /// Snapshot the engine to the checkpoint artifact (atomic write).
-    /// Called only between states, so every row below the cursor is
-    /// complete and everything above it is untouched frontier. Rows are
-    /// materialized back to plaintext first, so a checkpoint taken
-    /// mid-spill is byte-identical to one from an unspilled run — and
-    /// resumes to identical bytes on either path.
-    fn write_checkpoint(&mut self, cfg: &CheckpointConfig) -> Result<(), SfaError> {
+    /// Snapshot the engine to the checkpoint artifact (atomic write),
+    /// encoding the arena in place. Called only between states, so every
+    /// row below the cursor is complete and everything above it is
+    /// untouched frontier.
+    fn write_checkpoint(&self, cfg: &CheckpointConfig) -> Result<(), SfaError> {
         sfa_sync::fault_point!("checkpoint/write")
             .map_err(|e| SfaError::Artifact(IoError::Io(e.to_string())))?;
-        let flat = self.rows.materialize()?;
         let ckpt = Checkpoint {
             dfa_states: self.n as u32,
             symbols: self.k as u32,
@@ -297,7 +276,7 @@ impl<E: Elem> SeqEngine<E> {
             num_states: self.num_states() as u64,
             dfa_crc: self.dfa_crc,
             delta: self.delta.clone(),
-            mappings_le: artifact::mappings_to_le(&flat),
+            mappings_le: artifact::mappings_to_le(&self.rows),
         };
         artifact::write_checkpoint(&cfg.path, &ckpt).map_err(SfaError::Artifact)
     }
@@ -334,13 +313,13 @@ impl<E: Elem> SeqEngine<E> {
                 // the |Σ| candidate generations the state is about to do.
                 governor.check(
                     self.num_states() as u64,
-                    (self.rows.total_elems() * E::BYTES) as u64,
+                    (self.rows.len() * E::BYTES) as u64,
                 )?;
             }
             sfa_sync::fault_point!("construct/state").map_err(|e| SfaError::Io(e.to_string()))?;
-            // Read the source row once (possibly promoting it up the
-            // tier ladder) — both variants generate from this copy.
-            let src = self.rows.row(id as usize)?;
+            // Copy the source row once: both variants generate from this
+            // copy while interning grows the arena.
+            let src = &self.rows[id as usize * self.n..(id as usize + 1) * self.n];
             for (r, &e) in rows_u32.iter_mut().zip(src.iter()) {
                 *r = e.to_u32();
             }
@@ -370,53 +349,47 @@ impl<E: Elem> SeqEngine<E> {
             }
             self.processed += 1;
             since_checkpoint += 1;
-            // Cursor moved: rows below it are eligible for demotion if
-            // the resident cap is exceeded (no-op in plain mode).
-            self.rows.maybe_demote(self.processed)?;
         }
         Ok(())
     }
 
-    fn finish(mut self, t0: Instant) -> Result<ConstructionResult, SfaError> {
+    fn finish(mut self, t0: Instant) -> ConstructionResult {
         self.stats.states = self.num_states() as u64;
-        self.stats.uncompressed_bytes = (self.rows.total_elems() * E::BYTES) as u64;
-        self.stats.stored_bytes = self.stats.uncompressed_bytes;
-        self.stats.peak_bytes = self.rows.peak_bytes();
-        self.stats.resident_bytes = self.rows.resident_bytes();
-        self.stats.spilled_bytes = self.rows.spilled_bytes();
-        self.stats.demotions = self.rows.demotions;
-        self.stats.promotions = self.rows.promotions;
+        // The arena only grows: every byte ever stored is still resident.
+        let bytes = (self.rows.len() * E::BYTES) as u64;
+        self.stats.uncompressed_bytes = bytes;
+        self.stats.stored_bytes = bytes;
+        self.stats.peak_bytes = bytes;
+        self.stats.resident_bytes = bytes;
         self.stats.total_secs = t0.elapsed().as_secs_f64();
         self.stats.phase1_secs = self.stats.total_secs;
-        // Materialize every tier back to the flat plaintext store: the
-        // artifact is byte-identical no matter what was demoted when.
-        let flat = self.rows.materialize()?;
         // The start state is always id 0: the identity mapping is the
         // first row interned, in fresh builds and (by induction over the
-        // persisted arena) in resumed ones.
-        let sfa = Sfa::from_parts(self.n, self.k, 0, self.delta, E::into_store(flat));
-        Ok(ConstructionResult {
+        // persisted arena) in resumed ones. The arena becomes the mapping
+        // store as is: no copy.
+        let sfa = Sfa::from_parts(self.n, self.k, 0, self.delta, E::into_store(self.rows));
+        ConstructionResult {
             sfa,
             stats: self.stats,
-        })
+        }
     }
 }
 
 fn construct_impl<E: Elem>(
     dfa: &Dfa,
     variant: SequentialVariant,
-    opts: &ParallelOptions,
+    state_budget: usize,
     governor: &Governor,
     checkpoint: Option<&CheckpointConfig>,
     resume: Option<&Checkpoint>,
 ) -> Result<ConstructionResult, SfaError> {
     let t0 = Instant::now();
     let mut engine = match resume {
-        None => SeqEngine::<E>::new(dfa, variant, opts)?,
-        Some(ckpt) => SeqEngine::<E>::resume(dfa, variant, opts, ckpt)?,
+        None => SeqEngine::<E>::new(dfa, variant, state_budget)?,
+        Some(ckpt) => SeqEngine::<E>::resume(dfa, variant, state_budget, ckpt)?,
     };
     engine.run(governor, checkpoint)?;
-    let result = engine.finish(t0)?;
+    let result = engine.finish(t0);
     // Phase spans + global metrics are derived from the stats the
     // stopwatch above already filled, so the span durations and the
     // reported `total_secs` can never disagree.

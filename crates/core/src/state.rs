@@ -178,6 +178,9 @@ pub(crate) struct StateStore {
     short_circuit: bool,
     /// Records that lost an insert race (tombstones, not states).
     losers: AtomicUsize,
+    /// Payloads re-encoded from raw to compressed (demotions that stay
+    /// in memory).
+    reencodes: AtomicU64,
     /// Arena length and promotion count at the end of the last spill
     /// pass: a new pass is due only after progress since (see
     /// [`StateStore::spill_due`]).
@@ -219,6 +222,7 @@ impl StateStore {
             probabilistic: opts.probabilistic,
             short_circuit: opts.fingerprint_short_circuit,
             losers: AtomicUsize::new(0),
+            reencodes: AtomicU64::new(0),
             spill_mark: Default::default(),
             retired: Mutex::default(),
         })
@@ -491,8 +495,9 @@ impl StateStore {
 
     /// Re-encode state `id` with the codec in place (the compression
     /// phase), moving its ledger charge from the raw bytes to the
-    /// encoded ones. Race losers are skipped: they were credited when
-    /// they lost. Quiesced callers only, one per id.
+    /// encoded ones; each re-encode counts as one demotion. Race losers
+    /// are skipped: they were credited when they lost. Quiesced callers
+    /// only, one per id.
     pub(crate) fn compress(&self, id: u32) {
         if self.is_tombstone(id) {
             return;
@@ -502,6 +507,7 @@ impl StateStore {
             self.mem.credit(d.len());
             let _ = self.mem.charge(encoded.len());
             self.replace_mapping(id, Payload::Compressed(encoded.into()));
+            self.reencodes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -679,13 +685,22 @@ impl StateStore {
         (order, canon_of, cursor)
     }
 
-    /// Copy the ledger and spill-tier counters into `stats`.
+    /// Copy the ledger and tier counters into `stats`: demotions are
+    /// the re-encodes plus the records written to spill segments. The
+    /// re-encodes reach `sfa_store_demotions_total` here, once per
+    /// finished build (spilled records as their segments are written):
+    /// an increment per re-encode measurably slowed later, unrelated
+    /// work in perfbench's `construct-compressed` workload.
     pub(crate) fn record_stats(&self, stats: &mut ConstructionStats) {
         stats.peak_bytes = self.mem.peak();
         stats.resident_bytes = self.mem.used();
+        stats.demotions = self.reencodes.load(Ordering::Relaxed);
+        if stats.demotions > 0 {
+            crate::store::OBS_DEMOTIONS.add(stats.demotions);
+        }
         if let Some(spill) = &self.spill {
             stats.spilled_bytes = spill.spilled_bytes();
-            stats.demotions = spill.demotions();
+            stats.demotions += spill.demotions();
             stats.promotions = spill.promotions();
         }
     }
@@ -806,6 +821,34 @@ mod tests {
         };
         corrupt(s.read(0, &mut ReadBuf::default()).map(drop));
         corrupt(s.snapshot::<u16>(false).map(drop));
+    }
+
+    #[test]
+    fn demotions_count_reencodes_then_spilled_records() {
+        let dir = sfa_workloads::ScratchDir::new("state_demotions");
+        // A one-byte cap: a spill pass demotes every compressed payload.
+        let opts = ParallelOptions::default()
+            .state_budget(100)
+            .spill(crate::store::SpillConfig::new(dir.path(), 1));
+        let s = StateStore::new(&opts, 4, 3).unwrap();
+        for v in 0..3 {
+            s.seed(v, &[v as u8; 8], false).unwrap();
+        }
+        let counts = || {
+            let mut stats = ConstructionStats::with_threads(1);
+            s.record_stats(&mut stats);
+            (stats.demotions, stats.spilled_bytes)
+        };
+        s.compress(0);
+        s.compress(1);
+        s.compress(0); // already compressed: not a second demotion
+        assert_eq!(counts(), (2, 0));
+        // The pass writes the two compressed payloads; raw state 2 stays.
+        s.demote_oldest().unwrap();
+        let (demotions, spilled) = counts();
+        assert_eq!(demotions, 2 + 2);
+        assert!(spilled > 0);
+        assert!(matches!(s.mapping(2), Payload::Raw(_)));
     }
 
     #[test]

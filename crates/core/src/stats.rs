@@ -55,12 +55,15 @@ pub struct ConstructionStats {
     /// [`stored_bytes`](Self::stored_bytes); a gap means accounting
     /// drifted (e.g. uncredited race losers).
     pub resident_bytes: u64,
-    /// Total payload bytes written to the spill tier (`crate::store`)
-    /// over the whole build (0 when no spill directory was configured or
-    /// the cap was never exceeded).
+    /// Total payload bytes written to the parallel engine's spill tier
+    /// (`crate::store`) over the whole build (0 when no spill directory
+    /// was configured or the cap was never exceeded).
     pub spilled_bytes: u64,
-    /// State payloads demoted down the tier ladder (hot → compressed →
-    /// disk; each batch/record demotion counts once).
+    /// State payloads demoted in the parallel engine's tier ladder: one
+    /// demotion per payload moved down one tier (hot → compressed by the
+    /// compression phase, compressed → disk by a spill pass). Payloads
+    /// stored compressed from the start never move, and the sequential
+    /// engine, which has no tiers, reports 0.
     pub demotions: u64,
     /// Spilled payloads promoted back on access.
     pub promotions: u64,

@@ -1,4 +1,4 @@
-//! Tiered state storage — graceful degradation under memory pressure.
+//! The spill tier — graceful degradation under memory pressure.
 //!
 //! The paper's memory manager (§III-C) has exactly two tiers: raw state
 //! vectors, and — once the watermark trips — codec-compressed vectors.
@@ -7,65 +7,64 @@
 //! ladder and turns the budget into a *demotion driver*:
 //!
 //! ```text
-//! hot (raw arena)  →  compressed (in-memory, sfa_compress)  →  spilled
-//!                                                              (mmap'd
-//!                                                              file)
+//! hot (raw)  →  compressed (in-memory, sfa_compress)  →  spilled (mmap'd file)
 //! ```
 //!
-//! Demotion is cap-driven (`MemoryManager::over_limit`), promotion is
-//! access-driven: touching a spilled payload fetches its bytes back
-//! (and, in the parallel engine, re-installs them in the arena). Every
-//! tier transition moves *byte-identical* payloads — the codecs are
-//! lossless and the spill file stores the exact compressed blob that was
-//! resident — so the constructed state graph, the canonical renumbering,
-//! and therefore the final artifact are unchanged by any demotion
-//! schedule. Spill files are scratch (checkpoints remain the durable
-//! artifact): they are written through [`crate::io::atomic_write`], so a
-//! crash mid-spill leaves at most a `.tmp` sibling, and a fresh
-//! [`SpillStore`] sweeps stale segments on creation.
+//! The ladder belongs to the parallel engine. Its state store
+//! (`crate::state`) keeps the one memory ledger and moves payloads:
+//! demotion is cap-driven, promotion access-driven — touching a spilled
+//! payload fetches its bytes back and re-installs them in the arena.
+//! The sequential engine keeps a flat arena and takes no spill config;
+//! a one-thread parallel build is its byte-identical capped stand-in.
+//! Every tier transition moves *byte-identical* payloads — the codecs
+//! are lossless and the spill file stores the exact compressed blob that
+//! was resident — so the constructed state graph, the canonical
+//! renumbering, and therefore the final artifact are unchanged by any
+//! demotion schedule. Spill files are scratch (checkpoints remain the
+//! durable artifact): they are written through
+//! [`crate::io::atomic_write`], so a crash mid-spill leaves at most a
+//! `.tmp` sibling, and a fresh segment store sweeps stale segments on
+//! creation.
 //!
 //! Fault sites: `store/demote` (before a segment write), `store/promote`
 //! (before a spilled fetch), `io/mmap` (inside [`crate::io::Mmap`]).
 //! Transient faults are absorbed by the bounded-backoff
 //! [`RetryPolicy`]; everything else surfaces typed.
 
-use crate::elem::Elem;
 use crate::io::{self, IoError, Mmap};
-use crate::memory::MemoryManager;
 use crate::runtime::RetryPolicy;
-use crate::sfa::CodecChoice;
 use crate::SfaError;
-use sfa_compress::Codec;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-// Global-registry tier metrics (DESIGN.md §12). Gauges are set by the
-// engines at demotion points; counters/histogram by the store itself.
+// Global-registry tier metrics (DESIGN.md §12). The state store sets the
+// gauges after a spill pass and counts re-encodes; segment writes, fetches
+// and their timings are counted here.
 static OBS_HOT_BYTES: crate::obs::LazyGauge = crate::obs::LazyGauge::new("sfa_store_hot_bytes");
 static OBS_COMPRESSED_BYTES: crate::obs::LazyGauge =
     crate::obs::LazyGauge::new("sfa_store_compressed_bytes");
 static OBS_SPILLED_BYTES: crate::obs::LazyGauge =
     crate::obs::LazyGauge::new("sfa_store_spilled_bytes");
-static OBS_DEMOTIONS: crate::obs::LazyCounter =
+pub(crate) static OBS_DEMOTIONS: crate::obs::LazyCounter =
     crate::obs::LazyCounter::new("sfa_store_demotions_total");
 static OBS_PROMOTIONS: crate::obs::LazyCounter =
     crate::obs::LazyCounter::new("sfa_store_promotions_total");
 static OBS_SPILL_WRITE_NANOS: crate::obs::LazyHistogram =
     crate::obs::LazyHistogram::new("sfa_store_spill_write_nanos");
 
-/// Publish the per-tier byte gauges (engines call this whenever a tier
-/// transition changes the split).
+/// Publish the per-tier byte gauges (the state store calls this whenever
+/// a spill pass changes the split).
 pub(crate) fn publish_tier_gauges(hot: u64, compressed: u64, spilled: u64) {
     OBS_HOT_BYTES.set(hot.min(i64::MAX as u64) as i64);
     OBS_COMPRESSED_BYTES.set(compressed.min(i64::MAX as u64) as i64);
     OBS_SPILLED_BYTES.set(spilled.min(i64::MAX as u64) as i64);
 }
 
-/// Configuration of the spill tier: where segments go and how many
-/// resident payload bytes to allow before demoting. The compressed tier
-/// uses the build's codec (`ParallelOptions::codec`), and spill I/O
-/// retries transient errors under [`RetryPolicy::default`].
+/// Configuration of the parallel engine's spill tier: where segments go
+/// and how many resident payload bytes to allow before demoting. The
+/// compressed tier uses the build's codec (`ParallelOptions::codec`), and
+/// spill I/O retries transient errors under [`RetryPolicy::default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Directory the spill segments are written to (created if missing;
@@ -88,7 +87,7 @@ impl SpillConfig {
 
 /// Location of one spilled payload inside a [`SpillStore`] segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpillRef {
+pub(crate) struct SpillRef {
     /// Segment index.
     pub seg: u32,
     /// Byte offset inside the segment.
@@ -132,7 +131,7 @@ fn spill_io_error(e: std::io::Error) -> SfaError {
 /// Thread-safe — the parallel engine's spill leader writes segments at
 /// quiescence while any worker may fetch concurrently afterwards.
 #[derive(Debug)]
-pub struct SpillStore {
+pub(crate) struct SpillStore {
     dir: PathBuf,
     retry: RetryPolicy,
     segments: RwLock<Vec<Mmap>>,
@@ -146,7 +145,7 @@ impl SpillStore {
     /// `seg-*.spill` segments (and `.tmp` siblings) left by a killed
     /// predecessor, and probe writability — a read-only filesystem is
     /// rejected here, typed, before any construction work starts.
-    pub fn create(dir: &Path, retry: RetryPolicy) -> Result<SpillStore, SfaError> {
+    pub(crate) fn create(dir: &Path, retry: RetryPolicy) -> Result<SpillStore, SfaError> {
         let unavailable = |reason: String| SfaError::SpillDirUnavailable {
             path: dir.to_path_buf(),
             reason,
@@ -179,7 +178,7 @@ impl SpillStore {
     ///
     /// Fault sites: `store/demote` (before the write), `io/mmap` (inside
     /// the map-back). Transients are retried per the policy.
-    pub fn write_segment(&self, bytes: &[u8], records: u64) -> Result<u32, SfaError> {
+    pub(crate) fn write_segment(&self, bytes: &[u8], records: u64) -> Result<u32, SfaError> {
         // Poison-tolerant: a panic under this lock (e.g. an injected
         // crash inside the write) can only happen before the push, so
         // the segment list is still consistent for survivors and Drop.
@@ -210,7 +209,7 @@ impl SpillStore {
     /// guarantee rests on this.
     ///
     /// Fault site: `store/promote` (before the read); transients retried.
-    pub fn fetch(&self, r: SpillRef, out: &mut Vec<u8>) -> Result<(), SfaError> {
+    pub(crate) fn fetch(&self, r: SpillRef, out: &mut Vec<u8>) -> Result<(), SfaError> {
         retry_io(&self.retry, || {
             sfa_sync::fault_point!("store/promote")?;
             Ok(())
@@ -241,17 +240,17 @@ impl SpillStore {
     }
 
     /// Total bytes written to the spill tier over the store's lifetime.
-    pub fn spilled_bytes(&self) -> u64 {
+    pub(crate) fn spilled_bytes(&self) -> u64 {
         self.spilled_bytes.load(Ordering::Relaxed)
     }
 
     /// Payload demotions into this store.
-    pub fn demotions(&self) -> u64 {
+    pub(crate) fn demotions(&self) -> u64 {
         self.demotions.load(Ordering::Relaxed)
     }
 
     /// Payload fetches out of this store.
-    pub fn promotions(&self) -> u64 {
+    pub(crate) fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
     }
 }
@@ -271,268 +270,6 @@ impl Drop for SpillStore {
                 break;
             }
         }
-    }
-}
-
-/// Decoded-batch cache entries the sequential tier keeps hot.
-const CACHE_BATCHES: usize = 2;
-/// Target frozen-batch payload size in bytes.
-const BATCH_BYTES: usize = 32 * 1024;
-
-/// One frozen (demoted) batch of rows.
-enum Frozen {
-    /// Compressed in memory (middle tier).
-    Compressed(Box<[u8]>),
-    /// On disk (bottom tier) — the blob in the segment is the exact
-    /// compressed bytes that were resident.
-    Spilled(SpillRef),
-}
-
-/// The sequential engine's mapping arena with the tier ladder attached.
-///
-/// Logically this is the flat `Vec<E>` of `SeqEngine` — rows addressed
-/// by state id, appended at the end. Physically the oldest *complete*
-/// batches (strictly below the engine's processed cursor, so the rows
-/// are no longer the current source state) are demoted while the
-/// resident-byte cap is exceeded: first codec-compressed in memory, then
-/// spilled to disk. Reads of frozen rows go through a tiny
-/// most-recently-used decoded-batch cache, which is what keeps the
-/// duplicate-heavy compare traffic of sink-dominated DFAs from
-/// thrashing the codec.
-pub(crate) struct TieredRows<E: Elem> {
-    n: usize,
-    batch_rows: usize,
-    /// Rows `[frozen_rows() ..)`, flat.
-    hot: Vec<E>,
-    frozen: Vec<Frozen>,
-    codec: Option<Box<dyn Codec>>,
-    spill: Option<SpillStore>,
-    mem: MemoryManager,
-    /// MRU-first decoded batches: `(batch index, rows)`.
-    cache: Vec<(usize, Vec<E>)>,
-    scratch: Vec<u8>,
-    pub demotions: u64,
-    pub promotions: u64,
-}
-
-impl<E: Elem> TieredRows<E> {
-    /// Plain passthrough arena (no cap, no demotion) — byte-for-byte the
-    /// behaviour the engine had before tiering existed.
-    pub fn plain(n: usize) -> TieredRows<E> {
-        TieredRows {
-            n,
-            batch_rows: 1,
-            hot: Vec::with_capacity(n * 64),
-            frozen: Vec::new(),
-            codec: None,
-            spill: None,
-            mem: MemoryManager::new(None),
-            cache: Vec::new(),
-            scratch: Vec::new(),
-            demotions: 0,
-            promotions: 0,
-        }
-    }
-
-    /// Arena with the full ladder enabled per `cfg`, compressing with
-    /// `codec`.
-    pub fn spilling(n: usize, cfg: &SpillConfig, codec: CodecChoice) -> Result<Self, SfaError> {
-        let store = SpillStore::create(&cfg.dir, RetryPolicy::default())?;
-        let row_bytes = (n * E::BYTES).max(1);
-        // A batch must be small relative to the cap, or demoting one can
-        // never bring usage back under it (a 32 KiB batch is useless
-        // under a 256-byte cap); a quarter of the cap keeps several
-        // batches' worth of headroom hot.
-        let batch_bytes = BATCH_BYTES.min(((cfg.cap_bytes / 4) as usize).max(row_bytes));
-        Ok(TieredRows {
-            n,
-            batch_rows: (batch_bytes / row_bytes).max(1),
-            hot: Vec::with_capacity(n * 64),
-            frozen: Vec::new(),
-            codec: Some(codec.codec()),
-            spill: Some(store),
-            mem: MemoryManager::new(Some(cfg.cap_bytes as usize)),
-            cache: Vec::new(),
-            scratch: Vec::new(),
-            demotions: 0,
-            promotions: 0,
-        })
-    }
-
-    fn frozen_rows(&self) -> usize {
-        self.frozen.len() * self.batch_rows
-    }
-
-    /// Total rows (all tiers).
-    pub fn num_rows(&self) -> usize {
-        self.frozen_rows() + self.hot.len() / self.n
-    }
-
-    /// Logical payload size in elements (as if nothing were demoted).
-    pub fn total_elems(&self) -> usize {
-        self.num_rows() * self.n
-    }
-
-    /// Bytes currently charged as resident (hot + compressed tiers).
-    pub fn resident_bytes(&self) -> u64 {
-        self.mem.used()
-    }
-
-    /// High-water mark of resident bytes.
-    pub fn peak_bytes(&self) -> u64 {
-        self.mem.peak()
-    }
-
-    /// Total bytes ever written to the spill tier.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.spilled_bytes())
-    }
-
-    /// Append one row at the next id.
-    pub fn push_row(&mut self, row: &[E]) {
-        debug_assert_eq!(row.len(), self.n);
-        self.hot.extend_from_slice(row);
-        self.mem.charge(row.len() * E::BYTES);
-    }
-
-    /// The row for `id`. Hot rows are a direct slice; frozen rows are
-    /// decoded through the batch cache (promoting from disk if spilled).
-    pub fn row(&mut self, id: usize) -> Result<&[E], SfaError> {
-        let fr = self.frozen_rows();
-        if id >= fr {
-            let off = (id - fr) * self.n;
-            return Ok(&self.hot[off..off + self.n]);
-        }
-        let batch = id / self.batch_rows;
-        let off = (id % self.batch_rows) * self.n;
-        let pos = self.cache.iter().position(|(b, _)| *b == batch);
-        let pos = match pos {
-            Some(p) => p,
-            None => {
-                let rows = self.decode_batch(batch)?;
-                self.cache.insert(0, (batch, rows));
-                self.cache.truncate(CACHE_BATCHES);
-                0
-            }
-        };
-        if pos != 0 {
-            let entry = self.cache.remove(pos);
-            self.cache.insert(0, entry);
-        }
-        let rows = &self.cache[0].1;
-        Ok(&rows[off..off + self.n])
-    }
-
-    fn decode_batch(&mut self, batch: usize) -> Result<Vec<E>, SfaError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .expect("frozen batches only exist with a codec");
-        let blob: &[u8] = match &self.frozen[batch] {
-            Frozen::Compressed(b) => b,
-            Frozen::Spilled(r) => {
-                let store = self.spill.as_ref().expect("spilled batch without a store");
-                store.fetch(*r, &mut self.scratch)?;
-                self.promotions += 1;
-                &self.scratch
-            }
-        };
-        let plain = codec.decompress_to_vec(blob).map_err(|_| {
-            SfaError::Artifact(IoError::Corrupt("demoted batch failed to decompress"))
-        })?;
-        let mut rows = Vec::with_capacity(plain.len() / E::BYTES);
-        E::read_bytes(&plain, &mut rows);
-        Ok(rows)
-    }
-
-    /// Demote while over the cap: freeze complete batches strictly below
-    /// `completed_rows` (compressing them in memory), then push the
-    /// oldest compressed batches to disk if compression alone is not
-    /// enough. No-op in plain mode or while under the cap.
-    pub fn maybe_demote(&mut self, completed_rows: usize) -> Result<(), SfaError> {
-        if self.codec.is_none() || !self.mem.over_limit() {
-            return Ok(());
-        }
-        // Stage 1: hot → compressed.
-        while self.mem.over_limit() {
-            let fr = self.frozen_rows();
-            if fr + self.batch_rows > completed_rows || self.hot.len() < self.batch_rows * self.n {
-                break;
-            }
-            let take = self.batch_rows * self.n;
-            let raw: Vec<E> = self.hot.drain(..take).collect();
-            let codec = self.codec.as_ref().expect("checked above");
-            let blob = codec.compress_to_vec(E::as_bytes(&raw)).into_boxed_slice();
-            self.mem.charge(blob.len());
-            self.mem.credit(take * E::BYTES);
-            self.frozen.push(Frozen::Compressed(blob));
-            self.demotions += 1;
-        }
-        // Stage 2: compressed → disk, oldest first.
-        while self.mem.over_limit() {
-            let Some(idx) = self
-                .frozen
-                .iter()
-                .position(|f| matches!(f, Frozen::Compressed(_)))
-            else {
-                break;
-            };
-            let Frozen::Compressed(blob) = std::mem::replace(
-                &mut self.frozen[idx],
-                Frozen::Spilled(SpillRef {
-                    seg: 0,
-                    off: 0,
-                    len: 0,
-                }),
-            ) else {
-                unreachable!()
-            };
-            let store = self.spill.as_ref().expect("ladder configured with a store");
-            let seg = match store.write_segment(&blob, 1) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    // Restore the tier state before surfacing: the batch
-                    // is still resident and compressed.
-                    self.frozen[idx] = Frozen::Compressed(blob);
-                    return Err(e);
-                }
-            };
-            self.frozen[idx] = Frozen::Spilled(SpillRef {
-                seg,
-                off: 0,
-                len: blob.len() as u32,
-            });
-            self.mem.credit(blob.len());
-            self.demotions += 1;
-        }
-        let compressed: u64 = self
-            .frozen
-            .iter()
-            .map(|f| match f {
-                Frozen::Compressed(b) => b.len() as u64,
-                Frozen::Spilled(_) => 0,
-            })
-            .sum();
-        publish_tier_gauges(
-            (self.hot.len() * E::BYTES) as u64,
-            compressed,
-            self.spilled_bytes(),
-        );
-        Ok(())
-    }
-
-    /// Decode every tier back into the flat plaintext arena — the shape
-    /// checkpoints persist and `finish` hands to `MappingStore`. The
-    /// result is byte-identical to a run that never demoted anything.
-    pub fn materialize(&mut self) -> Result<Vec<E>, SfaError> {
-        let mut out = Vec::with_capacity(self.total_elems());
-        for batch in 0..self.frozen.len() {
-            let rows = self.decode_batch(batch)?;
-            debug_assert_eq!(rows.len(), self.batch_rows * self.n);
-            out.extend_from_slice(&rows);
-        }
-        out.extend_from_slice(&self.hot);
-        Ok(out)
     }
 }
 
@@ -618,43 +355,5 @@ mod tests {
             SfaError::SpillDirUnavailable { path, .. } => assert_eq!(path, dir),
             other => panic!("expected SpillDirUnavailable, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tiered_rows_round_trip_through_all_tiers() {
-        let dir = ScratchDir::new("store_tiers");
-        let n = 8usize;
-        // Cap small enough that most batches demote all the way to disk.
-        let cfg = SpillConfig::new(dir.path(), 256);
-        let mut rows = TieredRows::<u16>::spilling(n, &cfg, CodecChoice::Deflate).unwrap();
-        let mut plain = TieredRows::<u16>::plain(n);
-        let total = 500usize;
-        for id in 0..total {
-            let row: Vec<u16> = (0..n as u16)
-                .map(|q| (id as u16).wrapping_mul(31) ^ q)
-                .collect();
-            rows.push_row(&row);
-            plain.push_row(&row);
-            // Everything below the freshly appended row is "completed".
-            rows.maybe_demote(id).unwrap();
-        }
-        assert!(rows.demotions > 0, "cap must have forced demotions");
-        assert!(
-            rows.spilled_bytes() > 0,
-            "cap must have reached the disk tier"
-        );
-        assert!(
-            rows.resident_bytes() < (total * n * 2) as u64,
-            "resident bytes must be below the logical size"
-        );
-        // Every row reads back identical regardless of tier...
-        for id in 0..total {
-            let got = rows.row(id).unwrap().to_vec();
-            let want = plain.row(id).unwrap().to_vec();
-            assert_eq!(got, want, "row {id}");
-        }
-        assert!(rows.promotions > 0, "reads touched the disk tier");
-        // ...and the materialized arena is byte-identical to plain.
-        assert_eq!(rows.materialize().unwrap(), plain.materialize().unwrap());
     }
 }
