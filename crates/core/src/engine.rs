@@ -31,11 +31,10 @@
 
 use crate::budget::{Budget, BudgetResource, Governor};
 use crate::lazy::LazySfa;
-use crate::matcher::ParallelMatcher;
 use crate::obs::{MetricsRegistry, SpanRecord, Subscriber};
 use crate::parallel::ParallelOptions;
 use crate::request::{MatchOutcome, MatchRequest, TierPolicy};
-use crate::runtime::{ByteClassifier, MatchRuntime, MatchStats};
+use crate::runtime::{ByteClassifier, Input, MatchRuntime, MatchStats, Step};
 use crate::scan::{ScanEngine, ScanOptions};
 use crate::sfa::Sfa;
 use crate::speculative::SpeculativeMatcher;
@@ -269,12 +268,8 @@ impl<'d> MatchEngine<'d> {
     /// on the exact pruned mode instead is per-input (check the
     /// outcome's `tier`).
     pub fn tier(&self) -> MatchTier {
-        match self.backend {
-            Backend::Full { .. } => MatchTier::FullSfa,
-            Backend::Lazy(_) => MatchTier::LazySfa,
-            Backend::Speculative => MatchTier::Speculative,
-            Backend::Sequential => MatchTier::Sequential,
-        }
+        self.step(TierPolicy::Auto)
+            .map_or(MatchTier::Sequential, |step| step.tier())
     }
 
     /// Engine statistics (tier counters, degradation causes,
@@ -295,7 +290,7 @@ impl<'d> MatchEngine<'d> {
         }
         let (verdict, stats) = self
             .runtime
-            .sequential(self.dfa, &request, &Governor::unlimited())
+            .run_step(Step::Sequential(self.dfa), &request, &Governor::unlimited())
             .expect("an ungoverned sequential pass over symbols cannot fail");
         self.record(&stats, false);
         verdict
@@ -340,7 +335,8 @@ impl<'d> MatchEngine<'d> {
         // backend steps down.
         let ladder = matches!(request.tier, TierPolicy::Auto | TierPolicy::RequireFull);
         let (verdict, stats) = loop {
-            match self.serve(request, &governor) {
+            let step = self.step(request.tier)?;
+            match self.runtime.run_step(step, request, &governor) {
                 Err(err) if ladder && self.steps_down(&err) => self.step_down(err),
                 served => break served?,
             }
@@ -364,27 +360,18 @@ impl<'d> MatchEngine<'d> {
         }
     }
 
-    /// One attempt at `request` on the tier its policy and the engine's
-    /// backend select — exactly one runtime implementation per tier.
-    fn serve(
-        &self,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let rt = &self.runtime;
-        match (request.tier, &self.backend) {
-            (TierPolicy::Sequential, _) => rt.sequential(self.dfa, request, governor),
+    /// The block step of the tier `policy` selects on this engine's
+    /// backend — one attempt at a request runs exactly one runtime tier.
+    fn step(&self, policy: TierPolicy) -> Result<Step<'_>, SfaError> {
+        Ok(match (policy, &self.backend) {
+            (TierPolicy::Sequential, _) => Step::Sequential(self.dfa),
             (TierPolicy::Speculative, _) | (_, Backend::Speculative) => {
-                let spec = self.spec.as_ref().ok_or(SfaError::EmptyDfa)?;
-                rt.speculative(spec, request, governor)
+                Step::Speculative(self.spec.as_ref().ok_or(SfaError::EmptyDfa)?)
             }
-            (_, Backend::Full { sfa, scan }) => {
-                let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
-                rt.full(&matcher, request, governor)
-            }
-            (_, Backend::Lazy(lazy)) => rt.lazy(lazy, request, governor),
-            (_, Backend::Sequential) => rt.sequential(self.dfa, request, governor),
-        }
+            (_, Backend::Full { sfa, scan }) => Step::Full(sfa, self.dfa, scan),
+            (_, Backend::Lazy(lazy)) => Step::Lazy(lazy),
+            (_, Backend::Sequential) => Step::Sequential(self.dfa),
+        })
     }
 
     /// The step-down rule: a worker panic, or the tier running out of its
@@ -447,29 +434,22 @@ impl<'d> MatchEngine<'d> {
         served.last_match = Some(stats.clone());
     }
 
-    /// Stream an input through the engine in fixed-size blocks: the full
-    /// tier chunk-matches each block in parallel on the pool
-    /// ([`MatchRuntime::matches_stream`]); other tiers scan the stream
-    /// sequentially through the DFA. Same verdict either way, and peak
-    /// memory stays at one block. The engine's cancel token is polled; a
-    /// full-tier worker panic steps the engine down but still fails this
-    /// query, whose stream is partly consumed.
+    /// Stream an input through the engine in fixed-size blocks on the
+    /// engine's own tier ([`Self::tier`]): peak memory stays at one
+    /// block, and the verdict equals reading the whole input at once.
+    /// The engine's cancel token is polled; a worker panic, or the tier
+    /// running out of its space budget, steps the engine down but still
+    /// fails this query, whose stream is partly consumed.
     pub fn match_stream<R: Read>(
         &mut self,
         classifier: &ByteClassifier,
-        reader: R,
+        mut reader: R,
     ) -> Result<(bool, MatchStats), SfaError> {
         let governor = Governor::new(&Budget::unlimited(), self.cancel.clone());
-        let served = match &self.backend {
-            Backend::Full { sfa, scan } => {
-                let matcher = ParallelMatcher::with_scan(sfa, self.dfa, Arc::clone(scan));
-                self.runtime
-                    .matches_stream(&matcher, classifier, reader, &governor)
-            }
-            _ => self
-                .runtime
-                .sequential_stream(self.dfa, classifier, reader, &governor),
-        };
+        let served = self.step(TierPolicy::Auto).and_then(|step| {
+            self.runtime
+                .drive(step, classifier, Input::Stream(&mut reader), &governor)
+        });
         match &served {
             Ok((_, stats)) => self.record(stats, false),
             Err(err) if self.steps_down(err) => self.step_down(err.clone()),

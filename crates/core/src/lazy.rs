@@ -9,11 +9,18 @@
 //! fingerprint table the batch engine uses, caches the edge, and keeps
 //! matching. Only states actually *visited by the input* are ever built,
 //! and the structure is shared and reused across inputs and threads.
+//! Sin'ya and Matsuzaki (arXiv:1405.0562) define the SFA model this
+//! evaluates lazily.
 //!
 //! For the r500 automaton the full SFA has 124 543 states; matching a
 //! protein-like text touches a tiny fraction of them, so the lazy matcher
 //! removes almost the entire construction cost from the §IV-D break-even
 //! equation.
+//!
+//! Lanes run on the scan engine's lane kernel, with a transition
+//! function that discovers a state where the successor slot is empty: a
+//! block of symbols or raw bytes splits into one lane per pool worker,
+//! on scoped threads, and the running DFA state folds through their ends.
 //!
 //! Internals deliberately reuse the batch engine's substrate: the state
 //! store of `crate::state` (lock-free arena records with fingerprint,
@@ -25,13 +32,15 @@
 
 use crate::budget::{Budget, Governor};
 use crate::elem::Elem;
-use crate::matcher::{panic_payload_message, GOVERNOR_POLL_SYMBOLS};
+use crate::matcher::{panic_payload_message, AbortControl};
 use crate::parallel::ParallelOptions;
+use crate::scan::{run_lanes, Decode, Delta, Dense, Exits, Lane};
 use crate::state::{InternStats, StateStore};
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
+use sfa_sync::pool::JobPanic;
 use sfa_sync::CancelToken;
 use sfa_sync::NIL;
 
@@ -132,7 +141,7 @@ impl<'d> LazySfa<'d> {
     }
 
     /// [`Self::step`]'s slow path, out of line so the cached edge inlines
-    /// into the match loop (a tenth off lazy-tier time on `match`).
+    /// into the lane kernel (a tenth off lazy-tier time on `match`).
     #[cold]
     fn discover(&self, s: u32, sym: SymbolId) -> Result<u32, SfaError> {
         if !self.governor.is_unlimited() {
@@ -160,20 +169,9 @@ impl<'d> LazySfa<'d> {
     /// Run the lazy SFA over `input` from the start state, constructing
     /// missing states along the way.
     pub fn run(&self, input: &[SymbolId]) -> Result<u32, SfaError> {
-        self.run_governed(input, &Governor::unlimited())
-    }
-
-    /// [`Self::run`] that also polls `governor` (a match request's
-    /// deadline and cancel token) every [`GOVERNOR_POLL_SYMBOLS`] symbols.
-    fn run_governed(&self, input: &[SymbolId], governor: &Governor) -> Result<u32, SfaError> {
-        let mut s = self.start;
-        for part in input.chunks(GOVERNOR_POLL_SYMBOLS) {
-            governor.check(0, 0)?;
-            for &sym in part {
-                s = self.step(s, sym)?;
-            }
-        }
-        Ok(s)
+        let mut lane = [Lane::new(input, self.start)];
+        self.scan(&Governor::unlimited(), Dense, &mut lane)?;
+        Ok(lane[0].state)
     }
 
     /// Parallel membership test: chunk the input, run the lazy SFA over
@@ -181,50 +179,91 @@ impl<'d> LazySfa<'d> {
     /// immediately visible to the others), compose the mappings, apply
     /// the DFA start state.
     pub fn matches(&self, input: &[SymbolId], threads: usize) -> Result<bool, SfaError> {
-        let (verdict, _) = self.matches_governed(&Governor::unlimited(), input, threads)?;
-        Ok(verdict)
+        let q0 = self.dfa.start();
+        let (q, _) = self.fold_block(&Governor::unlimited(), Dense, input, 0, q0, threads)?;
+        Ok(self.dfa.is_accepting(q))
     }
 
-    /// [`Self::matches`] polling `governor`, returning the verdict and the
-    /// chunk count; a worker panic becomes [`SfaError::WorkerPanic`]. Not
-    /// on the match pool: state rows allocated from its long-lived
-    /// threads raised peak RSS on the `match` benchmark by a fifth.
-    pub(crate) fn matches_governed(
+    /// The lazy tier's block step: split `block` (read through `decode`,
+    /// at input offset `offset`) into `threads` lanes from the start
+    /// state, then fold the running DFA state `q` through their exit
+    /// states. Returns the state after the block and the lane count.
+    pub(crate) fn fold_block<D: Decode>(
         &self,
         governor: &Governor,
-        input: &[SymbolId],
+        decode: D,
+        block: &[u8],
+        offset: u64,
+        q: u32,
         threads: usize,
-    ) -> Result<(bool, u64), SfaError> {
-        if input.is_empty() {
-            return Ok((self.dfa.is_accepting(self.dfa.start()), 0));
+    ) -> Result<(u32, u64), SfaError> {
+        if block.is_empty() {
+            return Ok((q, 0));
         }
-        let chunk = input.len().div_ceil(threads.max(1));
-        let ends: Vec<Result<u32, SfaError>> = if chunk == input.len() {
-            vec![self.run_governed(input, governor)]
+        let chunk = block.len().div_ceil(threads.max(1));
+        let mut lanes: Vec<Lane<'_>> = Lane::chunks(block, offset, chunk, self.start).collect();
+        self.scan(governor, decode, &mut lanes)?;
+        let q = lanes.iter().fold(q, |q, lane| self.apply(lane.state, q));
+        Ok((q, lanes.len() as u64))
+    }
+
+    /// Run `lanes` through the lane kernel, one lane per scoped thread (a
+    /// lone lane on the calling thread), discovering states as they go;
+    /// a panic becomes [`SfaError::WorkerPanic`]. Not on the match pool:
+    /// state rows allocated from its long-lived threads raise peak RSS
+    /// on the `match` benchmark by a fifth.
+    fn scan<D: Decode>(
+        &self,
+        governor: &Governor,
+        decode: D,
+        lanes: &mut [Lane<'_>],
+    ) -> Result<(), SfaError> {
+        let ctl = AbortControl::new(governor);
+        let delta = Discover {
+            lazy: self,
+            ctl: &ctl,
+        };
+        let run = |lane: &mut [Lane<'_>]| {
+            run_lanes(delta, decode, 1, lane, &Exits, &ctl);
+        };
+        let joined = if lanes.len() == 1 {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(lanes)))
         } else {
             std::thread::scope(|scope| {
-                let workers: Vec<_> = input
-                    .chunks(chunk)
-                    .map(|part| scope.spawn(move || self.run_governed(part, governor)))
+                let workers: Vec<_> = lanes
+                    .chunks_mut(1)
+                    .map(|lane| scope.spawn(|| run(lane)))
                     .collect();
+                // Join every worker before reporting the first panic.
                 workers
                     .into_iter()
-                    .map(|worker| {
-                        worker.join().unwrap_or_else(|payload| {
-                            Err(SfaError::WorkerPanic {
-                                message: panic_payload_message(payload),
-                            })
-                        })
-                    })
-                    .collect()
+                    .map(|w| w.join())
+                    .fold(Ok(()), Result::and)
             })
         };
-        let chunks = ends.len() as u64;
-        let mut q = self.dfa.start();
-        for end in ends {
-            q = self.apply(end?, q);
-        }
-        Ok((self.dfa.is_accepting(q), chunks))
+        ctl.finish(joined.map_err(|payload| JobPanic {
+            message: panic_payload_message(payload),
+        }))
+    }
+}
+
+/// The lazy SFA as the lane kernel's transition function: `next` reads
+/// the cached successor slot and discovers the state on NIL. A discovery
+/// error goes to the scan's [`AbortControl`], and the lane stands still
+/// until the kernel's next poll abandons the scan.
+#[derive(Clone, Copy)]
+struct Discover<'a, 'd> {
+    lazy: &'a LazySfa<'d>,
+    ctl: &'a AbortControl<'a>,
+}
+
+impl Delta for Discover<'_, '_> {
+    #[inline(always)]
+    fn next(self, s: u32, sym: SymbolId) -> u32 {
+        self.lazy.step(s, sym).unwrap_or_else(|err| {
+            self.ctl.fail(err);
+            s
+        })
     }
 }
 
@@ -232,6 +271,7 @@ impl<'d> LazySfa<'d> {
 mod tests {
     use super::*;
     use crate::matcher::match_sequential;
+    use crate::runtime::ByteClassifier;
     use crate::sfa::Sfa;
     use sfa_automata::pipeline::Pipeline;
     use sfa_automata::Alphabet;
@@ -348,6 +388,81 @@ mod tests {
         match lazy.matches(&text, 2) {
             Err(SfaError::StateBudgetExceeded { .. }) => {}
             other => panic!("expected budget error, got {other:?}"),
+        }
+    }
+
+    /// Lanes from the start state through the kernel, `k_way` to a
+    /// group, as the lazy tier runs them; `Err` is the failure the scan
+    /// recorded.
+    fn kernel_exits<D: Decode>(
+        lazy: &LazySfa<'_>,
+        decode: D,
+        k_way: usize,
+        inputs: &[Vec<u8>],
+    ) -> Result<Vec<Vec<u32>>, SfaError> {
+        let governor = Governor::unlimited();
+        let ctl = AbortControl::new(&governor);
+        let delta = Discover { lazy, ctl: &ctl };
+        let mut lanes: Vec<Lane<'_>> = inputs.iter().map(|w| Lane::new(w, lazy.start())).collect();
+        for group in lanes.chunks_mut(k_way) {
+            run_lanes(delta, decode, k_way, group, &Exits, &ctl);
+        }
+        ctl.finish(Ok(()))?;
+        Ok(lanes
+            .iter()
+            .map(|lane| lazy.mapping_of(lane.state))
+            .collect())
+    }
+
+    #[test]
+    fn discover_delta_agrees_with_step_loop() {
+        let alpha = Alphabet::amino_acids();
+        let dfa = Pipeline::search(alpha.clone())
+            .compile_prosite("L-x(3)-L-x(3)-L")
+            .unwrap();
+        let texts: Vec<Vec<u8>> = (0..8)
+            .map(|seed| protein_text(400 + 100 * seed as usize, seed))
+            .collect();
+        // The same texts as files wrapped every 60 columns.
+        let wrapped: Vec<Vec<u8>> = texts
+            .iter()
+            .map(|text| {
+                alpha
+                    .decode_symbols(text)
+                    .chunks(60)
+                    .flat_map(|line| line.iter().copied().chain([b'\n']))
+                    .collect()
+            })
+            .collect();
+        let oracle = LazySfa::new(&dfa, 1 << 20).unwrap();
+        let expected: Vec<Vec<u32>> = texts
+            .iter()
+            .map(|text| {
+                let s = text
+                    .iter()
+                    .try_fold(oracle.start(), |s, &sym| oracle.step(s, sym));
+                oracle.mapping_of(s.unwrap())
+            })
+            .collect();
+        let classifier = ByteClassifier::skipping_ascii_whitespace(&alpha);
+        let rg = rg_dfa();
+        for k_way in [1usize, 2, 4, 8] {
+            let on_symbols = LazySfa::new(&dfa, 1 << 20).unwrap();
+            let exits = kernel_exits(&on_symbols, Dense, k_way, &texts).unwrap();
+            assert_eq!(exits, expected, "symbols, K = {k_way}");
+            let on_bytes = LazySfa::new(&dfa, 1 << 20).unwrap();
+            let exits = kernel_exits(&on_bytes, &classifier, k_way, &wrapped).unwrap();
+            assert_eq!(exits, expected, "bytes, K = {k_way}");
+            for lazy in [&on_symbols, &on_bytes] {
+                assert!(lazy.states_built() <= oracle.states_built());
+            }
+
+            // Two states are not enough: the scan fails typed, no panic.
+            let small = LazySfa::new(&rg, 2).unwrap();
+            match kernel_exits(&small, Dense, k_way, &texts) {
+                Err(SfaError::StateBudgetExceeded { .. }) => {}
+                other => panic!("K = {k_way}: expected a budget error, got {other:?}"),
+            }
         }
     }
 

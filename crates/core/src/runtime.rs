@@ -1,25 +1,25 @@
 //! The persistent match runtime: pooled and streaming.
 //!
 //! [`MatchRuntime`] is the serving-side counterpart of the construction
-//! engine. It owns (or shares) a [`TaskPool`] and drives a request's
-//! input through the SFA chunk-matching scheme of [`crate::matcher`]:
+//! engine. It owns (or shares) a [`TaskPool`] and reads every request's
+//! input the same way, whatever rung of the degradation ladder serves
+//! it — full SFA ([`crate::matcher`]), lazy SFA ([`crate::lazy`]),
+//! speculative ([`crate::speculative`]) or sequential. Each tier
+//! supplies only its block step, which folds one block into a running
+//! DFA state:
 //!
 //! * **Symbols** ([`MatchRuntime::matches_symbols`]) — dense
-//!   [`SymbolId`]s, chunk-matched in parallel.
-//! * **Bytes** — classification from raw bytes to dense symbols is
-//!   *fused* into the per-chunk SFA scan, so no intermediate
+//!   [`SymbolId`]s, one block.
+//! * **Bytes** — one block whose classification from raw bytes to dense
+//!   symbols is *fused* into the tier's scan, so no intermediate
 //!   `Vec<SymbolId>` is ever allocated.
-//! * **Streams** ([`MatchRuntime::matches_stream`]) — any `impl Read`,
-//!   consumed in fixed-size blocks ([`MatchRuntime::block_bytes`]).
-//!   Each block is chunk-matched in parallel and folded into a running
-//!   DFA state; memory stays at one block regardless of input size, so
+//! * **Streams** ([`MatchRuntime::matches_stream`]) and files — any
+//!   `impl Read`, consumed one [`MatchRuntime::block_bytes`] block at a
+//!   time; memory stays at one block regardless of input size, so
 //!   multi-GB inputs stream through without materializing anything.
 //!
-//! Each rung of the degradation ladder has exactly one implementation
-//! here — full SFA (the shapes above), lazy SFA, speculative and
-//! sequential — and each reads a request's symbols, bytes or file
-//! itself. [`MatchRuntime::run`] and [`MatchRuntime::run_dfa`] serve a
-//! request on one of them;
+//! [`MatchRuntime::run`] and [`MatchRuntime::run_dfa`] serve a request
+//! on the tier its policy names;
 //! [`MatchEngine::run`](crate::MatchEngine::run) picks among them.
 //!
 //! Every path polls a [`Governor`] at block/chunk granularity (deadline,
@@ -41,7 +41,8 @@ use crate::lazy::LazySfa;
 use crate::matcher::{ParallelMatcher, GOVERNOR_POLL_SYMBOLS};
 use crate::obs::{LazyCounter, LazyGauge, LazyHistogram, Stopwatch};
 use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
-use crate::scan::{Decode, Dense};
+use crate::scan::{Decode, Dense, ScanEngine};
+use crate::sfa::Sfa;
 use crate::speculative::SpeculativeMatcher;
 use crate::SfaError;
 use sfa_automata::alphabet::{Alphabet, SymbolId};
@@ -404,185 +405,50 @@ impl MatchRuntime {
         cancel: Option<sfa_sync::CancelToken>,
     ) -> Result<MatchOutcome, SfaError> {
         let governor = Governor::new(&request.budget, cancel);
-        let (verdict, stats) = match (request.tier, matcher) {
+        let spec;
+        let step = match (request.tier, matcher) {
             (TierPolicy::Speculative, _) => {
-                self.speculative(&SpeculativeMatcher::new(dfa)?, request, &governor)
+                spec = SpeculativeMatcher::new(dfa)?;
+                Step::Speculative(&spec)
             }
-            (TierPolicy::Auto | TierPolicy::RequireFull, Some(matcher)) => {
-                self.full(matcher, request, &governor)
+            (TierPolicy::Auto | TierPolicy::RequireFull, Some(matcher)) => Step::full(matcher),
+            (TierPolicy::RequireFull, None) => {
+                return Err(SfaError::InvalidOptions(
+                    "tier policy requires the full SFA tier, but the request has no SFA",
+                ))
             }
-            (TierPolicy::RequireFull, None) => Err(SfaError::InvalidOptions(
-                "tier policy requires the full SFA tier, but the request has no SFA",
-            )),
-            _ => self.sequential(dfa, request, &governor),
-        }?;
+            _ => Step::Sequential(dfa),
+        };
+        let (verdict, stats) = self.run_step(step, request, &governor)?;
         if request.trace {
             crate::obs::report_span("match/request", stats.elapsed_nanos());
         }
         Ok(MatchOutcome::new(verdict, stats))
     }
 
-    /// The full SFA tier: symbols and bytes chunk-match as one block,
-    /// files stream block by block. Byte classification is fused into
-    /// the chunk scans (no symbol buffer); an invalid byte fails with
-    /// [`SfaError::InvalidByte`] carrying its offset.
-    pub(crate) fn full(
-        &self,
-        matcher: &ParallelMatcher<'_>,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let classifier = || ByteClassifier::for_mode(request.classifier, matcher.dfa.alphabet());
-        match &request.input {
-            InputSource::Symbols(symbols) => self.matches_symbols(matcher, symbols, governor),
-            InputSource::Bytes(bytes) => self.one_block(matcher, &classifier(), bytes, governor),
-            InputSource::File(path) => {
-                self.matches_stream(matcher, &classifier(), open(path)?, governor)
-            }
-        }
-    }
-
-    /// The lazy SFA tier: as many chunks as the pool has workers,
-    /// constructing SFA states on demand.
-    pub(crate) fn lazy(
-        &self,
-        lazy: &LazySfa<'_>,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        self.over_symbols(lazy.dfa(), request, governor, |symbols| {
-            let threads = self.pool.threads();
-            let (verdict, chunks) = lazy.matches_governed(governor, symbols, threads)?;
-            let stats = MatchStats {
-                tier: MatchTier::LazySfa,
-                chunks,
-                ..MatchStats::default()
-            };
-            Ok((verdict, stats))
-        })
-    }
-
-    /// The speculative tier: chunk-parallel over the raw DFA with
-    /// predicted entry states and seam verification (or the exact
-    /// pruned-enumerative mode when the feasible entry sets are narrow —
-    /// see [`crate::speculative`]).
-    pub(crate) fn speculative(
-        &self,
-        matcher: &SpeculativeMatcher<'_>,
-        request: &MatchRequest,
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        self.over_symbols(matcher.dfa(), request, governor, |symbols| {
-            let threads = self.pool.threads();
-            let (verdict, spec) = matcher.matches(&self.pool, governor, symbols, threads)?;
-            let stats = MatchStats {
-                tier: if spec.pruned {
-                    MatchTier::PrunedSfa
-                } else {
-                    MatchTier::Speculative
-                },
-                chunks: spec.chunks,
-                mispredicts: spec.mispredicts,
-                reruns: spec.reruns,
-                state_visits: spec.state_visits,
-                ..MatchStats::default()
-            };
-            Ok((verdict, stats))
-        })
-    }
-
-    /// A tier that scans dense symbols (lazy, speculative): raw inputs are
-    /// classified up front and files read whole. `scan` fills the tier's
-    /// own stats; this adds input size, wall time and pool backlog.
-    fn over_symbols(
-        &self,
-        dfa: &Dfa,
-        request: &MatchRequest,
-        governor: &Governor,
-        scan: impl FnOnce(&[SymbolId]) -> Result<(bool, MatchStats), SfaError>,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let start = Instant::now();
-        governor.check(0, 0)?;
-        let classify = |bytes: &[u8]| {
-            let classifier = ByteClassifier::for_mode(request.classifier, dfa.alphabet());
-            encode_classified(&classifier, bytes, governor)
-        };
-        let ((verdict, mut stats), len) = match &request.input {
-            InputSource::Symbols(symbols) => (scan(symbols)?, symbols.len()),
-            InputSource::Bytes(bytes) => (scan(&classify(bytes)?)?, bytes.len()),
-            InputSource::File(path) => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| SfaError::Io(format!("read {}: {e}", path.display())))?;
-                (scan(&classify(&bytes)?)?, bytes.len())
-            }
-        };
-        stats.blocks = 1;
-        stats.bytes = len as u64;
-        stats.elapsed = start.elapsed();
-        stats.queue_depth = self.pool.queue_depth();
-        note_match(&stats);
-        Ok((verdict, stats))
-    }
-
-    /// The sequential oracle: one DFA pass, no pool, same verdict by
-    /// construction. Files stream one [`Self::block_bytes`] block at a
+    /// Serve `request` on `step`'s tier: symbols as one block through
+    /// [`Dense`], bytes as one block through the request's
+    /// [`ByteClassifier`], a file one [`Self::block_bytes`] block at a
     /// time.
-    pub(crate) fn sequential(
+    pub(crate) fn run_step(
         &self,
-        dfa: &Dfa,
+        step: Step<'_>,
         request: &MatchRequest,
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
-        let classifier = || ByteClassifier::for_mode(request.classifier, dfa.alphabet());
-        let start = Instant::now();
-        governor.check(0, 0)?;
-        let (q, len) = match &request.input {
+        let classifier = || ByteClassifier::for_mode(request.classifier, step.dfa().alphabet());
+        match &request.input {
             InputSource::Symbols(symbols) => {
-                let q = step_classified(dfa, Dense, dfa.start(), symbols, 0, governor)?;
-                (q, symbols.len())
+                self.drive(step, Dense, Input::Whole(symbols), governor)
             }
             InputSource::Bytes(bytes) => {
-                let q = step_classified(dfa, &classifier(), dfa.start(), bytes, 0, governor)?;
-                (q, bytes.len())
+                self.drive(step, &classifier(), Input::Whole(bytes), governor)
             }
             InputSource::File(path) => {
-                return self.sequential_stream(dfa, &classifier(), open(path)?, governor)
+                let mut file = open(path)?;
+                self.drive(step, &classifier(), Input::Stream(&mut file), governor)
             }
-        };
-        let stats = MatchStats {
-            tier: MatchTier::Sequential,
-            blocks: 1,
-            chunks: 1,
-            bytes: len as u64,
-            elapsed: start.elapsed(),
-            ..MatchStats::default()
-        };
-        note_match(&stats);
-        Ok((dfa.is_accepting(q), stats))
-    }
-
-    /// The sequential oracle over a stream, one [`Self::block_bytes`]
-    /// block at a time: peak memory is one block.
-    pub(crate) fn sequential_stream<R: Read>(
-        &self,
-        dfa: &Dfa,
-        classifier: &ByteClassifier,
-        reader: R,
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let start = Instant::now();
-        governor.check(0, 0)?;
-        let mut stats = MatchStats {
-            tier: MatchTier::Sequential,
-            chunks: 1,
-            ..MatchStats::default()
-        };
-        let q = self.fold_stream(reader, dfa.start(), &mut stats, |block, offset, q, _| {
-            step_classified(dfa, classifier, q, block, offset, governor)
-        })?;
-        stats.elapsed = start.elapsed();
-        note_match(&stats);
-        Ok((dfa.is_accepting(q), stats))
+        }
     }
 
     /// Accept decision for a pre-encoded symbol slice, matched in
@@ -593,30 +459,7 @@ impl MatchRuntime {
         input: &[SymbolId],
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
-        self.one_block(matcher, Dense, input, governor)
-    }
-
-    /// An in-memory input chunk-matched as one block.
-    fn one_block<D: Decode>(
-        &self,
-        matcher: &ParallelMatcher<'_>,
-        decode: D,
-        input: &[u8],
-        governor: &Governor,
-    ) -> Result<(bool, MatchStats), SfaError> {
-        let start = Instant::now();
-        let mut stats = MatchStats {
-            tier: MatchTier::FullSfa,
-            blocks: 1,
-            bytes: input.len() as u64,
-            ..MatchStats::default()
-        };
-        let q0 = matcher.dfa.start();
-        let q = self.fold_block(matcher, decode, input, 0, q0, governor, &mut stats)?;
-        stats.elapsed = start.elapsed();
-        stats.queue_depth = self.pool.queue_depth();
-        note_match(&stats);
-        Ok((matcher.dfa.is_accepting(q), stats))
+        self.drive(Step::full(matcher), Dense, Input::Whole(input), governor)
     }
 
     /// Accept decision for a stream, consumed in fixed-size blocks.
@@ -627,74 +470,118 @@ impl MatchRuntime {
         &self,
         matcher: &ParallelMatcher<'_>,
         classifier: &ByteClassifier,
-        reader: R,
+        mut reader: R,
+        governor: &Governor,
+    ) -> Result<(bool, MatchStats), SfaError> {
+        let step = Step::full(matcher);
+        self.drive(step, classifier, Input::Stream(&mut reader), governor)
+    }
+
+    /// The one input path: fold `input`, read through `decode`, into
+    /// the DFA state after it with `step`'s block step, from the start
+    /// state; then add wall time and pool backlog to the step's stats.
+    pub(crate) fn drive<D: Decode>(
+        &self,
+        step: Step<'_>,
+        decode: D,
+        input: Input<'_>,
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
         let start = Instant::now();
+        governor.check(0, 0)?;
         let mut stats = MatchStats {
-            tier: MatchTier::FullSfa,
+            tier: step.tier(),
             ..MatchStats::default()
         };
-        let q = self.fold_stream(
-            reader,
-            matcher.dfa.start(),
-            &mut stats,
-            |block, offset, q, stats| {
-                self.fold_block(matcher, classifier, block, offset, q, governor, stats)
-            },
-        )?;
+        let fold = |block: &[u8], offset, q, stats: &mut MatchStats| {
+            self.fold_block(step, decode, block, offset, q, governor, stats)
+                .map_err(|err| first_invalid(err, decode, block, offset))
+        };
+        let q0 = step.dfa().start();
+        let q = match input {
+            Input::Whole(block) => {
+                stats.blocks = 1;
+                stats.bytes = block.len() as u64;
+                fold(block, 0, q0, &mut stats)?
+            }
+            Input::Stream(reader) => self.fold_stream(reader, q0, &mut stats, fold)?,
+        };
         stats.elapsed = start.elapsed();
         stats.queue_depth = self.pool.queue_depth();
         note_match(&stats);
-        Ok((matcher.dfa.is_accepting(q), stats))
+        Ok((step.dfa().is_accepting(q), stats))
     }
 
-    /// Chunk-match one block — dense symbols, or raw bytes with their
-    /// classification fused into the chunk scans — from running state
-    /// `q`, returning the state after the block.
+    /// Fold one block — dense symbols, or raw bytes whose classification
+    /// is fused into the tier's scan — from running state `q` with
+    /// `step`'s block step, returning the state after the block.
     #[allow(clippy::too_many_arguments)]
     fn fold_block<D: Decode>(
         &self,
-        matcher: &ParallelMatcher<'_>,
+        step: Step<'_>,
         decode: D,
         block: &[u8],
-        block_offset: u64,
+        offset: u64,
         q: u32,
         governor: &Governor,
         stats: &mut MatchStats,
     ) -> Result<u32, SfaError> {
-        governor.check(0, 0)?;
-        if block.is_empty() {
-            return Ok(q);
-        }
-        let watch = Stopwatch::start();
-        // Pass 1, K-way interleaved on the compact table; pass 2 reduces
-        // the chunk mappings with the composition tree and folds the
-        // running state through.
         let threads = self.pool.threads().max(1);
-        let (states, _) = matcher.scan.chunk_states(
-            &self.pool,
-            governor,
-            decode,
-            block,
-            block_offset,
-            threads,
-        )?;
-        stats.chunks += states.len() as u64;
-        let (_, folded) = matcher
-            .scan
-            .entry_states(&self.pool, matcher.sfa, &states, q)?;
-        watch.record(&OBS_BLOCK_NANOS);
-        Ok(folded)
+        match step {
+            Step::Full(sfa, _, scan) => {
+                governor.check(0, 0)?;
+                if block.is_empty() {
+                    return Ok(q);
+                }
+                let watch = Stopwatch::start();
+                // Pass 1, K-way interleaved on the compact table; pass 2
+                // reduces the chunk mappings with the composition tree and
+                // folds the running state through.
+                let (states, _) =
+                    scan.chunk_states(&self.pool, governor, decode, block, offset, threads)?;
+                stats.chunks += states.len() as u64;
+                let (_, folded) = scan.entry_states(&self.pool, sfa, &states, q)?;
+                watch.record(&OBS_BLOCK_NANOS);
+                Ok(folded)
+            }
+            Step::Lazy(lazy) => {
+                let (q, lanes) = lazy.fold_block(governor, decode, block, offset, q, threads)?;
+                stats.chunks += lanes;
+                Ok(q)
+            }
+            Step::Speculative(spec) => {
+                let (q, run) =
+                    spec.fold_block(&self.pool, governor, decode, block, offset, q, threads)?;
+                // Pruned only if the first block that split into chunks ran
+                // pruned (no state visits are recorded before it) and no
+                // block speculated.
+                if run.chunks > 1 && (!run.pruned || stats.state_visits == 0) {
+                    stats.tier = if run.pruned {
+                        MatchTier::PrunedSfa
+                    } else {
+                        MatchTier::Speculative
+                    };
+                }
+                stats.chunks += run.chunks;
+                stats.mispredicts += run.mispredicts;
+                stats.reruns += run.reruns;
+                stats.state_visits += run.state_visits;
+                Ok(q)
+            }
+            Step::Sequential(dfa) => {
+                stats.chunks = 1;
+                step_classified(dfa, decode, q, block, offset, governor)
+            }
+        }
     }
 
     /// Read `reader` one [`Self::block_bytes`] block at a time and fold
     /// each block into the running state `q` with `fold(block, offset,
     /// q, stats)`. Peak memory is one block; fills `stats.blocks` and
     /// `stats.bytes`.
-    fn fold_stream<R: Read>(
+    fn fold_stream(
         &self,
-        mut reader: R,
+        reader: &mut dyn Read,
         mut q: u32,
         stats: &mut MatchStats,
         mut fold: impl FnMut(&[u8], u64, u32, &mut MatchStats) -> Result<u32, SfaError>,
@@ -702,7 +589,7 @@ impl MatchRuntime {
         let mut buf = vec![0u8; self.block_bytes];
         let mut offset = 0u64;
         loop {
-            let filled = self.read_block(&mut reader, &mut buf, stats)?;
+            let filled = self.read_block(reader, &mut buf, stats)?;
             if filled == 0 {
                 break;
             }
@@ -721,9 +608,9 @@ impl MatchRuntime {
     /// EOF). Transient errors are retried per the [`RetryPolicy`]
     /// (counted in `stats.retries`); permanent errors and exhausted
     /// retries become [`SfaError::Io`].
-    fn read_block<R: Read>(
+    fn read_block(
         &self,
-        reader: &mut R,
+        reader: &mut dyn Read,
         buf: &mut [u8],
         stats: &mut MatchStats,
     ) -> Result<usize, SfaError> {
@@ -759,6 +646,52 @@ impl MatchRuntime {
     }
 }
 
+/// One rung of the degradation ladder, as [`MatchRuntime::drive`] sees
+/// it: the automaton whose states the running state names, and what the
+/// tier's block step ([`MatchRuntime::fold_block`]) runs on.
+#[derive(Clone, Copy)]
+pub(crate) enum Step<'a> {
+    /// An SFA, its DFA and their compact scan tables.
+    Full(&'a Sfa, &'a Dfa, &'a ScanEngine),
+    Lazy(&'a LazySfa<'a>),
+    Speculative(&'a SpeculativeMatcher<'a>),
+    Sequential(&'a Dfa),
+}
+
+impl<'a> Step<'a> {
+    /// The full tier of `matcher`'s automaton pair.
+    fn full(matcher: &'a ParallelMatcher<'a>) -> Self {
+        Step::Full(matcher.sfa, matcher.dfa, &matcher.scan)
+    }
+
+    fn dfa(&self) -> &'a Dfa {
+        match *self {
+            Step::Full(_, dfa, _) | Step::Sequential(dfa) => dfa,
+            Step::Lazy(lazy) => lazy.dfa(),
+            Step::Speculative(spec) => spec.dfa(),
+        }
+    }
+
+    /// The tier a match reports before its first block.
+    pub(crate) fn tier(&self) -> MatchTier {
+        match self {
+            Step::Full(..) => MatchTier::FullSfa,
+            Step::Lazy(_) => MatchTier::LazySfa,
+            Step::Speculative(_) => MatchTier::Speculative,
+            Step::Sequential(_) => MatchTier::Sequential,
+        }
+    }
+}
+
+/// A match's input as [`MatchRuntime::drive`] reads it.
+pub(crate) enum Input<'a> {
+    /// In memory: one block.
+    Whole(&'a [u8]),
+    /// A reader, consumed one [`MatchRuntime::block_bytes`] block at a
+    /// time.
+    Stream(&'a mut dyn Read),
+}
+
 impl Default for MatchRuntime {
     fn default() -> Self {
         MatchRuntime::shared()
@@ -770,20 +703,10 @@ fn open(path: &Path) -> Result<std::fs::File, SfaError> {
     std::fs::File::open(path).map_err(|e| SfaError::Io(format!("open {}: {e}", path.display())))
 }
 
-/// Classify raw bytes into a dense symbol buffer (the lazy and
-/// speculative tiers' input shape).
-fn encode_classified(
-    classifier: &ByteClassifier,
-    bytes: &[u8],
-    governor: &Governor,
-) -> Result<Vec<SymbolId>, SfaError> {
-    let mut symbols = Vec::with_capacity(bytes.len());
-    classify_each(classifier, bytes, 0, governor, |sym| symbols.push(sym))?;
-    Ok(symbols)
-}
-
 /// Decode `block` (at input offset `offset`) and step the DFA through
-/// it from `q` — the sequential tier's one DFA pass.
+/// it from `q` — the sequential tier's one DFA pass — polling the
+/// governor every [`GOVERNOR_POLL_SYMBOLS`] bytes. Invalid bytes fail
+/// with their offset, exactly like the lane kernel.
 fn step_classified<D: Decode>(
     dfa: &Dfa,
     decode: D,
@@ -792,28 +715,14 @@ fn step_classified<D: Decode>(
     offset: u64,
     governor: &Governor,
 ) -> Result<u32, SfaError> {
-    classify_each(decode, block, offset, governor, |sym| q = dfa.next(q, sym))?;
-    Ok(q)
-}
-
-/// Decode `bytes` (at input offset `offset`) and hand each symbol to
-/// `visit`, polling the governor every [`GOVERNOR_POLL_SYMBOLS`] bytes.
-/// Invalid bytes fail with their offset, exactly like the fused paths.
-fn classify_each<D: Decode>(
-    decode: D,
-    bytes: &[u8],
-    offset: u64,
-    governor: &Governor,
-    mut visit: impl FnMut(SymbolId),
-) -> Result<(), SfaError> {
-    for (part, base) in bytes
+    for (part, base) in block
         .chunks(GOVERNOR_POLL_SYMBOLS)
         .zip((offset..).step_by(GOVERNOR_POLL_SYMBOLS))
     {
         governor.check(0, 0)?;
         for (j, &byte) in part.iter().enumerate() {
             match decode.decode(byte) {
-                Classified::Symbol(sym) => visit(sym),
+                Classified::Symbol(sym) => q = dfa.next(q, sym),
                 Classified::Skip => {}
                 Classified::Invalid => {
                     return Err(SfaError::InvalidByte {
@@ -824,7 +733,23 @@ fn classify_each<D: Decode>(
             }
         }
     }
-    Ok(())
+    Ok(q)
+}
+
+/// `err`, or — if it is an invalid byte, which chunks scanned in
+/// parallel find in no fixed order — the first invalid byte of `block`
+/// (at input offset `offset`), as a sequential pass would report it.
+fn first_invalid<D: Decode>(err: SfaError, decode: D, block: &[u8], offset: u64) -> SfaError {
+    match err {
+        SfaError::InvalidByte { .. } => (offset..)
+            .zip(block)
+            .find(|&(_, &byte)| decode.decode(byte) == Classified::Invalid)
+            .map_or(err, |(offset, &byte)| SfaError::InvalidByte {
+                byte,
+                offset,
+            }),
+        err => err,
+    }
 }
 
 /// Push one finished match's telemetry into the global metrics registry

@@ -26,8 +26,9 @@
 //!    throughput limit instead of the latency limit. Oversubscription
 //!    leaves more tasks than workers, so stragglers rebalance on the FIFO
 //!    [`TaskPool`] with no new machinery. The same kernel runs pass 1
-//!    (symbols or classified bytes), pass 3 (counting, first match) and
-//!    the speculative tier's lanes over the raw DFA table.
+//!    (symbols or classified bytes), pass 3 (counting, first match), the
+//!    speculative tier's lanes over the raw DFA table and the lazy tier's
+//!    lanes, which discover SFA states as they go.
 //! 3. **Reduction-tree composition** ([`prefix_compose_on`]). Pass 2
 //!    (exact entry states) composes whole chunk mappings with a
 //!    Ladner–Fischer-style tree — `O(chunks)` vectorized compositions of
@@ -407,12 +408,17 @@ pub(crate) const CHECKPOINT_SYMBOLS: usize = 4096;
 
 /// A transition function the kernel steps. A lane's running state is
 /// the function's own handle for it: the pre-scaled row offset on a
-/// packed [`ScanTable`], the state id itself on a [`Raw`] table.
+/// packed [`ScanTable`], the state id itself on a [`Raw`] table and on
+/// the lazy SFA's successor slots.
 pub(crate) trait Delta: Copy {
     /// The handle of state `q`.
-    fn handle(self, q: u32) -> u32;
+    fn handle(self, q: u32) -> u32 {
+        q
+    }
     /// The state behind handle `s`.
-    fn state(self, s: u32) -> u32;
+    fn state(self, s: u32) -> u32 {
+        s
+    }
     /// The successor of handle `s` on `sym`.
     fn next(self, s: u32, sym: SymbolId) -> u32;
 }
@@ -457,12 +463,6 @@ impl<'t> Raw<'t> {
 }
 
 impl Delta for Raw<'_> {
-    fn handle(self, q: u32) -> u32 {
-        q
-    }
-    fn state(self, s: u32) -> u32 {
-        s
-    }
     #[inline(always)]
     fn next(self, s: u32, sym: SymbolId) -> u32 {
         self.table[s as usize * self.k + sym as usize]
@@ -514,6 +514,23 @@ impl<'a> Lane<'a> {
             tally: 0,
             trail: Vec::new(),
         }
+    }
+
+    /// One lane per `chunk`-byte chunk of `block`, which starts at input
+    /// offset `offset`, each from `state`.
+    pub(crate) fn chunks(
+        block: &'a [u8],
+        offset: u64,
+        chunk: usize,
+        state: u32,
+    ) -> impl Iterator<Item = Lane<'a>> {
+        (offset..)
+            .step_by(chunk)
+            .zip(block.chunks(chunk))
+            .map(move |(offset, input)| Lane {
+                offset,
+                ..Lane::new(input, state)
+            })
     }
 }
 
@@ -904,14 +921,7 @@ impl ScanEngine {
         let _span = crate::obs::span!("scan/chunk_pass");
         let tbl = self.sfa_table()?;
         let chunk = self.opts.chunk_len(input.len(), threads);
-        let mut lanes: Vec<Lane<'_>> = input
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| Lane {
-                offset: offset + (i * chunk) as u64,
-                ..Lane::new(c, tbl.start())
-            })
-            .collect();
+        let mut lanes: Vec<Lane<'_>> = Lane::chunks(input, offset, chunk, tbl.start()).collect();
         OBS_CHUNKS.add(lanes.len() as u64);
         OBS_SYMBOLS.add(input.len() as u64);
         let k_way = self.opts.interleave;

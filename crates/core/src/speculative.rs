@@ -37,12 +37,19 @@
 //! pins this against the oracle, including a forced-100%-mispredict
 //! adversary.
 //!
+//! The match runtime runs one pass per block of input from the running
+//! DFA state, so files stream block by block; the lanes decode raw bytes
+//! themselves, and the feasible-set fold and seam re-runs skip the bytes
+//! the classifier skips.
+//!
 //! [`MatchTier::PrunedSfa`]: crate::MatchTier::PrunedSfa
 
 use crate::budget::Governor;
 use crate::matcher::GOVERNOR_POLL_SYMBOLS;
+use crate::runtime::Classified;
 use crate::scan::{
-    run_lanes, run_pooled, Dense, Exits, Lane, Raw, ScanOptions, Trails, CHECKPOINT_SYMBOLS,
+    run_lanes, run_pooled, Decode, Dense, Exits, Lane, Raw, Record, ScanOptions, Trails,
+    CHECKPOINT_SYMBOLS,
 };
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
@@ -346,46 +353,83 @@ impl<'d> SpeculativeMatcher<'d> {
         input: &[SymbolId],
         threads: usize,
     ) -> Result<(u32, SpecStats), SfaError> {
+        let q0 = self.dfa.start();
+        self.fold_block(pool, governor, Dense, input, 0, q0, threads)
+    }
+
+    /// The speculative tier's block step: `δ*(q, block)` for a block
+    /// read through `decode` at input offset `offset`, computed
+    /// chunk-parallel from the running state `q`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fold_block<D: Decode>(
+        &self,
+        pool: &TaskPool,
+        governor: &Governor,
+        decode: D,
+        block: &[u8],
+        offset: u64,
+        q: u32,
+        threads: usize,
+    ) -> Result<(u32, SpecStats), SfaError> {
         let mut stats = SpecStats {
             chunks: 1,
             ..SpecStats::default()
         };
-        let q0 = self.dfa.start();
         governor.check(0, 0)?;
-        if input.is_empty() {
-            return Ok((q0, stats));
-        }
-        let chunk = self.opts.chunk_len(input.len(), threads);
-        let chunks: Vec<&[SymbolId]> = input.chunks(chunk).collect();
-        stats.chunks = chunks.len() as u64;
-        if chunks.len() == 1 {
-            let q = rerun_chunk(self.dfa, input, q0, &[], q0, governor)?;
+        if block.is_empty() {
             return Ok((q, stats));
         }
-        let feasible = self.feasible_entry_sets(input, chunk, chunks.len());
+        let chunk = self.opts.chunk_len(block.len(), threads);
+        let mut chunks: Vec<Lane<'_>> = Lane::chunks(block, offset, chunk, q).collect();
+        stats.chunks = chunks.len() as u64;
+        if chunks.len() == 1 {
+            self.run(pool, governor, decode, &mut chunks, &Exits)?;
+            return Ok((chunks[0].state, stats));
+        }
+        let feasible = self.feasible_entry_sets(decode, block, q, chunk, chunks.len());
         let widest = feasible
             .as_ref()
             .map(|sets| sets.iter().map(StateSet::len).max().unwrap_or(0));
         let q = match (feasible, widest) {
             (Some(sets), Some(w)) if w <= PRUNE_LIMIT => {
-                self.pruned(pool, governor, &chunks, &sets, &mut stats)?
+                self.pruned(pool, governor, decode, &chunks, &sets, &mut stats)?
             }
             (feasible, _) => {
-                self.speculate(pool, governor, &chunks, feasible.as_deref(), &mut stats)?
+                let feasible = feasible.as_deref();
+                self.speculate(pool, governor, decode, chunks, feasible, &mut stats)?
             }
         };
         Ok((q, stats))
     }
 
+    /// Run `lanes` over the DFA's own table, [`ScanOptions::interleave`]
+    /// lanes to a pool task, recording `rec`.
+    fn run<D: Decode, R: Record + Sync>(
+        &self,
+        pool: &TaskPool,
+        governor: &Governor,
+        decode: D,
+        lanes: &mut [Lane<'_>],
+        rec: &R,
+    ) -> Result<(), SfaError> {
+        let k_way = self.opts.interleave;
+        run_pooled(pool, governor, k_way, lanes, |_, group, ctl| {
+            run_lanes(Raw::of(self.dfa), decode, k_way, group, rec, ctl);
+        })
+    }
+
     /// PaREM feasible-entry sets, one per interior boundary
     /// (`sets[i-1]` covers chunk `i`): fold through the trailing
-    /// [`LOOKBACK`] symbols before the boundary, starting from the full
-    /// state set — or, when the boundary is within `LOOKBACK` of the
-    /// input start, from `{q0}`, which makes the set *exact*. `None`
-    /// when the DFA is too large for the fold to pay for itself.
-    fn feasible_entry_sets(
+    /// [`LOOKBACK`] bytes before the boundary (skipping those `decode`
+    /// does not read as symbols), starting from the full state set — or,
+    /// when the boundary is within `LOOKBACK` of the block start, from
+    /// `{q}`, which makes the set *exact*. `None` when the DFA is too
+    /// large for the fold to pay for itself.
+    fn feasible_entry_sets<D: Decode>(
         &self,
-        input: &[SymbolId],
+        decode: D,
+        block: &[u8],
+        q: u32,
         chunk: usize,
         c: usize,
     ) -> Option<Vec<StateSet>> {
@@ -399,12 +443,15 @@ impl<'d> SpeculativeMatcher<'d> {
             let boundary = i * chunk;
             let (start, mut cur) = if boundary <= LOOKBACK {
                 let mut seed = StateSet::empty(n);
-                seed.insert(self.dfa.start());
+                seed.insert(q);
                 (0, seed)
             } else {
                 (boundary - LOOKBACK, StateSet::full(n))
             };
-            for &sym in &input[start..boundary] {
+            for &byte in &block[start..boundary] {
+                let Classified::Symbol(sym) = decode.decode(byte) else {
+                    continue;
+                };
                 next.clear();
                 for q in cur.iter() {
                     next.insert(self.dfa.next(q, sym));
@@ -419,22 +466,23 @@ impl<'d> SpeculativeMatcher<'d> {
     /// Exact enumerative mode: run every chunk from **each** of its
     /// feasible entry states in parallel (a pruned partial mapping —
     /// `|F|` rows instead of the SFA's `n`), then fold the true entries
-    /// sequentially. No speculation, so no mispredicts are possible;
-    /// the defensive re-run below cannot fire if the sets are sound.
-    fn pruned(
+    /// sequentially. Chunk 0's entry, its lane's state, is exact. No
+    /// speculation, so no mispredicts are possible; the defensive re-run
+    /// below cannot fire if the sets are sound.
+    fn pruned<D: Decode>(
         &self,
         pool: &TaskPool,
         governor: &Governor,
-        chunks: &[&[SymbolId]],
+        decode: D,
+        chunks: &[Lane<'_>],
         feasible: &[StateSet],
         stats: &mut SpecStats,
     ) -> Result<u32, SfaError> {
         stats.pruned = true;
         let dfa = self.dfa;
-        let q0 = dfa.start();
-        // entries[i] = candidate entry states for chunk i; chunk 0's
-        // entry is the start state, known exactly.
-        let entries: Vec<Vec<u32>> = std::iter::once(vec![q0])
+        let q = chunks[0].state;
+        // entries[i] = candidate entry states for chunk i.
+        let entries: Vec<Vec<u32>> = std::iter::once(vec![q])
             .chain(feasible.iter().map(|set| set.iter().collect()))
             .collect();
         // Flatten (chunk, feasible row) pairs into lanes and run them
@@ -444,13 +492,15 @@ impl<'d> SpeculativeMatcher<'d> {
         let mut lanes: Vec<Lane<'_>> = chunks
             .iter()
             .zip(entries.iter())
-            .flat_map(|(chunk, e)| e.iter().map(|&q| Lane::new(chunk, q)))
+            .flat_map(|(chunk, e)| {
+                e.iter().map(|&q| Lane {
+                    offset: chunk.offset,
+                    ..Lane::new(chunk.input, q)
+                })
+            })
             .collect();
-        let k_way = self.opts.interleave;
-        run_pooled(pool, governor, k_way, &mut lanes, |_, group, ctl| {
-            run_lanes(Raw::of(dfa), Dense, k_way, group, &Exits, ctl);
-        })?;
-        let mut state = q0;
+        self.run(pool, governor, decode, &mut lanes, &Exits)?;
+        let mut state = q;
         let mut rows = lanes.as_slice();
         for (chunk, entries) in chunks.iter().zip(&entries) {
             self.predictor.record(state);
@@ -463,63 +513,63 @@ impl<'d> SpeculativeMatcher<'d> {
                     // Unreachable if the feasible sets are sound; answer
                     // exactly anyway rather than trusting the analysis.
                     stats.reruns += 1;
-                    state = rerun_chunk(dfa, chunk, state, &[], state, governor)?;
+                    state = rerun_chunk(dfa, decode, chunk.input, state, &[], state, governor)?;
                 }
             }
         }
         Ok(state)
     }
 
-    /// Predict/verify mode: chunks run from predicted entries with a
-    /// checkpoint trail, then one sequential seam pass threads the true
+    /// Predict/verify mode: chunk 0 runs from its lane's state, which is
+    /// exact, the others from predicted entries, each recording a
+    /// checkpoint trail; then one sequential seam pass threads the true
     /// state and re-runs only the mispredicted chunks (stopping at the
     /// first checkpoint where the re-run converges onto the trail).
-    fn speculate(
+    fn speculate<D: Decode>(
         &self,
         pool: &TaskPool,
         governor: &Governor,
-        chunks: &[&[SymbolId]],
+        decode: D,
+        mut lanes: Vec<Lane<'_>>,
         feasible: Option<&[StateSet]>,
         stats: &mut SpecStats,
     ) -> Result<u32, SfaError> {
         let dfa = self.dfa;
-        let q0 = dfa.start();
-        let c = chunks.len();
-        let mut preds = Vec::with_capacity(c);
-        preds.push(q0);
-        for i in 1..c {
-            let pred = match feasible {
-                Some(sets) => self.predictor.hottest_in(&sets[i - 1]),
-                None => self.predictor.hottest(),
-            };
-            preds.push(pred.unwrap_or(q0));
+        let q = lanes[0].state;
+        let mut preds = Vec::with_capacity(lanes.len());
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if i > 0 {
+                let pred = match feasible {
+                    Some(sets) => self.predictor.hottest_in(&sets[i - 1]),
+                    None => self.predictor.hottest(),
+                };
+                lane.state = pred.unwrap_or(q);
+            }
+            lane.trail = Vec::with_capacity(lane.input.len().div_ceil(CHECKPOINT_SYMBOLS));
+            preds.push(lane.state);
         }
-        let mut lanes: Vec<Lane<'_>> = chunks
-            .iter()
-            .zip(&preds)
-            .map(|(chunk, &q)| Lane {
-                trail: Vec::with_capacity(chunk.len().div_ceil(CHECKPOINT_SYMBOLS)),
-                ..Lane::new(chunk, q)
-            })
-            .collect();
-        let k_way = self.opts.interleave;
-        run_pooled(pool, governor, k_way, &mut lanes, |_, group, ctl| {
-            run_lanes(Raw::of(dfa), Dense, k_way, group, &Trails, ctl);
-        })?;
+        self.run(pool, governor, decode, &mut lanes, &Trails)?;
         // Seam verification: thread the true state left-to-right. Chunk
-        // 0 ran from the real start state, so it can never mispredict.
-        let mut state = q0;
-        for i in 0..c {
+        // 0 ran from its true entry, so it can never mispredict.
+        let mut state = q;
+        for (lane, &pred) in lanes.iter().zip(&preds) {
             self.predictor.record(state);
             stats.state_visits += 1;
-            if preds[i] == state {
-                state = lanes[i].state;
+            if pred == state {
+                state = lane.state;
                 continue;
             }
             stats.mispredicts += 1;
             stats.reruns += 1;
-            let lane = &lanes[i];
-            state = rerun_chunk(dfa, lane.input, state, &lane.trail, lane.state, governor)?;
+            state = rerun_chunk(
+                dfa,
+                decode,
+                lane.input,
+                state,
+                &lane.trail,
+                lane.state,
+                governor,
+            )?;
         }
         Ok(state)
     }
@@ -529,10 +579,13 @@ impl<'d> SpeculativeMatcher<'d> {
 /// the speculative checkpoint trail: the first checkpoint where the
 /// states agree proves the suffixes identical, so the speculative exit
 /// is adopted and the rest of the chunk is skipped. With an empty trail
-/// this is a plain governed run from `entry`.
-fn rerun_chunk(
+/// this is a plain governed run from `entry`. Bytes `decode` does not
+/// read as symbols are skipped; an invalid one cannot reach here, since
+/// the lane pass that precedes every re-run scans every byte.
+fn rerun_chunk<D: Decode>(
     dfa: &Dfa,
-    chunk: &[SymbolId],
+    decode: D,
+    chunk: &[u8],
     entry: u32,
     trail: &[u32],
     spec_exit: u32,
@@ -546,7 +599,11 @@ fn rerun_chunk(
             since_poll = 0;
             governor.check(0, 0)?;
         }
-        q = dfa.run_from(q, block);
+        for &byte in block {
+            if let Classified::Symbol(sym) = decode.decode(byte) {
+                q = dfa.next(q, sym);
+            }
+        }
         if trail.get(k) == Some(&q) {
             return Ok(spec_exit);
         }
@@ -741,7 +798,9 @@ mod tests {
         let input = text(4096, 5, dfa.num_symbols());
         let chunk = tiny_chunks().chunk_len(input.len(), 4);
         let c = input.len().div_ceil(chunk);
-        let sets = matcher.feasible_entry_sets(&input, chunk, c).unwrap();
+        let sets = matcher
+            .feasible_entry_sets(Dense, &input, dfa.start(), chunk, c)
+            .unwrap();
         for (i, set) in sets.iter().enumerate() {
             let true_entry = dfa.run(&input[..(i + 1) * chunk]);
             assert!(

@@ -544,6 +544,26 @@ fn transient_read_faults_are_absorbed_by_retry() {
     assert!(verdict, "transient faults must not change the verdict");
     assert_eq!(stats.retries, 2);
 
+    // A speculative file request reads through the same block reader.
+    let scratch = ScratchDir::new("faults_speculative_file");
+    let path = scratch.join("text.txt");
+    std::fs::write(&path, &bytes).unwrap();
+    let request = MatchRequest::file(&path).with_tier(TierPolicy::Speculative);
+    let guard = faults::arm(FaultPlan::new().rule(FaultRule::window(
+        "runtime/read_block",
+        2,
+        2,
+        FaultKind::Transient,
+    )));
+    let outcome = rt.run_dfa(&dfa, &request, None).unwrap();
+    drop(guard);
+    assert!(
+        outcome.verdict,
+        "transient faults must not change the verdict"
+    );
+    assert!(outcome.stats.retries > 0);
+    assert!(outcome.stats.blocks > 1);
+
     // An everlasting transient fault must exhaust the retry budget and
     // surface as a typed error — not spin forever.
     let guard = faults::arm(FaultPlan::new().rule(FaultRule::always(

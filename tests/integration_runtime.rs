@@ -334,17 +334,16 @@ fn engine_threads_match_stats_and_polls_cancellation() {
 }
 
 #[test]
-fn engine_stream_on_sequential_tier_agrees() {
-    // Below the full tier, streams and file requests take the
-    // sequential scan, block by block, with whitespace skipped.
+fn engine_stream_agrees_on_every_tier_below_full() {
+    // Below the full tier, streams and file requests still read one
+    // block at a time, with whitespace skipped, on the tier that serves.
     let dfa = Pipeline::search(Alphabet::amino_acids())
         .compile_str("RGD")
         .unwrap();
-    let budget = Budget::unlimited()
-        .with_deadline(Duration::ZERO)
-        .with_max_states(0);
+    let budget = Budget::unlimited().with_deadline(Duration::ZERO);
     let mut engine =
         MatchEngine::with_budget(&dfa, &ParallelOptions::with_threads(2), &budget, None);
+    assert_eq!(engine.tier(), MatchTier::LazySfa);
     engine.set_runtime(MatchRuntime::new(2).with_block_bytes(4096));
     let alpha = Alphabet::amino_acids();
     let text = sfa_workloads::protein_text_with_motif(10_000, 8, b"RGD", &[9_000]);
@@ -355,36 +354,54 @@ fn engine_stream_on_sequential_tier_agrees() {
         wrapped.push(b'\n');
     }
     let expected = match_sequential(&dfa, &text);
+    let scratch = ScratchDir::new("engine_stream_tiers");
+    let path = scratch.join("wrapped.txt");
+    std::fs::write(&path, &wrapped).unwrap();
+
+    for (policy, tier) in [
+        (TierPolicy::Sequential, MatchTier::Sequential),
+        (TierPolicy::Speculative, MatchTier::Speculative),
+        (TierPolicy::Auto, MatchTier::LazySfa),
+    ] {
+        let request = MatchRequest::file(&path)
+            .with_classifier(ClassifierMode::SkipWhitespace)
+            .with_tier(policy);
+        let outcome = engine.run(&request).unwrap();
+        assert_eq!(outcome.verdict, expected, "{tier}");
+        assert_eq!(outcome.tier, tier);
+        assert_eq!(outcome.stats.bytes, wrapped.len() as u64, "{tier}");
+        assert!(
+            outcome.stats.blocks > 1,
+            "{tier}: the file streams in blocks"
+        );
+
+        // Strict classification rejects the first newline with its offset.
+        let strict = MatchRequest::file(&path).with_tier(policy);
+        let err = engine.run(&strict).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SfaError::InvalidByte {
+                    byte: b'\n',
+                    offset: 60
+                }
+            ),
+            "{tier}: {err:?}"
+        );
+    }
+
+    // `match_stream` serves on the engine's own tier.
     let classifier = ByteClassifier::skipping_ascii_whitespace(&alpha);
     let (verdict, stats) = engine
         .match_stream(&classifier, Cursor::new(&wrapped))
         .unwrap();
     assert_eq!(verdict, expected);
-    assert_eq!(stats.tier, MatchTier::Sequential);
+    assert_eq!(stats.tier, MatchTier::LazySfa);
     assert_eq!(stats.bytes, wrapped.len() as u64);
-
-    let scratch = ScratchDir::new("engine_stream_seq");
-    let path = scratch.join("wrapped.txt");
-    std::fs::write(&path, &wrapped).unwrap();
-    let request = MatchRequest::file(&path)
-        .with_classifier(ClassifierMode::SkipWhitespace)
-        .with_tier(TierPolicy::Sequential);
-    let outcome = engine.run(&request).unwrap();
-    assert_eq!(outcome.verdict, expected);
-    assert_eq!(outcome.tier, MatchTier::Sequential);
-    assert_eq!(outcome.stats.bytes, wrapped.len() as u64);
-    assert!(outcome.stats.blocks > 1, "the file streams in blocks");
-    assert_eq!(engine.stats().sequential_matches, 2);
-
-    // Strict classification rejects the newline with its offset.
-    let strict = MatchRequest::file(&path).with_tier(TierPolicy::Sequential);
-    assert!(matches!(
-        engine.run(&strict),
-        Err(SfaError::InvalidByte {
-            byte: b'\n',
-            offset: 60
-        })
-    ));
+    assert!(stats.blocks > 1);
+    assert_eq!(engine.stats().sequential_matches, 1);
+    assert_eq!(engine.stats().speculative_matches, 1);
+    assert_eq!(engine.stats().lazy_matches, 2);
 }
 
 /// Satellite regression: tier/degraded coherence on every degradation
