@@ -1,5 +1,6 @@
 //! Minimal `--flag` / `--key value` argument parsing (no external deps).
 
+use sfa_serve::tenant::TenantSpec;
 use std::collections::BTreeMap;
 
 /// Options that never take a value.
@@ -92,6 +93,27 @@ pub fn parse_bytes(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("byte size {s:?} overflows the addressable range"))
 }
 
+/// Parse a `--tenants` list: comma-separated `name=<bytes|unlimited>`
+/// items, with quotas read by [`parse_bytes`].
+pub fn parse_tenants(list: &str) -> Result<Vec<TenantSpec>, String> {
+    let mut specs = Vec::new();
+    for item in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+        let (name, quota) = item
+            .split_once('=')
+            .ok_or_else(|| format!("tenant spec {item:?} must be name=<bytes|unlimited>"))?;
+        let (name, quota) = (name.trim(), quota.trim());
+        if name.is_empty() {
+            return Err(format!("tenant spec {item:?} has an empty name"));
+        }
+        specs.push(if quota.eq_ignore_ascii_case("unlimited") {
+            TenantSpec::unlimited(name)
+        } else {
+            TenantSpec::limited(name, parse_bytes(quota)? as u64)
+        });
+    }
+    Ok(specs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +163,23 @@ mod tests {
         assert!(parse_bytes("").is_err());
         // The boundary itself still parses.
         assert_eq!(parse_bytes(&usize::MAX.to_string()).unwrap(), usize::MAX);
+    }
+
+    #[test]
+    fn tenant_specs() {
+        assert_eq!(
+            parse_tenants("alpha=unlimited, bravo=4K,,c=123").unwrap(),
+            vec![
+                TenantSpec::unlimited("alpha"),
+                TenantSpec::limited("bravo", 4096),
+                TenantSpec::limited("c", 123),
+            ]
+        );
+        assert!(parse_tenants("no-equals").is_err());
+        assert!(parse_tenants("=5").is_err());
+        assert!(parse_tenants("x=notbytes").is_err());
+        // An overflowing quota is an error, not an unlimited tenant.
+        let err = parse_tenants("x=20000000000000000G").unwrap_err();
+        assert!(err.contains("overflow"), "got: {err}");
     }
 }

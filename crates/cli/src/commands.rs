@@ -260,10 +260,9 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
     if parsed.flag("resume") && checkpoint.is_none() {
         return Err("--resume requires --checkpoint <path>".into());
     }
-    // Both engines produce canonically numbered (byte-identical)
-    // automata, so `--checkpoint`/`--resume` compose with either; a
-    // checkpoint written by one engine can be resumed by the other.
-    // `--budget` reaches both engines.
+    // `--budget` reaches both engines. `--checkpoint`/`--resume` and
+    // `--spill-dir` run on the parallel engine, and the builder refuses
+    // them with `--seq`: `--threads 1` builds the same bytes.
     let mut builder = Sfa::builder(&dfa)
         .options(&parallel_options(parsed)?)
         .budget(budget);
@@ -279,7 +278,7 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
     // `--spill-dir` enables the parallel engine's spill tier: builds
     // that would abort on `--memory-cap` (or `--max-bytes`) instead
     // demote cold states — compressed, then to disk — and finish
-    // byte-identical. With `--seq` the builder refuses it.
+    // byte-identical.
     let memory_cap = match parsed.opt("memory-cap") {
         Some(v) => Some(crate::args::parse_bytes(v)? as u64),
         None => None,
@@ -641,12 +640,10 @@ pub fn serve(parsed: &Parsed) -> Result<(), String> {
          [--state-budget <n>] [--match-threads <n>]",
     )?;
     let listen = parsed.opt("listen").unwrap_or("127.0.0.1:7878");
-    let mut tenants = Vec::new();
-    if let Some(list) = parsed.opt("tenants") {
-        for item in list.split(',').filter(|s| !s.trim().is_empty()) {
-            tenants.push(sfa_serve::tenant::TenantSpec::parse(item.trim())?);
-        }
-    }
+    let tenants = match parsed.opt("tenants") {
+        Some(list) => crate::args::parse_tenants(list)?,
+        None => Vec::new(),
+    };
     let config = sfa_serve::ServeConfig::new(listen, patterns_dir)
         .with_tenants(tenants)
         .with_workers(parsed.num("workers", 0)?)

@@ -117,11 +117,13 @@ COMMON OPTIONS:
                          requires --spill-dir; --max-bytes also folds into
                          the cap when given)
     --out <path>         build: write the SFA as a checksummed artifact
-    --checkpoint <path>  build: snapshot construction state to this artifact
-                         (either engine can resume it)
+    --checkpoint <path>  build, parallel engine: snapshot construction state
+                         to this artifact, also when a budget stops the build
+                         (use --threads 1, not --seq)
     --checkpoint-every <n>  build: states between snapshots (default 1024)
-    --resume             build: continue from the --checkpoint artifact if it
-                         exists (byte-identical result; fresh build otherwise)
+    --resume             build, parallel engine: continue from the --checkpoint
+                         artifact if it exists (byte-identical result at any
+                         thread count; fresh build otherwise)
     --json               machine-readable output
     --lazy               match: construct SFA states on demand (lazy SFA)
     --tier <policy>      match: tier policy — auto | sequential |

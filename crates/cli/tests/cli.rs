@@ -115,6 +115,32 @@ fn sequential_build_refuses_a_spill_tier() {
 }
 
 #[test]
+fn sequential_build_refuses_a_checkpoint() {
+    let scratch = ScratchDir::new("cli_seq_ckpt");
+    let ckpt = scratch.join("seq.ckpt");
+    let out = sfa(&[
+        "build",
+        "--regex",
+        "R[GA]D",
+        "--seq",
+        "transposed",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "--seq with --checkpoint must fail"
+    );
+    assert!(stderr(&out).contains("parallel engine"), "{}", stderr(&out));
+    assert!(
+        !ckpt.exists(),
+        "the refused build created {}",
+        ckpt.display()
+    );
+}
+
+#[test]
 fn match_with_planted_text() {
     let out = sfa(&[
         "match",

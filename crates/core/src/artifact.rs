@@ -27,11 +27,11 @@
 //! [`crate::io::atomic_write`] — temp file, fsync, atomic rename — so a
 //! crash leaves the previous artifact intact, never a torn mix.
 //!
-//! Checkpoints persist the sequential engine's full resumable state
+//! Checkpoints persist the parallel engine's canonical prefix
 //! (processed-cursor, δₛ rows, mapping arena) plus a fingerprint of the
 //! source DFA so a checkpoint can never silently resume against the
-//! wrong automaton; see [`crate::sequential`] for the resume logic and
-//! `SfaBuilder::resume_from` for the entry point.
+//! wrong automaton; see [`crate::parallel`] for the snapshot and resume
+//! logic and `SfaBuilder::resume_from` for the entry point.
 
 use crate::elem::Elem;
 use crate::io::{self, IoError};
@@ -110,20 +110,20 @@ pub struct ArtifactInfo {
     pub sections: Vec<SectionInfo>,
 }
 
-/// Checkpoint cadence for a governed sequential build: snapshot the
-/// engine to `path` every `every_states` processed states (piggybacked
-/// on the same per-state cadence the [`crate::budget::Governor`] is
-/// polled at).
+/// Checkpoint cadence for a parallel build: snapshot the canonical
+/// prefix to `path` every `every_states` discovered states. A worker
+/// raises a due snapshot just before its [`crate::budget::Governor`]
+/// poll, so a budget or cancel abort still leaves it behind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Artifact path the checkpoint is (atomically) written to.
     pub path: PathBuf,
-    /// Snapshot after this many additional processed states (min 1).
+    /// Snapshot after this many additional discovered states (min 1).
     pub every_states: u64,
 }
 
 impl CheckpointConfig {
-    /// Checkpoint to `path` every `every_states` processed states.
+    /// Checkpoint to `path` every `every_states` discovered states.
     pub fn new(path: impl Into<PathBuf>, every_states: u64) -> CheckpointConfig {
         CheckpointConfig {
             path: path.into(),
@@ -132,12 +132,12 @@ impl CheckpointConfig {
     }
 }
 
-/// A deserialized construction checkpoint: everything the sequential
+/// A deserialized construction checkpoint: everything the parallel
 /// engine needs to continue an interrupted build to a byte-identical
-/// SFA (see DESIGN.md §11 — the sequential worklist is a FIFO over
-/// monotonically assigned ids, so a processed-cursor plus the arrays
-/// fully determines the remaining work; the hash/tree state-set is
-/// rebuilt by re-interning the persisted rows).
+/// SFA (see DESIGN.md §11). States are numbered canonically, in the
+/// order of Algorithm 1's FIFO worklist, so a processed-cursor plus the
+/// arrays fully determines the remaining work; the fingerprint table is
+/// rebuilt by re-interning the persisted rows in id order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// DFA state count `n` (mapping vector length).
@@ -178,9 +178,8 @@ impl Checkpoint {
     }
 
     /// Validate this checkpoint against `dfa` at element width `E` and
-    /// decode its mapping arena. Shared by the sequential and parallel
-    /// engines' resume paths so both reject the same mismatches with the
-    /// same diagnostics.
+    /// decode its mapping arena. The parallel engine's resume path calls
+    /// it before it seeds a single row.
     pub fn validate_for<E: Elem>(&self, dfa: &Dfa) -> Result<Vec<E>, IoError> {
         let n = dfa.num_states() as usize;
         let k = dfa.num_symbols();

@@ -217,17 +217,18 @@ impl<'d> SfaBuilder<'d> {
 
     /// Periodically snapshot construction state to `path` (atomic write,
     /// CRC-checked artifact), so an interrupted build can be continued
-    /// with [`resume_from`] (producing a byte-identical SFA). Works with
-    /// both engines: the sequential engine snapshots every
-    /// `every_states` processed states, the parallel engine every
-    /// `every_states` discovered states (all workers quiesce at a
-    /// barrier and one of them snapshots the canonical-order prefix —
-    /// the state numbering both engines share, so either engine can
-    /// resume the other's checkpoint). The parallel engine only rejects
-    /// the combination with schedule-dependent options (probabilistic
-    /// mode, `CompressionPolicy::WhenMemoryExceeds`).
+    /// with [`resume_from`] (producing a byte-identical SFA). The
+    /// parallel engine snapshots every `every_states` discovered states:
+    /// all workers quiesce at a barrier and one of them snapshots the
+    /// canonical-order prefix. A snapshot that falls due is written
+    /// before the next governor poll, so a budget or cancel abort still
+    /// leaves it behind. Schedule-dependent options (probabilistic mode,
+    /// `CompressionPolicy::WhenMemoryExceeds`) are rejected, and so is a
+    /// [`sequential`] variant: build with `threads(1)` instead, which
+    /// yields the same bytes.
     ///
     /// [`resume_from`]: SfaBuilder::resume_from
+    /// [`sequential`]: SfaBuilder::sequential
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every_states: u64) -> Self {
         self.checkpoint = Some(CheckpointConfig::new(path, every_states));
         self
@@ -236,8 +237,10 @@ impl<'d> SfaBuilder<'d> {
     /// Continue an interrupted build from the checkpoint artifact at
     /// `path`. The checkpoint must have been written for the same DFA
     /// (a fingerprint binds them); the finished SFA is byte-identical to
-    /// an uninterrupted run, whichever engine wrote the checkpoint and
-    /// whichever engine resumes it.
+    /// an uninterrupted run at any thread count. Like [`checkpoint`],
+    /// this runs on the parallel engine only.
+    ///
+    /// [`checkpoint`]: SfaBuilder::checkpoint
     pub fn resume_from(mut self, path: impl AsRef<Path>) -> Self {
         self.resume_from = Some(path.as_ref().to_path_buf());
         self
@@ -245,10 +248,14 @@ impl<'d> SfaBuilder<'d> {
 
     /// Run the configured construction. The budget clock starts here.
     pub fn build(self) -> Result<ConstructionResult, SfaError> {
-        if self.variant.is_some() && self.opts.spill.is_some() {
+        if self.variant.is_some()
+            && (self.opts.spill.is_some()
+                || self.checkpoint.is_some()
+                || self.resume_from.is_some())
+        {
             return Err(SfaError::InvalidOptions(
-                "the spill tier runs on the parallel engine; a one-thread parallel \
-                 build is byte-identical to a sequential one",
+                "the spill tier, checkpoints and resume run on the parallel engine; \
+                 a one-thread parallel build is byte-identical to a sequential one",
             ));
         }
         let mut opts = self.opts;
@@ -268,14 +275,7 @@ impl<'d> SfaBuilder<'d> {
             None => None,
         };
         let result = match self.variant {
-            Some(variant) => construct_sequential(
-                self.dfa,
-                variant,
-                opts.state_budget,
-                &governor,
-                self.checkpoint.as_ref(),
-                resume.as_ref(),
-            )?,
+            Some(variant) => construct_sequential(self.dfa, variant, opts.state_budget, &governor)?,
             None => construct_parallel_resumable(
                 self.dfa,
                 &opts,
@@ -399,75 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_interchangeable_between_engines() {
-        // A sequential snapshot resumed by the parallel engine (and vice
-        // versa) finishes to the same bytes as any uninterrupted build —
-        // both engines number states in canonical (BFS) order.
-        let dfa = rg_dfa();
-        let dir = ScratchDir::new("builder_test");
-        let path = dir.join("resume_cross_unit.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        let err = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .checkpoint(&path, 1)
-            .state_budget(5)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, SfaError::StateBudgetExceeded { budget: 5 });
-
-        let par_resumed = Sfa::builder(&dfa)
-            .threads(4)
-            .resume_from(&path)
-            .build()
-            .unwrap();
-        let fresh_seq = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .build()
-            .unwrap();
-        assert_eq!(
-            crate::io::to_bytes(&par_resumed.sfa),
-            crate::io::to_bytes(&fresh_seq.sfa)
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_then_resume_is_byte_identical() {
-        let dfa = rg_dfa();
-        let dir = ScratchDir::new("builder_test");
-        let path = dir.join("resume_unit.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        // Interrupt via a tight state budget, checkpointing every state.
-        // (The RG SFA has 6 states; a budget of 5 lets several states be
-        // processed — and checkpointed — before the arena overflows.)
-        let err = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .checkpoint(&path, 1)
-            .state_budget(5)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, SfaError::StateBudgetExceeded { budget: 5 });
-
-        let resumed = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .resume_from(&path)
-            .build()
-            .unwrap();
-        let fresh = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
-            .build()
-            .unwrap();
-        assert_eq!(
-            crate::io::to_bytes(&resumed.sfa),
-            crate::io::to_bytes(&fresh.sfa)
-        );
-        resumed.sfa.validate(&dfa).unwrap();
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn spill_turns_payload_budget_errors_into_demotion() {
         use crate::budget::{Budget, BudgetResource};
         let dfa = sfa_automata::random::rn(80);
@@ -514,25 +445,39 @@ mod tests {
 
     #[test]
     fn sequential_variants_reject_a_spill_tier() {
+        // The spill tier, checkpoints and resume belong to the parallel
+        // engine. A sequential variant refuses each of them before any
+        // checkpoint is read or any file or directory is created.
         let dfa = rg_dfa();
         let scratch = ScratchDir::new("builder_sspill");
         let dir = scratch.join("spill");
+        let ckpt = scratch.join("seq.ckpt");
         for variant in [
             SequentialVariant::Baseline,
             SequentialVariant::BaselinePointerTree,
             SequentialVariant::Hashing,
             SequentialVariant::Transposed,
         ] {
-            let err = Sfa::builder(&dfa)
-                .sequential(variant)
-                .spill(&dir, 2048)
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(err, SfaError::InvalidOptions(msg) if msg.contains("parallel engine")),
-                "{variant:?}: {err:?}"
-            );
-            assert!(!dir.exists(), "{variant:?} created the spill directory");
+            let seq = || Sfa::builder(&dfa).sequential(variant);
+            for (option, builder) in [
+                ("spill", seq().spill(&dir, 2048)),
+                ("checkpoint", seq().checkpoint(&ckpt, 1)),
+                ("resume_from", seq().resume_from(&ckpt)),
+            ] {
+                let err = builder.build().unwrap_err();
+                assert!(
+                    matches!(err, SfaError::InvalidOptions(msg) if msg.contains("parallel engine")),
+                    "{variant:?} with {option}: {err:?}"
+                );
+                assert!(
+                    !dir.exists(),
+                    "{variant:?} with {option} created the spill directory"
+                );
+                assert!(
+                    !ckpt.exists(),
+                    "{variant:?} with {option} wrote a checkpoint"
+                );
+            }
         }
     }
 
@@ -540,7 +485,7 @@ mod tests {
     fn resume_from_missing_file_is_an_artifact_error() {
         let dfa = rg_dfa();
         let err = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
+            .threads(1)
             .resume_from("/nonexistent/sfa-resume.ckpt")
             .build()
             .unwrap_err();

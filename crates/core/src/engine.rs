@@ -245,14 +245,6 @@ impl<'d> MatchEngine<'d> {
         Ok(())
     }
 
-    /// The full tier's scan knobs (`None` on degraded tiers).
-    pub fn scan_options(&self) -> Option<ScanOptions> {
-        match &self.backend {
-            Backend::Full { scan, .. } => Some(scan.options()),
-            _ => None,
-        }
-    }
-
     /// The match runtime serving this engine.
     pub fn runtime(&self) -> &MatchRuntime {
         &self.runtime
@@ -297,7 +289,7 @@ impl<'d> MatchEngine<'d> {
     }
 
     /// Serve one [`MatchRequest`] — the engine's one ladder, shared by
-    /// the CLI and the `sfa serve` daemon. The request's budget is
+    /// the CLI and the `sfa serve` daemon. The request's deadline is
     /// enforced by a fresh [`Governor`] carrying the engine's cancel
     /// token, so a server can still abort in-flight queries.
     ///

@@ -101,17 +101,13 @@ fn codec_from_tag(t: u8) -> Result<CodecChoice, IoError> {
 pub fn to_bytes(sfa: &Sfa) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + sfa.mapping_bytes() + sfa.num_states() as usize * 4);
     out.extend_from_slice(MAGIC);
-    let (kind, codec) = match sfa.mappings() {
-        MappingStore::U16(_) => (KIND_U16, None),
-        MappingStore::U32(_) => (KIND_U32, None),
+    let kind = match sfa.mappings() {
+        MappingStore::U16(_) => KIND_U16,
+        MappingStore::U32(_) => KIND_U32,
         MappingStore::Compressed {
             elem_bytes, codec, ..
-        } => (
-            KIND_COMPRESSED_BASE + codec_tag(*codec) * 2 + u8::from(*elem_bytes == 4),
-            Some(*codec),
-        ),
+        } => KIND_COMPRESSED_BASE + codec_tag(*codec) * 2 + u8::from(*elem_bytes == 4),
     };
-    let _ = codec;
     out.push(kind);
     varint::write_u64(&mut out, sfa.dfa_states() as u64);
     varint::write_u64(&mut out, sfa.num_symbols() as u64);

@@ -32,7 +32,7 @@
 
 use crate::budget::{Budget, Governor};
 use crate::elem::Elem;
-use crate::matcher::{panic_payload_message, AbortControl};
+use crate::matcher::AbortControl;
 use crate::parallel::ParallelOptions;
 use crate::scan::{run_lanes, Decode, Delta, Dense, Exits, Lane};
 use crate::state::{InternStats, StateStore};
@@ -40,7 +40,7 @@ use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
-use sfa_sync::pool::JobPanic;
+use sfa_sync::pool::{panic_message, JobPanic};
 use sfa_sync::CancelToken;
 use sfa_sync::NIL;
 
@@ -242,7 +242,7 @@ impl<'d> LazySfa<'d> {
             })
         };
         ctl.finish(joined.map_err(|payload| JobPanic {
-            message: panic_payload_message(payload),
+            message: panic_message(payload),
         }))
     }
 }

@@ -274,16 +274,6 @@ impl<'g> AbortControl<'g> {
     }
 }
 
-pub(crate) fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// `Ok` iff the SFA's mapping dimensions match the DFA.
 fn check_compatible(sfa: &Sfa, dfa: &Dfa) -> Result<(), SfaError> {
     if sfa.dfa_states() != dfa.num_states() as usize || sfa.num_symbols() != dfa.num_symbols() {

@@ -31,11 +31,12 @@
 //!   scheduler, and work granularity (with a schedule-independent
 //!   compression policy), and race-loser arena garbage can never leave
 //!   gaps or aliases in the final id space.
-//! * **Checkpointing**: on top of that determinism, a parallel build can
-//!   snapshot the canonical prefix of the automaton at a stop-the-world
-//!   rendezvous (same barrier machinery as the compression phase) into
-//!   the same artifact container sequential builds use — either engine
-//!   resumes it to a byte-identical SFA (DESIGN.md §14).
+//! * **Checkpointing**: on top of that determinism, a build can snapshot
+//!   the canonical prefix of the automaton at a stop-the-world rendezvous
+//!   (same barrier machinery as the compression phase) and resume it at
+//!   any thread count to a byte-identical SFA (DESIGN.md §14). This is
+//!   the only engine that checkpoints: a due snapshot is raised before
+//!   the governor poll, so a budget or cancel abort still leaves it.
 
 use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
@@ -230,12 +231,11 @@ impl ParallelOptions {
 /// attached token is cancelled. Optionally checkpoints and resumes
 /// (`SfaBuilder::{checkpoint, resume_from}`).
 ///
-/// Checkpoints written here use the same container as sequential builds:
-/// the snapshot is the canonical prefix of the automaton, so either
-/// engine can resume a parallel checkpoint and the finished SFA is
-/// byte-identical to an uninterrupted run. Requires a
-/// schedule-independent compression policy ([`CompressionPolicy::Never`]
-/// or [`CompressionPolicy::FromStart`]) and the exact mode.
+/// A checkpoint is the canonical prefix of the automaton, so a build
+/// resumed from it at any thread count finishes byte-identical to an
+/// uninterrupted run. Requires a schedule-independent compression policy
+/// ([`CompressionPolicy::Never`] or [`CompressionPolicy::FromStart`]) and
+/// the exact mode.
 pub(crate) fn construct_parallel_resumable(
     dfa: &Dfa,
     opts: &ParallelOptions,
@@ -548,10 +548,10 @@ impl<E: Elem> Engine<E> {
                 }
             }
             Some(ckpt) => {
-                // Re-intern the persisted arena in id order: parallel
-                // snapshots are written in canonical (= sequential) order,
-                // so arena ids here equal checkpoint row indices and hash
-                // chains come back in discovery order.
+                // Re-intern the persisted arena in id order: snapshots
+                // are written in canonical order, so arena ids here equal
+                // checkpoint row indices and hash chains come back in
+                // discovery order.
                 let mappings = ckpt.validate_for::<E>(dfa).map_err(SfaError::Artifact)?;
                 let num_states = ckpt.num_states as usize;
                 for idx in 0..num_states {
@@ -797,6 +797,10 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         let n = shared.n;
         let k = shared.k;
         let governed = !shared.governor.is_unlimited();
+        // Only the checkpoint trigger and the governor poll read the
+        // state count, so an ungoverned build without checkpoints skips
+        // the shared load.
+        let counted = governed || shared.ckpt.is_some();
         let stats = InternStats::default();
 
         // Scratch buffers reused across states.
@@ -830,32 +834,19 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                 self.record_error(SfaError::Io(fault.to_string()));
                 break;
             }
-            if governed {
-                // One checkpoint per loop turn (≈ one per work item):
-                // budget axes and the cancel token are polled against the
-                // live arena and memory-manager counters.
-                if let Err(e) = shared
-                    .governor
-                    .check(shared.store.len() as u64, shared.store.resident_bytes())
-                {
-                    self.record_error(e);
-                    break;
-                }
-            }
-            // Spill trigger (tier 3), at the same per-item cadence: once
-            // the arena is compressed, the store says when a stop-the-world
-            // spill pass is due.
-            if shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED && shared.store.spill_due() {
-                shared.spill_requested.store(true, Ordering::SeqCst);
-                continue;
-            }
-            // Checkpoint trigger, at the same per-item cadence: the
-            // worker that advances the discovered-state watermark raises
-            // the request; everyone (including the raiser) converges on
-            // the rendezvous at their next loop turn.
+            // Checkpoint trigger, at the same per-item cadence and BEFORE
+            // the governor poll, which sees the same state count: a budget
+            // or cancel abort still leaves the snapshot its cadence made
+            // due. The worker that advances the discovered-state watermark
+            // raises the request; everyone (including the raiser)
+            // converges on the rendezvous at their next loop turn.
+            let len = if counted {
+                shared.store.len() as u64
+            } else {
+                0
+            };
             if let Some(cfg) = &shared.ckpt {
                 let due = shared.ckpt_next.load(Ordering::SeqCst);
-                let len = shared.store.len() as u64;
                 if len >= due
                     && shared
                         .ckpt_next
@@ -870,6 +861,22 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                     shared.ckpt_requested.store(true, Ordering::SeqCst);
                     continue;
                 }
+            }
+            if governed {
+                // One poll per loop turn (≈ one per work item): budget
+                // axes and the cancel token are polled against the live
+                // arena and memory-manager counters.
+                if let Err(e) = shared.governor.check(len, shared.store.resident_bytes()) {
+                    self.record_error(e);
+                    break;
+                }
+            }
+            // Spill trigger (tier 3), at the same per-item cadence: once
+            // the arena is compressed, the store says when a stop-the-world
+            // spill pass is due.
+            if shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED && shared.store.spill_due() {
+                shared.spill_requested.store(true, Ordering::SeqCst);
+                continue;
             }
             match self.obtain_work() {
                 Some(item) => {
@@ -1203,9 +1210,18 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
             .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            // Never snapshot a failing run: the error path discards the
-            // build, and a checkpoint of it could shadow a good one.
-            if !shared.has_error.load(Ordering::SeqCst) {
+            // A budget stop (a governor axis, the cancel token or the
+            // arena's state budget) leaves the store consistent, and a
+            // peer's stop may land between the request and this
+            // rendezvous: its due snapshot is still written. Any other
+            // failure may have left the store half-updated, and a
+            // checkpoint of it could shadow a good one.
+            let consistent = shared
+                .error
+                .lock()
+                .as_ref()
+                .is_none_or(SfaError::is_degradable);
+            if consistent {
                 let cfg = shared
                     .ckpt
                     .as_ref()
@@ -1220,10 +1236,8 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
     }
 
     /// Snapshot the canonical prefix to the checkpoint artifact (atomic
-    /// write). The persisted shape is exactly the sequential engine's:
-    /// `{mappings, δₛ, cursor}` in canonical order, plaintext rows —
-    /// which is what makes the two engines' checkpoints interchangeable
-    /// (the resuming engine re-compresses under its own policy).
+    /// write): `{mappings, δₛ, cursor}` in canonical order, plaintext
+    /// rows, so the resuming build re-compresses under its own policy.
     fn write_checkpoint(&self, cfg: &CheckpointConfig) -> Result<(), SfaError> {
         sfa_sync::fault_point!("checkpoint/write")
             .map_err(|e| SfaError::Artifact(IoError::Io(e.to_string())))?;

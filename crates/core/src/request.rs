@@ -23,7 +23,7 @@
 
 use crate::budget::Budget;
 use crate::engine::MatchTier;
-use crate::runtime::{MatchStats, MIN_TIMED_ELAPSED};
+use crate::runtime::MatchStats;
 use sfa_automata::alphabet::SymbolId;
 use sfa_json::Value;
 use std::path::PathBuf;
@@ -142,8 +142,12 @@ pub struct MatchRequest {
     pub pattern: Option<String>,
     /// The input to match.
     pub input: InputSource,
-    /// Per-request resource budget (deadline, payload bytes). The
-    /// unlimited default never fires.
+    /// Per-request budget. Matching enforces only its deadline: every
+    /// match-time governor check reports zero states and zero payload
+    /// bytes, so `max_states` and `max_payload_bytes` never stop a
+    /// request (the lazy tier discovers states under the engine's
+    /// construction budget). The engine's cancel token can stop a
+    /// request too. The unlimited default never fires.
     pub budget: Budget,
     /// Which tiers may answer.
     pub tier: TierPolicy,
@@ -192,7 +196,8 @@ impl MatchRequest {
         self
     }
 
-    /// Set the per-request budget.
+    /// Set the per-request budget; matching enforces only its deadline
+    /// (see [`MatchRequest::budget`]).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
@@ -421,12 +426,6 @@ impl MatchOutcome {
             stats,
             degraded,
         })
-    }
-
-    /// The wall time, clamped the same way [`MatchStats::bytes_per_sec`]
-    /// clamps — never a fake zero for sub-tick matches.
-    pub fn timed_elapsed(&self) -> Duration {
-        self.stats.elapsed.max(MIN_TIMED_ELAPSED)
     }
 }
 

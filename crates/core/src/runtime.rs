@@ -337,11 +337,6 @@ impl MatchRuntime {
         self
     }
 
-    /// The configured transient-read retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The streaming block size.
     pub fn block_bytes(&self) -> usize {
         self.block_bytes
@@ -356,25 +351,13 @@ impl MatchRuntime {
     /// SFA tier for `Auto`/`RequireFull`, else the sequential oracle or
     /// the speculative tier (the degradation ladder lives in
     /// [`MatchEngine::run`](crate::MatchEngine::run)). The request's
-    /// budget is enforced by a fresh [`Governor`]; use
-    /// [`Self::run_cancelable`] to attach a cancel token as well.
+    /// deadline is enforced by a fresh [`Governor`].
     pub fn run(
         &self,
         matcher: &ParallelMatcher<'_>,
         request: &MatchRequest,
     ) -> Result<MatchOutcome, SfaError> {
-        self.run_cancelable(matcher, request, None)
-    }
-
-    /// [`Self::run`] with a cancel token attached to the request budget
-    /// — a server aborts in-flight queries with the handle it holds.
-    pub fn run_cancelable(
-        &self,
-        matcher: &ParallelMatcher<'_>,
-        request: &MatchRequest,
-        cancel: Option<sfa_sync::CancelToken>,
-    ) -> Result<MatchOutcome, SfaError> {
-        self.serve(Some(matcher), matcher.dfa, request, cancel)
+        self.serve(Some(matcher), matcher.dfa, request, None)
     }
 
     /// Serve a request with the raw DFA only — the public entry for
@@ -836,6 +819,42 @@ mod tests {
                 SfaError::InvalidByte {
                     byte: b' ',
                     offset: 3
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn request_budget_enforces_only_the_deadline() {
+        use crate::budget::{Budget, BudgetResource};
+        let (dfa, sfa) = setup("RG");
+        let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
+        let rt = MatchRuntime::new(2);
+        let text = "MKVARGAA";
+        // Matching reports no states and no payload bytes to its
+        // governor, so zero caps on either axis stop nothing.
+        let caps = Budget::unlimited()
+            .with_max_payload_bytes(0)
+            .with_max_states(0);
+        let outcome = rt
+            .run(&matcher, &MatchRequest::text(text).with_budget(caps))
+            .unwrap();
+        let symbols = Alphabet::amino_acids()
+            .encode_bytes(text.as_bytes())
+            .unwrap();
+        assert_eq!(outcome.verdict, match_sequential(&dfa, &symbols));
+        assert_eq!(outcome.tier, MatchTier::FullSfa);
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
+        let err = rt
+            .run(&matcher, &MatchRequest::text(text).with_budget(expired))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SfaError::BudgetExceeded {
+                    resource: BudgetResource::Deadline,
+                    ..
                 }
             ),
             "{err:?}"

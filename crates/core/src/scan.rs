@@ -44,14 +44,14 @@
 
 use crate::budget::Governor;
 use crate::elem::{fits_u16, fits_u8};
-use crate::matcher::{panic_payload_message, AbortControl, GOVERNOR_POLL_SYMBOLS};
+use crate::matcher::{AbortControl, GOVERNOR_POLL_SYMBOLS};
 use crate::runtime::{ByteClassifier, Classified};
 use crate::sfa::Sfa;
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
 use sfa_simd::gather_u32;
-use sfa_sync::pool::{JobPanic, TaskPool};
+use sfa_sync::pool::{panic_message, JobPanic, TaskPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Global-registry scan metrics (DESIGN.md §12); zero-sized no-ops unless
@@ -350,11 +350,6 @@ impl ScanTable {
     /// Entries per row (power of two; row bytes are a multiple of 64).
     pub fn stride(&self) -> usize {
         self.stride
-    }
-
-    /// Total table size in bytes (before line rounding).
-    pub fn table_bytes(&self) -> usize {
-        self.len * self.entry_bytes()
     }
 
     /// The automaton's start state.
@@ -744,7 +739,7 @@ pub(crate) fn run_pooled<'l>(
     let scoped = if lanes.len() <= k_way {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scan(0, lanes, &ctl))).map_err(
             |payload| JobPanic {
-                message: panic_payload_message(payload),
+                message: panic_message(payload),
             },
         )
     } else {
@@ -881,11 +876,6 @@ impl ScanEngine {
             accepting,
             opts,
         })
-    }
-
-    /// The configured knobs.
-    pub fn options(&self) -> ScanOptions {
-        self.opts
     }
 
     /// The compact SFA table (`Err` for a malformed SFA).

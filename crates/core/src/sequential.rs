@@ -15,31 +15,20 @@
 //!   SIMD kernels (§III-A, Fig. 3). This is the paper's fastest
 //!   single-threaded method and the baseline for parallel speedups.
 //!
-//! ## Checkpointed construction
+//! The worklist of Algorithm 1 is a FIFO whose ids are assigned
+//! monotonically, so the pop order is exactly the id order and the
+//! worklist *is* a cursor over the arena. That order is the canonical
+//! numbering every engine shares: the parallel engine renumbers its
+//! harvest by the same BFS, so its builds are byte-identical to these.
 //!
-//! The sequential worklist is a FIFO whose ids are assigned
-//! monotonically, so the pop order is exactly the id order — the
-//! worklist *is* a cursor over the arena. `SeqEngine` exploits this:
-//! its resumable state is just `{mappings, δₛ, processed-cursor}`, which
-//! is what a [`crate::artifact::Checkpoint`] persists (the state-set is
-//! rebuilt by re-interning the persisted rows, in id order, so hash
-//! chains come back identical). Construction resumed from a checkpoint
-//! therefore produces a **byte-identical** SFA to an uninterrupted run.
-//! The parallel engine snapshots the same `{mappings, δₛ, cursor}` shape
-//! at its canonical-order barriers (see `parallel`), so checkpoints are
-//! interchangeable between the two engines: a parallel build can resume a
-//! sequential snapshot and vice versa, to the same bytes.
-//!
-//! The mapping arena is one flat `Vec<E>`: it becomes the finished
-//! automaton's mapping store as is, checkpoints encode straight from it,
-//! and a resume adopts the checkpoint's rows. Compression and the spill
-//! tier belong to the parallel engine, whose one-thread build is
-//! byte-identical to this one.
+//! The mapping arena is one flat `Vec<E>` that becomes the finished
+//! automaton's mapping store as is. Compression, the spill tier,
+//! checkpointing and resume belong to the parallel engine, whose
+//! one-thread build is byte-identical to this one; this engine is
+//! Algorithm 1 and the byte oracle the others are checked against.
 
-use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
 use crate::elem::{fits_u16, Elem};
-use crate::io::IoError;
 use crate::sfa::Sfa;
 use crate::stats::{ConstructionResult, ConstructionStats};
 use crate::SfaError;
@@ -64,22 +53,20 @@ pub enum SequentialVariant {
 }
 
 /// The sequential engine behind [`Sfa::builder`](crate::Sfa::builder):
-/// governed, resumable construction of at most `state_budget` states.
+/// governed construction of at most `state_budget` states.
 pub(crate) fn construct_sequential(
     dfa: &Dfa,
     variant: SequentialVariant,
     state_budget: usize,
     governor: &Governor,
-    checkpoint: Option<&CheckpointConfig>,
-    resume: Option<&Checkpoint>,
 ) -> Result<ConstructionResult, SfaError> {
     if dfa.num_states() == 0 {
         return Err(SfaError::EmptyDfa);
     }
     if fits_u16(dfa.num_states()) {
-        construct_impl::<u16>(dfa, variant, state_budget, governor, checkpoint, resume)
+        construct_impl::<u16>(dfa, variant, state_budget, governor)
     } else {
-        construct_impl::<u32>(dfa, variant, state_budget, governor, checkpoint, resume)
+        construct_impl::<u32>(dfa, variant, state_budget, governor)
     }
 }
 
@@ -90,14 +77,11 @@ enum StateSet {
     Hash(HashMap<u64, Vec<u32>>),
 }
 
-/// The resumable sequential construction engine (see the module docs).
+/// The sequential construction engine (see the module docs).
 ///
 /// The worklist of Algorithm 1 is represented as the `processed` cursor:
 /// ids are assigned monotonically and popped FIFO, so the next state to
-/// process is always id `processed`. Everything the engine needs to
-/// continue — `mappings`, `delta`, `processed` — is exactly what a
-/// [`Checkpoint`] persists; the membership set is derived state and is
-/// rebuilt on resume.
+/// process is always id `processed`.
 struct SeqEngine<E: Elem> {
     variant: SequentialVariant,
     state_budget: usize,
@@ -114,7 +98,6 @@ struct SeqEngine<E: Elem> {
     set: StateSet,
     stats: ConstructionStats,
     fingerprinter: CityFingerprinter,
-    dfa_crc: u64,
 }
 
 impl<E: Elem> SeqEngine<E> {
@@ -148,58 +131,10 @@ impl<E: Elem> SeqEngine<E> {
             set: Self::empty_set(variant),
             stats: ConstructionStats::with_threads(1),
             fingerprinter: CityFingerprinter,
-            dfa_crc: artifact::dfa_fingerprint(dfa),
         };
         let identity: Vec<E> = (0..n as u32).map(E::from_u32).collect();
         engine.intern(&identity)?;
         Ok(engine)
-    }
-
-    /// Continue an interrupted build from a validated [`Checkpoint`],
-    /// adopting its rows as the arena. The membership set is rebuilt by
-    /// re-interning the rows in id order, so (for the hashing variants)
-    /// fingerprint chains come back in the same order a fresh build
-    /// created them.
-    fn resume(
-        dfa: &Dfa,
-        variant: SequentialVariant,
-        state_budget: usize,
-        ckpt: &Checkpoint,
-    ) -> Result<SeqEngine<E>, SfaError> {
-        let n = dfa.num_states() as usize;
-        let k = dfa.num_symbols();
-        let rows = ckpt.validate_for::<E>(dfa).map_err(SfaError::Artifact)?;
-        let fingerprinter = CityFingerprinter;
-        let mut set = Self::empty_set(variant);
-        for (id, row) in rows.chunks_exact(n).enumerate() {
-            let (id, bytes) = (id as u32, E::as_bytes(row));
-            match &mut set {
-                StateSet::Tree(map) => {
-                    map.insert(bytes.to_vec().into_boxed_slice(), id);
-                }
-                StateSet::PointerTree(map) => {
-                    map.insert(bytes, id);
-                }
-                StateSet::Hash(map) => {
-                    let fp = fingerprinter.fingerprint(bytes);
-                    map.entry(fp).or_default().push(id);
-                }
-            }
-        }
-        Ok(SeqEngine {
-            variant,
-            state_budget,
-            n,
-            k,
-            table: dfa.table().iter().map(|&q| E::from_u32(q)).collect(),
-            rows,
-            delta: ckpt.delta.clone(),
-            processed: ckpt.processed as usize,
-            set,
-            stats: ConstructionStats::with_threads(1),
-            fingerprinter,
-            dfa_crc: ckpt.dfa_crc,
-        })
     }
 
     fn num_states(&self) -> usize {
@@ -261,53 +196,17 @@ impl<E: Elem> SeqEngine<E> {
         Ok(id)
     }
 
-    /// Snapshot the engine to the checkpoint artifact (atomic write),
-    /// encoding the arena in place. Called only between states, so every
-    /// row below the cursor is complete and everything above it is
-    /// untouched frontier.
-    fn write_checkpoint(&self, cfg: &CheckpointConfig) -> Result<(), SfaError> {
-        sfa_sync::fault_point!("checkpoint/write")
-            .map_err(|e| SfaError::Artifact(IoError::Io(e.to_string())))?;
-        let ckpt = Checkpoint {
-            dfa_states: self.n as u32,
-            symbols: self.k as u32,
-            elem_bytes: E::BYTES as u8,
-            processed: self.processed as u64,
-            num_states: self.num_states() as u64,
-            dfa_crc: self.dfa_crc,
-            delta: self.delta.clone(),
-            mappings_le: artifact::mappings_to_le(&self.rows),
-        };
-        artifact::write_checkpoint(&cfg.path, &ckpt).map_err(SfaError::Artifact)
-    }
-
     /// Drive the cursor to the end of the arena (Algorithm 1's main
-    /// loop), optionally writing checkpoints every
-    /// [`CheckpointConfig::every_states`] processed states — the same
-    /// per-state cadence the governor is polled at.
-    fn run(
-        &mut self,
-        governor: &Governor,
-        checkpoint: Option<&CheckpointConfig>,
-    ) -> Result<(), SfaError> {
+    /// loop), polling the governor once per processed state.
+    fn run(&mut self, governor: &Governor) -> Result<(), SfaError> {
         // Scratch buffers.
         let mut rows_u32: Vec<u32> = vec![0; self.n];
         let mut transposed: Vec<E> = vec![E::from_u32(0); self.k * self.n];
         let mut candidate: Vec<E> = vec![E::from_u32(0); self.n];
 
         let governed = !governor.is_unlimited();
-        let mut since_checkpoint = 0u64;
         while self.processed < self.num_states() {
             let id = self.processed as u32;
-            // Snapshot BEFORE the governor poll: a budget/cancel abort
-            // at this iteration then still leaves the freshest
-            // checkpoint behind for `resume_from` to continue.
-            if let Some(cfg) = checkpoint {
-                if since_checkpoint >= cfg.every_states {
-                    self.write_checkpoint(cfg)?;
-                    since_checkpoint = 0;
-                }
-            }
             if governed {
                 // One check per processed SFA state: cheap relative to
                 // the |Σ| candidate generations the state is about to do.
@@ -316,7 +215,6 @@ impl<E: Elem> SeqEngine<E> {
                     (self.rows.len() * E::BYTES) as u64,
                 )?;
             }
-            sfa_sync::fault_point!("construct/state").map_err(|e| SfaError::Io(e.to_string()))?;
             // Copy the source row once: both variants generate from this
             // copy while interning grows the arena.
             let src = &self.rows[id as usize * self.n..(id as usize + 1) * self.n];
@@ -348,7 +246,6 @@ impl<E: Elem> SeqEngine<E> {
                 }
             }
             self.processed += 1;
-            since_checkpoint += 1;
         }
         Ok(())
     }
@@ -364,9 +261,8 @@ impl<E: Elem> SeqEngine<E> {
         self.stats.total_secs = t0.elapsed().as_secs_f64();
         self.stats.phase1_secs = self.stats.total_secs;
         // The start state is always id 0: the identity mapping is the
-        // first row interned, in fresh builds and (by induction over the
-        // persisted arena) in resumed ones. The arena becomes the mapping
-        // store as is: no copy.
+        // first row interned. The arena becomes the mapping store as is:
+        // no copy.
         let sfa = Sfa::from_parts(self.n, self.k, 0, self.delta, E::into_store(self.rows));
         ConstructionResult {
             sfa,
@@ -380,15 +276,10 @@ fn construct_impl<E: Elem>(
     variant: SequentialVariant,
     state_budget: usize,
     governor: &Governor,
-    checkpoint: Option<&CheckpointConfig>,
-    resume: Option<&Checkpoint>,
 ) -> Result<ConstructionResult, SfaError> {
     let t0 = Instant::now();
-    let mut engine = match resume {
-        None => SeqEngine::<E>::new(dfa, variant, state_budget)?,
-        Some(ckpt) => SeqEngine::<E>::resume(dfa, variant, state_budget, ckpt)?,
-    };
-    engine.run(governor, checkpoint)?;
+    let mut engine = SeqEngine::<E>::new(dfa, variant, state_budget)?;
+    engine.run(governor)?;
     let result = engine.finish(t0);
     // Phase spans + global metrics are derived from the stats the
     // stopwatch above already filled, so the span durations and the

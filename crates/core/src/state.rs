@@ -9,11 +9,14 @@
 //! then codec output once the §III-C compression phase has run, then a
 //! marker for bytes demoted to a [`SpillStore`] segment. `StateStore`
 //! owns everything that depends on the form — the fingerprint table, the
-//! [`MemoryManager`] ledger, the codec and the spill tier. The engines
-//! intern candidates, read states back as plaintext, re-encode or demote
-//! payloads at a stop-the-world barrier and take the canonical snapshot
-//! without seeing a stored form. Every ledger charge and credit is made
-//! here: resident bytes equal the bytes of live resident payloads.
+//! [`MemoryManager`] ledger, the codec and the spill tier. The parallel
+//! engine and the lazy SFA intern candidates, read states back as
+//! plaintext, re-encode or demote payloads at a stop-the-world barrier
+//! and take the canonical snapshot without seeing a stored form. That
+//! snapshot is the one way a build leaves the store: harvest and every
+//! checkpoint take it, since the parallel engine is the only one that
+//! checkpoints. Every ledger charge and credit is made here: resident
+//! bytes equal the bytes of live resident payloads.
 
 use crate::elem::Elem;
 use crate::io::IoError;
@@ -654,8 +657,8 @@ impl StateStore {
     /// only through unprocessed rows), and `processed` the length of the
     /// complete-row prefix. The sequential FIFO worklist assigns exactly
     /// these ids, so mid build `order` is the arena a sequential build
-    /// holds at cursor `processed` — which makes the engines' checkpoints
-    /// interchangeable (DESIGN.md §14).
+    /// holds at cursor `processed` — which is what a checkpoint persists
+    /// and a resumed build at any thread count continues (DESIGN.md §14).
     fn canonical_order(&self) -> (Vec<u32>, Vec<u32>, usize) {
         let len = self.len();
         let mut canon_of = vec![NIL; len];

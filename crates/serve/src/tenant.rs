@@ -1,20 +1,17 @@
 //! Multi-tenant admission control.
 //!
 //! A tenant is a named byte quota: the cumulative input bytes it may
-//! submit over the daemon's lifetime. Admission reuses the core
-//! [`Governor`] — it is stateless over caller-tracked progress, so each
-//! tenant pairs one immutable governor with one atomic accumulator and
-//! admission is a `fetch_add` followed by a check, with no lock and no
-//! rollback (once a tenant crosses its quota it stays over quota, which
-//! is exactly the semantics a cumulative cap wants).
+//! submit over the daemon's lifetime. Each tenant pairs its spec with
+//! one atomic accumulator, and admission is a `fetch_add` followed by a
+//! compare against the quota, with no lock and no rollback (once a
+//! tenant crosses its quota it stays over quota, which is exactly the
+//! semantics a cumulative cap wants).
 
 use crate::{ErrorCode, ServeError};
-use sfa_core::budget::{Budget, Governor};
-use sfa_core::SfaError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A parsed `--tenants` entry: `name=<bytes>` or `name=unlimited`.
+/// One tenant: a name and its lifetime byte quota.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantSpec {
     /// Tenant name, sent in the request envelope.
@@ -39,38 +36,6 @@ impl TenantSpec {
             max_bytes: Some(max_bytes),
         }
     }
-
-    /// Parse one `name=<bytes|unlimited>` spec (the `--tenants` list
-    /// item format; bytes accept K/M/G suffixes).
-    pub fn parse(s: &str) -> Result<TenantSpec, String> {
-        let (name, quota) = s
-            .split_once('=')
-            .ok_or_else(|| format!("tenant spec {s:?} must be name=<bytes|unlimited>"))?;
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!("tenant spec {s:?} has an empty name"));
-        }
-        let quota = quota.trim();
-        if quota.eq_ignore_ascii_case("unlimited") {
-            return Ok(TenantSpec::unlimited(name));
-        }
-        let bytes = parse_bytes(quota)?;
-        Ok(TenantSpec::limited(name, bytes))
-    }
-}
-
-/// Parse a byte size with optional K/M/G suffix.
-fn parse_bytes(s: &str) -> Result<u64, String> {
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'K') | Some(b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'M') | Some(b'm') => (&s[..s.len() - 1], 1 << 20),
-        Some(b'G') | Some(b'g') => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    digits
-        .parse::<u64>()
-        .map(|v| v.saturating_mul(mult))
-        .map_err(|_| format!("bad byte quota {s:?}"))
 }
 
 /// One tenant's live admission state.
@@ -78,7 +43,6 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 pub struct TenantState {
     /// The spec this state was built from.
     pub spec: TenantSpec,
-    governor: Governor,
     scanned: AtomicU64,
     admitted: AtomicU64,
     rejected: AtomicU64,
@@ -86,13 +50,8 @@ pub struct TenantState {
 
 impl TenantState {
     fn new(spec: TenantSpec) -> TenantState {
-        let governor = match spec.max_bytes {
-            Some(max) => Governor::new(&Budget::unlimited().with_max_payload_bytes(max), None),
-            None => Governor::unlimited(),
-        };
         TenantState {
             spec,
-            governor,
             scanned: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -109,24 +68,21 @@ impl TenantState {
             .scanned
             .fetch_add(len, Ordering::Relaxed)
             .wrapping_add(len);
-        match self.governor.check(0, total) {
-            Ok(()) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(SfaError::BudgetExceeded { .. }) => {
+        match self.spec.max_bytes {
+            Some(max) if total > max => {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::new(
                     ErrorCode::TenantOverQuota,
                     format!(
-                        "tenant {:?} exhausted its quota of {} bytes ({} scanned)",
+                        "tenant {:?} exhausted its quota of {max} bytes ({total} scanned)",
                         self.spec.name,
-                        self.spec.max_bytes.unwrap_or(u64::MAX),
-                        total,
                     ),
                 ))
             }
-            Err(other) => Err(ServeError::new(ErrorCode::Internal, other.to_string())),
+            _ => {
+                self.admitted.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
         }
     }
 
@@ -190,25 +146,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_parsing() {
-        assert_eq!(
-            TenantSpec::parse("alpha=unlimited").unwrap(),
-            TenantSpec::unlimited("alpha")
-        );
-        assert_eq!(
-            TenantSpec::parse("bravo=4K").unwrap(),
-            TenantSpec::limited("bravo", 4096)
-        );
-        assert_eq!(
-            TenantSpec::parse("c=123").unwrap(),
-            TenantSpec::limited("c", 123)
-        );
-        assert!(TenantSpec::parse("no-equals").is_err());
-        assert!(TenantSpec::parse("=5").is_err());
-        assert!(TenantSpec::parse("x=notbytes").is_err());
-    }
-
-    #[test]
     fn quota_is_cumulative_and_sticky() {
         let table = TenantTable::new(vec![
             TenantSpec::limited("small", 100),
@@ -216,7 +153,7 @@ mod tests {
         ])
         .unwrap();
         let small = table.get("small").unwrap();
-        // Governor fires strictly above the cap: two 50-byte requests
+        // Rejection fires strictly above the cap: two 50-byte requests
         // land exactly on it and pass, the third crosses it.
         small.admit(50).unwrap();
         small.admit(50).unwrap();

@@ -55,74 +55,37 @@ fn sfa_artifact_round_trips_and_verifies() {
 fn interrupted_build_resumes_byte_identical() {
     let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
-    let ckpt = scratch.join("resume.ckpt");
-    let _ = std::fs::remove_file(&ckpt);
-
-    // Interrupt mid-construction with a states budget; checkpoint every
-    // processed state so the snapshot is as fresh as possible.
-    let err = Sfa::builder(&dfa)
-        .sequential(SequentialVariant::Transposed)
-        .budget(Budget::unlimited().with_max_states(4))
-        .checkpoint(&ckpt, 1)
-        .build()
-        .unwrap_err();
-    assert!(
-        matches!(err, SfaError::BudgetExceeded { .. }),
-        "interruption must be the typed budget error, got {err:?}"
-    );
-    artifact::verify(&ckpt).expect("interrupted build left a valid checkpoint");
-
-    let resumed = Sfa::builder(&dfa)
-        .sequential(SequentialVariant::Transposed)
-        .resume_from(&ckpt)
-        .build()
-        .unwrap()
-        .sfa;
-    let fresh = build_seq(&dfa);
-    assert_eq!(
-        io::to_bytes(&resumed),
-        io::to_bytes(&fresh),
-        "resumed SFA must be byte-identical to an uninterrupted build"
-    );
-    std::fs::remove_file(&ckpt).unwrap();
-}
-
-#[test]
-fn every_sequential_variant_resumes_byte_identical() {
-    let scratch = ScratchDir::new("artifact_it");
-    let dfa = rgd_dfa();
-    for (i, variant) in [
-        SequentialVariant::Baseline,
-        SequentialVariant::BaselinePointerTree,
-        SequentialVariant::Hashing,
-        SequentialVariant::Transposed,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let ckpt = scratch.join(format!("variant_{i}.ckpt"));
+    for threads in [1, 4] {
+        let ckpt = scratch.join(format!("resume_t{threads}.ckpt"));
         let _ = std::fs::remove_file(&ckpt);
+
+        // Interrupt mid-construction with a states budget; checkpoint
+        // every discovered state. The due snapshot is written before the
+        // governor poll that stops the build, so the abort leaves it.
         let err = Sfa::builder(&dfa)
-            .sequential(variant)
+            .threads(threads)
             .budget(Budget::unlimited().with_max_states(4))
             .checkpoint(&ckpt, 1)
             .build()
             .unwrap_err();
         assert!(
             matches!(err, SfaError::BudgetExceeded { .. }),
-            "{variant:?}"
+            "{threads} threads: interruption must be the typed budget error, got {err:?}"
         );
+        artifact::verify(&ckpt).unwrap_or_else(|e| {
+            panic!("{threads} threads: interrupted build left no valid checkpoint: {e}")
+        });
+
         let resumed = Sfa::builder(&dfa)
-            .sequential(variant)
+            .threads(threads)
             .resume_from(&ckpt)
             .build()
             .unwrap()
             .sfa;
-        let fresh = Sfa::builder(&dfa).sequential(variant).build().unwrap().sfa;
         assert_eq!(
             io::to_bytes(&resumed),
-            io::to_bytes(&fresh),
-            "{variant:?} resume must be byte-identical"
+            io::to_bytes(&build_seq(&dfa)),
+            "{threads} threads: resumed SFA must be byte-identical to an uninterrupted build"
         );
         std::fs::remove_file(&ckpt).unwrap();
     }
@@ -170,39 +133,6 @@ fn interrupted_parallel_build_resumes_byte_identical() {
 }
 
 #[test]
-fn parallel_checkpoint_resumes_in_sequential_engine() {
-    let scratch = ScratchDir::new("artifact_it");
-    // Checkpoints are engine-interchangeable: a snapshot taken at a
-    // parallel rendezvous is exactly the sequential arena at the same
-    // cursor, so the sequential engine can finish the build.
-    let dfa = rgd_dfa();
-    let ckpt = scratch.join("cross_engine.ckpt");
-    let _ = std::fs::remove_file(&ckpt);
-
-    let interrupt = ParallelOptions::with_threads(4)
-        .symbol_blocks(dfa.num_symbols())
-        .state_budget(5);
-    Sfa::builder(&dfa)
-        .options(&interrupt)
-        .checkpoint(&ckpt, 1)
-        .build()
-        .unwrap_err();
-
-    let resumed = Sfa::builder(&dfa)
-        .sequential(SequentialVariant::Transposed)
-        .resume_from(&ckpt)
-        .build()
-        .unwrap()
-        .sfa;
-    assert_eq!(
-        io::to_bytes(&resumed),
-        io::to_bytes(&build_seq(&dfa)),
-        "a parallel checkpoint must resume byte-identically in the sequential engine"
-    );
-    std::fs::remove_file(&ckpt).unwrap();
-}
-
-#[test]
 fn checkpoint_for_a_different_dfa_is_rejected() {
     let scratch = ScratchDir::new("artifact_it");
     let dfa = rgd_dfa();
@@ -212,13 +142,13 @@ fn checkpoint_for_a_different_dfa_is_rejected() {
     let ckpt = scratch.join("wrong_dfa.ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let _ = Sfa::builder(&dfa)
-        .sequential(SequentialVariant::Transposed)
+        .threads(1)
         .budget(Budget::unlimited().with_max_states(4))
         .checkpoint(&ckpt, 1)
         .build()
         .unwrap_err();
     let err = Sfa::builder(&other)
-        .sequential(SequentialVariant::Transposed)
+        .threads(1)
         .resume_from(&ckpt)
         .build()
         .unwrap_err();
@@ -241,7 +171,7 @@ fn artifact_corpora() -> &'static [Vec<u8>] {
         let scratch = ScratchDir::new("artifact_corpus");
         let ckpt = scratch.join("corpus.ckpt");
         let _ = Sfa::builder(&dfa)
-            .sequential(SequentialVariant::Transposed)
+            .threads(1)
             .budget(Budget::unlimited().with_max_states(4))
             .checkpoint(&ckpt, 1)
             .build()

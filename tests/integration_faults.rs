@@ -39,7 +39,6 @@ const ALL_SITES: &[&str] = &[
     "io/rename",
     "pool/worker",
     "pool/bookkeeping",
-    "construct/state",
     "construct/worker",
     "construct/race",
     "checkpoint/write",
@@ -108,7 +107,7 @@ fn bounded<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static
 /// resuming from it (faults disarmed) must reach the byte-identical
 /// oracle.
 fn assert_resumable(dfa: &Dfa, ckpt: &PathBuf, oracle: &[u8], context: &str) {
-    let mut builder = Sfa::builder(dfa).sequential(SequentialVariant::Transposed);
+    let mut builder = Sfa::builder(dfa).threads(1);
     if ckpt.exists() {
         artifact::verify(ckpt)
             .unwrap_or_else(|e| panic!("{context}: fault left a corrupt checkpoint: {e}"));
@@ -123,7 +122,7 @@ fn assert_resumable(dfa: &Dfa, ckpt: &PathBuf, oracle: &[u8], context: &str) {
 }
 
 #[test]
-fn sequential_construction_matrix() {
+fn one_thread_checkpoint_matrix() {
     let _serial = serial();
     let scratch = ScratchDir::new("fault_matrix");
     let dfa = rgd_dfa();
@@ -135,7 +134,7 @@ fn sequential_construction_matrix() {
             .sfa,
     );
     let sites = [
-        "construct/state",
+        "construct/worker",
         "checkpoint/write",
         "io/write",
         "io/fsync",
@@ -144,14 +143,14 @@ fn sequential_construction_matrix() {
     for site in sites {
         for kind in KINDS {
             for nth in [1, 2] {
-                let context = format!("seq build, {site} {kind:?} nth={nth}");
-                let ckpt = scratch.join("seq_matrix.ckpt");
+                let context = format!("one-thread build, {site} {kind:?} nth={nth}");
+                let ckpt = scratch.join("one_thread_matrix.ckpt");
                 let _ = std::fs::remove_file(&ckpt);
                 let guard = faults::arm(FaultPlan::new().rule(FaultRule::nth(site, nth, kind)));
                 let (dfa_t, ckpt_t) = (dfa.clone(), ckpt.clone());
                 let outcome = bounded(&context, move || {
                     Sfa::builder(&dfa_t)
-                        .sequential(SequentialVariant::Transposed)
+                        .threads(1)
                         .checkpoint(&ckpt_t, 1)
                         .build()
                         .map(|r| io::to_bytes(&r.sfa))
@@ -163,11 +162,18 @@ fn sequential_construction_matrix() {
                     }
                     Outcome::Done(Err(e)) => {
                         assert!(
-                            matches!(e, SfaError::Io(_) | SfaError::Artifact(_)),
+                            matches!(
+                                e,
+                                SfaError::Io(_)
+                                    | SfaError::Artifact(_)
+                                    | SfaError::WorkerPanic { .. }
+                            ),
                             "{context}: untyped error {e:?}"
                         );
                     }
-                    Outcome::Panicked => {} // simulated crash — checked below
+                    // The worker and the checkpoint writer both run on the
+                    // engine's worker thread, which contains their panics.
+                    Outcome::Panicked => panic!("{context}: worker panic escaped containment"),
                 }
                 assert_resumable(&dfa, &ckpt, &oracle, &context);
                 let _ = std::fs::remove_file(&ckpt);
@@ -653,12 +659,12 @@ fn seeded_whole_stack_plans() {
         let _ = std::fs::remove_file(&ckpt);
         let plan = FaultPlan::seeded(seed, ALL_SITES);
 
-        // Checkpointed sequential build under the full plan.
+        // Checkpointed one-thread build under the full plan.
         let guard = faults::arm(plan.clone());
         let (dfa_t, ckpt_t) = (dfa.clone(), ckpt.clone());
         let outcome = bounded(&context, move || {
             Sfa::builder(&dfa_t)
-                .sequential(SequentialVariant::Transposed)
+                .threads(1)
                 .checkpoint(&ckpt_t, 1)
                 .build()
                 .map(|r| io::to_bytes(&r.sfa))
@@ -667,10 +673,13 @@ fn seeded_whole_stack_plans() {
         match outcome {
             Outcome::Done(Ok(b)) => assert_eq!(b, oracle, "{context}: wrong SFA"),
             Outcome::Done(Err(e)) => assert!(
-                matches!(e, SfaError::Io(_) | SfaError::Artifact(_)),
+                matches!(
+                    e,
+                    SfaError::Io(_) | SfaError::Artifact(_) | SfaError::WorkerPanic { .. }
+                ),
                 "{context}: untyped error {e:?}"
             ),
-            Outcome::Panicked => {}
+            Outcome::Panicked => panic!("{context}: worker panic escaped containment"),
         }
         assert_resumable(&dfa, &ckpt, &oracle, &context);
         let _ = std::fs::remove_file(&ckpt);

@@ -348,8 +348,8 @@ proptest! {
         }
     }
 
-    /// Under a racing deadline or cancellation the governed request
-    /// path either answers exactly the oracle or fails with the
+    /// Under a racing deadline or cancellation the governed full-tier
+    /// scan either answers exactly the oracle or fails with the
     /// governance error — never a wrong verdict. (The governed count and
     /// find-first scans have the same property in `matcher.rs`.)
     #[test]
@@ -377,11 +377,10 @@ proptest! {
         }
         let budget = Budget::unlimited().with_deadline(Duration::from_micros(deadline_us));
 
-        // The verdict path goes through the request API.
         let rt = MatchRuntime::new(threads);
-        let request = MatchRequest::symbols(input.clone()).with_budget(budget.clone());
-        match rt.run_cancelable(&matcher, &request, Some(token)) {
-            Ok(o) => prop_assert_eq!(o.verdict, match_sequential(&dfa, &input)),
+        let governor = Governor::new(&budget, Some(token));
+        match rt.matches_symbols(&matcher, &input, &governor) {
+            Ok((verdict, _)) => prop_assert_eq!(verdict, match_sequential(&dfa, &input)),
             Err(SfaError::Cancelled { .. }) | Err(SfaError::BudgetExceeded { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
