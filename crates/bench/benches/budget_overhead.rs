@@ -4,7 +4,7 @@
 //! Three configurations per engine:
 //! * `ungoverned` — the pre-budget fast path (`Governor::is_unlimited()`
 //!   hoists the whole check out of the hot loop),
-//! * `governed_space` — state + payload-byte limits (no clock reads),
+//! * `governed_space` — a payload-byte limit (no clock reads),
 //! * `governed_deadline` — a generous wall-clock deadline, the only axis
 //!   that calls `Instant::now()` per checkpoint.
 //!
@@ -25,9 +25,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
         ("ungoverned", Budget::unlimited()),
         (
             "governed_space",
-            Budget::unlimited()
-                .with_max_states(1 << 30)
-                .with_max_payload_bytes(1 << 40),
+            Budget::unlimited().with_max_payload_bytes(1 << 40),
         ),
         (
             "governed_deadline",

@@ -38,6 +38,10 @@ use sfa_hash::{CityFingerprinter, Fingerprinter, FxFingerprinter, RabinFingerpri
 use sfa_workloads::{protein_text, rn};
 use std::process::ExitCode;
 
+/// Where every experiment writes its `<name>.json` record, relative to
+/// the working directory.
+const RESULTS: &str = "results";
+
 struct Config {
     quick: bool,
     threads: Vec<usize>,
@@ -188,7 +192,7 @@ fn all(cfg: &Config) -> Result<(), String> {
 fn platform(_cfg: &Config) -> Result<(), String> {
     let info = PlatformInfo::detect();
     println!("{}", info.table());
-    records::write_record("platform", &info).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "platform", &info).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -273,7 +277,7 @@ fn fig4(cfg: &Config) -> Result<(), String> {
              (paper: 3.1-4.1x and 5.2-6.8x max)"
         );
     }
-    records::write_record("fig4", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "fig4", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -320,7 +324,7 @@ fn r500_seq(cfg: &Config) -> Result<(), String> {
         "  hashing + transposition   {t:.3} s  {:.2}x (paper:  6.4 s, 5.7x)",
         row.transposed_speedup()
     );
-    records::write_record("r500-seq", &row).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "r500-seq", &row).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -400,7 +404,7 @@ fn fig5(cfg: &Config) -> Result<(), String> {
             .map(|n| n.get())
             .unwrap_or(1)
     );
-    records::write_record("fig5", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "fig5", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -447,7 +451,7 @@ fn queues(cfg: &Config) -> Result<(), String> {
             rows.push(row);
         }
     }
-    records::write_record("queues", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "queues", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -530,7 +534,7 @@ fn table2(cfg: &Config) -> Result<(), String> {
         "(paper: ratios 17-30x on PROSITE DFAs, ~95x on uncatenated r500-class states;\n\
               compression overhead only pays off for otherwise-intractable sizes)"
     );
-    records::write_record("table2", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "table2", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -598,7 +602,7 @@ fn codecs(cfg: &Config) -> Result<(), String> {
         "(paper: deflate-class best at 17-30x typical, ~95x on sink-dominated states;\n\
               dictionary codecs >> RLE >> store, far above the ≤5x of text corpora)"
     );
-    records::write_record("codecs", &out).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "codecs", &out).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -695,7 +699,7 @@ fn matching(cfg: &Config) -> Result<(), String> {
          SFA path cannot beat the sequential matcher on wall-clock — the structure\n\
          of the comparison [construction amortized against input size] is preserved)"
     );
-    records::write_record("matching", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "matching", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -811,7 +815,7 @@ fn match_throughput(cfg: &Config) -> Result<(), String> {
         );
         rows.push(row);
     }
-    records::write_record("match_throughput", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "match_throughput", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -915,7 +919,7 @@ fn scan_throughput(cfg: &Config) -> Result<(), String> {
         "(acceptance: interleaved+compact ≥1.5x the pooled scan on the 64 MB row;\n\
          K dependent chains hide the table-load latency a single chain serializes on)"
     );
-    records::write_record("scan_throughput", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "scan_throughput", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -1068,7 +1072,7 @@ fn obs_overhead(cfg: &Config) -> Result<(), String> {
         "  overhead        {:.2}%  (budget ≤2%; obs compiled: {})",
         row.overhead_pct, row.compiled
     );
-    records::write_record("obs_overhead", &row).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "obs_overhead", &row).map_err(|e| e.to_string())?;
     if row.compiled && row.overhead_pct > 2.0 {
         return Err(format!(
             "observability overhead {:.2}% exceeds the 2% budget",
@@ -1321,7 +1325,7 @@ fn serve_load(cfg: &Config) -> Result<(), String> {
     }
     println!("verdicts: {total_served} served, all agree with the sequential oracle");
 
-    records::write_record("serve_load", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "serve_load", &rows).map_err(|e| e.to_string())?;
     std::fs::copy("results/serve_load.json", "BENCH_serve.json").map_err(|e| e.to_string())?;
     println!("wrote results/serve_load.json and BENCH_serve.json");
     Ok(())
@@ -1493,7 +1497,7 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
             Sfa::builder(&dfa)
                 .options(&opts)
                 .budget(budget)
-                .spill(&spill_dir, u64::MAX),
+                .spill(&spill_dir),
         );
         let capped = capped.map_err(|e| e.to_string())?;
         let oracle_bytes = std::fs::read(&oracle_path).map_err(|e| e.to_string())?;
@@ -1527,7 +1531,7 @@ fn memory_cap(cfg: &Config) -> Result<(), String> {
     println!(
         "(every capped level fails typed without the spill tier and is byte-identical with it)"
     );
-    records::write_record("memory_cap", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "memory_cap", &rows).map_err(|e| e.to_string())?;
     std::fs::copy("results/memory_cap.json", "BENCH_memory.json").map_err(|e| e.to_string())?;
     println!("wrote results/memory_cap.json and BENCH_memory.json");
     Ok(())
@@ -1710,7 +1714,7 @@ fn speculative(cfg: &Config) -> Result<(), String> {
         }
     }
     println!("(best speedup over the sequential oracle at {max_threads} threads: {headline:.2}x)");
-    records::write_record("speculative", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "speculative", &rows).map_err(|e| e.to_string())?;
     std::fs::copy("results/speculative.json", "BENCH_speculative.json")
         .map_err(|e| e.to_string())?;
     println!("wrote results/speculative.json and BENCH_speculative.json");
@@ -1765,7 +1769,7 @@ fn hashes(cfg: &Config) -> Result<(), String> {
             bytes_per_cycle,
         });
     }
-    records::write_record("hashes", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "hashes", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -1843,6 +1847,6 @@ fn ablations(cfg: &Config) -> Result<(), String> {
         "medium-grained (4 blocks)",
         ParallelOptions::with_threads(threads).symbol_blocks(4),
     )?;
-    records::write_record("ablations", &rows).map_err(|e| e.to_string())?;
+    records::write_record(RESULTS, "ablations", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }

@@ -1,16 +1,20 @@
 //! Machine-readable experiment records.
 //!
-//! Every `reproduce` subcommand prints a human table **and** appends a
+//! Every `reproduce` subcommand prints a human table **and** writes a
 //! JSON record to `results/<experiment>.json`, so EXPERIMENTS.md numbers
 //! are regenerable and diffable.
 
 use sfa_json::ToJson;
 use std::path::Path;
 
-/// Serialize `record` as pretty JSON into `results/<name>.json`
-/// (best-effort; printing is the primary output channel).
-pub fn write_record<T: ToJson + ?Sized>(name: &str, record: &T) -> std::io::Result<()> {
-    let dir = Path::new("results");
+/// Serialize `record` as pretty JSON into `<dir>/<name>.json`, creating
+/// `dir` if needed (best-effort; printing is the primary output channel).
+pub fn write_record<T: ToJson + ?Sized>(
+    dir: impl AsRef<Path>,
+    name: &str,
+    record: &T,
+) -> std::io::Result<()> {
+    let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let json = sfa_json::to_string_pretty(record);
@@ -408,10 +412,10 @@ mod tests {
             cas_failures: 3,
             conflict_events: 5,
         }];
-        // Write into a temp cwd-independent spot by changing name only.
-        write_record("test-record", &rows).unwrap();
-        let text = std::fs::read_to_string("results/test-record.json").unwrap();
+        let scratch = sfa_workloads::ScratchDir::new("records_test");
+        let dir = scratch.join("results");
+        write_record(&dir, "test-record", &rows).unwrap();
+        let text = std::fs::read_to_string(dir.join("test-record.json")).unwrap();
         assert!(text.contains("\"scheduler\": \"ws\""));
-        std::fs::remove_file("results/test-record.json").ok();
     }
 }

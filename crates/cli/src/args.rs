@@ -20,8 +20,19 @@ pub struct Parsed {
     flags: Vec<String>,
 }
 
+/// Does the help text list `--name`? Reading the names from it keeps
+/// one list of the options `sfa` accepts.
+fn documented(name: &str) -> bool {
+    !name.is_empty()
+        && crate::HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .any(|word| word.strip_prefix("--") == Some(name))
+}
+
 impl Parsed {
-    /// Parse `--key value` pairs and bare `--flag`s.
+    /// Parse `--key value` pairs and bare `--flag`s. An option the help
+    /// text does not list is a usage error naming it, so a typo (or a
+    /// retired option) never runs a command with the option ignored.
     pub fn parse(argv: &[String]) -> Result<Parsed, String> {
         let mut out = Parsed::default();
         let mut i = 0;
@@ -30,6 +41,9 @@ impl Parsed {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument {arg:?}"));
             };
+            if !documented(name) {
+                return Err(format!("unknown option {arg}; try `sfa help`"));
+            }
             if FLAGS.contains(&name) {
                 out.flags.push(name.to_string());
                 i += 1;
@@ -135,6 +149,24 @@ mod tests {
     fn rejects_positional_and_dangling() {
         assert!(Parsed::parse(&argv(&["positional"])).is_err());
         assert!(Parsed::parse(&argv(&["--threads"])).is_err());
+    }
+
+    #[test]
+    fn rejects_options_the_help_does_not_list() {
+        for bad in [
+            "--thread",
+            "--max-states",
+            "--memory-cap",
+            "--",
+            "--threads-x",
+        ] {
+            let err = Parsed::parse(&argv(&[bad, "8"])).unwrap_err();
+            assert!(err.contains(&format!("unknown option {bad};")), "{err}");
+        }
+        // Every flag is listed, so none can be refused as unknown.
+        for flag in FLAGS {
+            assert!(documented(flag), "--{flag} missing from the help text");
+        }
     }
 
     #[test]

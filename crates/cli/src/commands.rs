@@ -63,7 +63,7 @@ pub fn metrics(parsed: &Parsed) -> Result<(), String> {
                 ])
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             sfa_json::to_string_pretty(&Value::Object(vec![(
                 "samples".to_string(),
@@ -73,7 +73,7 @@ pub fn metrics(parsed: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     if samples.is_empty() {
-        println!("(no samples — snapshot from an obs-disabled build?)");
+        outln!("(no samples — snapshot from an obs-disabled build?)");
         return Ok(());
     }
     for s in &samples {
@@ -87,7 +87,7 @@ pub fn metrics(parsed: &Parsed) -> Result<(), String> {
                 .collect();
             format!("{{{}}}", body.join(","))
         };
-        println!("{:<56} {}", format!("{}{labels}", s.name), s.value);
+        outln!("{:<56} {}", format!("{}{labels}", s.name), s.value);
     }
     Ok(())
 }
@@ -101,7 +101,7 @@ pub fn compile(parsed: &Parsed) -> Result<(), String> {
         dfa.num_symbols(),
         dfa.accepting_states().len()
     );
-    print!("{}", grail::write_dfa(&dfa));
+    crate::write_stdout(format_args!("{}", grail::write_dfa(&dfa)));
     Ok(())
 }
 
@@ -184,44 +184,51 @@ impl BuildReport {
     }
 
     fn print_human(&self) {
-        println!("DFA states           {}", self.dfa_states);
-        println!("SFA states           {}", self.sfa_states);
-        println!("threads              {}", self.threads);
-        println!("total time           {:.3} s", self.total_secs);
+        outln!("DFA states           {}", self.dfa_states);
+        outln!("SFA states           {}", self.sfa_states);
+        outln!("threads              {}", self.threads);
+        outln!("total time           {:.3} s", self.total_secs);
         if self.compressed {
-            println!("  phase 1 (raw)      {:.3} s", self.phase1_secs);
-            println!("  compression        {:.3} s", self.compression_secs);
-            println!("  phase 3 (compr.)   {:.3} s", self.phase3_secs);
-            println!("compression ratio    {:.1}x", self.compression_ratio);
+            outln!("  phase 1 (raw)      {:.3} s", self.phase1_secs);
+            outln!("  compression        {:.3} s", self.compression_secs);
+            outln!("  phase 3 (compr.)   {:.3} s", self.phase3_secs);
+            outln!("compression ratio    {:.1}x", self.compression_ratio);
         }
-        println!(
+        outln!(
             "state memory         {} -> {} bytes",
-            self.uncompressed_bytes, self.stored_bytes
+            self.uncompressed_bytes,
+            self.stored_bytes
         );
         if self.spilled_bytes > 0 {
             // Degraded mode: the build ran under memory pressure and
             // reached the disk tier. Say how much left RAM and how
             // often states came back.
-            println!(
+            outln!(
                 "spill tier           {} bytes on disk, {} resident",
-                self.spilled_bytes, self.resident_bytes
+                self.spilled_bytes,
+                self.resident_bytes
             );
-            println!(
+            outln!(
                 "  demotions          {} ({} promotions back)",
-                self.demotions, self.promotions
+                self.demotions,
+                self.promotions
             );
         }
-        println!(
+        outln!(
             "candidates           {} ({} duplicates)",
-            self.candidates, self.duplicates
+            self.candidates,
+            self.duplicates
         );
-        println!(
+        outln!(
             "exhaustive compares  {} ({} fingerprint collisions)",
-            self.exhaustive_compares, self.fingerprint_collisions
+            self.exhaustive_compares,
+            self.fingerprint_collisions
         );
-        println!(
+        outln!(
             "contention           {} CAS failures, {}/{} steals",
-            self.cas_failures, self.steal_successes, self.steal_attempts
+            self.cas_failures,
+            self.steal_successes,
+            self.steal_attempts
         );
     }
 }
@@ -231,6 +238,12 @@ fn budget_error_json(err: &SfaError) -> sfa_json::Value {
     use sfa_json::{ToJson, Value};
     let mut fields: Vec<(String, Value)> = vec![("error".to_string(), err.to_string().to_json())];
     let progress = match err {
+        SfaError::StateBudgetExceeded { budget } => {
+            // The store holds `budget` states when the next one overflows it.
+            fields.push(("resource".to_string(), "state count".to_json()));
+            fields.push(("states".to_string(), (*budget as u64).to_json()));
+            None
+        }
         SfaError::BudgetExceeded { resource, progress } => {
             fields.push(("resource".to_string(), resource.to_string().to_json()));
             Some(progress)
@@ -275,18 +288,11 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
             other => return Err(format!("unknown sequential variant {other:?}")),
         });
     }
-    // `--spill-dir` enables the parallel engine's spill tier: builds
-    // that would abort on `--memory-cap` (or `--max-bytes`) instead
-    // demote cold states — compressed, then to disk — and finish
-    // byte-identical.
-    let memory_cap = match parsed.opt("memory-cap") {
-        Some(v) => Some(crate::args::parse_bytes(v)? as u64),
-        None => None,
-    };
-    match (parsed.opt("spill-dir"), memory_cap) {
-        (Some(dir), cap) => builder = builder.spill(dir, cap.unwrap_or(u64::MAX)),
-        (None, Some(_)) => return Err("--memory-cap requires --spill-dir <dir>".into()),
-        (None, None) => {}
+    // `--spill-dir` enables the parallel engine's spill tier: a build
+    // that `--max-bytes` would abort instead demotes cold states —
+    // compressed, then to disk — and finishes byte-identical.
+    if let Some(dir) = parsed.opt("spill-dir") {
+        builder = builder.spill(dir);
     }
     if let Some(path) = checkpoint {
         builder = builder.checkpoint(path, parsed.num("checkpoint-every", 1024u64)?.max(1));
@@ -310,7 +316,7 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
             // Surface which axis fired and how far construction got,
             // then exit non-zero.
             if parsed.flag("json") {
-                println!("{}", sfa_json::to_string_pretty(&budget_error_json(&err)));
+                outln!("{}", sfa_json::to_string_pretty(&budget_error_json(&err)));
             }
             return Err(format!("construction aborted by budget: {err}"));
         }
@@ -327,7 +333,7 @@ pub fn build(parsed: &Parsed) -> Result<(), String> {
     }
     let report = BuildReport::new(dfa.num_states(), result.sfa.num_states(), &result.stats);
     if parsed.flag("json") {
-        println!("{}", sfa_json::to_string_pretty(&report));
+        outln!("{}", sfa_json::to_string_pretty(&report));
     } else {
         report.print_human();
     }
@@ -363,18 +369,18 @@ pub fn artifact(argv: &[String]) -> Result<(), String> {
                         (info.sections.len() as u64).to_json(),
                     ),
                 ];
-                println!(
+                outln!(
                     "{}",
                     sfa_json::to_string_pretty(&sfa_json::Value::Object(fields))
                 );
             } else {
-                println!("kind                 {kind}");
-                println!("format version       {}", info.version);
-                println!("total bytes          {}", info.total_bytes);
+                outln!("kind                 {kind}");
+                outln!("format version       {}", info.version);
+                outln!("total bytes          {}", info.total_bytes);
                 for s in &info.sections {
-                    println!("  section tag {:>3}    {} bytes", s.tag, s.len);
+                    outln!("  section tag {:>3}    {} bytes", s.tag, s.len);
                 }
-                println!("checksums            ok");
+                outln!("checksums            ok");
             }
             Ok(())
         }
@@ -452,9 +458,8 @@ pub fn do_match(parsed: &Parsed) -> Result<(), String> {
         // feasible-set-pruned) entry states with seam verification.
         let policy = tier.unwrap();
         let runtime = MatchRuntime::new(threads);
-        let request = MatchRequest::symbols(text.clone())
-            .with_budget(budget.clone())
-            .with_tier(policy);
+        let mut request = MatchRequest::symbols(text.clone()).with_tier(policy);
+        request.deadline = budget.deadline;
         let t0 = std::time::Instant::now();
         let outcome = runtime
             .run_dfa(&dfa, &request, None)
@@ -464,16 +469,18 @@ pub fn do_match(parsed: &Parsed) -> Result<(), String> {
             return Err("tiered and sequential matchers disagree (bug)".into());
         }
         obs::record_match(obs::global(), &outcome.stats);
-        println!("text length          {} residues", text.len());
-        println!("match                {}", outcome.verdict);
-        println!("engine tier          {}", outcome.tier);
+        outln!("text length          {} residues", text.len());
+        outln!("match                {}", outcome.verdict);
+        outln!("engine tier          {}", outcome.tier);
         if outcome.stats.chunks > 1 {
-            println!(
+            outln!(
                 "speculation          {} chunks, {} mispredicts, {} re-runs",
-                outcome.stats.chunks, outcome.stats.mispredicts, outcome.stats.reruns
+                outcome.stats.chunks,
+                outcome.stats.mispredicts,
+                outcome.stats.reruns
             );
         }
-        println!("tier match ({threads} thr)  {secs:.4} s");
+        outln!("tier match ({threads} thr)  {secs:.4} s");
         return write_metrics_snapshot(parsed);
     }
     if !budget.is_unlimited() || tier.is_some() {
@@ -488,9 +495,8 @@ pub fn do_match(parsed: &Parsed) -> Result<(), String> {
         // Feed per-query stats into the process-global registry so a
         // `--metrics-out` snapshot carries `sfa_match_*`.
         let mut engine = engine.metrics(obs::global());
-        let request = MatchRequest::symbols(text.clone())
-            .with_budget(budget.clone())
-            .with_tier(tier.unwrap_or_default());
+        let mut request = MatchRequest::symbols(text.clone()).with_tier(tier.unwrap_or_default());
+        request.deadline = budget.deadline;
         let t0 = std::time::Instant::now();
         let outcome = match engine.run(&request) {
             Ok(outcome) => outcome,
@@ -508,13 +514,13 @@ pub fn do_match(parsed: &Parsed) -> Result<(), String> {
         if outcome.verdict != match_sequential(&dfa, &text) {
             return Err("engine and sequential matchers disagree (bug)".into());
         }
-        println!("text length          {} residues", text.len());
-        println!("match                {}", outcome.verdict);
-        println!("engine tier          {}", outcome.tier);
+        outln!("text length          {} residues", text.len());
+        outln!("match                {}", outcome.verdict);
+        outln!("engine tier          {}", outcome.tier);
         if let Some(reason) = &outcome.degraded {
-            println!("degraded             {reason}");
+            outln!("degraded             {reason}");
         }
-        println!("engine match         {secs:.4} s");
+        outln!("engine match         {secs:.4} s");
         return write_metrics_snapshot(parsed);
     }
     if parsed.flag("lazy") {
@@ -525,9 +531,9 @@ pub fn do_match(parsed: &Parsed) -> Result<(), String> {
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(hit, match_sequential_oracle(&dfa, &text));
         record_cli_match(MatchTier::LazySfa, text.len(), secs);
-        println!("text length          {} residues", text.len());
-        println!("match                {hit}");
-        println!(
+        outln!("text length          {} residues", text.len());
+        outln!("match                {hit}");
+        outln!(
             "lazy SFA match       {secs:.4} s ({} states discovered)",
             lazy.states_built()
         );
@@ -562,14 +568,14 @@ pub fn do_match(parsed: &Parsed) -> Result<(), String> {
     if sfa_match != seq_match {
         return Err("SFA and sequential matchers disagree (bug)".into());
     }
-    println!("text length          {} residues", text.len());
-    println!("match                {}", sfa_match);
-    println!(
+    outln!("text length          {} residues", text.len());
+    outln!("match                {}", sfa_match);
+    outln!(
         "SFA construction     {build_secs:.4} s ({} states)",
         result.sfa.num_states()
     );
-    println!("SFA match ({threads} thr)   {sfa_secs:.4} s");
-    println!("sequential match     {seq_secs:.4} s");
+    outln!("SFA match ({threads} thr)   {sfa_secs:.4} s");
+    outln!("sequential match     {seq_secs:.4} s");
     write_metrics_snapshot(parsed)
 }
 
@@ -602,28 +608,31 @@ fn do_match_stream(parsed: &Parsed, path: &str) -> Result<(), String> {
         None => MatchRuntime::shared(),
     };
     engine.set_runtime(runtime.with_block_bytes(block_bytes));
-    let request = MatchRequest::file(path)
+    let mut request = MatchRequest::file(path)
         .with_classifier(ClassifierMode::SkipWhitespace)
-        .with_budget(budget.clone())
         .with_tier(tier_from_args(parsed)?.unwrap_or_default());
+    request.deadline = budget.deadline;
     let t0 = std::time::Instant::now();
     let outcome = engine.run(&request).map_err(|e| e.to_string())?;
     let secs = t0.elapsed().as_secs_f64();
     let stats = &outcome.stats;
-    println!("stream               {path}");
-    println!(
+    outln!("stream               {path}");
+    outln!(
         "streamed             {} bytes in {} blocks of {} ({} chunk scans)",
-        stats.bytes, stats.blocks, block_bytes, stats.chunks
+        stats.bytes,
+        stats.blocks,
+        block_bytes,
+        stats.chunks
     );
-    println!("match                {}", outcome.verdict);
-    println!("engine tier          {}", outcome.tier);
+    outln!("match                {}", outcome.verdict);
+    outln!("engine tier          {}", outcome.tier);
     if let Some(reason) = &outcome.degraded {
-        println!("degraded             {reason}");
+        outln!("degraded             {reason}");
     }
     // Sub-resolution matches get a clamped-but-plausible rate from
     // `bytes_per_sec()`; flag them rather than printing it as measured.
     let untimed = if stats.untimed() { " [untimed]" } else { "" };
-    println!(
+    outln!(
         "throughput           {:.1} MiB/s{untimed} ({secs:.4} s, pool depth {})",
         stats.bytes_per_sec() / (1024.0 * 1024.0),
         stats.queue_depth
@@ -748,12 +757,17 @@ pub fn survey(parsed: &Parsed) -> Result<(), String> {
         .collect();
 
     let rows = sfa_compress::survey::run_survey(&samples);
-    println!(
+    outln!(
         "{:<10} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "codec", "input B", "output B", "ratio", "comp MiB/s", "dec MiB/s"
+        "codec",
+        "input B",
+        "output B",
+        "ratio",
+        "comp MiB/s",
+        "dec MiB/s"
     );
     for r in rows {
-        println!(
+        outln!(
             "{:<10} {:>12} {:>12} {:>7.1}x {:>12.1} {:>12.1}",
             r.codec,
             r.input_bytes,
@@ -787,7 +801,7 @@ pub fn verify(parsed: &Parsed) -> Result<(), String> {
             par.sfa.num_states()
         ));
     }
-    println!(
+    outln!(
         "ok: {} SFA states from {} DFA states; sequential {:.3}s, parallel {:.3}s ({} threads)",
         seq.sfa.num_states(),
         dfa.num_states(),
@@ -805,21 +819,24 @@ pub fn dot(parsed: &Parsed) -> Result<(), String> {
         name: parsed.opt("name").unwrap_or("dfa").to_string(),
         ..Default::default()
     };
-    print!("{}", sfa_automata::dot::dfa_to_dot(&dfa, &opts));
+    crate::write_stdout(format_args!(
+        "{}",
+        sfa_automata::dot::dfa_to_dot(&dfa, &opts)
+    ));
     Ok(())
 }
 
 /// `sfa workloads` — list the embedded PROSITE sample.
 pub fn workloads(parsed: &Parsed) -> Result<(), String> {
     let budget = parsed.num("budget", 200_000usize)?;
-    println!("{:<10} {:>10}  pattern", "id", "DFA");
+    outln!("{:<10} {:>10}  pattern", "id", "DFA");
     for p in sfa_workloads::embedded_patterns() {
         let size = sfa_automata::pipeline::Pipeline::search(Alphabet::amino_acids())
             .dfa_budget(budget)
             .compile_prosite(p.pattern)
             .map(|d| d.num_states().to_string())
             .unwrap_or_else(|_| format!(">{budget}"));
-        println!("{:<10} {:>10}  {}", p.id, size, p.pattern);
+        outln!("{:<10} {:>10}  {}", p.id, size, p.pattern);
     }
     Ok(())
 }

@@ -19,10 +19,30 @@ use sfa_core::prelude::*;
 use sfa_core::sfa::CodecChoice;
 use std::process::ExitCode;
 
+/// `println!` for the CLI's output: see [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
 
 use args::Parsed;
+
+/// Write to stdout. A closed stdout (`sfa … | head`) is the end of the
+/// output, as for other Unix tools: later writes are dropped and the
+/// command still finishes its work, where `println!` would panic.
+pub(crate) fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            panic!("failed printing to stdout: {e}")
+        }
+        _ => {}
+    }
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -64,9 +84,9 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
 }
 
-fn print_help() {
-    println!(
-        "sfa — simultaneous finite automata toolkit
+/// The help text, and the one list of the options `sfa` accepts
+/// ([`Parsed::parse`] reads the `--name`s from it).
+const HELP: &str = "sfa — simultaneous finite automata toolkit
 
 USAGE:
     sfa <COMMAND> [OPTIONS]
@@ -95,7 +115,7 @@ COMMON OPTIONS:
     --threads <n>        worker threads for `build`/`match` (default 4)
     --seq <variant>      sequential engine: baseline | pointer-tree | hashing |
                          transposed
-    --budget <n>         SFA state budget (default 4194304)
+    --budget <n>         SFA state cap, on every engine (default 4194304)
     --compress <bytes>   memory watermark for the compression phase
                          (accepts suffixes K/M/G; `always`/`never`)
     --codec <name>       deflate | lz77 | rle | store | hybrid (default deflate)
@@ -106,16 +126,14 @@ COMMON OPTIONS:
     --deadline-ms <n>    abort construction after n milliseconds (typed
                          error; `match` degrades down the tier ladder
                          lazy/speculative/sequential instead)
-    --max-bytes <b>      cap stored mapping-payload bytes (suffixes K/M/G)
-    --max-states <n>     cap constructed SFA state count
+    --max-bytes <b>      cap stored mapping-payload bytes (suffixes K/M/G);
+                         with --spill-dir, crossing it demotes states
+                         instead of failing the build
     --spill-dir <dir>    build, parallel engine: spill cold states to segment
-                         files in this directory instead of failing on
-                         memory pressure; the result is byte-identical to
-                         an uncapped build (use --threads 1, not --seq)
-    --memory-cap <b>     build, parallel engine: resident payload-byte
-                         watermark that drives demotion (suffixes K/M/G;
-                         requires --spill-dir; --max-bytes also folds into
-                         the cap when given)
+                         files in this directory once payloads exceed
+                         --max-bytes; the result is byte-identical to an
+                         uncapped build (use --threads 1, not --seq)
+    --validate           build: check the SFA against the DFA
     --out <path>         build: write the SFA as a checksummed artifact
     --checkpoint <path>  build, parallel engine: snapshot construction state
                          to this artifact, also when a budget stops the build
@@ -148,6 +166,7 @@ COMMON OPTIONS:
                          registry to a Prometheus text snapshot on exit
                          (display it with `sfa metrics --file <path>`)
     --file <path>        metrics: the snapshot to display
+    --name <id>          dot: the digraph's name (default dfa)
 
 SERVE OPTIONS:
     --patterns-dir <d>   directory of <id>.pat pattern files (required);
@@ -160,8 +179,10 @@ SERVE OPTIONS:
     --workers <n>        event-loop workers (default: one per core)
     --state-budget <n>   SFA state cap per pattern; larger patterns
                          serve on the sequential tier (default 1048576)
-    --match-threads <n>  match-pool threads (default: one per core)"
-    );
+    --match-threads <n>  match-pool threads (default: one per core)";
+
+fn print_help() {
+    outln!("{HELP}");
 }
 
 /// Build the DFA from whichever pattern source was given.
@@ -199,8 +220,8 @@ pub(crate) fn dfa_from_args(parsed: &Parsed) -> Result<sfa_automata::Dfa, String
     grail::read_dfa(&text, None).map_err(|e| e.to_string())
 }
 
-/// Assemble the construction [`Budget`] from `--deadline-ms`,
-/// `--max-bytes` and `--max-states` (unlimited when none are given).
+/// Assemble the construction [`Budget`] from `--deadline-ms` and
+/// `--max-bytes` (unlimited when neither is given).
 pub(crate) fn budget_from_args(parsed: &Parsed) -> Result<Budget, String> {
     let mut budget = Budget::unlimited();
     if let Some(ms) = parsed.opt("deadline-ms") {
@@ -211,12 +232,6 @@ pub(crate) fn budget_from_args(parsed: &Parsed) -> Result<Budget, String> {
     }
     if let Some(b) = parsed.opt("max-bytes") {
         budget = budget.with_max_payload_bytes(args::parse_bytes(b)? as u64);
-    }
-    if let Some(n) = parsed.opt("max-states") {
-        let n: u64 = n
-            .parse()
-            .map_err(|_| format!("--max-states expects a number, got {n:?}"))?;
-        budget = budget.with_max_states(n);
     }
     Ok(budget)
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `sfa` binary (spawned as a real process).
 
 use sfa_workloads::ScratchDir;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn sfa(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sfa"))
@@ -106,12 +106,76 @@ fn sequential_build_refuses_a_spill_tier() {
         "transposed",
         "--spill-dir",
         dir.to_str().unwrap(),
-        "--memory-cap",
+        "--max-bytes",
         "4K",
     ]);
     assert!(!out.status.success(), "--seq with --spill-dir must fail");
     assert!(stderr(&out).contains("parallel engine"), "{}", stderr(&out));
     assert!(!dir.exists(), "the refused build created {}", dir.display());
+}
+
+#[test]
+fn unknown_options_are_usage_errors() {
+    // A typo, and options this CLI no longer has: each must fail and
+    // name the option rather than run the build without it.
+    for option in ["--thread", "--max-states", "--memory-cap"] {
+        let out = sfa(&["build", "--regex", "RG", option, "4"]);
+        assert_eq!(out.status.code(), Some(1), "{option} was accepted");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown option {option};")), "{err}");
+    }
+}
+
+#[test]
+fn invalid_state_caps_exit_typed() {
+    for args in [
+        &["build", "--regex", "RG", "--budget", "0", "--threads", "2"][..],
+        &[
+            "build",
+            "--regex",
+            "RG",
+            "--budget",
+            "0",
+            "--seq",
+            "transposed",
+        ],
+        &["match", "--regex", "RG", "--text", "ARGA", "--budget", "0"],
+        &[
+            "match", "--regex", "RG", "--text", "ARGA", "--budget", "0", "--lazy",
+        ],
+        &[
+            "match",
+            "--regex",
+            "RG",
+            "--text",
+            "ARGA",
+            "--lazy",
+            "--budget",
+            "5000000000",
+        ],
+    ] {
+        let out = sfa(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("state_budget"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn closed_stdout_ends_output_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sfa"))
+        .args(["build", "--rn", "100", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the read end before the build has anything to print.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{err}");
 }
 
 #[test]

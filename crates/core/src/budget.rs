@@ -2,21 +2,18 @@
 //!
 //! SFA construction is worst-case exponential in the DFA size (§II of the
 //! paper), so a caller that feeds it arbitrary patterns needs a way to
-//! bound the damage. A [`Budget`] limits construction along three axes —
-//! wall-clock deadline, peak mapping-payload bytes, and SFA state count —
-//! and a [`sfa_sync::CancelToken`] lets another thread stop a build that
-//! is already running. Every construction path (sequential, parallel,
+//! bound the damage. A [`Budget`] limits construction along two axes —
+//! wall-clock deadline and peak mapping-payload bytes — and a
+//! [`sfa_sync::CancelToken`] lets another thread stop a build that is
+//! already running. Every construction path (sequential, parallel,
 //! lazy) polls the same [`Governor`] at work-item granularity, so an
 //! exhausted budget surfaces as a typed
 //! [`SfaError::BudgetExceeded`] carrying
 //! the progress made — never a panic, never an unbounded run.
 //!
-//! Budgets compose with the engine-level capacity limit
-//! (`ParallelOptions::state_budget`, the arena size): the arena limit is
-//! a hard structural cap reported as
-//! [`SfaError::StateBudgetExceeded`],
-//! while [`Budget::max_states`] is a caller-facing policy knob that can
-//! be tightened per build without resizing the arena.
+//! The state count has one cap, `ParallelOptions::state_budget`, which
+//! every engine enforces as it allocates states
+//! ([`SfaError::StateBudgetExceeded`]).
 
 use crate::SfaError;
 use sfa_sync::CancelToken;
@@ -33,10 +30,10 @@ use std::time::{Duration, Instant};
 pub struct Budget {
     /// Wall-clock limit measured from the start of the build.
     pub deadline: Option<Duration>,
-    /// Peak bytes of stored mapping payloads.
+    /// Peak bytes of stored mapping payloads. With a spill directory
+    /// (`SfaBuilder::spill`) this is the watermark that demotes states
+    /// instead of failing the build.
     pub max_payload_bytes: Option<u64>,
-    /// Maximum SFA states constructed.
-    pub max_states: Option<u64>,
 }
 
 impl Budget {
@@ -57,21 +54,15 @@ impl Budget {
         self
     }
 
-    /// Limit the number of SFA states constructed.
-    pub fn with_max_states(mut self, states: u64) -> Self {
-        self.max_states = Some(states);
-        self
-    }
-
     /// `true` when no axis is limited.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_payload_bytes.is_none() && self.max_states.is_none()
+        self.deadline.is_none() && self.max_payload_bytes.is_none()
     }
 
     /// This budget without its deadline — the degradation ladder uses it
     /// when falling from batch construction to lazy construction, where
-    /// the deadline has already been spent but the space limits still
-    /// apply.
+    /// the deadline has already been spent but the byte limit still
+    /// applies.
     pub fn without_deadline(mut self) -> Self {
         self.deadline = None;
         self
@@ -81,8 +72,6 @@ impl Budget {
 /// Which budget axis was exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetResource {
-    /// [`Budget::max_states`].
-    States,
     /// [`Budget::max_payload_bytes`].
     PayloadBytes,
     /// [`Budget::deadline`].
@@ -92,7 +81,6 @@ pub enum BudgetResource {
 impl std::fmt::Display for BudgetResource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            BudgetResource::States => "state count",
             BudgetResource::PayloadBytes => "payload bytes",
             BudgetResource::Deadline => "deadline",
         })
@@ -123,7 +111,6 @@ pub struct Governor {
     start: Instant,
     deadline: Option<Instant>,
     max_payload_bytes: Option<u64>,
-    max_states: Option<u64>,
     cancel: Option<CancelToken>,
 }
 
@@ -135,7 +122,6 @@ impl Governor {
             start,
             deadline: budget.deadline.map(|d| start + d),
             max_payload_bytes: budget.max_payload_bytes,
-            max_states: budget.max_states,
             cancel,
         }
     }
@@ -148,10 +134,7 @@ impl Governor {
     /// `true` when `check` can never fail (no limits, no token) — lets
     /// hot loops hoist the whole check out.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_payload_bytes.is_none()
-            && self.max_states.is_none()
-            && self.cancel.is_none()
+        self.deadline.is_none() && self.max_payload_bytes.is_none() && self.cancel.is_none()
     }
 
     /// Snapshot progress for error reporting.
@@ -165,20 +148,12 @@ impl Governor {
 
     /// The budget checkpoint: `Err` when the token was cancelled or any
     /// axis is exhausted at the given progress. Checked cancellation
-    /// first (it is the cheapest and the most urgent), then states, then
-    /// bytes, then the deadline (the only axis that reads the clock).
+    /// first (it is the cheapest and the most urgent), then bytes, then
+    /// the deadline (the only axis that reads the clock).
     pub fn check(&self, states: u64, payload_bytes: u64) -> Result<(), SfaError> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
                 return Err(SfaError::Cancelled {
-                    progress: self.progress(states, payload_bytes),
-                });
-            }
-        }
-        if let Some(max) = self.max_states {
-            if states > max {
-                return Err(SfaError::BudgetExceeded {
-                    resource: BudgetResource::States,
                     progress: self.progress(states, payload_bytes),
                 });
             }
@@ -221,30 +196,16 @@ mod tests {
     }
 
     #[test]
-    fn state_axis_fires_strictly_above_limit() {
-        let g = Governor::new(&Budget::unlimited().with_max_states(5), None);
-        g.check(5, 0).unwrap();
-        let err = g.check(6, 0).unwrap_err();
-        match err {
+    fn byte_axis_fires() {
+        let g = Governor::new(&Budget::unlimited().with_max_payload_bytes(100), None);
+        g.check(7, 100).unwrap();
+        match g.check(7, 101).unwrap_err() {
             SfaError::BudgetExceeded { resource, progress } => {
-                assert_eq!(resource, BudgetResource::States);
-                assert_eq!(progress.states, 6);
+                assert_eq!(resource, BudgetResource::PayloadBytes);
+                assert_eq!((progress.states, progress.payload_bytes), (7, 101));
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn byte_axis_fires() {
-        let g = Governor::new(&Budget::unlimited().with_max_payload_bytes(100), None);
-        g.check(0, 100).unwrap();
-        assert!(matches!(
-            g.check(0, 101),
-            Err(SfaError::BudgetExceeded {
-                resource: BudgetResource::PayloadBytes,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -264,7 +225,7 @@ mod tests {
         let token = CancelToken::new();
         let g = Governor::new(
             &Budget::unlimited()
-                .with_max_states(0)
+                .with_max_payload_bytes(0)
                 .with_deadline(Duration::ZERO),
             Some(token.clone()),
         );
@@ -276,10 +237,10 @@ mod tests {
     fn without_deadline_keeps_space_limits() {
         let b = Budget::unlimited()
             .with_deadline(Duration::from_millis(1))
-            .with_max_states(9)
+            .with_max_payload_bytes(9)
             .without_deadline();
         assert_eq!(b.deadline, None);
-        assert_eq!(b.max_states, Some(9));
+        assert_eq!(b.max_payload_bytes, Some(9));
         assert!(!b.is_unlimited());
         assert!(Budget::unlimited().is_unlimited());
     }

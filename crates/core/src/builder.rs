@@ -18,11 +18,8 @@
 //! let result = Sfa::builder(&dfa)
 //!     .threads(4)
 //!     .scheduler(Scheduler::WorkStealing)
-//!     .budget(
-//!         Budget::unlimited()
-//!             .with_deadline(Duration::from_secs(5))
-//!             .with_max_states(1 << 20),
-//!     )
+//!     .state_budget(1 << 20)
+//!     .budget(Budget::unlimited().with_deadline(Duration::from_secs(5)))
 //!     .cancel(token.clone())
 //!     .build()
 //!     .unwrap();
@@ -38,7 +35,6 @@ use crate::parallel::{
 use crate::sequential::{construct_sequential, SequentialVariant};
 use crate::sfa::{CodecChoice, Sfa};
 use crate::stats::ConstructionResult;
-use crate::store::SpillConfig;
 use crate::SfaError;
 use sfa_automata::dfa::Dfa;
 use sfa_sync::CancelToken;
@@ -136,8 +132,8 @@ impl<'d> SfaBuilder<'d> {
         self
     }
 
-    /// Arena capacity (maximum SFA states; applies to the sequential
-    /// engine too).
+    /// The one cap on SFA states, on every engine: see
+    /// [`ParallelOptions::state_budget`].
     pub fn state_budget(mut self, states: usize) -> Self {
         self.opts.state_budget = states;
         self
@@ -156,15 +152,14 @@ impl<'d> SfaBuilder<'d> {
         self
     }
 
-    /// Enable the parallel engine's spill tier (`crate::store`): once
-    /// resident state payloads exceed `cap_bytes`, cold payloads are
-    /// demoted — compressed in memory first, then to mmap'd segments
-    /// under `dir` — instead of the build failing on memory pressure,
-    /// and promoted back on access. The finished artifact is
-    /// byte-identical to an uncapped build. When the [`budget`] also
-    /// carries a `max_payload_bytes` axis, the smaller of the two values
-    /// becomes the cap and the axis stops being a hard error — graceful
-    /// degradation replaces [`SfaError::BudgetExceeded`] for bytes.
+    /// Enable the parallel engine's spill tier (`crate::store`) in
+    /// `dir`: the [`budget`]'s `max_payload_bytes` stops being a hard
+    /// error and becomes the watermark past which cold payloads are
+    /// demoted — compressed in memory first, then to mmap'd segments in
+    /// `dir` — and promoted back on access, so graceful degradation
+    /// replaces [`SfaError::BudgetExceeded`] for bytes. Without a byte
+    /// budget nothing is demoted. The finished artifact is
+    /// byte-identical to an uncapped build.
     ///
     /// A [`sequential`] variant with a spill tier is
     /// [`SfaError::InvalidOptions`]; build with `threads(1)` instead,
@@ -172,8 +167,8 @@ impl<'d> SfaBuilder<'d> {
     ///
     /// [`budget`]: SfaBuilder::budget
     /// [`sequential`]: SfaBuilder::sequential
-    pub fn spill(mut self, dir: impl Into<PathBuf>, cap_bytes: u64) -> Self {
-        self.opts.spill = Some(SpillConfig::new(dir, cap_bytes));
+    pub fn spill(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.opts.spill = Some(dir.into());
         self
     }
 
@@ -258,28 +253,29 @@ impl<'d> SfaBuilder<'d> {
                  a one-thread parallel build is byte-identical to a sequential one",
             ));
         }
-        let mut opts = self.opts;
         let mut budget = self.budget;
-        if let Some(cfg) = &mut opts.spill {
-            // With a spill tier, the payload-byte axis stops being a hard
-            // error: fold it into the demotion cap (tighter value wins)
-            // and strip it from the governor — crossing it now demotes
-            // instead of failing the build.
-            if let Some(max) = budget.max_payload_bytes.take() {
-                cfg.cap_bytes = cfg.cap_bytes.min(max);
-            }
-        }
+        // With a spill tier the payload-byte cap leaves the governor for
+        // the store's watermark: crossing it demotes instead of failing
+        // the build.
+        let spill_cap = if self.opts.spill.is_some() {
+            budget.max_payload_bytes.take()
+        } else {
+            None
+        };
         let governor = Governor::new(&budget, self.cancel);
         let resume = match &self.resume_from {
             Some(path) => Some(artifact::read_checkpoint(path)?),
             None => None,
         };
         let result = match self.variant {
-            Some(variant) => construct_sequential(self.dfa, variant, opts.state_budget, &governor)?,
+            Some(variant) => {
+                construct_sequential(self.dfa, variant, self.opts.state_budget, &governor)?
+            }
             None => construct_parallel_resumable(
                 self.dfa,
-                &opts,
+                &self.opts,
                 &governor,
+                spill_cap,
                 self.checkpoint.as_ref(),
                 resume.as_ref(),
             )?,
@@ -335,6 +331,41 @@ mod tests {
                 b.build().unwrap_err(),
                 SfaError::StateBudgetExceeded { budget: 3 }
             );
+        }
+    }
+
+    #[test]
+    fn invalid_state_budgets_are_typed_on_every_engine() {
+        use crate::engine::{MatchEngine, MatchTier};
+        use crate::lazy::LazySfa;
+        use crate::state::ID_LIMIT;
+        let dfa = rg_dfa();
+        let invalid = |what: &str, err: SfaError| {
+            assert!(
+                matches!(err, SfaError::InvalidOptions(_)),
+                "{what}: {err:?}"
+            );
+        };
+        for budget in [0, ID_LIMIT as usize] {
+            let parallel = Sfa::builder(&dfa).threads(2).state_budget(budget);
+            invalid("parallel", parallel.build().unwrap_err());
+            for variant in [
+                SequentialVariant::Baseline,
+                SequentialVariant::BaselinePointerTree,
+                SequentialVariant::Hashing,
+                SequentialVariant::Transposed,
+            ] {
+                let seq = Sfa::builder(&dfa).sequential(variant).state_budget(budget);
+                invalid(&format!("{variant:?}"), seq.build().unwrap_err());
+            }
+            invalid("lazy", LazySfa::new(&dfa, budget).err().unwrap());
+            // The engine degrades past both SFA tiers instead of panicking.
+            let opts = ParallelOptions::with_threads(2).state_budget(budget);
+            let mut engine = MatchEngine::with_budget(&dfa, &opts, &Budget::unlimited(), None);
+            invalid("engine", engine.stats().last_error.clone().unwrap());
+            assert_eq!(engine.tier(), MatchTier::Speculative);
+            let text = Alphabet::amino_acids().encode_bytes(b"ARGA").unwrap();
+            assert!(engine.matches(&text));
         }
     }
 
@@ -427,7 +458,7 @@ mod tests {
         let capped = Sfa::builder(&dfa)
             .threads(2)
             .budget(budget)
-            .spill(dir.path(), u64::MAX)
+            .spill(dir.path())
             .build()
             .unwrap();
         let free = Sfa::builder(&dfa).threads(2).build().unwrap();
@@ -460,7 +491,7 @@ mod tests {
         ] {
             let seq = || Sfa::builder(&dfa).sequential(variant);
             for (option, builder) in [
-                ("spill", seq().spill(&dir, 2048)),
+                ("spill", seq().spill(&dir)),
                 ("checkpoint", seq().checkpoint(&ckpt, 1)),
                 ("resume_from", seq().resume_from(&ckpt)),
             ] {

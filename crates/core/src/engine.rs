@@ -8,11 +8,11 @@
 //!    per input (the paper's intended operating point).
 //! 2. **Lazy SFA** — if batch construction exhausts the budget or is
 //!    cancelled, fall back to [`LazySfa`]: states are built on demand
-//!    while matching, bounded by the budget's *space* axes (the deadline
-//!    was spent on the failed batch attempt, so it is dropped —
+//!    while matching, bounded by the same state budget and byte cap (the
+//!    deadline was spent on the failed batch attempt, so it is dropped —
 //!    [`Budget::without_deadline`]).
-//! 3. **Speculative** — if even lazy discovery exhausts the space
-//!    budget, keep data-parallelism *without* any SFA: chunks run over
+//! 3. **Speculative** — if even lazy discovery exhausts the state budget
+//!    or the byte cap, keep data-parallelism *without* any SFA: chunks run over
 //!    the raw DFA from predicted (or feasible-set-pruned) entry states
 //!    with seam verification — see [`crate::speculative`]. Narrow
 //!    feasible sets answer on the exact pruned-enumerative mode
@@ -178,7 +178,7 @@ impl<'d> MatchEngine<'d> {
                 stats.degradations += 1;
                 stats.last_error = Some(err);
                 // The deadline was consumed by the batch attempt; the
-                // space axes still bound lazy discovery.
+                // state budget and the byte cap still bound lazy discovery.
                 let lazy_budget = budget.clone().without_deadline();
                 match LazySfa::with_budget(dfa, opts.state_budget, &lazy_budget, cancel.clone()) {
                     Ok(lazy) => Backend::Lazy(Box::new(lazy)),
@@ -322,7 +322,7 @@ impl<'d> MatchEngine<'d> {
                 "tier policy requires the full SFA tier, but the engine has degraded",
             ));
         }
-        let governor = Governor::new(&request.budget, self.cancel.clone());
+        let governor = request.governor(self.cancel.clone());
         // Explicit tiers are service as ordered; only the engine's own
         // backend steps down.
         let ladder = matches!(request.tier, TierPolicy::Auto | TierPolicy::RequireFull);
@@ -367,9 +367,10 @@ impl<'d> MatchEngine<'d> {
     }
 
     /// The step-down rule: a worker panic, or the tier running out of its
-    /// own space budget, moves the engine one rung down. Governance of
-    /// the query itself (cancellation, the request's deadline) and input
-    /// errors do not. Sequential is the last rung.
+    /// own space (the state budget or the payload-byte cap), moves the
+    /// engine one rung down. Governance of the query itself
+    /// (cancellation, the request's deadline) and input errors do not.
+    /// Sequential is the last rung.
     fn steps_down(&self, err: &SfaError) -> bool {
         !matches!(self.backend, Backend::Sequential)
             && matches!(
@@ -377,7 +378,7 @@ impl<'d> MatchEngine<'d> {
                 SfaError::WorkerPanic { .. }
                     | SfaError::StateBudgetExceeded { .. }
                     | SfaError::BudgetExceeded {
-                        resource: BudgetResource::States | BudgetResource::PayloadBytes,
+                        resource: BudgetResource::PayloadBytes,
                         ..
                     }
             )
@@ -501,16 +502,14 @@ mod tests {
 
     #[test]
     fn lazy_space_exhaustion_degrades_to_speculative_mid_query() {
-        // max_states=1 admits the identity state only; the first lazy
-        // discovery trips the budget and the query falls through to the
+        // A one-state budget admits the identity state only; the first
+        // lazy discovery fills it and the query falls through to the
         // speculative backend — with the right verdict. The search DFA
         // is narrow, so the query itself lands on the exact pruned mode.
         let dfa = rg_dfa();
-        let budget = Budget::unlimited()
-            .with_deadline(Duration::ZERO)
-            .with_max_states(1);
-        let mut engine =
-            MatchEngine::with_budget(&dfa, &ParallelOptions::with_threads(2), &budget, None);
+        let budget = Budget::unlimited().with_deadline(Duration::ZERO);
+        let opts = ParallelOptions::with_threads(2).state_budget(1);
+        let mut engine = MatchEngine::with_budget(&dfa, &opts, &budget, None);
         assert_eq!(engine.tier(), MatchTier::LazySfa);
         let text = protein_text(5_000, 3);
         assert_eq!(engine.matches(&text), match_sequential(&dfa, &text));

@@ -310,6 +310,36 @@ pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
     Ok(())
 }
 
+/// Attempts per read or write position when the error is transient
+/// ([`is_transient`]): the first try plus three retries. The stream
+/// reader (`crate::runtime`) and the spill store (`crate::store`) share
+/// this schedule.
+pub(crate) const RETRY_ATTEMPTS: u32 = 4;
+const RETRY_BASE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(5);
+const RETRY_MAX_BACKOFF: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// Backoff before retry number `retry` (1-based): 5 ms doubling to a
+/// 250 ms cap. It rides out scheduler-induced `Interrupted`/`WouldBlock`
+/// blips while keeping the worst-case added latency per position under
+/// a second.
+pub(crate) fn retry_backoff(retry: u32) -> std::time::Duration {
+    let factor = 1u32 << retry.saturating_sub(1).min(20);
+    RETRY_BASE_BACKOFF
+        .saturating_mul(factor)
+        .min(RETRY_MAX_BACKOFF)
+}
+
+/// `true` for [`std::io::ErrorKind`]s worth retrying: the OS or remote
+/// end may succeed on the next call. Everything else is permanent.
+pub(crate) fn is_transient(kind: std::io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        std::io::ErrorKind::Interrupted
+            | std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+    )
+}
+
 /// Read-only memory map of a file — the spill tier's read path
 /// (`crate::store`). On unix targets this is a real `mmap(2)` so spilled
 /// state payloads are demand-paged rather than resident; elsewhere it

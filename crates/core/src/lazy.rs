@@ -35,7 +35,7 @@ use crate::elem::Elem;
 use crate::matcher::AbortControl;
 use crate::parallel::ParallelOptions;
 use crate::scan::{run_lanes, Decode, Delta, Dense, Exits, Lane};
-use crate::state::{InternStats, StateStore};
+use crate::state::{check_state_budget, InternStats, StateStore};
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
@@ -56,7 +56,9 @@ pub struct LazySfa<'d> {
 
 impl<'d> LazySfa<'d> {
     /// Create a lazy SFA over `dfa` able to hold up to `state_budget`
-    /// discovered states.
+    /// discovered states (validated like `ParallelOptions::state_budget`:
+    /// `0` or a value past the `u32` id space is
+    /// [`SfaError::InvalidOptions`]).
     pub fn new(dfa: &'d Dfa, state_budget: usize) -> Result<Self, SfaError> {
         LazySfa::with_budget(dfa, state_budget, &Budget::unlimited(), None)
     }
@@ -77,13 +79,14 @@ impl<'d> LazySfa<'d> {
         if dfa.num_states() == 0 {
             return Err(SfaError::EmptyDfa);
         }
+        check_state_budget(state_budget, 1)?;
         let governor = Governor::new(budget, cancel);
         // Fail fast on a budget that is already exhausted (cancelled
-        // token, zero space budget) before allocating the arena.
+        // token, zero deadline) before allocating the arena.
         governor.check(0, 0)?;
         let n = dfa.num_states() as usize;
         let opts = ParallelOptions::default().state_budget(state_budget);
-        let store = StateStore::new(&opts, n, dfa.num_symbols())?;
+        let store = StateStore::new(&opts, n, dfa.num_symbols(), None)?;
         let fingerprinter = CityFingerprinter;
         let identity: Vec<u32> = (0..n as u32).collect();
         let bytes = <u32 as Elem>::as_bytes(&identity);

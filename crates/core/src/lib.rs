@@ -52,10 +52,10 @@
 //!     .unwrap()
 //!     .sfa;
 //!
-//! // …or in parallel, under a resource budget.
+//! // …or in parallel, capped at a million states.
 //! let parallel = Sfa::builder(&dfa)
 //!     .threads(2)
-//!     .budget(Budget::unlimited().with_max_states(1 << 20))
+//!     .state_budget(1 << 20)
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(sfa.num_states(), parallel.sfa.num_states());
@@ -84,7 +84,7 @@ pub mod sfa;
 pub mod speculative;
 mod state;
 pub mod stats;
-pub mod store;
+mod store;
 pub mod treemap;
 
 pub use artifact::{ArtifactInfo, ArtifactKind, CheckpointConfig};
@@ -95,7 +95,7 @@ pub use lazy::LazySfa;
 pub use matcher::{match_sequential, match_with_sfa, ParallelMatcher};
 pub use parallel::{CompressionPolicy, ParallelOptions, Scheduler};
 pub use request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
-pub use runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats, RetryPolicy};
+pub use runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats};
 pub use scan::{prefix_compose_on, ScanEngine, ScanOptions, ScanTable};
 pub use sequential::SequentialVariant;
 pub use sfa::Sfa;
@@ -107,7 +107,6 @@ pub use sfa_sync::faults;
 pub use sfa_sync::CancelToken;
 pub use speculative::{shared_predictor, SpecStats, SpeculativeMatcher, StatePredictor};
 pub use stats::{ConstructionResult, ConstructionStats};
-pub use store::SpillConfig;
 
 /// Errors produced by SFA construction.
 ///
@@ -116,8 +115,9 @@ pub use store::SpillConfig;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SfaError {
-    /// The engine's arena capacity (`ParallelOptions::state_budget` /
-    /// the sequential and lazy `state_budget` arguments) was exhausted.
+    /// The state budget (`ParallelOptions::state_budget`, the one cap on
+    /// SFA states, or the lazy SFA's `state_budget` argument) was
+    /// exhausted.
     StateBudgetExceeded {
         /// The configured limit.
         budget: usize,
@@ -271,13 +271,12 @@ pub mod prelude {
     pub use crate::matcher::{match_sequential, match_with_sfa, ParallelMatcher};
     pub use crate::parallel::{CompressionPolicy, ParallelOptions, Scheduler};
     pub use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
-    pub use crate::runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats, RetryPolicy};
+    pub use crate::runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats};
     pub use crate::scan::{prefix_compose_on, ScanEngine, ScanOptions, ScanTable};
     pub use crate::sequential::SequentialVariant;
     pub use crate::sfa::Sfa;
     pub use crate::speculative::{shared_predictor, SpecStats, SpeculativeMatcher, StatePredictor};
     pub use crate::stats::{ConstructionResult, ConstructionStats};
-    pub use crate::store::SpillConfig;
     pub use crate::SfaError;
     pub use sfa_sync::CancelToken;
 }

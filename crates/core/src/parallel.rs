@@ -36,16 +36,16 @@
 //!   (same barrier machinery as the compression phase) and resume it at
 //!   any thread count to a byte-identical SFA (DESIGN.md §14). This is
 //!   the only engine that checkpoints: a due snapshot is raised before
-//!   the governor poll, so a budget or cancel abort still leaves it.
+//!   a worker stops, so a stop on the state budget, a budget axis or the
+//!   cancel token still leaves it.
 
 use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
 use crate::elem::{fits_u16, Elem};
 use crate::io::IoError;
 use crate::sfa::{CodecChoice, MappingStore, Sfa};
-use crate::state::{InternStats, ReadBuf, Rows, StateStore, ID_LIMIT};
+use crate::state::{check_state_budget, InternStats, ReadBuf, Rows, StateStore};
 use crate::stats::{ConstructionResult, ConstructionStats};
-use crate::store::SpillConfig;
 use crate::SfaError;
 use sfa_automata::dfa::Dfa;
 use sfa_hash::{CityFingerprinter, Fingerprinter};
@@ -53,6 +53,7 @@ use sfa_sync::counters::ContentionSnapshot;
 use sfa_sync::deque::{work_stealing_deque, Steal, StealPolicy, Stealer, Worker};
 use sfa_sync::mutex::Mutex;
 use sfa_sync::{GlobalQueue, MsQueue};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -112,7 +113,11 @@ pub struct ParallelOptions {
     /// Codec of the compressed tier: the compression phase and the spill
     /// tier.
     pub codec: CodecChoice,
-    /// Maximum number of SFA states (arena capacity).
+    /// Maximum number of SFA states: the one state cap, enforced by every
+    /// engine (parallel, sequential, lazy) as it allocates states.
+    /// Exceeding it is [`SfaError::StateBudgetExceeded`]; `0`, or a value
+    /// whose work items (`state_budget × symbol_blocks`) overflow the
+    /// `u32` encoding, is [`SfaError::InvalidOptions`].
     pub state_budget: usize,
     /// Global-queue capacity — the start-up threshold after which workers
     /// switch to their local deques (§III-B2).
@@ -138,18 +143,20 @@ pub struct ParallelOptions {
     /// tight bound). Mapping vectors of the final SFA are reconstructed
     /// from δₛ and the DFA. Incompatible with compression.
     pub probabilistic: bool,
-    /// Spill tier (`crate::store`): when set, the config's byte cap
-    /// becomes the memory watermark — the first crossing trips the
-    /// compression phase (tier 2), and while compressed payloads still
-    /// exceed the cap the engine demotes the oldest of them to mmap'd
-    /// segments under `dir` at stop-the-world rendezvous points (tier 3),
-    /// promoting them back on access. The harvested store is materialized
-    /// to plaintext, so a capped build stays byte-identical to an
-    /// uncapped one. The tier is compressed with
+    /// Spill directory (`crate::store`): when set, the build's
+    /// payload-byte budget (`Budget::max_payload_bytes`) becomes the
+    /// memory watermark instead of a hard error — the first crossing
+    /// trips the compression phase (tier 2), and while compressed
+    /// payloads still exceed the cap the engine demotes the oldest of
+    /// them to mmap'd segments in this directory (created if missing) at
+    /// stop-the-world rendezvous points (tier 3), promoting them back on
+    /// access. Without a byte budget nothing is demoted. The harvested
+    /// store is materialized to plaintext, so a capped build stays
+    /// byte-identical to an uncapped one. The tier is compressed with
     /// [`ParallelOptions::codec`] and belongs to this engine: the
     /// sequential variants reject it. Incompatible with the probabilistic
     /// mode (which stores no payloads to spill).
-    pub spill: Option<SpillConfig>,
+    pub spill: Option<PathBuf>,
 }
 
 impl Default for ParallelOptions {
@@ -218,9 +225,9 @@ impl ParallelOptions {
         self
     }
 
-    /// Enable the spill tier (see [`ParallelOptions::spill`]).
-    pub fn spill(mut self, cfg: SpillConfig) -> Self {
-        self.spill = Some(cfg);
+    /// Enable the spill tier in `dir` (see [`ParallelOptions::spill`]).
+    pub fn spill(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.spill = Some(dir.into());
         self
     }
 }
@@ -229,7 +236,9 @@ impl ParallelOptions {
 /// every worker polls `governor` once per work item, in all three
 /// phases, and winds down cooperatively when a budget axis fires or the
 /// attached token is cancelled. Optionally checkpoints and resumes
-/// (`SfaBuilder::{checkpoint, resume_from}`).
+/// (`SfaBuilder::{checkpoint, resume_from}`). `spill_cap` is the
+/// payload-byte budget the builder moved from `governor` to the spill
+/// tier's watermark (see [`ParallelOptions::spill`]).
 ///
 /// A checkpoint is the canonical prefix of the automaton, so a build
 /// resumed from it at any thread count finishes byte-identical to an
@@ -240,6 +249,7 @@ pub(crate) fn construct_parallel_resumable(
     dfa: &Dfa,
     opts: &ParallelOptions,
     governor: &Governor,
+    spill_cap: Option<u64>,
     checkpoint: Option<&CheckpointConfig>,
     resume: Option<&Checkpoint>,
 ) -> Result<ConstructionResult, SfaError> {
@@ -252,11 +262,7 @@ pub(crate) fn construct_parallel_resumable(
     if opts.symbol_blocks == 0 || opts.symbol_blocks > dfa.num_symbols() {
         return Err(SfaError::InvalidOptions("symbol_blocks must be in 1..=|Σ|"));
     }
-    if (opts.state_budget as u64) * (opts.symbol_blocks as u64) >= ID_LIMIT {
-        return Err(SfaError::InvalidOptions(
-            "state_budget × symbol_blocks must fit the u32 work-item encoding",
-        ));
-    }
+    check_state_budget(opts.state_budget, opts.symbol_blocks)?;
     if opts.probabilistic && opts.symbol_blocks != 1 {
         return Err(SfaError::InvalidOptions(
             "probabilistic mode requires symbol_blocks = 1 (the payload drop \
@@ -298,9 +304,9 @@ pub(crate) fn construct_parallel_resumable(
     // cancelled ahead of the call.
     governor.check(0, 0)?;
     if fits_u16(dfa.num_states()) {
-        Engine::<u16>::run(dfa, opts, governor, checkpoint, resume)
+        Engine::<u16>::run(dfa, opts, governor, spill_cap, checkpoint, resume)
     } else {
-        Engine::<u32>::run(dfa, opts, governor, checkpoint, resume)
+        Engine::<u32>::run(dfa, opts, governor, spill_cap, checkpoint, resume)
     }
 }
 
@@ -437,17 +443,25 @@ impl<E: Elem> Engine<E> {
         dfa: &Dfa,
         opts: &ParallelOptions,
         governor: &Governor,
+        spill_cap: Option<u64>,
         checkpoint: Option<&CheckpointConfig>,
         resume: Option<&Checkpoint>,
     ) -> Result<ConstructionResult, SfaError> {
         match opts.fingerprint {
-            FingerprintAlgo::City => {
-                Self::run_with(dfa, opts, governor, checkpoint, resume, CityFingerprinter)
-            }
+            FingerprintAlgo::City => Self::run_with(
+                dfa,
+                opts,
+                governor,
+                spill_cap,
+                checkpoint,
+                resume,
+                CityFingerprinter,
+            ),
             FingerprintAlgo::Rabin => Self::run_with(
                 dfa,
                 opts,
                 governor,
+                spill_cap,
                 checkpoint,
                 resume,
                 sfa_hash::RabinFingerprinter::default(),
@@ -459,6 +473,7 @@ impl<E: Elem> Engine<E> {
         dfa: &Dfa,
         opts: &ParallelOptions,
         governor: &Governor,
+        spill_cap: Option<u64>,
         checkpoint: Option<&CheckpointConfig>,
         resume: Option<&Checkpoint>,
         fingerprinter: F,
@@ -482,7 +497,7 @@ impl<E: Elem> Engine<E> {
             n,
             k,
             opts: opts.clone(),
-            store: StateStore::new(opts, n, k)?,
+            store: StateStore::new(opts, n, k, spill_cap)?,
             global_q: GlobalQueue::new(
                 match opts.scheduler {
                     Scheduler::GlobalOnly => opts.state_budget,
@@ -824,20 +839,12 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                 backoff.reset();
                 continue;
             }
-            if shared.has_error.load(Ordering::SeqCst) {
-                break;
-            }
-            // Injectable fault at the same cadence the governor polls:
-            // error kinds stop this worker (peers drain via has_error),
-            // panic kinds unwind into ExitGuard + the join containment.
-            if let Err(fault) = sfa_sync::fault_point!("construct/worker") {
-                self.record_error(SfaError::Io(fault.to_string()));
-                break;
-            }
-            // Checkpoint trigger, at the same per-item cadence and BEFORE
-            // the governor poll, which sees the same state count: a budget
-            // or cancel abort still leaves the snapshot its cadence made
-            // due. The worker that advances the discovered-state watermark
+            // Checkpoint trigger, at the per-item cadence and BEFORE both
+            // exits below — the error exit and the governor poll, which
+            // sees the same state count: a stop on the state budget (a
+            // work item that filled the store), a budget axis or the
+            // cancel token still leaves the snapshot its cadence made due.
+            // The worker that advances the discovered-state watermark
             // raises the request; everyone (including the raiser)
             // converges on the rendezvous at their next loop turn.
             let len = if counted {
@@ -861,6 +868,16 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                     shared.ckpt_requested.store(true, Ordering::SeqCst);
                     continue;
                 }
+            }
+            if shared.has_error.load(Ordering::SeqCst) {
+                break;
+            }
+            // Injectable fault at the same cadence the governor polls:
+            // error kinds stop this worker (peers drain via has_error),
+            // panic kinds unwind into ExitGuard + the join containment.
+            if let Err(fault) = sfa_sync::fault_point!("construct/worker") {
+                self.record_error(SfaError::Io(fault.to_string()));
+                break;
             }
             if governed {
                 // One poll per loop turn (≈ one per work item): budget
@@ -1211,7 +1228,7 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
             .is_ok()
         {
             // A budget stop (a governor axis, the cancel token or the
-            // arena's state budget) leaves the store consistent, and a
+            // state budget) leaves the store consistent, and a
             // peer's stop may land between the request and this
             // rendezvous: its due snapshot is still written. Any other
             // failure may have left the store half-updated, and a
@@ -1654,8 +1671,18 @@ mod error_robustness_tests {
 #[cfg(test)]
 mod spill_tests {
     use super::*;
+    use crate::budget::Budget;
     use crate::io;
     use sfa_workloads::ScratchDir;
+
+    /// A build of `dfa` under `opts` whose payload-byte budget `cap` is
+    /// the spill watermark.
+    fn capped(dfa: &Dfa, opts: &ParallelOptions, cap: u64) -> Result<ConstructionResult, SfaError> {
+        Sfa::builder(dfa)
+            .options(opts)
+            .budget(Budget::unlimited().with_max_payload_bytes(cap))
+            .build()
+    }
 
     #[test]
     fn capped_build_is_byte_identical_to_uncapped() {
@@ -1669,8 +1696,8 @@ mod spill_tests {
         // all the way down to disk.
         let cap = (uncapped.stats.stored_bytes / 20).max(1);
         let dir = ScratchDir::new("par_spill_ident");
-        let opts = ParallelOptions::with_threads(4).spill(SpillConfig::new(dir.path(), cap));
-        let capped = Sfa::builder(&dfa).options(&opts).build().unwrap();
+        let opts = ParallelOptions::with_threads(4).spill(dir.path());
+        let capped = capped(&dfa, &opts, cap).unwrap();
         assert!(capped.stats.compressed, "cap must trip the compressed tier");
         assert!(
             capped.stats.demotions > 0 && capped.stats.spilled_bytes > 0,
@@ -1698,8 +1725,8 @@ mod spill_tests {
         // fetch (and re-install) them to continue — promotions happen.
         let dfa = sfa_automata::random::rn(100);
         let dir = ScratchDir::new("par_spill_promote");
-        let opts = ParallelOptions::with_threads(2).spill(SpillConfig::new(dir.path(), 2048));
-        let r = Sfa::builder(&dfa).options(&opts).build().unwrap();
+        let opts = ParallelOptions::with_threads(2).spill(dir.path());
+        let r = capped(&dfa, &opts, 2048).unwrap();
         assert!(r.stats.spilled_bytes > 0);
         assert!(
             r.stats.promotions > 0,
@@ -1714,9 +1741,9 @@ mod spill_tests {
         let dir = ScratchDir::new("par_spill_prob");
         let opts = ParallelOptions::with_threads(2)
             .probabilistic(FingerprintAlgo::City)
-            .spill(SpillConfig::new(dir.path(), 1024));
+            .spill(dir.path());
         assert!(matches!(
-            Sfa::builder(&dfa).options(&opts).build(),
+            capped(&dfa, &opts, 1024),
             Err(SfaError::InvalidOptions(_))
         ));
     }
@@ -1728,9 +1755,8 @@ mod spill_tests {
         let blocker = dir.join("blocker");
         std::fs::write(&blocker, b"not a dir").unwrap();
         let dfa = sfa_automata::random::rn(20);
-        let opts =
-            ParallelOptions::with_threads(2).spill(SpillConfig::new(blocker.join("sub"), 1024));
-        match Sfa::builder(&dfa).options(&opts).build() {
+        let opts = ParallelOptions::with_threads(2).spill(blocker.join("sub"));
+        match capped(&dfa, &opts, 1024) {
             Err(SfaError::SpillDirUnavailable { .. }) => {}
             other => panic!("expected SpillDirUnavailable, got {other:?}"),
         }

@@ -3,8 +3,8 @@
 //!
 //! * [`MatchRequest`] — *what* to match: a pattern reference (resolved
 //!   by servers, ignored by an engine already bound to a DFA), an input
-//!   source, a per-request [`Budget`], a [`TierPolicy`], a classifier
-//!   mode for raw-byte inputs, and a trace flag.
+//!   source, an optional deadline, a [`TierPolicy`], a classifier mode
+//!   for raw-byte inputs, and a trace flag.
 //! * [`MatchOutcome`] — *what happened*: the verdict, the
 //!   [`MatchTier`] that served it, the full [`MatchStats`] telemetry,
 //!   and the degradation reason when a lower tier answered.
@@ -21,7 +21,7 @@
 //! unknown fields for the same reason: an old server must accept a new
 //! client's request.
 
-use crate::budget::Budget;
+use crate::budget::{Budget, Governor};
 use crate::engine::MatchTier;
 use crate::runtime::MatchStats;
 use sfa_automata::alphabet::SymbolId;
@@ -142,13 +142,11 @@ pub struct MatchRequest {
     pub pattern: Option<String>,
     /// The input to match.
     pub input: InputSource,
-    /// Per-request budget. Matching enforces only its deadline: every
-    /// match-time governor check reports zero states and zero payload
-    /// bytes, so `max_states` and `max_payload_bytes` never stop a
-    /// request (the lazy tier discovers states under the engine's
-    /// construction budget). The engine's cancel token can stop a
-    /// request too. The unlimited default never fires.
-    pub budget: Budget,
+    /// Wall-clock limit on the match, measured from the moment it is
+    /// served; `None` (the default) never fires. The engine's cancel
+    /// token can stop a request too. The lazy tier discovers states
+    /// under the engine's construction limits, not the request's.
+    pub deadline: Option<Duration>,
     /// Which tiers may answer.
     pub tier: TierPolicy,
     /// Byte→symbol mapping for [`InputSource::Bytes`]/[`InputSource::File`].
@@ -163,7 +161,7 @@ impl MatchRequest {
         MatchRequest {
             pattern: None,
             input,
-            budget: Budget::unlimited(),
+            deadline: None,
             tier: TierPolicy::default(),
             classifier: ClassifierMode::default(),
             trace: false,
@@ -196,10 +194,9 @@ impl MatchRequest {
         self
     }
 
-    /// Set the per-request budget; matching enforces only its deadline
-    /// (see [`MatchRequest::budget`]).
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+    /// Set the match deadline (see [`MatchRequest::deadline`]).
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 
@@ -221,7 +218,18 @@ impl MatchRequest {
         self
     }
 
+    /// The governor a match of this request polls: its deadline, whose
+    /// clock starts now, and `cancel`.
+    pub(crate) fn governor(&self, cancel: Option<sfa_sync::CancelToken>) -> Governor {
+        let budget = Budget {
+            deadline: self.deadline,
+            ..Budget::unlimited()
+        };
+        Governor::new(&budget, cancel)
+    }
+
     /// Serialize for the wire (see the module docs for field tolerance).
+    /// The deadline travels as `"budget": {"deadline_ms": …}`.
     pub fn to_json(&self) -> Value {
         let input = match &self.input {
             InputSource::Symbols(syms) => Value::Object(vec![(
@@ -246,7 +254,16 @@ impl MatchRequest {
                 },
             ),
             ("input".into(), input),
-            ("budget".into(), budget_to_json(&self.budget)),
+            (
+                "budget".into(),
+                Value::Object(vec![(
+                    "deadline_ms".into(),
+                    match self.deadline {
+                        Some(d) => Value::Number(d.as_secs_f64() * 1e3),
+                        None => Value::Null,
+                    },
+                )]),
+            ),
             ("tier".into(), Value::String(self.tier.as_str().into())),
             (
                 "classifier".into(),
@@ -256,10 +273,11 @@ impl MatchRequest {
         ])
     }
 
-    /// Decode from the wire. Unknown fields are ignored; missing fields
-    /// take their defaults; a missing/invalid `input` is an error (a
-    /// request without input is meaningless). `{"text": "..."}` is
-    /// accepted as an ergonomic alias for a byte input.
+    /// Decode from the wire. Unknown fields are ignored, including
+    /// `budget` keys other than `deadline_ms`; missing fields take their
+    /// defaults; a missing/invalid `input` is an error (a request without
+    /// input is meaningless). `{"text": "..."}` is accepted as an
+    /// ergonomic alias for a byte input.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let input_v = v.get("input").ok_or("request is missing \"input\"")?;
         let input = if let Some(syms) = input_v.get("symbols") {
@@ -279,8 +297,15 @@ impl MatchRequest {
         if let Some(p) = v.get("pattern").and_then(Value::as_str) {
             req.pattern = Some(p.to_string());
         }
-        if let Some(b) = v.get("budget") {
-            req.budget = budget_from_json(b)?;
+        if let Some(ms) = v
+            .get("budget")
+            .and_then(|b| b.get("deadline_ms"))
+            .and_then(Value::as_f64)
+        {
+            if !ms.is_finite() || ms < 0.0 {
+                return Err("budget.deadline_ms must be a non-negative finite number".into());
+            }
+            req.deadline = Some(Duration::from_secs_f64(ms / 1e3));
         }
         if let Some(t) = v.get("tier") {
             let s = t.as_str().ok_or("tier must be a string")?;
@@ -429,49 +454,6 @@ impl MatchOutcome {
     }
 }
 
-fn budget_to_json(b: &Budget) -> Value {
-    Value::Object(vec![
-        (
-            "deadline_ms".into(),
-            match b.deadline {
-                Some(d) => Value::Number(d.as_secs_f64() * 1e3),
-                None => Value::Null,
-            },
-        ),
-        (
-            "max_payload_bytes".into(),
-            match b.max_payload_bytes {
-                Some(n) => Value::Number(n as f64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "max_states".into(),
-            match b.max_states {
-                Some(n) => Value::Number(n as f64),
-                None => Value::Null,
-            },
-        ),
-    ])
-}
-
-fn budget_from_json(v: &Value) -> Result<Budget, String> {
-    let mut budget = Budget::unlimited();
-    if let Some(ms) = v.get("deadline_ms").and_then(Value::as_f64) {
-        if !ms.is_finite() || ms < 0.0 {
-            return Err("budget.deadline_ms must be a non-negative finite number".into());
-        }
-        budget = budget.with_deadline(Duration::from_secs_f64(ms / 1e3));
-    }
-    if let Some(n) = v.get("max_payload_bytes").and_then(Value::as_f64) {
-        budget = budget.with_max_payload_bytes(n.max(0.0) as u64);
-    }
-    if let Some(n) = v.get("max_states").and_then(Value::as_f64) {
-        budget = budget.with_max_states(n.max(0.0) as u64);
-    }
-    Ok(budget)
-}
-
 fn u64_field(v: &Value, key: &str) -> u64 {
     v.get(key)
         .and_then(Value::as_f64)
@@ -502,11 +484,7 @@ mod tests {
     fn builders_and_round_trip() {
         let req = MatchRequest::bytes(b"MKVARG".to_vec())
             .with_pattern("abcd1234")
-            .with_budget(
-                Budget::unlimited()
-                    .with_deadline(Duration::from_millis(250))
-                    .with_max_payload_bytes(1 << 20),
-            )
+            .with_deadline(Duration::from_millis(250))
             .with_tier(TierPolicy::RequireFull)
             .with_classifier(ClassifierMode::SkipWhitespace)
             .with_trace(true);
@@ -526,7 +504,23 @@ mod tests {
         assert_eq!(req.input, InputSource::Bytes(b"RGD".to_vec()));
         assert_eq!(req.tier, TierPolicy::Sequential);
         assert_eq!(req.classifier, ClassifierMode::Strict);
-        assert!(req.budget.is_unlimited());
+        assert_eq!(req.deadline, None);
+    }
+
+    #[test]
+    fn budget_keys_other_than_the_deadline_are_ignored() {
+        // A client that still sends the construction axes of a budget
+        // gets its request served with the deadline alone.
+        let v = sfa_json::from_str(
+            r#"{"input": {"text": "RGD"},
+                "budget": {"deadline_ms": 40, "max_states": 3,
+                           "max_payload_bytes": 0}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            MatchRequest::from_json(&v).unwrap(),
+            MatchRequest::text("RGD").with_deadline(Duration::from_millis(40))
+        );
     }
 
     #[test]

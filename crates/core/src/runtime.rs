@@ -27,16 +27,18 @@
 //! [`SfaError::WorkerPanic`], and fills a [`MatchStats`] with what
 //! happened — chunks scanned, bytes consumed, throughput, pool backlog.
 //!
-//! Streamed reads are wrapped in a bounded-backoff [`RetryPolicy`]:
-//! transient errors (`Interrupted`, `WouldBlock`, `TimedOut`) are
-//! retried up to [`RetryPolicy::max_attempts`] times with exponential
-//! backoff before surfacing as [`SfaError::Io`], so a flaky pipe neither
-//! kills a long match on the first hiccup nor hangs it forever. The
-//! backoff sleep is injectable ([`MatchRuntime::with_sleeper`]) so tests
-//! can assert the schedule without real delays.
+//! Streamed reads retry transient errors (`Interrupted`, `WouldBlock`,
+//! `TimedOut`) with bounded exponential backoff — 4 attempts per read
+//! position, 5 ms doubling to a 250 ms cap, the schedule the spill tier
+//! uses too — before surfacing them as [`SfaError::Io`], so a flaky
+//! pipe neither kills a long match on the first hiccup nor hangs it
+//! forever. The backoff sleep is injectable
+//! ([`MatchRuntime::with_sleeper`]) so tests can assert the schedule
+//! without real delays.
 
 use crate::budget::Governor;
 use crate::engine::MatchTier;
+use crate::io;
 use crate::lazy::LazySfa;
 use crate::matcher::{ParallelMatcher, GOVERNOR_POLL_SYMBOLS};
 use crate::obs::{LazyCounter, LazyGauge, LazyHistogram, Stopwatch};
@@ -80,63 +82,6 @@ pub enum Classified {
 
 const CLASS_INVALID: u16 = u16::MAX;
 const CLASS_SKIP: u16 = u16::MAX - 1;
-
-/// Bounded retry of transient streamed-read errors — see the module
-/// docs. Attempt `i` (1-based) sleeps `base_backoff · 2^(i-1)`, capped
-/// at `max_backoff`, before re-reading.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per read position (first try + retries). `1`
-    /// means a single transient error already fails the match.
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling (the exponential doubling saturates here).
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// 4 attempts, 5 ms base, 250 ms cap — rides out scheduler-induced
-    /// `Interrupted`/`WouldBlock` blips while keeping the worst-case
-    /// added latency per read under a second.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(250),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: the first transient error fails the read.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        }
-    }
-
-    /// Backoff before retry number `retry` (1-based).
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.saturating_sub(1).min(20);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
-}
-
-/// `true` for [`std::io::ErrorKind`]s worth retrying: the OS or remote
-/// end may succeed on the next call. Everything else is permanent.
-fn is_transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
-}
 
 /// A byte→symbol classifier fused into streaming scans: one 256-entry
 /// table lookup per input byte, no intermediate symbol buffer.
@@ -209,8 +154,8 @@ pub struct MatchStats {
     /// Pool backlog (queued + running tasks) sampled when the match
     /// finished — a load signal for servers sharing one pool.
     pub queue_depth: usize,
-    /// Transient stream-read errors that were retried (see
-    /// [`RetryPolicy`]); 0 on non-streaming paths.
+    /// Transient stream-read errors that were retried (see the
+    /// [`crate::runtime`] docs); 0 on non-streaming paths.
     pub retries: u64,
     /// Speculative-tier seams where the predicted entry state was wrong
     /// (see [`crate::speculative`]); 0 on every other tier.
@@ -284,7 +229,6 @@ type Sleeper = Arc<dyn Fn(Duration) + Send + Sync>;
 pub struct MatchRuntime {
     pool: Arc<TaskPool>,
     block_bytes: usize,
-    retry: RetryPolicy,
     sleeper: Sleeper,
 }
 
@@ -293,7 +237,6 @@ impl MatchRuntime {
         MatchRuntime {
             pool,
             block_bytes: DEFAULT_BLOCK_BYTES,
-            retry: RetryPolicy::default(),
             sleeper: Arc::new(std::thread::sleep),
         }
     }
@@ -320,12 +263,6 @@ impl MatchRuntime {
     /// exercise block-boundary straddling.
     pub fn with_block_bytes(mut self, block_bytes: usize) -> Self {
         self.block_bytes = block_bytes.max(1);
-        self
-    }
-
-    /// Set the transient-read [`RetryPolicy`] for streaming paths.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -387,7 +324,7 @@ impl MatchRuntime {
         request: &MatchRequest,
         cancel: Option<sfa_sync::CancelToken>,
     ) -> Result<MatchOutcome, SfaError> {
-        let governor = Governor::new(&request.budget, cancel);
+        let governor = request.governor(cancel);
         let spec;
         let step = match (request.tier, matcher) {
             (TierPolicy::Speculative, _) => {
@@ -588,7 +525,7 @@ impl MatchRuntime {
     }
 
     /// Fill `buf` as far as the reader allows; returns bytes read (0 at
-    /// EOF). Transient errors are retried per the [`RetryPolicy`]
+    /// EOF). Transient errors are retried on the shared backoff schedule
     /// (counted in `stats.retries`); permanent errors and exhausted
     /// retries become [`SfaError::Io`].
     fn read_block(
@@ -612,15 +549,15 @@ impl MatchRuntime {
                     filled += n;
                     transient = 0;
                 }
-                Err(e) if is_transient(e.kind()) => {
+                Err(e) if io::is_transient(e.kind()) => {
                     transient += 1;
-                    if transient >= self.retry.max_attempts {
+                    if transient >= io::RETRY_ATTEMPTS {
                         return Err(SfaError::Io(format!(
                             "stream read failed after {transient} transient errors: {e}"
                         )));
                     }
                     stats.retries += 1;
-                    (self.sleeper)(self.retry.backoff(transient));
+                    (self.sleeper)(io::retry_backoff(transient));
                 }
                 Err(e) => return Err(SfaError::Io(e.to_string())),
             }
@@ -827,28 +764,12 @@ mod tests {
 
     #[test]
     fn request_budget_enforces_only_the_deadline() {
-        use crate::budget::{Budget, BudgetResource};
+        use crate::budget::BudgetResource;
         let (dfa, sfa) = setup("RG");
         let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
         let rt = MatchRuntime::new(2);
-        let text = "MKVARGAA";
-        // Matching reports no states and no payload bytes to its
-        // governor, so zero caps on either axis stop nothing.
-        let caps = Budget::unlimited()
-            .with_max_payload_bytes(0)
-            .with_max_states(0);
-        let outcome = rt
-            .run(&matcher, &MatchRequest::text(text).with_budget(caps))
-            .unwrap();
-        let symbols = Alphabet::amino_acids()
-            .encode_bytes(text.as_bytes())
-            .unwrap();
-        assert_eq!(outcome.verdict, match_sequential(&dfa, &symbols));
-        assert_eq!(outcome.tier, MatchTier::FullSfa);
-        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
-        let err = rt
-            .run(&matcher, &MatchRequest::text(text).with_budget(expired))
-            .unwrap_err();
+        let expired = MatchRequest::text("MKVARGAA").with_deadline(Duration::ZERO);
+        let err = rt.run(&matcher, &expired).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -887,13 +808,7 @@ mod tests {
         let classifier = ByteClassifier::strict(&alpha);
         let slept: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
         let log = Arc::clone(&slept);
-        let rt = MatchRuntime::new(2)
-            .with_retry_policy(RetryPolicy {
-                max_attempts: 4,
-                base_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(15),
-            })
-            .with_sleeper(move |d| log.lock().unwrap().push(d));
+        let rt = MatchRuntime::new(2).with_sleeper(move |d| log.lock().unwrap().push(d));
         let reader = FlakyReader {
             inner: Cursor::new(&b"MKVARGAA"[..]),
             kind: std::io::ErrorKind::WouldBlock,
@@ -904,13 +819,13 @@ mod tests {
             .unwrap();
         assert!(verdict);
         assert_eq!(stats.retries, 3);
-        // Exponential schedule, capped: 10ms, 20ms→15ms, 40ms→15ms.
+        // The default schedule: 5 ms doubling.
         assert_eq!(
             *slept.lock().unwrap(),
             vec![
+                Duration::from_millis(5),
                 Duration::from_millis(10),
-                Duration::from_millis(15),
-                Duration::from_millis(15)
+                Duration::from_millis(20)
             ]
         );
     }
@@ -921,13 +836,9 @@ mod tests {
         let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
         let alpha = Alphabet::amino_acids();
         let classifier = ByteClassifier::strict(&alpha);
-        let rt = MatchRuntime::new(2)
-            .with_retry_policy(RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-            })
-            .with_sleeper(|_| {});
+        let slept: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
+        let log = Arc::clone(&slept);
+        let rt = MatchRuntime::new(2).with_sleeper(move |d| log.lock().unwrap().push(d));
         let reader = FlakyReader {
             inner: Cursor::new(&b"MKVARGAA"[..]),
             kind: std::io::ErrorKind::TimedOut,
@@ -937,9 +848,11 @@ mod tests {
             .matches_stream(&matcher, &classifier, reader, &Governor::unlimited())
             .unwrap_err();
         assert!(
-            matches!(&err, SfaError::Io(msg) if msg.contains("after 2 transient errors")),
+            matches!(&err, SfaError::Io(msg) if msg.contains("after 4 transient errors")),
             "{err:?}"
         );
+        // Three retries back off; the fourth failure gives up at once.
+        assert_eq!(slept.lock().unwrap().len(), 3);
     }
 
     #[test]
@@ -968,17 +881,23 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_schedule() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(32),
-        };
-        assert_eq!(p.backoff(1), Duration::from_millis(5));
-        assert_eq!(p.backoff(2), Duration::from_millis(10));
-        assert_eq!(p.backoff(3), Duration::from_millis(20));
-        assert_eq!(p.backoff(4), Duration::from_millis(32));
-        assert_eq!(p.backoff(63), Duration::from_millis(32), "shift saturates");
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
+        let ms = Duration::from_millis;
+        let schedule: Vec<Duration> = (1..=8).map(io::retry_backoff).collect();
+        assert_eq!(
+            schedule,
+            [
+                ms(5),
+                ms(10),
+                ms(20),
+                ms(40),
+                ms(80),
+                ms(160),
+                ms(250),
+                ms(250)
+            ]
+        );
+        assert_eq!(io::retry_backoff(63), ms(250), "shift saturates");
+        assert_eq!(io::RETRY_ATTEMPTS, 4);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 use crate::budget::Governor;
 use crate::elem::{fits_u16, Elem};
 use crate::sfa::Sfa;
+use crate::state::check_state_budget;
 use crate::stats::{ConstructionResult, ConstructionStats};
 use crate::SfaError;
 use sfa_automata::dfa::Dfa;
@@ -63,6 +64,7 @@ pub(crate) fn construct_sequential(
     if dfa.num_states() == 0 {
         return Err(SfaError::EmptyDfa);
     }
+    check_state_budget(state_budget, 1)?;
     if fits_u16(dfa.num_states()) {
         construct_impl::<u16>(dfa, variant, state_budget, governor)
     } else {

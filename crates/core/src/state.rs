@@ -22,7 +22,6 @@ use crate::elem::Elem;
 use crate::io::IoError;
 use crate::memory::MemoryManager;
 use crate::parallel::{CompressionPolicy, ParallelOptions};
-use crate::runtime::RetryPolicy;
 use crate::stats::ConstructionStats;
 use crate::store::{SpillRef, SpillStore};
 use crate::SfaError;
@@ -40,6 +39,24 @@ const TOMBSTONE: u32 = u32::MAX - 1;
 /// State ids and work items stay below this bound, clear of the reserved
 /// link values ([`NIL`] and the tombstone).
 pub(crate) const ID_LIMIT: u64 = TOMBSTONE as u64;
+
+/// The one check of a state cap (`ParallelOptions::state_budget`), which
+/// every engine runs before it allocates: at least one state, and every
+/// work item — `symbol_blocks` per state — encodable below [`ID_LIMIT`].
+pub(crate) fn check_state_budget(
+    state_budget: usize,
+    symbol_blocks: usize,
+) -> Result<(), SfaError> {
+    if state_budget == 0 {
+        return Err(SfaError::InvalidOptions("state_budget must be at least 1"));
+    }
+    if (state_budget as u64).saturating_mul(symbol_blocks as u64) >= ID_LIMIT {
+        return Err(SfaError::InvalidOptions(
+            "state_budget × symbol_blocks must fit the u32 work-item encoding",
+        ));
+    }
+    Ok(())
+}
 
 /// The stored form of one state's mapping.
 #[derive(Debug)]
@@ -195,23 +212,27 @@ pub(crate) struct StateStore {
 
 impl StateStore {
     /// Store for a build under `opts`: at most `opts.state_budget`
-    /// states of `n` ids over `k` symbols. The table gets a bucket per
-    /// 64 states: short chains for real SFAs without a multi-megabyte
-    /// zeroed table for small patterns. With a spill tier its cap is the
-    /// ledger watermark — the first crossing trips the compression phase,
-    /// later ones drive spill passes — and an explicit compression
-    /// watermark composes by `min`.
-    pub(crate) fn new(opts: &ParallelOptions, n: usize, k: usize) -> Result<Self, SfaError> {
-        let limit = match (&opts.spill, opts.compression) {
-            (Some(cfg), CompressionPolicy::WhenMemoryExceeds(w)) => {
-                Some(w.min(cfg.cap_bytes as usize))
-            }
-            (Some(cfg), _) => Some(cfg.cap_bytes as usize),
+    /// states (checked by the caller with [`check_state_budget`]) of `n`
+    /// ids over `k` symbols. The table gets a bucket per 64 states: short
+    /// chains for real SFAs without a multi-megabyte zeroed table for
+    /// small patterns. `spill_cap` is the build's payload-byte budget when
+    /// it has a spill directory: it becomes the ledger watermark — the
+    /// first crossing trips the compression phase, later ones drive spill
+    /// passes — and an explicit compression watermark composes by `min`.
+    pub(crate) fn new(
+        opts: &ParallelOptions,
+        n: usize,
+        k: usize,
+        spill_cap: Option<u64>,
+    ) -> Result<Self, SfaError> {
+        let limit = match (spill_cap, opts.compression) {
+            (Some(cap), CompressionPolicy::WhenMemoryExceeds(w)) => Some(w.min(cap as usize)),
+            (Some(cap), _) => Some(cap as usize),
             (None, CompressionPolicy::WhenMemoryExceeds(w)) => Some(w),
             (None, _) => None,
         };
         let spill = match &opts.spill {
-            Some(cfg) => Some(SpillStore::create(&cfg.dir, RetryPolicy::default())?),
+            Some(dir) => Some(SpillStore::create(dir)?),
             None => None,
         };
         Ok(StateStore {
@@ -743,7 +764,7 @@ mod tests {
 
     /// Room for 100 states of four u16 ids (8 bytes) over 3 symbols.
     fn store() -> StateStore {
-        StateStore::new(&ParallelOptions::default().state_budget(100), 4, 3).unwrap()
+        StateStore::new(&ParallelOptions::default().state_budget(100), 4, 3, None).unwrap()
     }
 
     #[test]
@@ -832,8 +853,8 @@ mod tests {
         // A one-byte cap: a spill pass demotes every compressed payload.
         let opts = ParallelOptions::default()
             .state_budget(100)
-            .spill(crate::store::SpillConfig::new(dir.path(), 1));
-        let s = StateStore::new(&opts, 4, 3).unwrap();
+            .spill(dir.path());
+        let s = StateStore::new(&opts, 4, 3, Some(1)).unwrap();
         for v in 0..3 {
             s.seed(v, &[v as u8; 8], false).unwrap();
         }
@@ -882,7 +903,7 @@ mod tests {
 
     #[test]
     fn capacity_exhaustion() {
-        let s = StateStore::new(&ParallelOptions::default().state_budget(2), 1, 1).unwrap();
+        let s = StateStore::new(&ParallelOptions::default().state_budget(2), 1, 1, None).unwrap();
         s.seed(0, &[0; 2], false).unwrap();
         s.seed(1, &[1; 2], false).unwrap();
         let full = s.seed(2, &[2; 2], false);

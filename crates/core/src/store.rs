@@ -14,7 +14,7 @@
 //! (`crate::state`) keeps the one memory ledger and moves payloads:
 //! demotion is cap-driven, promotion access-driven — touching a spilled
 //! payload fetches its bytes back and re-installs them in the arena.
-//! The sequential engine keeps a flat arena and takes no spill config;
+//! The sequential engine keeps a flat arena and takes no spill directory;
 //! a one-thread parallel build is its byte-identical capped stand-in.
 //! Every tier transition moves *byte-identical* payloads — the codecs
 //! are lossless and the spill file stores the exact compressed blob that
@@ -28,11 +28,11 @@
 //!
 //! Fault sites: `store/demote` (before a segment write), `store/promote`
 //! (before a spilled fetch), `io/mmap` (inside [`crate::io::Mmap`]).
-//! Transient faults are absorbed by the bounded-backoff
-//! [`RetryPolicy`]; everything else surfaces typed.
+//! Transient faults are retried with the bounded backoff the stream
+//! reader uses too (4 attempts, 5 ms doubling to 250 ms); everything
+//! else surfaces typed.
 
 use crate::io::{self, IoError, Mmap};
-use crate::runtime::RetryPolicy;
 use crate::SfaError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,30 +61,6 @@ pub(crate) fn publish_tier_gauges(hot: u64, compressed: u64, spilled: u64) {
     OBS_SPILLED_BYTES.set(spilled.min(i64::MAX as u64) as i64);
 }
 
-/// Configuration of the parallel engine's spill tier: where segments go
-/// and how many resident payload bytes to allow before demoting. The
-/// compressed tier uses the build's codec (`ParallelOptions::codec`), and
-/// spill I/O retries transient errors under [`RetryPolicy::default`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillConfig {
-    /// Directory the spill segments are written to (created if missing;
-    /// must be writable — probed up front, see
-    /// [`SfaError::SpillDirUnavailable`](crate::SfaError)).
-    pub dir: PathBuf,
-    /// Resident payload-byte watermark that drives demotion.
-    pub cap_bytes: u64,
-}
-
-impl SpillConfig {
-    /// Spill to `dir`, demoting once resident payloads exceed `cap_bytes`.
-    pub fn new(dir: impl Into<PathBuf>, cap_bytes: u64) -> SpillConfig {
-        SpillConfig {
-            dir: dir.into(),
-            cap_bytes,
-        }
-    }
-}
-
 /// Location of one spilled payload inside a [`SpillStore`] segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SpillRef {
@@ -96,25 +72,15 @@ pub(crate) struct SpillRef {
     pub len: u32,
 }
 
-/// Retry `f` under `policy`, sleeping the exponential backoff between
-/// transient failures (`Interrupted`/`WouldBlock`/`TimedOut`).
-fn retry_io<T>(
-    policy: &RetryPolicy,
-    mut f: impl FnMut() -> std::io::Result<T>,
-) -> std::io::Result<T> {
+/// Retry `f`, sleeping the shared exponential backoff
+/// ([`io::retry_backoff`]) between transient failures.
+fn retry_io<T>(mut f: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
     let mut attempt = 1u32;
     loop {
         match f() {
             Ok(v) => return Ok(v),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted
-                        | std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                ) && attempt < policy.max_attempts =>
-            {
-                std::thread::sleep(policy.backoff(attempt));
+            Err(e) if io::is_transient(e.kind()) && attempt < io::RETRY_ATTEMPTS => {
+                std::thread::sleep(io::retry_backoff(attempt));
                 attempt += 1;
             }
             Err(e) => return Err(e),
@@ -133,7 +99,6 @@ fn spill_io_error(e: std::io::Error) -> SfaError {
 #[derive(Debug)]
 pub(crate) struct SpillStore {
     dir: PathBuf,
-    retry: RetryPolicy,
     segments: RwLock<Vec<Mmap>>,
     spilled_bytes: AtomicU64,
     demotions: AtomicU64,
@@ -145,7 +110,7 @@ impl SpillStore {
     /// `seg-*.spill` segments (and `.tmp` siblings) left by a killed
     /// predecessor, and probe writability — a read-only filesystem is
     /// rejected here, typed, before any construction work starts.
-    pub(crate) fn create(dir: &Path, retry: RetryPolicy) -> Result<SpillStore, SfaError> {
+    pub(crate) fn create(dir: &Path) -> Result<SpillStore, SfaError> {
         let unavailable = |reason: String| SfaError::SpillDirUnavailable {
             path: dir.to_path_buf(),
             reason,
@@ -165,7 +130,6 @@ impl SpillStore {
         std::fs::remove_file(&probe).map_err(|e| unavailable(e.to_string()))?;
         Ok(SpillStore {
             dir: dir.to_path_buf(),
-            retry,
             segments: RwLock::new(Vec::new()),
             spilled_bytes: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
@@ -177,7 +141,7 @@ impl SpillStore {
     /// and map it back in; returns the segment index for [`SpillRef`]s.
     ///
     /// Fault sites: `store/demote` (before the write), `io/mmap` (inside
-    /// the map-back). Transients are retried per the policy.
+    /// the map-back). Transients are retried.
     pub(crate) fn write_segment(&self, bytes: &[u8], records: u64) -> Result<u32, SfaError> {
         // Poison-tolerant: a panic under this lock (e.g. an injected
         // crash inside the write) can only happen before the push, so
@@ -189,13 +153,13 @@ impl SpillStore {
         let seg = segments.len() as u32;
         let path = self.dir.join(format!("seg-{seg}.spill"));
         let watch = crate::obs::Stopwatch::start();
-        retry_io(&self.retry, || {
+        retry_io(|| {
             sfa_sync::fault_point!("store/demote")?;
             io::atomic_write(&path, bytes)
         })
         .map_err(spill_io_error)?;
         watch.record(&OBS_SPILL_WRITE_NANOS);
-        let map = retry_io(&self.retry, || Mmap::open(&path)).map_err(spill_io_error)?;
+        let map = retry_io(|| Mmap::open(&path)).map_err(spill_io_error)?;
         segments.push(map);
         self.spilled_bytes
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -210,7 +174,7 @@ impl SpillStore {
     ///
     /// Fault site: `store/promote` (before the read); transients retried.
     pub(crate) fn fetch(&self, r: SpillRef, out: &mut Vec<u8>) -> Result<(), SfaError> {
-        retry_io(&self.retry, || {
+        retry_io(|| {
             sfa_sync::fault_point!("store/promote")?;
             Ok(())
         })
@@ -282,7 +246,7 @@ mod tests {
     fn spill_store_round_trips_segments() {
         let scratch = ScratchDir::new("store_roundtrip");
         let dir = scratch.path();
-        let store = SpillStore::create(dir, RetryPolicy::none()).unwrap();
+        let store = SpillStore::create(dir).unwrap();
         let seg = store.write_segment(b"hello spill tier", 2).unwrap();
         let mut out = Vec::new();
         store
@@ -333,7 +297,7 @@ mod tests {
         let dir = scratch.path();
         std::fs::write(dir.join("seg-7.spill"), b"stale").unwrap();
         std::fs::write(dir.join("seg-7.spill.tmp"), b"torn").unwrap();
-        let _store = SpillStore::create(dir, RetryPolicy::none()).unwrap();
+        let _store = SpillStore::create(dir).unwrap();
         assert!(!dir.join("seg-7.spill").exists());
         assert!(!dir.join("seg-7.spill.tmp").exists());
     }
@@ -349,7 +313,7 @@ mod tests {
         if std::fs::write(dir.join(".cap_probe"), b"x").is_ok() {
             return;
         }
-        let err = SpillStore::create(dir, RetryPolicy::none()).unwrap_err();
+        let err = SpillStore::create(dir).unwrap_err();
         std::fs::set_permissions(dir, std::fs::Permissions::from_mode(0o755)).unwrap();
         match err {
             SfaError::SpillDirUnavailable { path, .. } => assert_eq!(path, dir),

@@ -8,9 +8,9 @@
 //!   [`sfa_core::artifact::dfa_fingerprint`]; constructed SFAs are
 //!   cached as `.sfar` artifacts next to the patterns, so a restarted
 //!   daemon reloads instead of rebuilding.
-//! * [`tenant`] — per-tenant admission: a byte quota enforced through a
-//!   stateless [`sfa_core::budget::Governor`] over a monotonically
-//!   accumulated scanned-bytes counter.
+//! * [`tenant`] — per-tenant admission: a lifetime byte quota checked
+//!   against one atomic accumulator per tenant (a `fetch_add` and a
+//!   compare, no lock).
 //! * [`proto`] — the wire: `SFA1`-magic length-prefixed JSON frames for
 //!   the binary protocol, plus a minimal HTTP/1.1 face (`POST /match`,
 //!   `GET /patterns`, `GET /metrics`). Both speak the same
@@ -69,8 +69,9 @@ pub struct ServeConfig {
     pub tenants: Vec<tenant::TenantSpec>,
     /// Event-loop workers; `0` means one per available core.
     pub workers: usize,
-    /// SFA construction state cap per pattern: a pattern whose SFA
-    /// exceeds it degrades to the sequential tier instead of failing.
+    /// SFA construction state cap per pattern (the builder's
+    /// `state_budget`): a pattern whose SFA exceeds it degrades to the
+    /// sequential tier instead of failing.
     pub state_budget: u64,
     /// Threads of the shared match pool; `0` means one per core.
     pub match_threads: usize,

@@ -31,7 +31,6 @@ use sfa_automata::alphabet::Alphabet;
 use sfa_automata::dfa::Dfa;
 use sfa_automata::pipeline::Pipeline;
 use sfa_core::artifact::{self, dfa_fingerprint};
-use sfa_core::budget::Budget;
 use sfa_core::scan::ScanEngine;
 use sfa_core::sfa::Sfa;
 use sfa_core::SfaError;
@@ -103,7 +102,9 @@ pub struct PatternRegistry {
 impl PatternRegistry {
     /// Load `<dir>/*.pat`, compiling each pattern and reusing cached
     /// `.sfar` artifacts where a valid one exists. `state_budget` caps
-    /// each construction; `threads` is the construction parallelism.
+    /// each construction (the builder's `state_budget`; a value the
+    /// engine rejects degrades every constructed pattern, with the
+    /// reason); `threads` is the construction parallelism.
     pub fn load(patterns_dir: &Path, state_budget: u64, threads: usize) -> Result<Self, String> {
         let artifacts_dir = patterns_dir.join("artifacts");
         std::fs::create_dir_all(&artifacts_dir)
@@ -231,7 +232,7 @@ impl PatternRegistry {
         }
         let built = Sfa::builder(dfa)
             .threads(threads.max(1))
-            .budget(Budget::unlimited().with_max_states(state_budget))
+            .state_budget(usize::try_from(state_budget).unwrap_or(usize::MAX))
             .build();
         match built {
             Ok(result) => {
@@ -491,7 +492,14 @@ mod tests {
         let registry = PatternRegistry::load(dir, 2, 2).unwrap();
         let hard = registry.resolve("hard").unwrap();
         assert_eq!(hard.tier(), "sequential");
-        assert!(hard.degraded_reason().is_some());
+        assert_eq!(
+            hard.degraded_reason(),
+            Some(
+                SfaError::StateBudgetExceeded { budget: 2 }
+                    .to_string()
+                    .as_str()
+            )
+        );
     }
 
     #[test]

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use sfa_automata::pipeline::Pipeline;
 use sfa_automata::Alphabet;
 use sfa_core::artifact;
-use sfa_core::budget::Budget;
 use sfa_core::io;
 use sfa_core::prelude::*;
 use sfa_core::sfa::Sfa;
@@ -59,18 +58,20 @@ fn interrupted_build_resumes_byte_identical() {
         let ckpt = scratch.join(format!("resume_t{threads}.ckpt"));
         let _ = std::fs::remove_file(&ckpt);
 
-        // Interrupt mid-construction with a states budget; checkpoint
-        // every discovered state. The due snapshot is written before the
-        // governor poll that stops the build, so the abort leaves it.
+        // Interrupt mid-construction with the state budget; checkpoint
+        // every discovered state. The store fills inside the first work
+        // item, and the snapshot that item made due is raised before the
+        // worker stops, so the abort leaves it.
         let err = Sfa::builder(&dfa)
             .threads(threads)
-            .budget(Budget::unlimited().with_max_states(4))
+            .state_budget(4)
             .checkpoint(&ckpt, 1)
             .build()
             .unwrap_err();
-        assert!(
-            matches!(err, SfaError::BudgetExceeded { .. }),
-            "{threads} threads: interruption must be the typed budget error, got {err:?}"
+        assert_eq!(
+            err,
+            SfaError::StateBudgetExceeded { budget: 4 },
+            "{threads} threads: interruption must be the typed state-budget error"
         );
         artifact::verify(&ckpt).unwrap_or_else(|e| {
             panic!("{threads} threads: interrupted build left no valid checkpoint: {e}")
@@ -143,7 +144,7 @@ fn checkpoint_for_a_different_dfa_is_rejected() {
     let _ = std::fs::remove_file(&ckpt);
     let _ = Sfa::builder(&dfa)
         .threads(1)
-        .budget(Budget::unlimited().with_max_states(4))
+        .state_budget(5)
         .checkpoint(&ckpt, 1)
         .build()
         .unwrap_err();
@@ -172,7 +173,7 @@ fn artifact_corpora() -> &'static [Vec<u8>] {
         let ckpt = scratch.join("corpus.ckpt");
         let _ = Sfa::builder(&dfa)
             .threads(1)
-            .budget(Budget::unlimited().with_max_states(4))
+            .state_budget(5)
             .checkpoint(&ckpt, 1)
             .build()
             .unwrap_err();

@@ -18,30 +18,23 @@ fn rg_dfa() -> sfa_automata::Dfa {
 
 #[test]
 fn one_state_budget_fails_sequential_and_parallel() {
-    // max_states = 1 admits only the identity state: the first discovery
-    // must trip the budget on every engine, as a typed error.
+    // A one-state budget admits only the identity state: the first
+    // discovery must fill it on every engine, as a typed error.
     let dfa = rg_dfa();
-    let budget = Budget::unlimited().with_max_states(1);
     let runs = [
         Sfa::builder(&dfa)
             .sequential(SequentialVariant::Transposed)
-            .budget(budget.clone())
+            .state_budget(1)
             .build(),
         Sfa::builder(&dfa)
             .sequential(SequentialVariant::Hashing)
-            .budget(budget.clone())
+            .state_budget(1)
             .build(),
-        Sfa::builder(&dfa).threads(1).budget(budget.clone()).build(),
-        Sfa::builder(&dfa).threads(4).budget(budget.clone()).build(),
+        Sfa::builder(&dfa).threads(1).state_budget(1).build(),
+        Sfa::builder(&dfa).threads(4).state_budget(1).build(),
     ];
     for r in runs {
-        match r.unwrap_err() {
-            SfaError::BudgetExceeded { resource, progress } => {
-                assert_eq!(resource, BudgetResource::States);
-                assert!(progress.states >= 2, "fired at {} states", progress.states);
-            }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
+        assert_eq!(r.unwrap_err(), SfaError::StateBudgetExceeded { budget: 1 });
     }
 }
 
@@ -199,8 +192,7 @@ fn lazy_engine(dfa: &sfa_automata::Dfa, cancel: Option<CancelToken>) -> MatchEng
 fn lazy_tier_obeys_the_request_deadline() {
     let dfa = rg_dfa();
     let text = sfa_workloads::protein_text(200_000, 5);
-    let expired = MatchRequest::symbols(text.clone())
-        .with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
+    let expired = MatchRequest::symbols(text.clone()).with_deadline(Duration::ZERO);
     let missed_deadline = |result: Result<MatchOutcome, SfaError>| {
         matches!(
             result,

@@ -350,7 +350,8 @@ fn spill_tier_matrix() {
                 let outcome = bounded(&context, move || {
                     Sfa::builder(&dfa_t)
                         .threads(3)
-                        .spill(&dir_t, CAP)
+                        .budget(Budget::unlimited().with_max_payload_bytes(CAP))
+                        .spill(&dir_t)
                         .checkpoint(&ckpt_t, 64)
                         .build()
                         .map(|r| (io::to_bytes(&r.sfa), r.stats.spilled_bytes))
@@ -415,7 +416,8 @@ fn spill_checkpoint_resumes_mid_spill_byte_identically() {
     let outcome = bounded("mid-spill crash", move || {
         Sfa::builder(&dfa_t)
             .threads(2)
-            .spill(&dir_t, 2048)
+            .budget(Budget::unlimited().with_max_payload_bytes(2048))
+            .spill(&dir_t)
             .checkpoint(&ckpt_t, 16)
             .build()
             .map(|r| io::to_bytes(&r.sfa))
@@ -434,7 +436,8 @@ fn spill_checkpoint_resumes_mid_spill_byte_identically() {
     artifact::verify(&ckpt).unwrap();
     let resumed = Sfa::builder(&dfa)
         .threads(2)
-        .spill(&dir, 2048)
+        .budget(Budget::unlimited().with_max_payload_bytes(2048))
+        .spill(&dir)
         .resume_from(&ckpt)
         .build()
         .unwrap();

@@ -422,8 +422,6 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         pattern_nibbles in proptest::option::of(proptest::collection::vec(0u8..16, 1..17)),
         deadline_ms in proptest::option::of(0u64..10_000),
-        max_payload in proptest::option::of(any::<u32>()),
-        max_states in proptest::option::of(any::<u32>()),
         tier_ix in 0usize..4,
         skip_ws in any::<bool>(),
         trace in any::<bool>(),
@@ -442,18 +440,10 @@ proptest! {
         if let Some(p) = &pattern {
             req = req.with_pattern(p.clone());
         }
-        let mut budget = Budget::unlimited();
         if let Some(ms) = deadline_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(n) = max_payload {
-            budget = budget.with_max_payload_bytes(n as u64);
-        }
-        if let Some(n) = max_states {
-            budget = budget.with_max_states(n as u64);
+            req = req.with_deadline(Duration::from_millis(ms));
         }
         req = req
-            .with_budget(budget)
             .with_tier(
                 [
                     TierPolicy::Auto,

@@ -421,11 +421,9 @@ fn outcome_tier_and_degraded_marker_are_coherent() {
     // backend on its first discovery, so the Auto query falls through to
     // the speculative backend mid-flight. The outcome must carry the
     // degradation reason and the actual per-query mode.
-    let budget = Budget::unlimited()
-        .with_deadline(Duration::ZERO)
-        .with_max_states(1);
-    let mut degraded_engine =
-        MatchEngine::with_budget(&dfa, &ParallelOptions::with_threads(2), &budget, None);
+    let budget = Budget::unlimited().with_deadline(Duration::ZERO);
+    let opts = ParallelOptions::with_threads(2).state_budget(1);
+    let mut degraded_engine = MatchEngine::with_budget(&dfa, &opts, &budget, None);
     assert_eq!(degraded_engine.tier(), MatchTier::LazySfa);
     let auto = degraded_engine
         .run(&MatchRequest::symbols(text.clone()))
