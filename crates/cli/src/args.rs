@@ -3,16 +3,6 @@
 use sfa_serve::tenant::TenantSpec;
 use std::collections::BTreeMap;
 
-/// Options that never take a value.
-const FLAGS: &[&str] = &[
-    "exact",
-    "json",
-    "validate",
-    "probabilistic",
-    "lazy",
-    "resume",
-];
-
 /// Parsed command-line options.
 #[derive(Debug, Default)]
 pub struct Parsed {
@@ -20,39 +10,56 @@ pub struct Parsed {
     flags: Vec<String>,
 }
 
-/// Does the help text list `--name`? Reading the names from it keeps
-/// one list of the options `sfa` accepts.
-fn documented(name: &str) -> bool {
-    !name.is_empty()
-        && crate::HELP
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .any(|word| word.strip_prefix("--") == Some(name))
+/// Every option the help text defines, as `(name, takes a value,
+/// heading)`: a line `    --name <value>  …` or `    --name  …` defines
+/// it, and the heading above that line names the commands accepting it.
+fn documented() -> impl Iterator<Item = (&'static str, bool, &'static str)> {
+    let mut heading = "";
+    crate::HELP.lines().filter_map(move |line| {
+        if !line.starts_with(' ') {
+            heading = line;
+        }
+        let def = line.strip_prefix("    --")?;
+        let (name, rest) = def.split_once(' ').unwrap_or((def, ""));
+        Some((name, rest.trim_start().starts_with('<'), heading))
+    })
+}
+
+/// Does `heading`, such as `BUILD OPTIONS (build):`, name `command`?
+fn accepts(heading: &str, command: &str) -> bool {
+    heading
+        .split_once('(')
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .is_some_and(|(commands, _)| commands.split(',').any(|c| c.trim() == command))
 }
 
 impl Parsed {
-    /// Parse `--key value` pairs and bare `--flag`s. An option the help
-    /// text does not list is a usage error naming it, so a typo (or a
+    /// Parse the `--key value` pairs and bare `--flag`s of `sfa
+    /// <command>`. An option the help text does not list, or lists for
+    /// other commands only, is a usage error naming it, so a typo (or a
     /// retired option) never runs a command with the option ignored.
-    pub fn parse(argv: &[String]) -> Result<Parsed, String> {
+    pub fn parse(command: &str, argv: &[String]) -> Result<Parsed, String> {
         let mut out = Parsed::default();
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = &argv[i];
+        let mut args = argv.iter();
+        while let Some(arg) = args.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument {arg:?}"));
             };
-            if !documented(name) {
-                return Err(format!("unknown option {arg}; try `sfa help`"));
+            let (_, takes_value, heading) = documented()
+                .find(|&(n, ..)| n == name)
+                .ok_or_else(|| format!("unknown option {arg}; try `sfa help`"))?;
+            if !accepts(heading, command) {
+                return Err(format!(
+                    "{arg} is not an option of `sfa {command}`; try `sfa help`"
+                ));
             }
-            if FLAGS.contains(&name) {
-                out.flags.push(name.to_string());
-                i += 1;
-            } else {
-                let value = argv
-                    .get(i + 1)
+            if takes_value {
+                let value = args
+                    .next()
                     .ok_or_else(|| format!("--{name} expects a value"))?;
                 out.values.insert(name.to_string(), value.clone());
-                i += 2;
+            } else {
+                out.flags.push(name.to_string());
             }
         }
         Ok(out)
@@ -138,7 +145,11 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_flags() {
-        let p = Parsed::parse(&argv(&["--regex", "RG", "--json", "--threads", "8"])).unwrap();
+        let p = Parsed::parse(
+            "build",
+            &argv(&["--regex", "RG", "--json", "--threads", "8"]),
+        )
+        .unwrap();
         assert_eq!(p.opt("regex"), Some("RG"));
         assert!(p.flag("json"));
         assert_eq!(p.num("threads", 1).unwrap(), 8);
@@ -147,8 +158,8 @@ mod tests {
 
     #[test]
     fn rejects_positional_and_dangling() {
-        assert!(Parsed::parse(&argv(&["positional"])).is_err());
-        assert!(Parsed::parse(&argv(&["--threads"])).is_err());
+        assert!(Parsed::parse("build", &argv(&["positional"])).is_err());
+        assert!(Parsed::parse("build", &argv(&["--threads"])).is_err());
     }
 
     #[test]
@@ -160,12 +171,63 @@ mod tests {
             "--",
             "--threads-x",
         ] {
-            let err = Parsed::parse(&argv(&[bad, "8"])).unwrap_err();
+            let err = Parsed::parse("build", &argv(&[bad, "8"])).unwrap_err();
             assert!(err.contains(&format!("unknown option {bad};")), "{err}");
         }
-        // Every flag is listed, so none can be refused as unknown.
-        for flag in FLAGS {
-            assert!(documented(flag), "--{flag} missing from the help text");
+    }
+
+    #[test]
+    fn each_command_accepts_exactly_its_options() {
+        const PATTERN: &str = "regex prosite rn grail exact";
+        const CONSTRUCTION: &str = "threads budget compress codec scheduler blocks probabilistic";
+        let build = format!(
+            "{PATTERN} {CONSTRUCTION} deadline-ms max-bytes seq spill-dir validate out \
+             checkpoint checkpoint-every resume json metrics-out"
+        );
+        let do_match = format!(
+            "{PATTERN} {CONSTRUCTION} deadline-ms max-bytes lazy tier random text \
+             text-file fasta stream block-bytes interleave oversubscribe metrics-out"
+        );
+        let survey = format!("{PATTERN} {CONSTRUCTION}");
+        let table = [
+            ("compile", PATTERN.to_string()),
+            ("dot", format!("{PATTERN} name")),
+            ("build", build),
+            ("match", do_match),
+            ("survey", survey.clone()),
+            ("verify", survey),
+            ("metrics", "file json".to_string()),
+            ("artifact", "file json".to_string()),
+            (
+                "serve",
+                "patterns-dir listen tenants workers state-budget match-threads metrics-out"
+                    .to_string(),
+            ),
+            ("workloads", String::new()),
+        ];
+        let flags = [
+            "exact",
+            "probabilistic",
+            "validate",
+            "resume",
+            "json",
+            "lazy",
+        ];
+        for (command, options) in &table {
+            let options: Vec<&str> = options.split_whitespace().collect();
+            for (name, takes_value, _) in documented() {
+                assert_eq!(takes_value, !flags.contains(&name), "--{name}");
+                let arg = format!("--{name}");
+                let args = [arg.as_str(), "1"];
+                let parsed = Parsed::parse(command, &argv(&args[..1 + usize::from(takes_value)]));
+                if options.contains(&name) {
+                    assert!(parsed.is_ok(), "`sfa {command}` refused {arg}");
+                } else {
+                    let err = parsed.unwrap_err();
+                    let want = format!("{arg} is not an option of `sfa {command}`");
+                    assert!(err.starts_with(&want), "{err}");
+                }
+            }
         }
     }
 

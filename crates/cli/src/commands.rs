@@ -25,18 +25,6 @@ fn write_metrics_snapshot(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Feed one CLI match into the process-global registry for the paths
-/// (lazy, plain `ParallelMatcher`) that bypass [`MatchEngine`] and so
-/// never hit its delivery hook.
-fn record_cli_match(tier: MatchTier, bytes: usize, secs: f64) {
-    let mut stats = MatchStats::default();
-    stats.tier = tier;
-    stats.blocks = 1;
-    stats.bytes = bytes as u64;
-    stats.elapsed = std::time::Duration::from_secs_f64(secs);
-    obs::record_match(obs::global(), &stats);
-}
-
 /// `sfa metrics --file <path>` — re-parse and display a Prometheus
 /// snapshot written by `--metrics-out` (validating it in the process);
 /// `--json` renders the parsed samples as JSON instead.
@@ -348,7 +336,7 @@ pub fn artifact(argv: &[String]) -> Result<(), String> {
     let Some(verb) = argv.first() else {
         return Err(USAGE.into());
     };
-    let parsed = Parsed::parse(&argv[1..])?;
+    let parsed = Parsed::parse("artifact", &argv[1..])?;
     match verb.as_str() {
         "verify" => {
             let path = parsed.opt("file").ok_or(USAGE)?;
@@ -388,256 +376,175 @@ pub fn artifact(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// `--tier <auto|sequential|speculative|require_full>` — explicit tier
-/// policy for `sfa match`. `None` when absent (auto behavior).
-fn tier_from_args(parsed: &Parsed) -> Result<Option<TierPolicy>, String> {
-    match parsed.opt("tier") {
-        None => Ok(None),
-        Some(s) => TierPolicy::parse(s).map(Some).ok_or_else(|| {
-            format!("--tier expects auto|sequential|speculative|require_full, got {s:?}")
-        }),
-    }
-}
-
-/// `--interleave` / `--oversubscribe` — explicit scan-engine knobs.
-/// `None` when neither was given, so the engine defaults apply.
-fn scan_options_from_args(parsed: &Parsed) -> Result<Option<ScanOptions>, String> {
-    if parsed.opt("interleave").is_none() && parsed.opt("oversubscribe").is_none() {
-        return Ok(None);
-    }
-    let defaults = ScanOptions::default();
-    let opts = ScanOptions {
-        interleave: parsed.num("interleave", defaults.interleave)?,
-        oversubscribe: parsed.num("oversubscribe", defaults.oversubscribe)?,
-        min_chunk_symbols: defaults.min_chunk_symbols,
-    };
-    opts.validate().map_err(|e| e.to_string())?;
-    Ok(Some(opts))
-}
-
-/// `sfa match` — parallel SFA matching of a text.
-pub fn do_match(parsed: &Parsed) -> Result<(), String> {
-    if let Some(path) = parsed.opt("stream") {
-        return do_match_stream(parsed, path);
-    }
-    let dfa = dfa_from_args(parsed)?;
+/// The symbols of an in-memory `sfa match` input: `--random`, `--text`,
+/// `--text-file` (whitespace skipped) or `--fasta`.
+fn text_from_args(parsed: &Parsed) -> Result<Vec<u8>, String> {
     let alpha = Alphabet::amino_acids();
-    let text: Vec<u8> = if let Some(len) = parsed.opt("random") {
+    if let Some(len) = parsed.opt("random") {
         let len: usize = len.parse().map_err(|_| "--random expects a length")?;
-        sfa_workloads::protein_text(len, 0xC0FFEE)
+        Ok(sfa_workloads::protein_text(len, 0xC0FFEE))
     } else if let Some(t) = parsed.opt("text") {
-        alpha
-            .encode_bytes(t.as_bytes())
-            .map_err(|e| e.to_string())?
+        alpha.encode_bytes(t.as_bytes()).map_err(|e| e.to_string())
     } else if let Some(path) = parsed.opt("text-file") {
         let raw = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
         let filtered: Vec<u8> = raw
             .into_iter()
             .filter(|b| !b.is_ascii_whitespace())
             .collect();
-        alpha.encode_bytes(&filtered).map_err(|e| e.to_string())?
+        alpha.encode_bytes(&filtered).map_err(|e| e.to_string())
     } else if let Some(path) = parsed.opt("fasta") {
         let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let records = sfa_workloads::fasta::parse_fasta(&raw).map_err(|e| e.to_string())?;
         eprintln!("# {} FASTA records", records.len());
-        sfa_workloads::fasta::concat_sequences(&records)
+        Ok(sfa_workloads::fasta::concat_sequences(&records))
     } else {
-        return Err("give one of --random, --text, --text-file, --fasta".into());
-    };
-
-    let threads = parsed.num("threads", 4)?;
-    let budget = crate::budget_from_args(parsed)?;
-    let tier = tier_from_args(parsed)?;
-    if matches!(
-        tier,
-        Some(TierPolicy::Sequential) | Some(TierPolicy::Speculative)
-    ) {
-        // These tiers run on the raw DFA — no SFA construction at all.
-        // `--tier speculative` is the escape hatch for automata whose
-        // SFA is infeasible: chunk-parallel matching from predicted (or
-        // feasible-set-pruned) entry states with seam verification.
-        let policy = tier.unwrap();
-        let runtime = MatchRuntime::new(threads);
-        let mut request = MatchRequest::symbols(text.clone()).with_tier(policy);
-        request.deadline = budget.deadline;
-        let t0 = std::time::Instant::now();
-        let outcome = runtime
-            .run_dfa(&dfa, &request, None)
-            .map_err(|e| e.to_string())?;
-        let secs = t0.elapsed().as_secs_f64();
-        if outcome.verdict != match_sequential(&dfa, &text) {
-            return Err("tiered and sequential matchers disagree (bug)".into());
-        }
-        obs::record_match(obs::global(), &outcome.stats);
-        outln!("text length          {} residues", text.len());
-        outln!("match                {}", outcome.verdict);
-        outln!("engine tier          {}", outcome.tier);
-        if outcome.stats.chunks > 1 {
-            outln!(
-                "speculation          {} chunks, {} mispredicts, {} re-runs",
-                outcome.stats.chunks,
-                outcome.stats.mispredicts,
-                outcome.stats.reruns
-            );
-        }
-        outln!("tier match ({threads} thr)  {secs:.4} s");
-        return write_metrics_snapshot(parsed);
+        Err("give one of --random, --text, --text-file, --fasta, --stream".into())
     }
-    if !budget.is_unlimited() || tier.is_some() {
-        // Budgeted matching goes through the self-degrading engine:
-        // if full construction is not possible under the budget, a
-        // lower tier serves the query instead of failing.
-        let opts = parallel_options(parsed)?;
-        let mut engine = MatchEngine::with_budget(&dfa, &opts, &budget, None);
-        if let Some(scan) = scan_options_from_args(parsed)? {
-            engine.set_scan_options(scan).map_err(|e| e.to_string())?;
-        }
-        // Feed per-query stats into the process-global registry so a
-        // `--metrics-out` snapshot carries `sfa_match_*`.
-        let mut engine = engine.metrics(obs::global());
-        let mut request = MatchRequest::symbols(text.clone()).with_tier(tier.unwrap_or_default());
-        request.deadline = budget.deadline;
-        let t0 = std::time::Instant::now();
-        let outcome = match engine.run(&request) {
-            Ok(outcome) => outcome,
-            Err(err) => {
-                // Governance stopped the governed tiers mid-query; the
-                // caller still asked for a verdict, so answer on the
-                // ungoverned oracle.
-                eprintln!("# governed match aborted ({err}); answering sequentially");
-                engine
-                    .run(&MatchRequest::symbols(text.clone()).with_tier(TierPolicy::Sequential))
-                    .map_err(|e| e.to_string())?
-            }
-        };
-        let secs = t0.elapsed().as_secs_f64();
-        if outcome.verdict != match_sequential(&dfa, &text) {
-            return Err("engine and sequential matchers disagree (bug)".into());
-        }
-        outln!("text length          {} residues", text.len());
-        outln!("match                {}", outcome.verdict);
-        outln!("engine tier          {}", outcome.tier);
-        if let Some(reason) = &outcome.degraded {
-            outln!("degraded             {reason}");
-        }
-        outln!("engine match         {secs:.4} s");
-        return write_metrics_snapshot(parsed);
-    }
-    if parsed.flag("lazy") {
-        let lazy = sfa_core::lazy::LazySfa::new(&dfa, parsed.num("budget", 1 << 22)?)
-            .map_err(|e| e.to_string())?;
-        let t0 = std::time::Instant::now();
-        let hit = lazy.matches(&text, threads).map_err(|e| e.to_string())?;
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(hit, match_sequential_oracle(&dfa, &text));
-        record_cli_match(MatchTier::LazySfa, text.len(), secs);
-        outln!("text length          {} residues", text.len());
-        outln!("match                {hit}");
-        outln!(
-            "lazy SFA match       {secs:.4} s ({} states discovered)",
-            lazy.states_built()
-        );
-        return write_metrics_snapshot(parsed);
-    }
-    let opts = parallel_options(parsed)?;
-    let t0 = std::time::Instant::now();
-    let result = Sfa::builder(&dfa)
-        .options(&opts)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    let matcher = match scan_options_from_args(parsed)? {
-        Some(scan) => {
-            ParallelMatcher::with_options(&result.sfa, &dfa, scan).map_err(|e| e.to_string())?
-        }
-        None => ParallelMatcher::new(&result.sfa, &dfa).map_err(|e| e.to_string())?,
-    };
-    let runtime = MatchRuntime::new(threads);
-    let request = MatchRequest::symbols(text.clone());
-    let t1 = std::time::Instant::now();
-    let outcome = runtime.run(&matcher, &request).map_err(|e| e.to_string())?;
-    let sfa_match = outcome.verdict;
-    let sfa_secs = t1.elapsed().as_secs_f64();
-    record_cli_match(MatchTier::FullSfa, text.len(), sfa_secs);
-
-    let t2 = std::time::Instant::now();
-    let seq_match = match_sequential(&dfa, &text);
-    let seq_secs = t2.elapsed().as_secs_f64();
-
-    if sfa_match != seq_match {
-        return Err("SFA and sequential matchers disagree (bug)".into());
-    }
-    outln!("text length          {} residues", text.len());
-    outln!("match                {}", sfa_match);
-    outln!(
-        "SFA construction     {build_secs:.4} s ({} states)",
-        result.sfa.num_states()
-    );
-    outln!("SFA match ({threads} thr)   {sfa_secs:.4} s");
-    outln!("sequential match     {seq_secs:.4} s");
-    write_metrics_snapshot(parsed)
 }
 
-fn match_sequential_oracle(dfa: &sfa_automata::Dfa, text: &[u8]) -> bool {
-    sfa_core::matcher::match_sequential(dfa, text)
-}
-
-/// `sfa match --stream <path>` — stream a file through the pooled match
-/// runtime in fixed-size blocks: byte→symbol classification is fused
-/// into the parallel chunk scans, so the file is never materialized as
-/// a symbol vector. ASCII whitespace is skipped (line-wrapped text
-/// streams as-is); any other non-alphabet byte is a typed error.
-fn do_match_stream(parsed: &Parsed, path: &str) -> Result<(), String> {
+/// `sfa match` — one [`MatchRequest`] through one [`MatchEngine`]. The
+/// input is a symbol vector, or with `--stream` a file read block by
+/// block (whitespace skipped; any other non-alphabet byte is an error).
+/// `--tier` sets the request's tier policy, and `--tier
+/// sequential|speculative` or `--lazy` start the engine below the full
+/// tier. A request stopped by its own deadline is answered
+/// sequentially; every other error exits 1.
+pub fn do_match(parsed: &Parsed) -> Result<(), String> {
     let dfa = dfa_from_args(parsed)?;
+    let tier = match parsed.opt("tier") {
+        None => TierPolicy::Auto,
+        Some(s) => TierPolicy::parse(s).ok_or_else(|| {
+            format!("--tier expects auto|sequential|speculative|require_full, got {s:?}")
+        })?,
+    };
+    let budget = crate::budget_from_args(parsed)?;
+    let stream = parsed.opt("stream");
+    let mut request = match stream {
+        Some(path) => MatchRequest::file(path).with_classifier(ClassifierMode::SkipWhitespace),
+        None => MatchRequest::symbols(text_from_args(parsed)?),
+    }
+    .with_tier(tier);
+    request.deadline = budget.deadline;
+
+    // The explicit raw-DFA tiers build no SFA; `--lazy` skips the batch
+    // construction.
+    let start = match tier {
+        TierPolicy::Sequential => MatchTier::Sequential,
+        TierPolicy::Speculative => MatchTier::Speculative,
+        _ if parsed.flag("lazy") => MatchTier::LazySfa,
+        _ => MatchTier::FullSfa,
+    };
+    let opts = parallel_options(parsed)?;
+    let mut engine =
+        MatchEngine::starting_at(&dfa, &opts, &budget, None, start).metrics(obs::global());
+    // An invalid option is a usage error, not a reason to degrade.
+    if let Some(err @ (SfaError::InvalidOptions(_) | SfaError::NoThreads)) =
+        &engine.stats().last_error
+    {
+        return Err(err.to_string());
+    }
+    if parsed.opt("interleave").is_some() || parsed.opt("oversubscribe").is_some() {
+        let defaults = ScanOptions::default();
+        let scan = ScanOptions {
+            interleave: parsed.num("interleave", defaults.interleave)?,
+            oversubscribe: parsed.num("oversubscribe", defaults.oversubscribe)?,
+            ..defaults
+        };
+        engine.set_scan_options(scan).map_err(|e| e.to_string())?;
+    }
     let block_bytes = match parsed.opt("block-bytes") {
         Some(s) => crate::args::parse_bytes(s)?,
         None => sfa_core::runtime::DEFAULT_BLOCK_BYTES,
     };
-    let opts = parallel_options(parsed)?;
-    let budget = crate::budget_from_args(parsed)?;
-    let mut engine = MatchEngine::with_budget(&dfa, &opts, &budget, None);
-    if let Some(scan) = scan_options_from_args(parsed)? {
-        engine.set_scan_options(scan).map_err(|e| e.to_string())?;
-    }
-    let mut engine = engine.metrics(obs::global());
-    // An explicit --threads gets its own pool of that size; otherwise the
-    // process-shared pool (one worker per CPU).
-    let runtime = match parsed.opt("threads") {
-        Some(_) => MatchRuntime::new(parsed.num("threads", 4)?),
-        None => MatchRuntime::shared(),
-    };
-    engine.set_runtime(runtime.with_block_bytes(block_bytes));
-    let mut request = MatchRequest::file(path)
-        .with_classifier(ClassifierMode::SkipWhitespace)
-        .with_tier(tier_from_args(parsed)?.unwrap_or_default());
-    request.deadline = budget.deadline;
+    engine.set_runtime(MatchRuntime::new(opts.threads).with_block_bytes(block_bytes));
+
     let t0 = std::time::Instant::now();
-    let outcome = engine.run(&request).map_err(|e| e.to_string())?;
+    let outcome = match engine.run(&request) {
+        Err(
+            err @ (SfaError::BudgetExceeded {
+                resource: BudgetResource::Deadline,
+                ..
+            }
+            | SfaError::Cancelled { .. }),
+        ) if tier != TierPolicy::RequireFull => {
+            // The caller still asked for a verdict: answer on the
+            // ungoverned oracle.
+            eprintln!("# governed match aborted ({err}); answering sequentially");
+            request.tier = TierPolicy::Sequential;
+            request.deadline = None;
+            engine.run(&request)
+        }
+        served => served,
+    }
+    .map_err(|e| e.to_string())?;
     let secs = t0.elapsed().as_secs_f64();
     let stats = &outcome.stats;
-    outln!("stream               {path}");
-    outln!(
-        "streamed             {} bytes in {} blocks of {} ({} chunk scans)",
-        stats.bytes,
-        stats.blocks,
-        block_bytes,
-        stats.chunks
-    );
+
+    if let InputSource::Symbols(text) = &request.input {
+        let t1 = std::time::Instant::now();
+        if outcome.verdict != match_sequential(&dfa, text) {
+            return Err("engine and sequential matchers disagree (bug)".into());
+        }
+        let seq_secs = t1.elapsed().as_secs_f64();
+        outln!("text length          {} residues", text.len());
+        report_outcome(&engine, &outcome, secs);
+        outln!("sequential match     {seq_secs:.4} s");
+    } else {
+        outln!("stream               {}", stream.unwrap_or_default());
+        outln!(
+            "streamed             {} bytes in {} blocks of {} ({} chunk scans)",
+            stats.bytes,
+            stats.blocks,
+            block_bytes,
+            stats.chunks
+        );
+        report_outcome(&engine, &outcome, secs);
+        // Sub-resolution matches get a clamped-but-plausible rate from
+        // `bytes_per_sec()`; flag them rather than printing it as measured.
+        let untimed = if stats.untimed() { " [untimed]" } else { "" };
+        outln!(
+            "throughput           {:.1} MiB/s{untimed} (pool depth {})",
+            stats.bytes_per_sec() / (1024.0 * 1024.0),
+            stats.queue_depth
+        );
+    }
+    write_metrics_snapshot(parsed)
+}
+
+/// The report lines every `sfa match` input shares: the verdict, the
+/// tier that answered and why it was not the full one, what the engine
+/// built, and the match time.
+fn report_outcome(engine: &MatchEngine<'_>, outcome: &MatchOutcome, secs: f64) {
+    let stats = &outcome.stats;
     outln!("match                {}", outcome.verdict);
     outln!("engine tier          {}", outcome.tier);
     if let Some(reason) = &outcome.degraded {
         outln!("degraded             {reason}");
     }
-    // Sub-resolution matches get a clamped-but-plausible rate from
-    // `bytes_per_sec()`; flag them rather than printing it as measured.
-    let untimed = if stats.untimed() { " [untimed]" } else { "" };
+    if let Some(c) = &engine.stats().construction {
+        outln!(
+            "SFA construction     {:.4} s ({} states)",
+            c.total_secs,
+            c.states
+        );
+    }
+    match outcome.tier {
+        MatchTier::LazySfa => outln!(
+            "lazy SFA             {} states discovered",
+            engine.stats().lazy_states
+        ),
+        MatchTier::PrunedSfa | MatchTier::Speculative if stats.chunks > 1 => outln!(
+            "speculation          {} chunks, {} mispredicts, {} re-runs",
+            stats.chunks,
+            stats.mispredicts,
+            stats.reruns
+        ),
+        _ => {}
+    }
     outln!(
-        "throughput           {:.1} MiB/s{untimed} ({secs:.4} s, pool depth {})",
-        stats.bytes_per_sec() / (1024.0 * 1024.0),
-        stats.queue_depth
+        "match time           {secs:.4} s ({} threads)",
+        engine.runtime().pool().threads()
     );
-    write_metrics_snapshot(parsed)
 }
 
 /// `sfa serve` — run the multi-tenant match daemon until SIGTERM or
@@ -826,16 +733,17 @@ pub fn dot(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `sfa workloads` — list the embedded PROSITE sample.
-pub fn workloads(parsed: &Parsed) -> Result<(), String> {
-    let budget = parsed.num("budget", 200_000usize)?;
+/// `sfa workloads` — list the embedded PROSITE sample, with each
+/// pattern's DFA size up to a cap of 200,000 states.
+pub fn workloads(_: &Parsed) -> Result<(), String> {
+    const DFA_BUDGET: usize = 200_000;
     outln!("{:<10} {:>10}  pattern", "id", "DFA");
     for p in sfa_workloads::embedded_patterns() {
         let size = sfa_automata::pipeline::Pipeline::search(Alphabet::amino_acids())
-            .dfa_budget(budget)
+            .dfa_budget(DFA_BUDGET)
             .compile_prosite(p.pattern)
             .map(|d| d.num_states().to_string())
-            .unwrap_or_else(|_| format!(">{budget}"));
+            .unwrap_or_else(|_| format!(">{DFA_BUDGET}"));
         outln!("{:<10} {:>10}  {}", p.id, size, p.pattern);
     }
     Ok(())

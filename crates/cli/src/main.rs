@@ -65,27 +65,28 @@ fn run(argv: &[String]) -> Result<(), String> {
         // parser rejects; route it before parsing.
         return commands::artifact(&argv[1..]);
     }
-    let parsed = Parsed::parse(&argv[1..])?;
-    match command.as_str() {
-        "compile" => commands::compile(&parsed),
-        "build" => commands::build(&parsed),
-        "match" => commands::do_match(&parsed),
-        "serve" => commands::serve(&parsed),
-        "survey" => commands::survey(&parsed),
-        "verify" => commands::verify(&parsed),
-        "workloads" => commands::workloads(&parsed),
-        "metrics" => commands::metrics(&parsed),
-        "dot" => commands::dot(&parsed),
+    let run: fn(&Parsed) -> Result<(), String> = match command.as_str() {
+        "compile" => commands::compile,
+        "build" => commands::build,
+        "match" => commands::do_match,
+        "serve" => commands::serve,
+        "survey" => commands::survey,
+        "verify" => commands::verify,
+        "workloads" => commands::workloads,
+        "metrics" => commands::metrics,
+        "dot" => commands::dot,
         "help" | "--help" | "-h" => {
             print_help();
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command {other:?}; try `sfa help`")),
-    }
+        other => return Err(format!("unknown command {other:?}; try `sfa help`")),
+    };
+    run(&Parsed::parse(command, &argv[1..])?)
 }
 
-/// The help text, and the one list of the options `sfa` accepts
-/// ([`Parsed::parse`] reads the `--name`s from it).
+/// The help text, and the one list of the options `sfa` accepts:
+/// [`Parsed::parse`] reads each `--name`, whether it takes a value, and
+/// the commands that accept it (named by the heading above it) from here.
 const HELP: &str = "sfa — simultaneous finite automata toolkit
 
 USAGE:
@@ -104,17 +105,20 @@ COMMANDS:
     artifact    inspect persisted artifacts: `sfa artifact verify --file <p>`
     help        show this message
 
-PATTERN SOURCES (exactly one):
+Each heading below names the commands that accept its options; any
+other option is a usage error.
+
+PATTERN OPTIONS (compile, dot, build, match, survey, verify):
     --regex <r>      regular expression over the amino-acid alphabet
     --prosite <p>    PROSITE-syntax pattern
     --rn <n>         synthetic exact-string pattern of length n (r500 family)
     --grail <file>   read a Grail+ DFA from a file
+                     (give exactly one of these four sources)
+    --exact          do not wrap the pattern in Σ*·r·Σ*
 
-COMMON OPTIONS:
-    --exact              do not wrap the pattern in Σ*·r·Σ*
-    --threads <n>        worker threads for `build`/`match` (default 4)
-    --seq <variant>      sequential engine: baseline | pointer-tree | hashing |
-                         transposed
+CONSTRUCTION OPTIONS (build, match, survey, verify):
+    --threads <n>        worker threads for construction and for the match
+                         pool (default 4)
     --budget <n>         SFA state cap, on every engine (default 4194304)
     --compress <bytes>   memory watermark for the compression phase
                          (accepts suffixes K/M/G; `always`/`never`)
@@ -123,52 +127,69 @@ COMMON OPTIONS:
     --blocks <n>         symbol blocks per work item (1 = coarse-grained)
     --probabilistic      fingerprint-only state identity (Rabin, dense
                          random modulus); big peak-memory saving
+
+LIMIT OPTIONS (build, match):
     --deadline-ms <n>    abort construction after n milliseconds (typed
                          error; `match` degrades down the tier ladder
-                         lazy/speculative/sequential instead)
+                         lazy/speculative/sequential instead, and a match
+                         past the deadline is answered sequentially)
     --max-bytes <b>      cap stored mapping-payload bytes (suffixes K/M/G);
                          with --spill-dir, crossing it demotes states
                          instead of failing the build
-    --spill-dir <dir>    build, parallel engine: spill cold states to segment
-                         files in this directory once payloads exceed
-                         --max-bytes; the result is byte-identical to an
-                         uncapped build (use --threads 1, not --seq)
-    --validate           build: check the SFA against the DFA
-    --out <path>         build: write the SFA as a checksummed artifact
-    --checkpoint <path>  build, parallel engine: snapshot construction state
-                         to this artifact, also when a budget stops the build
+
+BUILD OPTIONS (build):
+    --seq <variant>      sequential engine: baseline | pointer-tree | hashing |
+                         transposed
+    --spill-dir <dir>    parallel engine: spill cold states to segment files
+                         in this directory once payloads exceed --max-bytes;
+                         the result is byte-identical to an uncapped build
                          (use --threads 1, not --seq)
-    --checkpoint-every <n>  build: states between snapshots (default 1024)
-    --resume             build, parallel engine: continue from the --checkpoint
+    --validate           check the SFA against the DFA
+    --out <path>         write the SFA as a checksummed artifact
+    --checkpoint <path>  parallel engine: snapshot construction state to
+                         this artifact, also when a budget stops the build
+                         (use --threads 1, not --seq)
+    --checkpoint-every <n>  states between snapshots (default 1024)
+    --resume             parallel engine: continue from the --checkpoint
                          artifact if it exists (byte-identical result at any
                          thread count; fresh build otherwise)
-    --json               machine-readable output
-    --lazy               match: construct SFA states on demand (lazy SFA)
-    --tier <policy>      match: tier policy — auto | sequential |
-                         speculative | require_full. `speculative` skips
-                         SFA construction entirely: chunks run on the
-                         raw DFA from predicted entry states with seam
-                         verification (mispredicted suffixes re-run)
-    --random <len>       match: generate protein-like text of this length
-    --text <string>      match: literal text
-    --text-file <path>   match: read text from a file
-    --fasta <path>       match: read a FASTA protein file
-    --stream <path>      match: stream a file in fixed-size blocks through
-                         the pooled match runtime (whitespace skipped;
-                         never materializes the whole input)
-    --block-bytes <b>    match: streaming block size (suffixes K/M/G;
-                         default 8M)
-    --interleave <k>     match: chunk chains scanned per worker loop
-                         (1 | 2 | 4 | 8; default 4)
-    --oversubscribe <n>  match: chunk tasks per worker thread, so
-                         stragglers rebalance on the pool (default 4)
-    --metrics-out <path> build/match: scrape the process-global metrics
-                         registry to a Prometheus text snapshot on exit
-                         (display it with `sfa metrics --file <path>`)
-    --file <path>        metrics: the snapshot to display
-    --name <id>          dot: the digraph's name (default dfa)
 
-SERVE OPTIONS:
+MATCH OPTIONS (match):
+    --lazy               start on the lazy tier: construct SFA states on
+                         demand while matching
+    --tier <policy>      auto | sequential | speculative | require_full.
+                         `sequential` and `speculative` build no SFA:
+                         speculative chunks run on the raw DFA from
+                         predicted entry states with seam verification
+                         (mispredicted suffixes re-run). `require_full`
+                         fails unless the full SFA tier answers.
+    --random <len>       generate protein-like text of this length
+    --text <string>      literal text
+    --text-file <path>   read text from a file
+    --fasta <path>       read a FASTA protein file
+    --stream <path>      stream a file in fixed-size blocks (whitespace
+                         skipped; never materializes the whole input)
+    --block-bytes <b>    streaming block size (suffixes K/M/G; default 8M)
+    --interleave <k>     chunk chains scanned per worker loop
+                         (1 | 2 | 4 | 8; default 4)
+    --oversubscribe <n>  chunk tasks per worker thread, so stragglers
+                         rebalance on the pool (default 4)
+
+REPORT OPTIONS (build, metrics, artifact):
+    --json               machine-readable output
+
+METRICS OPTIONS (build, match, serve):
+    --metrics-out <path> scrape the process-global metrics registry to a
+                         Prometheus text snapshot on exit (display it
+                         with `sfa metrics --file <path>`)
+
+FILE OPTIONS (metrics, artifact):
+    --file <path>        the snapshot or artifact to read
+
+DOT OPTIONS (dot):
+    --name <id>          the digraph's name (default dfa)
+
+SERVE OPTIONS (serve):
     --patterns-dir <d>   directory of <id>.pat pattern files (required);
                          compiled SFAs are cached in <d>/artifacts/
     --listen <addr>      bind address (default 127.0.0.1:7878; port 0

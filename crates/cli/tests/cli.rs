@@ -124,6 +124,28 @@ fn unknown_options_are_usage_errors() {
         let err = stderr(&out);
         assert!(err.contains(&format!("unknown option {option};")), "{err}");
     }
+    // An option of another command is refused by name, with the command.
+    for (args, option) in [
+        (
+            &["build", "--regex", "RG", "--state-budget", "1"][..],
+            "--state-budget",
+        ),
+        (&["compile", "--regex", "RG", "--threads", "9"], "--threads"),
+        (
+            &[
+                "match", "--regex", "RGD", "--text", "ARGDA", "--seq", "baseline",
+            ],
+            "--seq",
+        ),
+        (&["verify", "--regex", "RG", "--json"], "--json"),
+        (&["workloads", "--budget", "5"], "--budget"),
+    ] {
+        let out = sfa(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?} was accepted");
+        let want = format!("{option} is not an option of `sfa {}`", args[0]);
+        assert!(err.contains(&want), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -236,6 +258,105 @@ fn lazy_match_reports_states() {
     let out = sfa(&["match", "--regex", "RGD", "--random", "50000", "--lazy"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("states discovered"));
+}
+
+#[test]
+fn lazy_tier_answers_under_limits_and_on_streams() {
+    let scratch = ScratchDir::new("cli_lazy_stream");
+    let path = scratch.join("input.txt");
+    std::fs::write(&path, "MKVARG\nAAGRGDWWY\n").unwrap();
+    for args in [
+        &[
+            "match",
+            "--regex",
+            "RG",
+            "--text",
+            "ARGA",
+            "--lazy",
+            "--deadline-ms",
+            "10000",
+        ][..],
+        &[
+            "match",
+            "--regex",
+            "RG",
+            "--stream",
+            path.to_str().unwrap(),
+            "--lazy",
+        ],
+    ] {
+        let out = sfa(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains("engine tier          lazy"),
+            "{args:?}: {text}"
+        );
+        assert!(
+            text.contains("match                true"),
+            "{args:?}: {text}"
+        );
+        assert!(text.contains("states discovered"), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn require_full_fails_instead_of_answering_sequentially() {
+    let out = sfa(&[
+        "match",
+        "--rn",
+        "100",
+        "--random",
+        "1000",
+        "--budget",
+        "10",
+        "--tier",
+        "require_full",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("requires the full SFA tier"), "{err}");
+    assert!(!stdout(&out).contains("engine tier"), "{}", stdout(&out));
+}
+
+#[test]
+fn invalid_values_fail_on_every_match_tier() {
+    for (args, name) in [
+        (
+            &[
+                "match",
+                "--regex",
+                "RG",
+                "--text",
+                "ARGA",
+                "--budget",
+                "0",
+                "--deadline-ms",
+                "10000",
+            ][..],
+            "state_budget",
+        ),
+        (
+            &[
+                "match",
+                "--regex",
+                "RG",
+                "--text",
+                "ARGA",
+                "--tier",
+                "speculative",
+                "--interleave",
+                "3",
+            ],
+            "interleave",
+        ),
+    ] {
+        let out = sfa(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(name), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 #[test]

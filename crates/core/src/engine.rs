@@ -23,11 +23,12 @@
 //!    always answers.
 //!
 //! [`MatchEngine::run`] walks this ladder (see its docs for the step-down
-//! rule). Every tier returns the *same verdict* — the SFA simulates the
-//! DFA from every start state, and the speculative tier re-runs every
-//! mispredicted seam, so degradation trades throughput, never
-//! correctness. The engine records which tier served each query in
-//! [`EngineStats`].
+//! rule); [`MatchEngine::starting_at`] enters it below the top, skipping
+//! the construction above. Every tier returns the *same verdict* — the
+//! SFA simulates the DFA from every start state, and the speculative
+//! tier re-runs every mispredicted seam, so degradation trades
+//! throughput, never correctness. The engine records which tier served
+//! each query in [`EngineStats`].
 
 use crate::budget::{Budget, BudgetResource, Governor};
 use crate::lazy::LazySfa;
@@ -97,6 +98,9 @@ pub struct EngineStats {
     pub sequential_matches: u64,
     /// Statistics of the successful batch construction (full tier only).
     pub construction: Option<ConstructionStats>,
+    /// SFA states the lazy tier had discovered when it last answered a
+    /// query (0 until it does).
+    pub lazy_states: u64,
     /// The governance error behind the most recent degradation.
     pub last_error: Option<SfaError>,
     /// Telemetry of the most recent match (tier, chunks, throughput,
@@ -150,49 +154,78 @@ impl<'d> MatchEngine<'d> {
         MatchEngine::with_budget(dfa, &opts, &Budget::unlimited(), None)
     }
 
-    /// Build under `budget` / `cancel`. Never fails: construction errors
-    /// degrade the tier (recorded in [`EngineStats`]) rather than
-    /// propagate.
+    /// Build under `budget` / `cancel`, starting at the full tier:
+    /// [`Self::starting_at`] with [`MatchTier::FullSfa`].
     pub fn with_budget(
         dfa: &'d Dfa,
         opts: &ParallelOptions,
         budget: &Budget,
         cancel: Option<CancelToken>,
     ) -> Self {
+        MatchEngine::starting_at(dfa, opts, budget, cancel, MatchTier::FullSfa)
+    }
+
+    /// Build under `budget` / `cancel`, starting on the rung `start`
+    /// names instead of the full tier: [`MatchTier::LazySfa`] skips the
+    /// batch construction, and [`MatchTier::PrunedSfa`],
+    /// [`MatchTier::Speculative`] and [`MatchTier::Sequential`] build no
+    /// SFA at all. Never fails: a rung whose construction fails is
+    /// recorded in [`EngineStats`] as a degradation, and the engine
+    /// starts one rung lower.
+    pub fn starting_at(
+        dfa: &'d Dfa,
+        opts: &ParallelOptions,
+        budget: &Budget,
+        cancel: Option<CancelToken>,
+        start: MatchTier,
+    ) -> Self {
         let mut stats = EngineStats::default();
         let spec = SpeculativeMatcher::new(dfa).ok();
-        let mut builder = Sfa::builder(dfa).options(opts).budget(budget.clone());
-        if let Some(token) = &cancel {
-            builder = builder.cancel(token.clone());
-        }
-        let backend = match builder.build() {
-            Ok(result) => {
-                stats.construction = Some(result.stats);
-                let scan = Arc::new(ScanEngine::new(&result.sfa, dfa));
-                Backend::Full {
-                    sfa: Box::new(result.sfa),
-                    scan,
-                }
-            }
-            Err(err) => {
-                stats.degradations += 1;
-                stats.last_error = Some(err);
-                // The deadline was consumed by the batch attempt; the
-                // state budget and the byte cap still bound lazy discovery.
-                let lazy_budget = budget.clone().without_deadline();
-                match LazySfa::with_budget(dfa, opts.state_budget, &lazy_budget, cancel.clone()) {
-                    Ok(lazy) => Backend::Lazy(Box::new(lazy)),
-                    Err(err) => {
-                        stats.degradations += 1;
-                        stats.last_error = Some(err);
-                        // No SFA at all fits the budget: keep the pool
-                        // busy anyway with the speculative tier (raw-DFA
-                        // chunks, predicted entries). Construction never
-                        // lands on Sequential — only a speculative
-                        // worker panic degrades that far.
-                        spec.as_ref()
-                            .map_or(Backend::Sequential, |_| Backend::Speculative)
+        let mut rung = start;
+        let backend = loop {
+            let built = match rung {
+                MatchTier::FullSfa => {
+                    let mut builder = Sfa::builder(dfa).options(opts).budget(budget.clone());
+                    if let Some(token) = &cancel {
+                        builder = builder.cancel(token.clone());
                     }
+                    builder.build().map(|result| {
+                        stats.construction = Some(result.stats);
+                        let scan = Arc::new(ScanEngine::new(&result.sfa, dfa));
+                        Backend::Full {
+                            sfa: Box::new(result.sfa),
+                            scan,
+                        }
+                    })
+                }
+                // The state budget and the byte cap bound lazy discovery;
+                // the deadline is the request's (and a batch attempt has
+                // already spent it).
+                MatchTier::LazySfa => {
+                    let lazy_budget = budget.clone().without_deadline();
+                    LazySfa::with_budget(dfa, opts.state_budget, &lazy_budget, cancel.clone())
+                        .map(|lazy| Backend::Lazy(Box::new(lazy)))
+                }
+                // Construction never lands on Sequential by itself — only
+                // a speculative worker panic degrades that far.
+                MatchTier::PrunedSfa | MatchTier::Speculative if spec.is_some() => {
+                    break Backend::Speculative
+                }
+                _ => break Backend::Sequential,
+            };
+            match built {
+                Ok(backend) => break backend,
+                Err(err) => {
+                    stats.degradations += 1;
+                    stats.last_error = Some(err);
+                    // A failed batch build falls to lazy discovery. When
+                    // no SFA at all fits the budget, the speculative tier
+                    // keeps the pool busy anyway (raw-DFA chunks,
+                    // predicted entries).
+                    rung = match rung {
+                        MatchTier::FullSfa => MatchTier::LazySfa,
+                        _ => MatchTier::Speculative,
+                    };
                 }
             }
         };
@@ -319,7 +352,7 @@ impl<'d> MatchEngine<'d> {
         if request.tier == TierPolicy::RequireFull && !matches!(self.backend, Backend::Full { .. })
         {
             return Err(SfaError::InvalidOptions(
-                "tier policy requires the full SFA tier, but the engine has degraded",
+                "tier policy requires the full SFA tier, but the engine is not on it",
             ));
         }
         let governor = request.governor(self.cancel.clone());
@@ -405,6 +438,9 @@ impl<'d> MatchEngine<'d> {
     /// and the request's `match/request` span when it asked for a trace.
     fn record(&mut self, stats: &MatchStats, trace: bool) {
         let served = &mut self.stats;
+        if let (MatchTier::LazySfa, Backend::Lazy(lazy)) = (stats.tier, &self.backend) {
+            served.lazy_states = u64::from(lazy.states_built());
+        }
         *match stats.tier {
             MatchTier::FullSfa => &mut served.full_matches,
             MatchTier::LazySfa => &mut served.lazy_matches,
@@ -498,6 +534,42 @@ mod tests {
             assert_eq!(engine.matches(&text), match_sequential(&dfa, &text));
         }
         assert_eq!(engine.stats().lazy_matches, 4);
+    }
+
+    #[test]
+    fn engines_started_below_the_full_tier_build_no_full_sfa() {
+        let dfa = rg_dfa();
+        let opts = ParallelOptions::with_threads(2);
+        let text = protein_text(5_000, 7);
+        let request = MatchRequest::symbols(text.clone());
+        let start = |tier| MatchEngine::starting_at(&dfa, &opts, &Budget::unlimited(), None, tier);
+
+        let mut lazy = start(MatchTier::LazySfa);
+        assert_eq!(lazy.tier(), MatchTier::LazySfa);
+        assert!(lazy.stats().construction.is_none());
+        let outcome = lazy.run(&request).unwrap();
+        assert_eq!(outcome.tier, MatchTier::LazySfa);
+        assert_eq!(outcome.verdict, match_sequential(&dfa, &text));
+        assert!(
+            outcome.degraded.is_none(),
+            "a lazy start is not a degradation"
+        );
+        assert!(lazy.stats().lazy_states >= 1);
+
+        let mut spec = start(MatchTier::Speculative);
+        assert_eq!(spec.tier(), MatchTier::Speculative);
+        assert!(spec.stats().construction.is_none());
+        let outcome = spec.run(&request).unwrap();
+        assert!(matches!(
+            outcome.tier,
+            MatchTier::PrunedSfa | MatchTier::Speculative
+        ));
+        assert_eq!(outcome.verdict, match_sequential(&dfa, &text));
+        assert_eq!(spec.stats().lazy_states, 0);
+        for engine in [&lazy, &spec] {
+            assert_eq!(engine.stats().degradations, 0);
+            assert!(engine.stats().last_error.is_none());
+        }
     }
 
     #[test]

@@ -179,8 +179,8 @@ impl<'d> LazySfa<'d> {
 
     /// Parallel membership test: chunk the input, run the lazy SFA over
     /// each chunk concurrently (states discovered by one worker are
-    /// immediately visible to the others), compose the mappings, apply
-    /// the DFA start state.
+    /// immediately visible to the others), then fold the DFA start
+    /// state through their mappings.
     pub fn matches(&self, input: &[SymbolId], threads: usize) -> Result<bool, SfaError> {
         let q0 = self.dfa.start();
         let (q, _) = self.fold_block(&Governor::unlimited(), Dense, input, 0, q0, threads)?;

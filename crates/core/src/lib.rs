@@ -96,7 +96,7 @@ pub use matcher::{match_sequential, match_with_sfa, ParallelMatcher};
 pub use parallel::{CompressionPolicy, ParallelOptions, Scheduler};
 pub use request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
 pub use runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats};
-pub use scan::{prefix_compose_on, ScanEngine, ScanOptions, ScanTable};
+pub use scan::{ScanEngine, ScanOptions, ScanTable};
 pub use sequential::SequentialVariant;
 pub use sfa::Sfa;
 pub use sfa_sync::fault_point;
@@ -272,7 +272,7 @@ pub mod prelude {
     pub use crate::parallel::{CompressionPolicy, ParallelOptions, Scheduler};
     pub use crate::request::{ClassifierMode, InputSource, MatchOutcome, MatchRequest, TierPolicy};
     pub use crate::runtime::{ByteClassifier, Classified, MatchRuntime, MatchStats};
-    pub use crate::scan::{prefix_compose_on, ScanEngine, ScanOptions, ScanTable};
+    pub use crate::scan::{ScanEngine, ScanOptions, ScanTable};
     pub use crate::sequential::SequentialVariant;
     pub use crate::sfa::Sfa;
     pub use crate::speculative::{shared_predictor, SpecStats, SpeculativeMatcher, StatePredictor};

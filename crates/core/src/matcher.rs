@@ -5,9 +5,9 @@
 //!   parallelizable because every transition depends on the previous one.
 //! * [`match_with_sfa`] / [`ParallelMatcher`] — the SFA alternative: split
 //!   the input into chunks, run the SFA over each chunk independently
-//!   (each run yields the chunk's state *mapping*), compose the mappings
-//!   left-to-right (composition is associative), and apply the DFA start
-//!   state at the very end. The per-chunk runs are embarrassingly
+//!   (each run yields the chunk's state *mapping*), and fold the DFA
+//!   start state through the mappings left to right, one entry per
+//!   chunk. The per-chunk runs are embarrassingly
 //!   parallel, which is the paper's break-even argument: construction
 //!   cost + parallel matching beats sequential matching beyond ~20 MB of
 //!   input on their 88-thread machine.
@@ -131,7 +131,7 @@ impl<'a> ParallelMatcher<'a> {
 
     /// The final DFA state after `input`, computed with parallel chunks:
     /// pass 1 scans chunks K-way interleaved on the compact table, pass 2
-    /// reduces the chunk mappings with the Ladner–Fischer tree (see
+    /// folds the start state through the chunk states (see
     /// [`crate::scan`]).
     ///
     /// # Panics
@@ -167,9 +167,9 @@ impl<'a> ParallelMatcher<'a> {
     /// consumed; `Some(0)` when the start state itself accepts), or
     /// `None` when no prefix of `input` is accepted.
     ///
-    /// Three passes: (1) every chunk's SFA state in parallel; (2) the
-    /// prefix composition of their mappings gives every chunk its exact
-    /// entry DFA state; (3) the chunks re-scan with the DFA from those
+    /// Three passes: (1) every chunk's SFA state in parallel; (2) folding
+    /// the start state through their mappings gives every chunk its
+    /// exact entry DFA state; (3) the chunks re-scan with the DFA from those
     /// entries, reporting the earliest accepting position.
     ///
     /// # Panics

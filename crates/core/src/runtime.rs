@@ -455,12 +455,12 @@ impl MatchRuntime {
                 }
                 let watch = Stopwatch::start();
                 // Pass 1, K-way interleaved on the compact table; pass 2
-                // reduces the chunk mappings with the composition tree and
-                // folds the running state through.
+                // folds the running state through the chunk states, one
+                // mapping entry per chunk.
                 let (states, _) =
                     scan.chunk_states(&self.pool, governor, decode, block, offset, threads)?;
                 stats.chunks += states.len() as u64;
-                let (_, folded) = scan.entry_states(&self.pool, sfa, &states, q)?;
+                let (_, folded) = scan.entry_states(sfa, &states, q);
                 watch.record(&OBS_BLOCK_NANOS);
                 Ok(folded)
             }

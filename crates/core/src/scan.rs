@@ -1,5 +1,5 @@
-//! The latency-hiding scan engine: compact transition tables, K-way
-//! software-pipelined chunk scanning, and reduction-tree composition.
+//! The latency-hiding scan engine: compact transition tables and K-way
+//! software-pipelined chunk scanning.
 //!
 //! The paper removes the *cross-chunk* dependency of DFA matching, but
 //! the per-chunk inner loop is still one dependent `delta[s*k + sym]`
@@ -7,7 +7,8 @@
 //! and the add feeding it is 1 more, so a single dependency chain runs
 //! at ~5–6 cycles/symbol while the load ports could retire 2–3 loads
 //! per cycle — over 80% of the scan bandwidth is latency, not work.
-//! [`ScanEngine`] attacks this on three fronts:
+//! [`ScanEngine`] attacks this on two fronts, and its pass 2 reads one
+//! mapping entry per chunk:
 //!
 //! 1. **Compact tables** ([`ScanTable`]). Next-state entries are packed
 //!    to u8/u16 when the *pre-scaled* state count fits (reusing the
@@ -29,18 +30,18 @@
 //!    (symbols or classified bytes), pass 3 (counting, first match), the
 //!    speculative tier's lanes over the raw DFA table and the lazy tier's
 //!    lanes, which discover SFA states as they go.
-//! 3. **Reduction-tree composition** ([`prefix_compose_on`]). Pass 2
-//!    (exact entry states) composes whole chunk mappings with a
-//!    Ladner–Fischer-style tree — `O(chunks)` vectorized compositions of
-//!    depth `O(log chunks)` on the pool, each one a [`sfa_simd`] gather
-//!    over the mapping vectors — instead of a sequential fold on the
-//!    submitting thread.
+//! 3. **Pass 2 as a point fold** (`ScanEngine::entry_states`). The
+//!    match starts from one known DFA state, so only one entry of each
+//!    chunk's mapping is ever read: the entry state of chunk `i + 1` is
+//!    chunk `i`'s mapping applied to chunk `i`'s entry state. That is
+//!    one [`Sfa::apply`] per chunk on the submitting thread, where
+//!    composing whole mappings would cost `O(chunks × |Q|)`.
 //!
 //! Verdicts, positions and counts are byte-identical to the sequential
-//! oracle: the chunk geometry changes, but mapping composition is
-//! associative and entry states are exact. Governance keeps the same
-//! granularity — every worker polls its `AbortControl` at least once
-//! per [`GOVERNOR_POLL_SYMBOLS`] symbols of its own progress.
+//! oracle: the chunk geometry changes, but entry states are exact.
+//! Governance keeps the same granularity — every worker polls its
+//! `AbortControl` at least once per [`GOVERNOR_POLL_SYMBOLS`] symbols
+//! of its own progress.
 
 use crate::budget::Governor;
 use crate::elem::{fits_u16, fits_u8};
@@ -50,7 +51,6 @@ use crate::sfa::Sfa;
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
-use sfa_simd::gather_u32;
 use sfa_sync::pool::{panic_message, JobPanic, TaskPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,8 +59,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static OBS_CHUNKS: crate::obs::LazyCounter = crate::obs::LazyCounter::new("sfa_scan_chunks_total");
 static OBS_SYMBOLS: crate::obs::LazyCounter =
     crate::obs::LazyCounter::new("sfa_scan_symbols_total");
-static OBS_GATHER_CALLS: crate::obs::LazyCounter =
-    crate::obs::LazyCounter::new("sfa_scan_gather_calls_total");
 
 /// Knobs of the interleaved scan (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -754,73 +752,6 @@ pub(crate) fn run_pooled<'l>(
 }
 
 // ----------------------------------------------------------------------
-// Reduction-tree composition (pass 2)
-// ----------------------------------------------------------------------
-
-/// Inclusive prefix composition of chunk mappings, Ladner–Fischer
-/// style: pair-combine, recurse on the halved sequence, then expand —
-/// `O(maps)` total compositions in `O(log maps)` levels, each level's
-/// compositions running in parallel on `pool` and each composition a
-/// vectorized [`sfa_simd::gather_u32`] (`out[q] = g[f[q]]`).
-///
-/// `result[i]` equals `maps[0] ∘ … ∘ maps[i]` (left-to-right
-/// application order, as in [`Sfa::compose`]).
-pub fn prefix_compose_on(pool: &TaskPool, maps: Vec<Vec<u32>>) -> Result<Vec<Vec<u32>>, SfaError> {
-    let c = maps.len();
-    if c <= 1 {
-        return Ok(maps);
-    }
-    // Up-sweep: combine adjacent pairs.
-    let pairs = c / 2;
-    let mut combined: Vec<Vec<u32>> = vec![Vec::new(); pairs];
-    run_composes(pool, |scope| {
-        for (i, slot) in combined.iter_mut().enumerate() {
-            let f = &maps[2 * i];
-            let g = &maps[2 * i + 1];
-            scope.execute(move || *slot = compose_vec(f, g));
-        }
-    })?;
-    // Recurse: prefixes over the pair-combined sequence.
-    let pair_prefix = prefix_compose_on(pool, combined)?;
-    // Down-sweep: expand pair prefixes back to element prefixes.
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); c];
-    run_composes(pool, |scope| {
-        let mut slots = out.iter_mut();
-        for (i, slot) in slots.by_ref().enumerate().take(c) {
-            let maps = &maps;
-            let pair_prefix = &pair_prefix;
-            scope.execute(move || {
-                *slot = if i == 0 {
-                    maps[0].clone()
-                } else if i % 2 == 1 {
-                    pair_prefix[i / 2].clone()
-                } else {
-                    compose_vec(&pair_prefix[i / 2 - 1], &maps[i])
-                };
-            });
-        }
-    })?;
-    Ok(out)
-}
-
-/// `out[q] = g[f[q]]` — f applied first, then g.
-fn compose_vec(f: &[u32], g: &[u32]) -> Vec<u32> {
-    OBS_GATHER_CALLS.inc();
-    let mut out = vec![0u32; f.len()];
-    gather_u32(g, f, &mut out);
-    out
-}
-
-fn run_composes<'pool, 'scope, F>(pool: &'pool TaskPool, f: F) -> Result<(), SfaError>
-where
-    F: FnOnce(&sfa_sync::pool::Scope<'pool, 'scope>) + 'scope,
-{
-    pool.scoped(f).map_err(|panic| SfaError::WorkerPanic {
-        message: panic.message,
-    })
-}
-
-// ----------------------------------------------------------------------
 // The engine
 // ----------------------------------------------------------------------
 
@@ -922,34 +853,15 @@ impl ScanEngine {
     }
 
     /// Pass 2: every chunk's exact entry DFA state, and the final state
-    /// after the whole input, from `q0` — computed with the
-    /// reduction tree ([`prefix_compose_on`]). Chunk mappings are
-    /// materialized in parallel first (each may decompress a vector).
-    pub(crate) fn entry_states(
-        &self,
-        pool: &TaskPool,
-        sfa: &Sfa,
-        states: &[u32],
-        q0: u32,
-    ) -> Result<(Vec<u32>, u32), SfaError> {
-        let c = states.len();
-        if c == 1 {
-            // One chunk: no composition at all, just apply.
-            return Ok((vec![q0], sfa.apply(states[0], q0)));
-        }
-        let mut maps: Vec<Vec<u32>> = vec![Vec::new(); c];
-        run_composes(pool, |scope| {
-            for (slot, &s) in maps.iter_mut().zip(states) {
-                scope.execute(move || *slot = sfa.mapping_of(s));
-            }
-        })?;
-        let prefix = prefix_compose_on(pool, maps)?;
-        let mut entries = Vec::with_capacity(c);
-        entries.push(q0);
-        for p in &prefix[..c - 1] {
-            entries.push(p[q0 as usize]);
-        }
-        Ok((entries, prefix[c - 1][q0 as usize]))
+    /// after the whole input, from `q0`: a fold of the running state
+    /// through the chunk states, `e₀ = q0`, `eᵢ₊₁ = apply(statesᵢ, eᵢ)`.
+    pub(crate) fn entry_states(&self, sfa: &Sfa, states: &[u32], q0: u32) -> (Vec<u32>, u32) {
+        let mut entries = Vec::with_capacity(states.len());
+        let last = states.iter().fold(q0, |q, &s| {
+            entries.push(q);
+            sfa.apply(s, q)
+        });
+        (entries, last)
     }
 
     /// Passes 1+2 fused: the DFA state after `input`, starting at `q0`.
@@ -970,7 +882,7 @@ impl ScanEngine {
             return Ok(q0);
         }
         let (states, _) = self.chunk_states(pool, governor, Dense, input, 0, threads)?;
-        Ok(self.entry_states(pool, sfa, &states, q0)?.1)
+        Ok(self.entry_states(sfa, &states, q0).1)
     }
 
     /// Passes 1+2, then the entry lanes of pass 3: every chunk of
@@ -987,7 +899,7 @@ impl ScanEngine {
         threads: usize,
     ) -> Result<(Vec<Lane<'i>>, usize), SfaError> {
         let (states, chunk) = self.chunk_states(pool, governor, Dense, input, 0, threads)?;
-        let (entries, _) = self.entry_states(pool, sfa, &states, q0)?;
+        let (entries, _) = self.entry_states(sfa, &states, q0);
         let lanes = input
             .chunks(chunk)
             .zip(entries)
@@ -1173,20 +1085,31 @@ mod tests {
     }
 
     #[test]
-    fn prefix_compose_matches_sequential_fold() {
-        let (_, sfa) = setup("R[GA]N");
+    fn entry_states_are_the_dfa_state_before_each_chunk() {
+        let (dfa, sfa) = setup("R[GA]N");
         let pool = TaskPool::new(3);
-        // A handful of mappings from real runs, odd count on purpose.
-        let inputs: Vec<Vec<u8>> = (0..7)
-            .map(|i| (0..50 + i * 13).map(|j| ((i + j) % 20) as u8).collect())
-            .collect();
-        let maps: Vec<Vec<u32>> = inputs.iter().map(|w| sfa.mapping_of(sfa.run(w))).collect();
-        let tree = prefix_compose_on(&pool, maps.clone()).unwrap();
-        let mut fold = maps[0].clone();
-        assert_eq!(tree[0], fold);
-        for (i, m) in maps.iter().enumerate().skip(1) {
-            fold = Sfa::compose(&fold, m);
-            assert_eq!(tree[i], fold, "prefix {i}");
+        let input: Vec<u8> = (0..1_001u32).map(|i| (i * 7 % 20) as u8).collect();
+        for threads in [1usize, 2, 3, 8] {
+            let opts = ScanOptions {
+                min_chunk_symbols: 1,
+                ..ScanOptions::default()
+            };
+            let engine = ScanEngine::with_options(&sfa, &dfa, opts).unwrap();
+            let governor = Governor::unlimited();
+            let (states, chunk) = engine
+                .chunk_states(&pool, &governor, Dense, &input, 0, threads)
+                .unwrap();
+            assert!(states.len() > threads, "{threads} threads, chunk {chunk}");
+            let (entries, last) = engine.entry_states(&sfa, &states, dfa.start());
+            assert_eq!(entries.len(), states.len());
+            for (i, &entry) in entries.iter().enumerate() {
+                assert_eq!(
+                    entry,
+                    dfa.run(&input[..i * chunk]),
+                    "{threads} threads, chunk {i}"
+                );
+            }
+            assert_eq!(last, dfa.run(&input), "{threads} threads");
         }
     }
 

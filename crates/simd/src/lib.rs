@@ -19,11 +19,9 @@
 //! runtime feature detection; every kernel is property-tested against the
 //! scalar reference.
 
-pub mod gather;
 pub mod memeq;
 pub mod transpose;
 
-pub use gather::{gather_u32, gather_u32_with};
 pub use memeq::bytes_equal;
 pub use transpose::{transpose_gather_u16, transpose_gather_u32, Kernel};
 

@@ -6,7 +6,7 @@ use sfa_automata::random::random_dfa;
 use sfa_automata::Alphabet;
 use sfa_core::budget::Governor;
 use sfa_core::prelude::*;
-use sfa_core::scan::{prefix_compose_on, ScanOptions};
+use sfa_core::scan::ScanOptions;
 use sfa_core::sfa::Sfa;
 use sfa_sync::pool::TaskPool;
 use std::time::Duration;
@@ -240,8 +240,8 @@ proptest! {
 }
 
 // Scan-engine properties: the K-way interleaved scan, the compact
-// tables, and the reduction-tree composition must be *byte-identical*
-// to the sequential oracles across every knob combination — including
+// tables, and the pass-2 fold must be *byte-identical* to the
+// sequential oracles across every knob combination — including
 // odd chunk counts (min_chunk_symbols = 1 forces multi-chunk geometry
 // on tiny inputs) and matches straddling chunk seams.
 proptest! {
@@ -315,37 +315,6 @@ proptest! {
             sfa_core::matcher::count_matches_sequential(&dfa, &syms)
         );
         prop_assert!(matcher.matches(&syms, threads));
-    }
-
-    /// The Ladner–Fischer reduction tree computes exactly the
-    /// sequential composition fold, for any sequence length (odd counts
-    /// exercise the tail handling at every recursion level).
-    #[test]
-    fn prop_prefix_compose_tree_equals_fold(
-        seed in any::<u64>(),
-        lens in proptest::collection::vec(0usize..40, 1..10),
-    ) {
-        let alpha = Alphabet::binary();
-        let dfa = random_dfa(&alpha, 5, 0.4, seed);
-        let sfa = Sfa::builder(&dfa).sequential(SequentialVariant::Transposed).build()
-            .unwrap()
-            .sfa;
-        let maps: Vec<Vec<u32>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| {
-                let w: Vec<u8> = (0..l).map(|j| ((i + j) % 2) as u8).collect();
-                sfa.mapping_of(sfa.run(&w))
-            })
-            .collect();
-        let pool = TaskPool::shared();
-        let tree = prefix_compose_on(pool, maps.clone()).unwrap();
-        let mut fold = maps[0].clone();
-        prop_assert_eq!(&tree[0], &fold);
-        for (i, m) in maps.iter().enumerate().skip(1) {
-            fold = Sfa::compose(&fold, m);
-            prop_assert_eq!(&tree[i], &fold);
-        }
     }
 
     /// Under a racing deadline or cancellation the governed full-tier
