@@ -208,18 +208,12 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Assemble from loaded parts; `match_threads == 0` uses the
-    /// process-shared pool.
+    /// Assemble from loaded parts.
     pub fn new(
         registry: PatternRegistry,
         tenants: TenantTable,
-        match_threads: usize,
+        runtime: MatchRuntime,
     ) -> ServeState {
-        let runtime = if match_threads == 0 {
-            MatchRuntime::shared()
-        } else {
-            MatchRuntime::new(match_threads)
-        };
         ServeState {
             registry,
             tenants,

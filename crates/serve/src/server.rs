@@ -23,6 +23,7 @@ use crate::proto::{self, Protocol, ServeState};
 use crate::registry::PatternRegistry;
 use crate::tenant::TenantTable;
 use crate::{ErrorCode, ServeConfig, ServeError};
+use sfa_core::MatchRuntime;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -88,10 +89,20 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
         config.workers
     };
     let construct_threads = cores.min(8);
+    // Start the match pool before the registry builds any SFA. With
+    // glibc, a thread takes an allocator arena when it first allocates,
+    // preferring the arenas of threads that have exited; a pool started
+    // after a build takes over the build workers' arenas, and the freed
+    // state payloads in them stay resident, because pool threads
+    // allocate nothing while they match.
+    let runtime = match config.match_threads {
+        0 => MatchRuntime::shared(),
+        threads => MatchRuntime::new(threads),
+    };
     let registry =
         PatternRegistry::load(&config.patterns_dir, config.state_budget, construct_threads)?;
     let tenants = TenantTable::new(config.tenants.clone())?;
-    let state = Arc::new(ServeState::new(registry, tenants, config.match_threads));
+    let state = Arc::new(ServeState::new(registry, tenants, runtime));
 
     let listener =
         TcpListener::bind(&config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
