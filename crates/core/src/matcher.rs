@@ -7,10 +7,10 @@
 //!   the input into chunks, run the SFA over each chunk independently
 //!   (each run yields the chunk's state *mapping*), and fold the DFA
 //!   start state through the mappings left to right, one entry per
-//!   chunk. The per-chunk runs are embarrassingly
-//!   parallel, which is the paper's break-even argument: construction
-//!   cost + parallel matching beats sequential matching beyond ~20 MB of
-//!   input on their 88-thread machine.
+//!   chunk. The per-chunk runs are embarrassingly parallel, which is the
+//!   paper's break-even argument: construction cost + parallel matching
+//!   beats sequential matching beyond ~20 MB of input on their
+//!   88-thread machine.
 //!
 //! Chunk scans run on a persistent [`TaskPool`] (the process-shared pool
 //! by default) rather than on per-call `std::thread::scope` threads: a
@@ -169,8 +169,8 @@ impl<'a> ParallelMatcher<'a> {
     ///
     /// Three passes: (1) every chunk's SFA state in parallel; (2) folding
     /// the start state through their mappings gives every chunk its
-    /// exact entry DFA state; (3) the chunks re-scan with the DFA from those
-    /// entries, reporting the earliest accepting position.
+    /// exact entry DFA state; (3) the chunks re-scan with the DFA from
+    /// those entries, reporting the earliest accepting position.
     ///
     /// # Panics
     ///
