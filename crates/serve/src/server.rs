@@ -6,9 +6,9 @@
 //! inboxes (a mutexed vector plus an eventfd kick). Tokens 0 and 1 are
 //! the worker's eventfd and the listener; connections get tokens from 2
 //! upward. Requests are served **inline** on the worker that read them
-//! — the match itself parallelizes on the shared
-//! [`MatchRuntime`](sfa_core::MatchRuntime) pool, so an event-loop
-//! thread is never the bottleneck for a single large query.
+//! — the match itself parallelizes on the shared [`MatchRuntime`]
+//! pool, so an event-loop thread is never the bottleneck for a single
+//! large query.
 //!
 //! Graceful drain: [`ServerHandle::shutdown`] flips the stop flag; each
 //! worker stops accepting, performs one final read pass per connection
