@@ -979,9 +979,7 @@ fn interleaved_scan(sfa: &Sfa, dfa: &Dfa, text: &[u8], k: usize) -> bool {
 /// (the compact scan engine): time the same match with
 /// `set_recording(false)` vs `(true)`, alternating arms within each
 /// round so clock drift and cache warmth hit both equally. Fails when
-/// the enabled arm regresses past the 2% budget (DESIGN.md §12). In an
-/// obs-compiled-out build both arms are identical no-ops and the
-/// overhead is structurally 0 — reported via the `compiled` column.
+/// the enabled arm regresses past the 2% budget (DESIGN.md §12).
 fn obs_overhead(cfg: &Config) -> Result<(), String> {
     use sfa_core::obs;
 
@@ -1052,7 +1050,6 @@ fn obs_overhead(cfg: &Config) -> Result<(), String> {
         disabled_secs,
         enabled_secs,
         overhead_pct: ObsOverheadRow::compute_overhead_pct(disabled_secs, enabled_secs),
-        compiled: obs::compiled(),
     };
     println!(
         "obs overhead (\"RGD\" compact scan, {} MB, {threads} threads, best of {runs}x{batch}):",
@@ -1068,12 +1065,9 @@ fn obs_overhead(cfg: &Config) -> Result<(), String> {
         row.enabled_secs,
         len as f64 / row.enabled_secs / 1e6
     );
-    println!(
-        "  overhead        {:.2}%  (budget ≤2%; obs compiled: {})",
-        row.overhead_pct, row.compiled
-    );
+    println!("  overhead        {:.2}%  (budget ≤2%)", row.overhead_pct);
     records::write_record(RESULTS, "obs_overhead", &row).map_err(|e| e.to_string())?;
-    if row.compiled && row.overhead_pct > 2.0 {
+    if row.overhead_pct > 2.0 {
         return Err(format!(
             "observability overhead {:.2}% exceeds the 2% budget",
             row.overhead_pct

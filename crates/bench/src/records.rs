@@ -271,19 +271,15 @@ pub struct ObsOverheadRow {
     pub input_len: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Timed passes per arm (medians reported).
+    /// Timed passes per arm (the best one reported).
     pub runs: usize,
-    /// Median seconds with recording disabled (`set_recording(false)`).
+    /// Best pass seconds with recording off (`set_recording(false)`).
     pub disabled_secs: f64,
-    /// Median seconds with recording enabled.
+    /// Best pass seconds with recording on.
     pub enabled_secs: f64,
     /// Relative overhead in percent, clamped at 0 (noise can make the
     /// enabled arm *faster*; a negative overhead is not a finding).
     pub overhead_pct: f64,
-    /// Whether the obs machinery was compiled in at all
-    /// (`sfa_obs::compiled()`); a compiled-out build measures two
-    /// identical no-op arms.
-    pub compiled: bool,
 }
 
 sfa_json::impl_to_json!(ObsOverheadRow {
@@ -293,7 +289,6 @@ sfa_json::impl_to_json!(ObsOverheadRow {
     disabled_secs,
     enabled_secs,
     overhead_pct,
-    compiled,
 });
 
 impl ObsOverheadRow {

@@ -12,8 +12,7 @@ use sfa_core::stats::ConstructionStats;
 /// into a Prometheus text snapshot after the command's work is done.
 /// Construction engines and the match runtime feed the global registry
 /// automatically, so this needs no per-command wiring beyond the pool
-/// gauges sampled here. A no-op (empty file) when the `obs` feature is
-/// compiled out.
+/// gauges sampled here.
 fn write_metrics_snapshot(parsed: &Parsed) -> Result<(), String> {
     let Some(path) = parsed.opt("metrics-out") else {
         return Ok(());
@@ -61,7 +60,7 @@ pub fn metrics(parsed: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     if samples.is_empty() {
-        outln!("(no samples — snapshot from an obs-disabled build?)");
+        outln!("(no samples)");
         return Ok(());
     }
     for s in &samples {

@@ -321,37 +321,26 @@ fn require_full_fails_instead_of_answering_sequentially() {
 
 #[test]
 fn invalid_values_fail_on_every_match_tier() {
-    for (args, name) in [
+    for (extra, name) in [
         (
-            &[
-                "match",
-                "--regex",
-                "RG",
-                "--text",
-                "ARGA",
-                "--budget",
-                "0",
-                "--deadline-ms",
-                "10000",
-            ][..],
+            &["--budget", "0", "--deadline-ms", "10000"][..],
             "state_budget",
         ),
         (
-            &[
-                "match",
-                "--regex",
-                "RG",
-                "--text",
-                "ARGA",
-                "--tier",
-                "speculative",
-                "--interleave",
-                "3",
-            ],
+            &["--tier", "speculative", "--interleave", "3"],
             "interleave",
         ),
+        (&["--tier", "speculative", "--budget", "0"], "state_budget"),
+        (&["--tier", "sequential", "--budget", "0"], "state_budget"),
+        (&["--lazy", "--threads", "0"], "worker thread"),
+        (
+            &["--tier", "speculative", "--threads", "0"],
+            "worker thread",
+        ),
+        (&["--tier", "sequential", "--threads", "0"], "worker thread"),
     ] {
-        let out = sfa(args);
+        let args = [&["match", "--regex", "RG", "--text", "ARGA"][..], extra].concat();
+        let out = sfa(&args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(err.contains(name), "{args:?}: {err}");

@@ -193,8 +193,7 @@ impl<'d> SfaBuilder<'d> {
     /// Deliver per-phase construction spans to `sub` when the build
     /// finishes (see the span taxonomy in DESIGN.md §12). Only this run's
     /// spans go to `sub`; the process-global subscriber installed via
-    /// [`crate::obs::subscribe`] is unaffected. No-op when the `obs`
-    /// feature is compiled out.
+    /// [`crate::obs::subscribe`] is unaffected.
     pub fn with_subscriber(mut self, sub: Arc<dyn Subscriber>) -> Self {
         self.subscriber = Some(sub);
         self
@@ -204,7 +203,6 @@ impl<'d> SfaBuilder<'d> {
     /// (counters, gauges, and phase histograms under `sfa_construct_*`)
     /// when the build finishes. The process-global registry is always fed
     /// regardless; this hook gives library callers a private registry.
-    /// No-op when the `obs` feature is compiled out.
     pub fn metrics(mut self, reg: &MetricsRegistry) -> Self {
         self.metrics = Some(reg.clone());
         self
@@ -523,7 +521,6 @@ mod tests {
         assert!(matches!(err, SfaError::Artifact(_)));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn builder_observability_hooks_deliver() {
         use crate::obs::{MetricsRegistry, RingSubscriber};

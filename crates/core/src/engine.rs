@@ -39,6 +39,7 @@ use crate::runtime::{ByteClassifier, Input, MatchRuntime, MatchStats, Step};
 use crate::scan::{ScanEngine, ScanOptions};
 use crate::sfa::Sfa;
 use crate::speculative::SpeculativeMatcher;
+use crate::state::check_state_budget;
 use crate::stats::ConstructionStats;
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
@@ -101,7 +102,8 @@ pub struct EngineStats {
     /// SFA states the lazy tier had discovered when it last answered a
     /// query (0 until it does).
     pub lazy_states: u64,
-    /// The governance error behind the most recent degradation.
+    /// The governance error behind the most recent degradation, or the
+    /// invalid option [`MatchEngine::starting_at`] found.
     pub last_error: Option<SfaError>,
     /// Telemetry of the most recent match (tier, chunks, throughput,
     /// pool backlog).
@@ -171,7 +173,9 @@ impl<'d> MatchEngine<'d> {
     /// [`MatchTier::Speculative`] and [`MatchTier::Sequential`] build no
     /// SFA at all. Never fails: a rung whose construction fails is
     /// recorded in [`EngineStats`] as a degradation, and the engine
-    /// starts one rung lower.
+    /// starts one rung lower. A zero thread count or an invalid state
+    /// cap is recorded in [`EngineStats::last_error`] whatever the start
+    /// rung, and the engine builds no SFA.
     pub fn starting_at(
         dfa: &'d Dfa,
         opts: &ParallelOptions,
@@ -182,6 +186,18 @@ impl<'d> MatchEngine<'d> {
         let mut stats = EngineStats::default();
         let spec = SpeculativeMatcher::new(dfa).ok();
         let mut rung = start;
+        let checked = if opts.threads == 0 {
+            Err(SfaError::NoThreads)
+        } else {
+            check_state_budget(opts.state_budget, 1)
+        };
+        if let Err(err) = checked {
+            if matches!(rung, MatchTier::FullSfa | MatchTier::LazySfa) {
+                stats.degradations += 1;
+                rung = MatchTier::Speculative;
+            }
+            stats.last_error = Some(err);
+        }
         let backend = loop {
             let built = match rung {
                 MatchTier::FullSfa => {
@@ -248,16 +264,14 @@ impl<'d> MatchEngine<'d> {
     }
 
     /// Deliver a `match/query` span to `sub` for every answered query,
-    /// whatever tier served it. No-op when the `obs` feature is compiled
-    /// out.
+    /// whatever tier served it.
     pub fn with_subscriber(mut self, sub: Arc<dyn Subscriber>) -> Self {
         self.subscriber = Some(sub);
         self
     }
 
     /// Record every answered query's [`MatchStats`] into `reg`
-    /// (`sfa_match_*` counters, gauges, and latency histogram). No-op
-    /// when the `obs` feature is compiled out.
+    /// (`sfa_match_*` counters, gauges, and latency histogram).
     pub fn metrics(mut self, reg: &MetricsRegistry) -> Self {
         self.metrics = Some(reg.clone());
         self
@@ -573,6 +587,42 @@ mod tests {
     }
 
     #[test]
+    fn invalid_options_are_recorded_from_every_start_rung() {
+        let dfa = rg_dfa();
+        let text = protein_text(2_000, 5);
+        let zero_cap = ParallelOptions::with_threads(2).state_budget(0);
+        let zero_threads = ParallelOptions::with_threads(0);
+        for start in [
+            MatchTier::FullSfa,
+            MatchTier::LazySfa,
+            MatchTier::PrunedSfa,
+            MatchTier::Speculative,
+            MatchTier::Sequential,
+        ] {
+            for opts in [&zero_cap, &zero_threads] {
+                let mut engine =
+                    MatchEngine::starting_at(&dfa, opts, &Budget::unlimited(), None, start);
+                let err = engine.stats().last_error.clone();
+                if opts.threads == 0 {
+                    assert_eq!(err, Some(SfaError::NoThreads), "{start:?}");
+                } else {
+                    assert!(
+                        matches!(err, Some(SfaError::InvalidOptions(_))),
+                        "{start:?}: {err:?}"
+                    );
+                }
+                // No SFA is built; the engine still answers below it.
+                assert!(engine.stats().construction.is_none(), "{start:?}");
+                assert!(!matches!(
+                    engine.tier(),
+                    MatchTier::FullSfa | MatchTier::LazySfa
+                ));
+                assert_eq!(engine.matches(&text), match_sequential(&dfa, &text));
+            }
+        }
+    }
+
+    #[test]
     fn lazy_space_exhaustion_degrades_to_speculative_mid_query() {
         // A one-state budget admits the identity state only; the first
         // lazy discovery fills it and the query falls through to the
@@ -603,7 +653,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn engine_observability_hooks_deliver_on_every_tier() {
         use crate::obs::RingSubscriber;

@@ -17,8 +17,7 @@
 use crate::sfa::{CodecChoice, MappingStore, Sfa};
 use sfa_compress::varint;
 
-// Global-registry artifact-path metrics (DESIGN.md §12); zero-sized
-// no-ops unless the `obs` feature is enabled.
+// Global-registry artifact-path metrics (DESIGN.md §12).
 static OBS_WRITE_BYTES: crate::obs::LazyCounter =
     crate::obs::LazyCounter::new("sfa_artifact_write_bytes_total");
 static OBS_FSYNC_NANOS: crate::obs::LazyHistogram =

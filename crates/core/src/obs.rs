@@ -161,7 +161,6 @@ mod tests {
         assert_eq!(spans[0].nanos, 1_000_000_000);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn record_construction_registers_expected_names() {
         let reg = MetricsRegistry::new();
@@ -178,7 +177,6 @@ mod tests {
         assert_eq!(snap.counter("sfa_construct_cas_failures_total"), Some(0));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn record_match_registers_expected_names() {
         let reg = MetricsRegistry::new();

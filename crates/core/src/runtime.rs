@@ -55,8 +55,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// Global-registry runtime metrics (see DESIGN.md §12). `Lazy*` handles
-// are zero-sized no-ops unless the `obs` feature is enabled.
+// Global-registry runtime metrics (see DESIGN.md §12).
 static OBS_BLOCK_NANOS: LazyHistogram = LazyHistogram::new("sfa_runtime_block_nanos");
 static OBS_BLOCKS_TOTAL: LazyCounter = LazyCounter::new("sfa_runtime_blocks_total");
 static OBS_BYTES_TOTAL: LazyCounter = LazyCounter::new("sfa_runtime_bytes_total");
@@ -673,7 +672,7 @@ fn first_invalid<D: Decode>(err: SfaError, decode: D, block: &[u8], offset: u64)
 }
 
 /// Push one finished match's telemetry into the global metrics registry
-/// (no-ops unless the `obs` feature is on and recording is enabled).
+/// (no-ops while recording is off).
 fn note_match(stats: &MatchStats) {
     OBS_BLOCKS_TOTAL.add(stats.blocks);
     OBS_BYTES_TOTAL.add(stats.bytes);

@@ -54,8 +54,7 @@ use sfa_automata::dfa::Dfa;
 use sfa_sync::pool::{panic_message, JobPanic, TaskPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-// Global-registry scan metrics (DESIGN.md §12); zero-sized no-ops unless
-// the `obs` feature is enabled.
+// Global-registry scan metrics (DESIGN.md §12).
 static OBS_CHUNKS: crate::obs::LazyCounter = crate::obs::LazyCounter::new("sfa_scan_chunks_total");
 static OBS_SYMBOLS: crate::obs::LazyCounter =
     crate::obs::LazyCounter::new("sfa_scan_symbols_total");

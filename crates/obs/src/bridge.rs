@@ -34,7 +34,7 @@ pub fn record_pool(reg: &MetricsRegistry, pool: &TaskPool) {
         .set(TaskPool::threads_spawned_total() as i64);
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::recording_on;

@@ -1,8 +1,6 @@
 //! Exporters over a [`MetricsSnapshot`]: Prometheus text format and
 //! JSON (`sfa_json::Value`), plus a small Prometheus parser used by the
 //! round-trip tests, the `promlint` CI script, and `sfa metrics`.
-//!
-//! Always compiled — exporters are a pure cold-path data transform.
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 use std::fmt::Write as _;

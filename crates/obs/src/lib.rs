@@ -18,20 +18,12 @@
 //!   renderers over an immutable [`MetricsSnapshot`], plus a small
 //!   Prometheus parser for round-trip tests and `sfa metrics`.
 //!
-//! # Zero cost when disabled
+//! # One build, one off switch
 //!
-//! Modeled on `sfa_sync::faults`: all recording machinery is gated behind
-//! the **`enabled`** cargo feature. With the feature off, every recording
-//! type is a zero-sized stub with empty `#[inline]` methods — the hot
-//! path compiles to zero instructions, and no `#[cfg]` is needed in
-//! downstream code because the API surface is identical in both builds.
-//! The *data plane* (snapshots, exporters, the [`Subscriber`] trait and
-//! [`RingSubscriber`]) is always compiled: it only runs when a caller
-//! explicitly hands data to it.
-//!
-//! With the feature on, recording can additionally be toggled at runtime
-//! with [`set_recording`] (one relaxed atomic load on the fast path) —
-//! this is what the `reproduce obs-overhead` A/B benchmark flips.
+//! The recording machinery is always compiled in. [`set_recording`]
+//! turns metric recording off at runtime (one relaxed atomic load on the
+//! fast path) — this is what the `reproduce obs-overhead` A/B benchmark
+//! flips.
 //!
 //! Spans are cheaper still: a [`span!`] guard takes no timestamp at all
 //! unless a subscriber is currently installed ([`subscribe`]).
@@ -57,18 +49,9 @@ pub use subscriber::{
     SpanGuard, SpanRecord, Subscriber, SubscriberGuard,
 };
 
-/// True when the crate was compiled with the `enabled` feature, i.e. the
-/// recording machinery exists at all. The compile-out parity checks in
-/// CI assert that a `--no-default-features` build reports `false` here
-/// while the full API still links.
-pub const fn compiled() -> bool {
-    cfg!(feature = "enabled")
-}
-
 /// Start a named timing span; the returned guard reports the elapsed
 /// time to the installed [`Subscriber`] on drop. Inert (no timestamp
-/// taken) unless a subscriber is installed *and* the crate was compiled
-/// with the `enabled` feature.
+/// taken) unless a subscriber is installed.
 ///
 /// ```
 /// let _guard = sfa_obs::span!("scan/chunk_pass");
@@ -77,14 +60,12 @@ pub const fn compiled() -> bool {
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        // All feature gating happens inside `sfa_obs` — a `#[cfg]` here
-        // would be evaluated against the *calling* crate's features.
         $crate::span($name)
     };
 }
 
 /// Report a named point event to the installed [`Subscriber`]. Inert
-/// unless one is installed (see [`span!`] for the gating rules).
+/// unless one is installed.
 #[macro_export]
 macro_rules! event {
     ($name:expr) => {
@@ -92,7 +73,7 @@ macro_rules! event {
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 pub(crate) mod testutil {
     //! The runtime recording flag is process-global. Tests that flip it
     //! take the write side of this lock; tests that merely depend on it
@@ -111,37 +92,5 @@ pub(crate) mod testutil {
 
     pub(crate) fn recording_exclusive() -> RwLockWriteGuard<'static, ()> {
         lock().write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn compiled_reflects_feature() {
-        assert_eq!(super::compiled(), cfg!(feature = "enabled"));
-    }
-
-    /// Compile-out parity: with the feature off, registration is a no-op
-    /// and snapshots stay empty — the `threads_spawned_total()`-style
-    /// counter-parity guarantee the acceptance criteria call for.
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_records_nothing() {
-        use super::*;
-        static C: LazyCounter = LazyCounter::new("sfa_test_disabled_total");
-        C.add(17);
-        C.inc();
-        let reg = MetricsRegistry::new();
-        reg.counter("sfa_test_counter").add(5);
-        reg.gauge("sfa_test_gauge").set(-3);
-        reg.histogram("sfa_test_histogram").observe(1024);
-        assert!(reg.snapshot().is_empty());
-        assert!(global().snapshot().is_empty());
-        assert_eq!(reg.counter("sfa_test_counter").value(), 0);
-        assert!(!recording());
-        let w = Stopwatch::start();
-        static H: LazyHistogram = LazyHistogram::new("sfa_test_lazy_nanos");
-        w.record(&H);
-        assert!(global().snapshot().is_empty());
     }
 }

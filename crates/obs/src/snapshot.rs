@@ -1,10 +1,8 @@
-//! Immutable scrape results — the data plane shared by both builds.
+//! Immutable scrape results — the data plane.
 //!
 //! Snapshots are plain data produced by
 //! [`MetricsRegistry::snapshot`](crate::MetricsRegistry::snapshot) (or a
-//! parser) and consumed by the exporters in [`crate::export`]. They are
-//! always compiled, independent of the `enabled` feature: a disabled
-//! build simply never produces a non-empty one.
+//! parser) and consumed by the exporters in [`crate::export`].
 
 /// Point-in-time value of every metric in a registry, sorted by name
 /// (registries are name-keyed maps, so each metric appears exactly once).
@@ -19,7 +17,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// No metrics at all (the invariant state of a disabled build).
+    /// No metrics at all.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }

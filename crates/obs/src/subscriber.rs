@@ -1,16 +1,16 @@
 //! Spans, events, and the pluggable `Subscriber` — the tracing side.
 //!
 //! The data types ([`SpanRecord`], [`EventRecord`], the [`Subscriber`]
-//! trait, [`RingSubscriber`]) are always compiled: library users can
-//! hand a subscriber to an `Engine` builder hook and receive per-run
-//! spans in any build. The *global* span pipeline ([`subscribe`],
-//! [`span`]/[`report_span`]) follows the `sfa_sync::faults` arming
-//! pattern and is feature-gated: unless `enabled` is on **and** a
-//! subscriber is installed, a [`span!`](crate::span!) guard takes no
-//! timestamp and compiles down to nothing.
+//! trait, [`RingSubscriber`]) let library users hand a subscriber to an
+//! `Engine` builder hook and receive per-run spans. The *global* span
+//! pipeline ([`subscribe`], [`span`]/[`report_span`]) is armed by
+//! installing a subscriber: until one is, a [`span!`](crate::span!)
+//! guard takes no timestamp and reporting is one relaxed load.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// One completed timing span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub struct RingSubscriber {
     inner: Mutex<Ring>,
 }
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -115,35 +115,19 @@ impl Subscriber for RingSubscriber {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod armed {
-    use super::Subscriber;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+/// Fast-path flag mirroring whether a subscriber is installed.
+static ARMED: AtomicBool = AtomicBool::new(false);
 
-    /// Fast-path flag mirroring whether a subscriber is installed.
-    pub(super) static ARMED: AtomicBool = AtomicBool::new(false);
+fn installed() -> &'static Mutex<Option<Arc<dyn Subscriber>>> {
+    static SLOT: OnceLock<Mutex<Option<Arc<dyn Subscriber>>>> = OnceLock::new();
+    SLOT.get_or_init(|| Mutex::new(None))
+}
 
-    pub(super) fn installed() -> &'static Mutex<Option<Arc<dyn Subscriber>>> {
-        static SLOT: OnceLock<Mutex<Option<Arc<dyn Subscriber>>>> = OnceLock::new();
-        SLOT.get_or_init(|| Mutex::new(None))
-    }
-
-    /// Serializes installers: two concurrent `subscribe` calls (e.g. two
-    /// tests) queue instead of clobbering each other's subscriber.
-    pub(super) fn arbiter() -> &'static Mutex<()> {
-        static ARBITER: OnceLock<Mutex<()>> = OnceLock::new();
-        ARBITER.get_or_init(|| Mutex::new(()))
-    }
-
-    pub(super) fn lock_unpoisoned<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    #[inline]
-    pub(super) fn is_armed() -> bool {
-        ARMED.load(Ordering::Relaxed)
-    }
+/// Serializes installers: two concurrent `subscribe` calls (e.g. two
+/// tests) queue instead of clobbering each other's subscriber.
+fn arbiter() -> &'static Mutex<()> {
+    static ARBITER: OnceLock<Mutex<()>> = OnceLock::new();
+    ARBITER.get_or_init(|| Mutex::new(()))
 }
 
 /// Keeps the global subscriber installed; uninstalls on drop. Holds the
@@ -151,63 +135,42 @@ mod armed {
 /// concurrent `subscribe` callers queue.
 #[must_use = "dropping the guard immediately uninstalls the subscriber"]
 pub struct SubscriberGuard {
-    #[cfg(feature = "enabled")]
-    _serial: std::sync::MutexGuard<'static, ()>,
+    _serial: MutexGuard<'static, ()>,
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for SubscriberGuard {
     fn drop(&mut self) {
-        armed::ARMED.store(false, std::sync::atomic::Ordering::SeqCst);
-        *armed::lock_unpoisoned(armed::installed()) = None;
+        ARMED.store(false, Ordering::SeqCst);
+        *lock_unpoisoned(installed()) = None;
     }
 }
 
 /// Install `sub` as the process-wide span/event subscriber until the
-/// returned guard drops. In a disabled build this is a no-op (the guard
-/// is inert and nothing will ever be delivered).
+/// returned guard drops.
 pub fn subscribe(sub: Arc<dyn Subscriber>) -> SubscriberGuard {
-    #[cfg(feature = "enabled")]
-    {
-        let serial = armed::lock_unpoisoned(armed::arbiter());
-        *armed::lock_unpoisoned(armed::installed()) = Some(sub);
-        armed::ARMED.store(true, std::sync::atomic::Ordering::SeqCst);
-        SubscriberGuard { _serial: serial }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = sub;
-        SubscriberGuard {}
-    }
+    let serial = lock_unpoisoned(arbiter());
+    *lock_unpoisoned(installed()) = Some(sub);
+    ARMED.store(true, Ordering::SeqCst);
+    SubscriberGuard { _serial: serial }
 }
 
 /// Is a global subscriber currently installed?
 #[inline]
 pub fn subscriber_installed() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        armed::is_armed()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// Deliver a completed span to the global subscriber, if armed.
 #[inline]
 pub fn report_span(name: &'static str, nanos: u64) {
-    #[cfg(feature = "enabled")]
-    if armed::is_armed() {
-        return report_span_slow(name, nanos);
+    if subscriber_installed() {
+        report_span_slow(name, nanos);
     }
-    let _ = (name, nanos);
 }
 
-#[cfg(feature = "enabled")]
 #[cold]
 fn report_span_slow(name: &'static str, nanos: u64) {
-    if let Some(sub) = armed::lock_unpoisoned(armed::installed()).as_ref() {
+    if let Some(sub) = lock_unpoisoned(installed()).as_ref() {
         sub.on_span(&SpanRecord { name, nanos });
     }
 }
@@ -215,17 +178,14 @@ fn report_span_slow(name: &'static str, nanos: u64) {
 /// Deliver a point event to the global subscriber, if armed.
 #[inline]
 pub fn report_event(name: &'static str) {
-    #[cfg(feature = "enabled")]
-    if armed::is_armed() {
-        return report_event_slow(name);
+    if subscriber_installed() {
+        report_event_slow(name);
     }
-    let _ = name;
 }
 
-#[cfg(feature = "enabled")]
 #[cold]
 fn report_event_slow(name: &'static str) {
-    if let Some(sub) = armed::lock_unpoisoned(armed::installed()).as_ref() {
+    if let Some(sub) = lock_unpoisoned(installed()).as_ref() {
         sub.on_event(&EventRecord { name });
     }
 }
@@ -234,32 +194,22 @@ fn report_event_slow(name: &'static str) {
 /// [`span!`](crate::span!).
 #[must_use = "the span measures until the guard is dropped"]
 pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
-    open: Option<(&'static str, std::time::Instant)>,
+    open: Option<(&'static str, Instant)>,
 }
 
 /// Start a span named `name` — prefer the [`span!`](crate::span!) macro.
 /// Takes a timestamp only when a subscriber is armed.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        SpanGuard {
-            open: if armed::is_armed() {
-                Some((name, std::time::Instant::now()))
-            } else {
-                None
-            },
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        SpanGuard {}
+    SpanGuard {
+        open: if subscriber_installed() {
+            Some((name, Instant::now()))
+        } else {
+            None
+        },
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((name, t0)) = self.open.take() {
@@ -317,7 +267,6 @@ mod tests {
         assert_eq!(ring.span_nanos("z"), 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn global_spans_reach_installed_subscriber() {
         let ring = std::sync::Arc::new(RingSubscriber::new(16));
@@ -342,19 +291,5 @@ mod tests {
         assert!(!spans.iter().any(|s| s.name == "test/after"));
         assert_eq!(ring.events().len(), 1);
         assert_eq!(ring.events()[0].name, "test/event");
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_never_delivers() {
-        let ring = std::sync::Arc::new(RingSubscriber::new(4));
-        let _guard = subscribe(ring.clone());
-        assert!(!subscriber_installed());
-        let _span = crate::span!("test/span");
-        drop(_span);
-        report_span("test/direct", 1);
-        crate::event!("test/event");
-        assert!(ring.spans().is_empty());
-        assert!(ring.events().is_empty());
     }
 }

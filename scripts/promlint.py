@@ -86,7 +86,7 @@ def lint(text, require_prefix, allow_empty):
         samples.append((name, labels, value, lineno))
 
     if not samples and not allow_empty:
-        errors.append("no samples (snapshot from an obs-disabled build?)")
+        errors.append("no samples")
 
     seen_families = set()
     for name, labels, value, lineno in samples:

@@ -1,5 +1,4 @@
-//! Integration tests for the observability layer (`sfa_core::obs`,
-//! requires the default `obs` feature).
+//! Integration tests for the observability layer (`sfa_core::obs`).
 //!
 //! Covers the cross-crate guarantees the unit tests cannot: per-phase
 //! span durations summing to `ConstructionStats::total_secs` across
