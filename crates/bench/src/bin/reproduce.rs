@@ -5,7 +5,7 @@
 //! reproduce fig4              Fig. 4    sequential-optimization speedups
 //! reproduce r500-seq          §IV-A     r500 baseline/hashing/transposed times
 //! reproduce fig5              Fig. 5    parallel speedup vs thread count
-//! reproduce queues            §IV-B     thread-local deques vs shared MPMC queue
+//! reproduce queues            §IV-B     thread-local deques vs shared MPMC queue, per-op costs
 //! reproduce table2            Table II  three-phase compression experiment
 //! reproduce codecs            §III-C    Squash-style codec survey on SFA states
 //! reproduce matching          §IV-D     matching break-even analysis
@@ -14,8 +14,9 @@
 //! reproduce serve-load        DESIGN §13 closed-loop load against the `sfa serve` daemon
 //! reproduce memory-cap        DESIGN §15 spill-tier builds under a resident-byte cap ladder
 //! reproduce speculative       DESIGN §16 speculative raw-DFA matching vs the sequential oracle
-//! reproduce hashes            §III-A    fingerprint throughput comparison
-//! reproduce ablations         DESIGN    fingerprint / scheduler / compression ablations
+//! reproduce hashes            §III-A    fingerprint throughput, large and state-sized buffers
+//! reproduce transpose         §III-A    transposition-kernel throughput (E9)
+//! reproduce ablations         DESIGN    fingerprint / scheduler / compression / budget ablations
 //! reproduce all               everything above with default sizes
 //! ```
 //!
@@ -28,13 +29,12 @@
 
 use sfa_automata::dfa::Dfa;
 use sfa_bench::records::{
-    self, CompressionRow, HashRow, MatchRow, ObsOverheadRow, QueueRow, ScaleRow, ScanThroughputRow,
-    SeqRow, ThroughputRow,
+    self, CompressionRow, HashRow, MatchRow, ObsOverheadRow, QueueOpRow, QueueRow, ScaleRow,
+    ScanThroughputRow, SeqRow, ThroughputRow,
 };
 use sfa_bench::workloads::{cap_dfa_size, evaluation_suite};
 use sfa_bench::{median, time_once, PlatformInfo};
 use sfa_core::prelude::*;
-use sfa_hash::{CityFingerprinter, Fingerprinter, FxFingerprinter, RabinFingerprinter};
 use sfa_workloads::{protein_text, rn};
 use std::process::ExitCode;
 
@@ -149,6 +149,7 @@ fn main() -> ExitCode {
         "memory-cap" => memory_cap(&cfg),
         "speculative" => speculative(&cfg),
         "hashes" => hashes(&cfg),
+        "transpose" => transpose(&cfg),
         "ablations" => ablations(&cfg),
         "all" => all(&cfg),
         other => Err(format!("unknown experiment {other:?}")),
@@ -179,6 +180,7 @@ fn all(cfg: &Config) -> Result<(), String> {
         ("memory-cap", memory_cap),
         ("speculative", speculative),
         ("hashes", hashes),
+        ("transpose", transpose),
         ("ablations", ablations),
     ] {
         println!("\n================ {name} ================");
@@ -411,6 +413,10 @@ fn fig5(cfg: &Config) -> Result<(), String> {
 // ------------------------------------------------------------ §IV-B queues
 
 fn queues(cfg: &Config) -> Result<(), String> {
+    use sfa_sync::deque::{work_stealing_deque, Steal};
+    use sfa_sync::{GlobalQueue, MsQueue};
+    use std::hint::black_box;
+
     let dfa = rn(cfg.rn_size.min(if cfg.quick { 150 } else { 400 }));
     println!(
         "r{} queue comparison (paper: WS deques 0.16-1.43 s vs TBB 1.00-1.44 s,\n\
@@ -451,7 +457,72 @@ fn queues(cfg: &Config) -> Result<(), String> {
             rows.push(row);
         }
     }
-    records::write_record(RESULTS, "queues", &rows).map_err(|e| e.to_string())?;
+
+    // The raw structures, one thread: the per-operation cost behind the
+    // engine-level comparison. A pass pushes `OPS` items and drains them.
+    const OPS: u32 = 100_000;
+    let samples = if cfg.quick { 5 } else { 15 };
+    let passes: [(&str, &dyn Fn()); 4] = [
+        ("deque owner push/pop", &|| {
+            let (w, _s) = work_stealing_deque(1024);
+            (0..OPS).for_each(|i| w.push(i));
+            while let Some(v) = w.pop() {
+                black_box(v);
+            }
+        }),
+        ("deque push/steal", &|| {
+            let (w, s) = work_stealing_deque(1024);
+            (0..OPS).for_each(|i| w.push(i));
+            loop {
+                match s.steal() {
+                    Steal::Success(v) => {
+                        black_box(v);
+                    }
+                    Steal::Empty => break,
+                    Steal::Retry => {}
+                }
+            }
+        }),
+        ("mpmc enqueue/dequeue", &|| {
+            let q = MsQueue::new();
+            (0..OPS).for_each(|i| q.enqueue(i));
+            while let Some(v) = q.dequeue() {
+                black_box(v);
+            }
+        }),
+        ("global enqueue/dequeue", &|| {
+            let q = GlobalQueue::new(OPS as usize);
+            (0..OPS).for_each(|i| {
+                q.enqueue(i);
+            });
+            while let Some(v) = q.dequeue() {
+                black_box(v);
+            }
+        }),
+    ];
+    println!("\nper-operation cost, one thread, median of {samples} passes of {OPS} items:");
+    println!("{:<24} {:>10}", "structure", "ns/op");
+    let mut per_op = Vec::new();
+    for (structure, pass) in passes {
+        let ns_per_op = sfa_bench::time_secs(samples, pass) / (2 * OPS) as f64 * 1e9;
+        println!("{structure:<24} {ns_per_op:>10.2}");
+        per_op.push(QueueOpRow {
+            structure: structure.into(),
+            ops_per_pass: 2 * OPS as u64,
+            ns_per_op,
+        });
+    }
+
+    struct QueuesRecord {
+        engine: Vec<QueueRow>,
+        per_op: Vec<QueueOpRow>,
+    }
+    sfa_json::impl_to_json!(QueuesRecord { engine, per_op });
+    let record = QueuesRecord {
+        engine: rows,
+        per_op,
+    };
+    records::write_record(RESULTS, "queues", &record).map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -977,9 +1048,11 @@ fn interleaved_scan(sfa: &Sfa, dfa: &Dfa, text: &[u8], k: usize) -> bool {
 
 /// A/B the metrics-recording overhead on the hottest instrumented path
 /// (the compact scan engine): time the same match with
-/// `set_recording(false)` vs `(true)`, alternating arms within each
-/// round so clock drift and cache warmth hit both equally. Fails when
-/// the enabled arm regresses past the 2% budget (DESIGN.md §12).
+/// `set_recording(false)` vs `(true)`, both arms back to back in each
+/// round with the order alternating, and take the median over rounds of
+/// each round's `on/off − 1`. A drift slower than one round cancels
+/// within its ratio, and one noisy round moves the median little. Fails
+/// when that median exceeds the 2% budget (DESIGN.md §12).
 fn obs_overhead(cfg: &Config) -> Result<(), String> {
     use sfa_core::obs;
 
@@ -997,32 +1070,25 @@ fn obs_overhead(cfg: &Config) -> Result<(), String> {
     let runtime = MatchRuntime::new(threads);
 
     let len: usize = if cfg.quick { 4 << 20 } else { 32 << 20 };
-    let runs = cfg.runs.max(if cfg.quick { 5 } else { 9 });
-    // Each timed sample is a batch of matches, so pool-dispatch jitter
-    // (hundreds of µs per wakeup) amortizes instead of swamping the
-    // per-match cost under test.
-    let batch = if cfg.quick { 8 } else { 4 };
+    // Each round times one match per arm. Pool-dispatch jitter (hundreds
+    // of µs per wakeup) spoils single rounds, and the median over many
+    // rounds discards them, where a batch would average the jitter in.
+    let runs = cfg.runs.max(if cfg.quick { 40 } else { 36 });
     let text = protein_text(len, 0xACE5);
     let expected = match_sequential(&dfa, &text);
     let request = MatchRequest::symbols(text.clone());
 
     let pass = || {
-        let (s, ()) = time_once(|| {
-            for _ in 0..batch {
-                let hit = runtime
-                    .run(&matcher, &request)
-                    .expect("scan-engine match failed")
-                    .verdict;
-                assert_eq!(hit, expected, "obs A/B arms must agree on the verdict");
-            }
-        });
-        s / batch as f64
+        let (s, outcome) = time_once(|| runtime.run(&matcher, &request));
+        let hit = outcome.expect("scan-engine match failed").verdict;
+        assert_eq!(hit, expected, "obs A/B arms must agree on the verdict");
+        s
     };
     // Warm the pool, tables, and page cache before either arm is timed.
     pass();
 
-    let mut disabled = Vec::with_capacity(runs);
-    let mut enabled = Vec::with_capacity(runs);
+    // (recording off, recording on) seconds per round.
+    let mut rounds = Vec::with_capacity(runs);
     for round in 0..runs {
         // Alternate which arm goes first so any second-call penalty
         // (frequency ramp, pool worker sleep/wake) hits both equally.
@@ -1031,28 +1097,26 @@ fn obs_overhead(cfg: &Config) -> Result<(), String> {
         } else {
             [true, false]
         };
+        let mut secs = [0.0; 2];
         for on in order {
             obs::set_recording(on);
-            let s = pass();
-            if on { &mut enabled } else { &mut disabled }.push(s);
+            secs[on as usize] = pass();
         }
+        rounds.push((secs[0], secs[1]));
     }
     obs::set_recording(true);
 
-    // Min, not median: the best observed pass is the least-noise estimate
-    // of each arm's true cost on a shared machine.
-    let disabled_secs = disabled.iter().cloned().fold(f64::INFINITY, f64::min);
-    let enabled_secs = enabled.iter().cloned().fold(f64::INFINITY, f64::min);
+    let (mut disabled, mut enabled): (Vec<f64>, Vec<f64>) = rounds.iter().cloned().unzip();
     let row = ObsOverheadRow {
         input_len: len,
         threads,
         runs,
-        disabled_secs,
-        enabled_secs,
-        overhead_pct: ObsOverheadRow::compute_overhead_pct(disabled_secs, enabled_secs),
+        disabled_secs: median(&mut disabled),
+        enabled_secs: median(&mut enabled),
+        overhead_pct: ObsOverheadRow::overhead_pct(&rounds),
     };
     println!(
-        "obs overhead (\"RGD\" compact scan, {} MB, {threads} threads, best of {runs}x{batch}):",
+        "obs overhead (\"RGD\" compact scan, {} MB, {threads} threads, {runs} rounds):",
         len >> 20
     );
     println!(
@@ -1065,7 +1129,10 @@ fn obs_overhead(cfg: &Config) -> Result<(), String> {
         row.enabled_secs,
         len as f64 / row.enabled_secs / 1e6
     );
-    println!("  overhead        {:.2}%  (budget ≤2%)", row.overhead_pct);
+    println!(
+        "  overhead        {:.2}%  (median of per-round ratios; budget ≤2%)",
+        row.overhead_pct
+    );
     records::write_record(RESULTS, "obs_overhead", &row).map_err(|e| e.to_string())?;
     if row.overhead_pct > 2.0 {
         return Err(format!(
@@ -1718,58 +1785,174 @@ fn speculative(cfg: &Config) -> Result<(), String> {
 // ------------------------------------------------------------ §III-A hashes
 
 fn hashes(cfg: &Config) -> Result<(), String> {
+    use sfa_hash::{city, fx, rabin};
+    use std::hint::black_box;
+
     let mhz = PlatformInfo::detect().cpu_mhz;
-    let sizes = if cfg.quick { 1 << 20 } else { 8 << 20 };
-    let data: Vec<u8> = (0..sizes)
+    let size = if cfg.quick { 1 << 20 } else { 8 << 20 };
+    let passes = if cfg.quick { 3 } else { 10 };
+    let data: Vec<u8> = (0..size)
         .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56) as u8)
         .collect();
+    let table = rabin::RabinTable::new(rabin::DEFAULT_POLY);
+    type Hash<'a> = &'a dyn Fn(&[u8]) -> u64;
+    let fns: [(&str, Hash); 4] = [
+        ("cityhash64", &city::city_hash64),
+        ("rabin64", &|b| table.fingerprint(b)),
+        ("rabin64_portable", &|b| table.fingerprint_portable(b)),
+        ("fxhash64", &fx::fx_hash64),
+    ];
     println!(
-        "{:<12} {:>12} {:>14} (paper: CityHash 5.1 B/cyc, Rabin+PCLMULQDQ 1.1 B/cyc)",
-        "hash", "GB/s", "bytes/cycle"
+        "{:<18} {:>10} {:>10} {:>14} (paper: CityHash 5.1 B/cyc, Rabin+PCLMULQDQ 1.1 B/cyc)",
+        "hash", "buffer B", "GB/s", "bytes/cycle"
     );
     let mut rows = Vec::new();
-    let rabin = RabinFingerprinter::default();
-    let city = CityFingerprinter;
-    let fx = FxFingerprinter;
-    let fns: Vec<(&str, &dyn Fingerprinter)> = vec![
-        ("cityhash64", &city),
-        ("rabin64", &rabin),
-        ("fxhash64", &fx),
-    ];
-    for (name, f) in fns {
-        // Warm up, then measure over several passes.
-        let mut sink = 0u64;
-        sink ^= f.fingerprint(&data);
-        let passes = if cfg.quick { 3 } else { 10 };
-        let (secs, _) = time_once(|| {
-            for _ in 0..passes {
-                sink ^= f.fingerprint(&data);
-            }
-        });
-        std::hint::black_box(sink);
-        let bytes_per_sec = (data.len() * passes) as f64 / secs;
-        let bytes_per_cycle = if mhz > 0.0 {
-            bytes_per_sec / (mhz * 1e6)
-        } else {
-            0.0
-        };
-        println!(
-            "{name:<12} {:>12.2} {bytes_per_cycle:>14.2}",
-            bytes_per_sec / 1e9
-        );
-        rows.push(HashRow {
-            name: name.into(),
-            bytes_per_sec,
-            bytes_per_cycle,
-        });
+    // The whole input in one call, then the same bytes as 1 KiB
+    // state-sized calls, where per-call set-up and finalization show.
+    for buffer_bytes in [size, 1024] {
+        for (name, f) in fns {
+            let mut sink = 0u64;
+            let mut pass = || {
+                for piece in data.chunks(buffer_bytes) {
+                    sink ^= f(black_box(piece));
+                }
+            };
+            pass(); // warm up
+            let (secs, ()) = time_once(|| (0..passes).for_each(|_| pass()));
+            black_box(sink);
+            let bytes_per_sec = (data.len() * passes) as f64 / secs;
+            let bytes_per_cycle = if mhz > 0.0 {
+                bytes_per_sec / (mhz * 1e6)
+            } else {
+                0.0
+            };
+            println!(
+                "{name:<18} {buffer_bytes:>10} {:>10.2} {bytes_per_cycle:>14.2}",
+                bytes_per_sec / 1e9
+            );
+            rows.push(HashRow {
+                name: name.into(),
+                buffer_bytes,
+                bytes_per_sec,
+                bytes_per_cycle,
+            });
+        }
     }
     records::write_record(RESULTS, "hashes", &rows).map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+// --------------------------------------------------------- §III-A transpose
+
+/// Transposition-kernel throughput (E9): gather `n` rows of an
+/// `n × 20` table (the amino-acid alphabet) and transpose them, with
+/// every u16 and u32 kernel, timed in batches of calls. A kernel this
+/// CPU lacks gets a row marked skipped, with no time.
+fn transpose(cfg: &Config) -> Result<(), String> {
+    use sfa_simd::transpose::{transpose_gather_u16_with, transpose_gather_u32_with, Kernel};
+    use sfa_simd::CpuFeatures;
+    use std::hint::black_box;
+
+    struct TransposeRow {
+        element: &'static str,
+        kernel: String,
+        n: usize,
+        symbols: usize,
+        skipped: bool,
+        ns_per_call: Option<f64>,
+        speedup_vs_scalar: Option<f64>,
+    }
+    sfa_json::impl_to_json!(TransposeRow {
+        element,
+        kernel,
+        n,
+        symbols,
+        skipped,
+        ns_per_call,
+        speedup_vs_scalar,
+    });
+
+    let features = CpuFeatures::get();
+    let (u16_kernels, u32_kernels) = (
+        Kernel::available_u16(features),
+        Kernel::available_u32(features),
+    );
+    let k = 20;
+    let samples = if cfg.quick { 5 } else { 15 };
+    // Elements gathered per timed sample, so small tables get long
+    // batches: one call at n = 128 takes about a microsecond.
+    let elements_per_sample = if cfg.quick { 1 << 20 } else { 1 << 23 };
+    println!("transposition kernels, |Σ| = {k}, median of {samples} batches:");
+    println!(
+        "{:<6} {:<10} {:>6} {:>12} {:>10} {:>12}",
+        "elem", "kernel", "n", "ns/call", "Gelem/s", "vs scalar"
+    );
+    let mut rows = Vec::new();
+    for n in [128usize, 1024, 8192] {
+        let table16: Vec<u16> = (0..n * k).map(|i| (i % n) as u16).collect();
+        let table32: Vec<u32> = table16.iter().map(|&v| v as u32).collect();
+        let gathered: Vec<u32> = (0..n).map(|i| ((i * 7 + 1) % n) as u32).collect();
+        let iters = (elements_per_sample / (k * n)).max(1);
+        // Scalar comes first for each element type and always runs.
+        let mut scalar_ns = f64::NAN;
+        let mut record = |element, kernel, available: bool, call: &mut dyn FnMut()| {
+            let ns_per_call = available.then(|| {
+                let secs = sfa_bench::time_secs(samples, || (0..iters).for_each(|_| call()));
+                secs / iters as f64 * 1e9
+            });
+            if kernel == Kernel::Scalar {
+                scalar_ns = ns_per_call.unwrap_or(f64::NAN);
+            }
+            let speedup_vs_scalar = ns_per_call.map(|ns| scalar_ns / ns);
+            let name = format!("{kernel:?}");
+            match ns_per_call.zip(speedup_vs_scalar) {
+                Some((ns, speedup)) => println!(
+                    "{element:<6} {name:<10} {n:>6} {ns:>12.1} {:>10.2} {speedup:>11.2}x",
+                    (k * n) as f64 / ns
+                ),
+                None => println!("{element:<6} {name:<10} {n:>6}  skipped (CPU lacks it)"),
+            }
+            rows.push(TransposeRow {
+                element,
+                kernel: name,
+                n,
+                symbols: k,
+                skipped: !available,
+                ns_per_call,
+                speedup_vs_scalar,
+            });
+        };
+        for kernel in [
+            Kernel::Scalar,
+            Kernel::Sse8x4,
+            Kernel::Sse8x8,
+            Kernel::Avx16x16,
+        ] {
+            let mut out = vec![0u16; k * n];
+            record("u16", kernel, u16_kernels.contains(&kernel), &mut || {
+                transpose_gather_u16_with(kernel, &table16, k, black_box(&gathered), &mut out);
+                black_box(&out);
+            });
+        }
+        for kernel in [Kernel::Scalar, Kernel::Avx8x8] {
+            let mut out = vec![0u32; k * n];
+            record("u32", kernel, u32_kernels.contains(&kernel), &mut || {
+                transpose_gather_u32_with(kernel, &table32, k, black_box(&gathered), &mut out);
+                black_box(&out);
+            });
+        }
+    }
+    println!("(paper: four 8×8 u16 kernels slightly faster than one 16×16; SIMD several × scalar)");
+    records::write_record(RESULTS, "transpose", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }
 
 // ---------------------------------------------------------------- ablations
 
 fn ablations(cfg: &Config) -> Result<(), String> {
+    use sfa_core::sfa::CodecChoice;
+    use std::time::Duration;
+
     let dfa = rn(cfg.rn_size.min(if cfg.quick { 150 } else { 300 }));
     let threads = *cfg.threads.last().unwrap();
     println!(
@@ -1792,16 +1975,18 @@ fn ablations(cfg: &Config) -> Result<(), String> {
         stored_bytes,
     });
     let mut rows = Vec::new();
-    let mut run = |name: &str, opts: ParallelOptions| -> Result<(), String> {
-        let secs = sfa_bench::time_secs(cfg.runs, || {
-            let _ = Sfa::builder(&dfa).options(&opts).build();
-        });
-        let r = Sfa::builder(&dfa)
-            .options(&opts)
-            .build()
-            .map_err(|e| e.to_string())?;
+    let mut run = |name: &str, builder: SfaBuilder<'_>| -> Result<(), String> {
+        let mut samples = Vec::with_capacity(cfg.runs);
+        let mut built = None;
+        for _ in 0..cfg.runs {
+            let (secs, r) = time_once(|| builder.clone().build());
+            samples.push(secs);
+            built = Some(r.map_err(|e| e.to_string())?);
+        }
+        let secs = median(&mut samples);
+        let r = built.expect("at least one run");
         println!(
-            "  {:<28} {:>10.4} s   {:>8} states  {:>12} compares  {:>10} bytes",
+            "  {:<34} {:>10.4} s   {:>8} states  {:>12} compares  {:>10} bytes",
             name,
             secs,
             r.sfa.num_states(),
@@ -1817,30 +2002,63 @@ fn ablations(cfg: &Config) -> Result<(), String> {
         });
         Ok(())
     };
+    let parallel = |opts: ParallelOptions| Sfa::builder(&dfa).options(&opts);
 
     run(
         "default (ws + fingerprints)",
-        ParallelOptions::with_threads(threads),
+        parallel(ParallelOptions::with_threads(threads)),
     )?;
     let mut no_fp = ParallelOptions::with_threads(threads);
     no_fp.fingerprint_short_circuit = false;
-    run("no fingerprint short-circuit", no_fp)?;
+    run("no fingerprint short-circuit", parallel(no_fp))?;
     run(
         "global queue only",
-        ParallelOptions::with_threads(threads).scheduler(Scheduler::GlobalOnly),
+        parallel(ParallelOptions::with_threads(threads).scheduler(Scheduler::GlobalOnly)),
     )?;
     run(
         "shared MPMC queue",
-        ParallelOptions::with_threads(threads).scheduler(Scheduler::SharedMpmc),
+        parallel(ParallelOptions::with_threads(threads).scheduler(Scheduler::SharedMpmc)),
     )?;
     run(
         "compress from start",
-        ParallelOptions::with_threads(threads).compression(CompressionPolicy::FromStart),
+        parallel(ParallelOptions::with_threads(threads).compression(CompressionPolicy::FromStart)),
+    )?;
+    run(
+        "compress from start (RLE)",
+        parallel(
+            ParallelOptions::with_threads(threads)
+                .compression(CompressionPolicy::FromStart)
+                .codec(CodecChoice::Rle),
+        ),
     )?;
     run(
         "medium-grained (4 blocks)",
-        ParallelOptions::with_threads(threads).symbol_blocks(4),
+        parallel(ParallelOptions::with_threads(threads).symbol_blocks(4)),
     )?;
+    // Budget regimes (DESIGN §8): an unlimited budget hoists the governor
+    // out of the hot loops, a payload cap adds a compare per work item,
+    // and only a deadline reads the clock per work item.
+    for (regime, budget) in [
+        ("unlimited budget", Budget::unlimited()),
+        (
+            "payload cap 1 TiB",
+            Budget::unlimited().with_max_payload_bytes(1 << 40),
+        ),
+        (
+            "deadline 1 h",
+            Budget::unlimited().with_deadline(Duration::from_secs(3600)),
+        ),
+    ] {
+        let sequential = Sfa::builder(&dfa).sequential(SequentialVariant::Transposed);
+        run(
+            &format!("{regime}, sequential"),
+            sequential.budget(budget.clone()),
+        )?;
+        run(
+            &format!("{regime}, 4 threads"),
+            Sfa::builder(&dfa).threads(4).budget(budget),
+        )?;
+    }
     records::write_record(RESULTS, "ablations", &rows).map_err(|e| e.to_string())?;
     Ok(())
 }

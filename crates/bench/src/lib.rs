@@ -1,10 +1,12 @@
 //! Shared infrastructure for the paper-reproduction benchmark harness.
 //!
-//! The `reproduce` binary (this crate's `src/bin/reproduce.rs`) regenerates
-//! every table and figure of the paper's evaluation section; the Criterion
-//! benches under `benches/` cover the micro-level claims. This library
-//! holds what both need: platform introspection (Table I), workload
-//! selection, robust timing helpers and JSON experiment records.
+//! The `reproduce` binary (this crate's `src/bin/reproduce.rs`) is the one
+//! harness: each table and figure of the paper's evaluation section, and
+//! each micro-level claim (transposition kernels, fingerprint rates,
+//! per-operation queue costs, budget overhead), is a row of one of its
+//! experiments. This library holds what it needs: platform introspection
+//! (Table I), workload selection, timing helpers and JSON experiment
+//! records.
 
 pub mod platform;
 pub mod records;

@@ -145,6 +145,25 @@ sfa_json::impl_to_json!(QueueRow {
     conflict_events,
 });
 
+/// One per-operation row of the queue comparison: a raw structure on
+/// one thread, filled and drained.
+#[derive(Debug, Clone)]
+pub struct QueueOpRow {
+    /// Structure and the operation pair timed.
+    pub structure: String,
+    /// Operations per timed pass (every item is pushed once and taken
+    /// once).
+    pub ops_per_pass: u64,
+    /// Median nanoseconds per operation.
+    pub ns_per_op: f64,
+}
+
+sfa_json::impl_to_json!(QueueOpRow {
+    structure,
+    ops_per_pass,
+    ns_per_op,
+});
+
 /// One row of the matching break-even experiment (E7 / §IV-D).
 #[derive(Debug, Clone)]
 pub struct MatchRow {
@@ -271,14 +290,15 @@ pub struct ObsOverheadRow {
     pub input_len: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Timed passes per arm (the best one reported).
+    /// Rounds; each times both arms back to back.
     pub runs: usize,
-    /// Best pass seconds with recording off (`set_recording(false)`).
+    /// Median pass seconds with recording off (`set_recording(false)`).
     pub disabled_secs: f64,
-    /// Best pass seconds with recording on.
+    /// Median pass seconds with recording on.
     pub enabled_secs: f64,
-    /// Relative overhead in percent, clamped at 0 (noise can make the
-    /// enabled arm *faster*; a negative overhead is not a finding).
+    /// Median over rounds of the round's relative overhead, in percent,
+    /// clamped at 0 (noise can make the enabled arm *faster*; a negative
+    /// overhead is not a finding).
     pub overhead_pct: f64,
 }
 
@@ -292,13 +312,19 @@ sfa_json::impl_to_json!(ObsOverheadRow {
 });
 
 impl ObsOverheadRow {
-    /// Relative overhead of enabled over disabled recording, in percent,
-    /// clamped at 0.
-    pub fn compute_overhead_pct(disabled_secs: f64, enabled_secs: f64) -> f64 {
-        if disabled_secs <= 0.0 {
+    /// Median over `(disabled_secs, enabled_secs)` rounds of
+    /// `enabled / disabled − 1`, in percent, clamped at 0. A round whose
+    /// disabled arm took no measurable time has no ratio and is skipped.
+    pub fn overhead_pct(rounds: &[(f64, f64)]) -> f64 {
+        let mut ratios: Vec<f64> = rounds
+            .iter()
+            .filter(|&&(disabled, _)| disabled > 0.0)
+            .map(|&(disabled, enabled)| enabled / disabled - 1.0)
+            .collect();
+        if ratios.is_empty() {
             return 0.0;
         }
-        ((enabled_secs - disabled_secs) / disabled_secs * 100.0).max(0.0)
+        (crate::median(&mut ratios) * 100.0).max(0.0)
     }
 }
 
@@ -345,6 +371,8 @@ sfa_json::impl_to_json!(ServeLoadRow {
 pub struct HashRow {
     /// Hash function name.
     pub name: String,
+    /// Bytes per call: the whole input at once, or state-sized pieces.
+    pub buffer_bytes: usize,
     /// Throughput in bytes per second.
     pub bytes_per_sec: f64,
     /// Approximate bytes per cycle (using the nominal frequency; 0 when
@@ -354,6 +382,7 @@ pub struct HashRow {
 
 sfa_json::impl_to_json!(HashRow {
     name,
+    buffer_bytes,
     bytes_per_sec,
     bytes_per_cycle,
 });
@@ -393,9 +422,12 @@ mod tests {
         };
         assert_eq!(m.sfa_total_secs(), 0.75);
 
-        assert!((ObsOverheadRow::compute_overhead_pct(1.0, 1.015) - 1.5).abs() < 1e-9);
-        assert_eq!(ObsOverheadRow::compute_overhead_pct(1.0, 0.9), 0.0);
-        assert_eq!(ObsOverheadRow::compute_overhead_pct(0.0, 1.0), 0.0);
+        assert!((ObsOverheadRow::overhead_pct(&[(1.0, 1.015)]) - 1.5).abs() < 1e-9);
+        assert_eq!(ObsOverheadRow::overhead_pct(&[(1.0, 0.9)]), 0.0);
+        assert_eq!(ObsOverheadRow::overhead_pct(&[(0.0, 1.0)]), 0.0);
+        // One slow round does not move the median of three.
+        let rounds = [(1.0, 1.5), (2.0, 2.02), (1.0, 0.99)];
+        assert!((ObsOverheadRow::overhead_pct(&rounds) - 1.0).abs() < 1e-9);
     }
 
     #[test]

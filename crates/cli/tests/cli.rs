@@ -185,6 +185,25 @@ fn invalid_state_caps_exit_typed() {
 }
 
 #[test]
+fn build_checks_threads_and_blocks_on_both_engines() {
+    // The sequential engine reads neither value, but a zero thread count
+    // or block count is a usage error on every engine.
+    for (extra, name) in [
+        (&["--threads", "0"][..], "worker thread"),
+        (&["--blocks", "0"], "symbol_blocks"),
+    ] {
+        for engine in [&[][..], &["--seq", "transposed"]] {
+            let args = [&["build", "--regex", "RG"][..], extra, engine].concat();
+            let out = sfa(&args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(err.contains(name), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
 fn closed_stdout_ends_output_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_sfa"))
         .args(["build", "--rn", "100", "--json"])

@@ -241,6 +241,14 @@ impl<'d> SfaBuilder<'d> {
 
     /// Run the configured construction. The budget clock starts here.
     pub fn build(self) -> Result<ConstructionResult, SfaError> {
+        // Checked ahead of the engine choice, so both engines reject the
+        // same values with the same error.
+        if self.opts.threads == 0 {
+            return Err(SfaError::NoThreads);
+        }
+        if self.opts.symbol_blocks == 0 || self.opts.symbol_blocks > self.dfa.num_symbols() {
+            return Err(SfaError::InvalidOptions("symbol_blocks must be in 1..=|Σ|"));
+        }
         if self.variant.is_some()
             && (self.opts.spill.is_some()
                 || self.checkpoint.is_some()
@@ -364,6 +372,33 @@ mod tests {
             assert_eq!(engine.tier(), MatchTier::Speculative);
             let text = Alphabet::amino_acids().encode_bytes(b"ARGA").unwrap();
             assert!(engine.matches(&text));
+        }
+        // The thread count and `symbol_blocks` are checked ahead of the
+        // engine choice, so the sequential engine, which reads neither,
+        // rejects them exactly as the parallel one does.
+        let blocks = SfaError::InvalidOptions("symbol_blocks must be in 1..=|Σ|");
+        for (opts, expected) in [
+            (ParallelOptions::with_threads(0), SfaError::NoThreads),
+            (
+                ParallelOptions::with_threads(2).symbol_blocks(0),
+                blocks.clone(),
+            ),
+            (
+                ParallelOptions::with_threads(2).symbol_blocks(dfa.num_symbols() + 1),
+                blocks,
+            ),
+        ] {
+            let parallel = Sfa::builder(&dfa).options(&opts);
+            assert_eq!(parallel.build().unwrap_err(), expected, "parallel");
+            for variant in [
+                SequentialVariant::Baseline,
+                SequentialVariant::BaselinePointerTree,
+                SequentialVariant::Hashing,
+                SequentialVariant::Transposed,
+            ] {
+                let seq = Sfa::builder(&dfa).options(&opts).sequential(variant);
+                assert_eq!(seq.build().unwrap_err(), expected, "{variant:?}");
+            }
         }
     }
 

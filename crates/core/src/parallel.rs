@@ -238,7 +238,8 @@ impl ParallelOptions {
 /// attached token is cancelled. Optionally checkpoints and resumes
 /// (`SfaBuilder::{checkpoint, resume_from}`). `spill_cap` is the
 /// payload-byte budget the builder moved from `governor` to the spill
-/// tier's watermark (see [`ParallelOptions::spill`]).
+/// tier's watermark (see [`ParallelOptions::spill`]). The builder has
+/// already checked the thread count and `symbol_blocks`.
 ///
 /// A checkpoint is the canonical prefix of the automaton, so a build
 /// resumed from it at any thread count finishes byte-identical to an
@@ -255,12 +256,6 @@ pub(crate) fn construct_parallel_resumable(
 ) -> Result<ConstructionResult, SfaError> {
     if dfa.num_states() == 0 {
         return Err(SfaError::EmptyDfa);
-    }
-    if opts.threads == 0 {
-        return Err(SfaError::NoThreads);
-    }
-    if opts.symbol_blocks == 0 || opts.symbol_blocks > dfa.num_symbols() {
-        return Err(SfaError::InvalidOptions("symbol_blocks must be in 1..=|Σ|"));
     }
     check_state_budget(opts.state_budget, opts.symbol_blocks)?;
     if opts.probabilistic && opts.symbol_blocks != 1 {

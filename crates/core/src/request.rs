@@ -33,7 +33,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum InputSource {
-    /// Pre-encoded dense symbols (already in the DFA's alphabet).
+    /// Pre-encoded dense symbols. An id outside the DFA's alphabet fails
+    /// the match with [`crate::SfaError::InvalidByte`].
     Symbols(Vec<SymbolId>),
     /// Raw bytes, classified per [`MatchRequest::classifier`].
     Bytes(Vec<u8>),

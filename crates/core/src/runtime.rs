@@ -116,6 +116,18 @@ impl ByteClassifier {
         this
     }
 
+    /// Dense symbol ids: `0..|Σ|` map to themselves and every other byte
+    /// is [`Classified::Invalid`]. A request's pre-encoded symbols are
+    /// read through it, so an id outside the alphabet fails the match
+    /// with [`SfaError::InvalidByte`] on every tier.
+    pub(crate) fn symbol_ids(alpha: &Alphabet) -> Self {
+        let mut table = [CLASS_INVALID; 256];
+        for (id, slot) in table.iter_mut().enumerate().take(alpha.len()) {
+            *slot = id as u16;
+        }
+        ByteClassifier { table }
+    }
+
     /// The classifier a request's [`ClassifierMode`] selects.
     pub(crate) fn for_mode(mode: ClassifierMode, alpha: &Alphabet) -> Self {
         match mode {
@@ -346,19 +358,22 @@ impl MatchRuntime {
     }
 
     /// Serve `request` on `step`'s tier: symbols as one block through
-    /// [`Dense`], bytes as one block through the request's
-    /// [`ByteClassifier`], a file one [`Self::block_bytes`] block at a
-    /// time.
+    /// [`ByteClassifier::symbol_ids`], bytes as one block through the
+    /// request's [`ByteClassifier`], a file one [`Self::block_bytes`]
+    /// block at a time. A request may come off the wire, so even its
+    /// symbols are checked against the alphabet.
     pub(crate) fn run_step(
         &self,
         step: Step<'_>,
         request: &MatchRequest,
         governor: &Governor,
     ) -> Result<(bool, MatchStats), SfaError> {
-        let classifier = || ByteClassifier::for_mode(request.classifier, step.dfa().alphabet());
+        let alpha = step.dfa().alphabet();
+        let classifier = || ByteClassifier::for_mode(request.classifier, alpha);
         match &request.input {
             InputSource::Symbols(symbols) => {
-                self.drive(step, Dense, Input::Whole(symbols), governor)
+                let ids = ByteClassifier::symbol_ids(alpha);
+                self.drive(step, &ids, Input::Whole(symbols), governor)
             }
             InputSource::Bytes(bytes) => {
                 self.drive(step, &classifier(), Input::Whole(bytes), governor)
@@ -759,6 +774,50 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn out_of_alphabet_symbol_ids_fail_typed_on_every_tier() {
+        // A request's symbols may come off the wire: an id past |Σ| is an
+        // invalid byte at its offset on every tier, never an index panic
+        // or a verdict read from table padding.
+        use crate::budget::Budget;
+        use crate::engine::MatchEngine;
+        use crate::parallel::ParallelOptions;
+        let (dfa, sfa) = setup("RG");
+        let matcher = ParallelMatcher::new(&sfa, &dfa).unwrap();
+        let rt = MatchRuntime::new(2);
+        let alpha = Alphabet::amino_acids();
+        let text = sfa_workloads::protein_text(100_000, 3);
+        for bad in [alpha.len() as u8, 255] {
+            for offset in [2, 70_001] {
+                let mut symbols = text.clone();
+                symbols[offset] = bad;
+                let expected = SfaError::InvalidByte {
+                    byte: bad,
+                    offset: offset as u64,
+                };
+                for tier in [
+                    TierPolicy::Auto,
+                    TierPolicy::Speculative,
+                    TierPolicy::Sequential,
+                ] {
+                    let request = MatchRequest::symbols(symbols.clone()).with_tier(tier);
+                    let err = rt.run(&matcher, &request).unwrap_err();
+                    assert_eq!(err, expected, "{tier:?}");
+                }
+                let opts = ParallelOptions::with_threads(2);
+                let mut lazy = MatchEngine::starting_at(
+                    &dfa,
+                    &opts,
+                    &Budget::unlimited(),
+                    None,
+                    MatchTier::LazySfa,
+                );
+                let err = lazy.run(&MatchRequest::symbols(symbols)).unwrap_err();
+                assert_eq!(err, expected, "lazy");
+            }
+        }
     }
 
     #[test]

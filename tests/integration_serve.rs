@@ -38,6 +38,39 @@ fn connect(handle: &ServerHandle) -> ServeClient {
     client
 }
 
+/// One HTTP exchange on a fresh connection: the status and the body.
+fn http(handle: &ServerHandle, request: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).unwrap();
+    let text = String::from_utf8(response).unwrap();
+    let status: u16 = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let body = text
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    (status, body)
+}
+
+/// `POST /match` with `envelope` as the body.
+fn post_match(handle: &ServerHandle, envelope: &str) -> (u16, String) {
+    http(
+        handle,
+        &format!(
+            "POST /match HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{envelope}",
+            envelope.len()
+        ),
+    )
+}
+
 #[test]
 fn binary_protocol_matches_the_sequential_oracle() {
     let scratch = patterns_dir("oracle");
@@ -278,34 +311,10 @@ fn http_face_serves_match_patterns_and_metrics() {
     let dir = scratch.path();
     let handle = start_server(dir, vec![TenantSpec::unlimited("alpha")]);
 
-    let http = |request: String| -> (u16, String) {
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.write_all(request.as_bytes()).unwrap();
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response).unwrap();
-        let text = String::from_utf8(response).unwrap();
-        let status: u16 = text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let body = text
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
-    };
-
     // POST /match with the ergonomic text-input alias.
     let envelope =
         r#"{"tenant": "alpha", "request": {"pattern": "rg", "input": {"text": "MKVARGAA"}}}"#;
-    let (status, body) = http(format!(
-        "POST /match HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{envelope}",
-        envelope.len()
-    ));
+    let (status, body) = post_match(&handle, envelope);
     assert_eq!(status, 200, "body: {body}");
     let v = sfa_json::from_str(&body).unwrap();
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
@@ -314,15 +323,12 @@ fn http_face_serves_match_patterns_and_metrics() {
 
     // Typed HTTP status for a typed rejection.
     let envelope = r#"{"tenant": "alpha", "request": {"pattern": "nope", "input": {"text": "A"}}}"#;
-    let (status, body) = http(format!(
-        "POST /match HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{envelope}",
-        envelope.len()
-    ));
+    let (status, body) = post_match(&handle, envelope);
     assert_eq!(status, 404, "body: {body}");
     assert!(body.contains("UNKNOWN_PATTERN"));
 
     // GET /patterns lists both entries with their artifact hashes.
-    let (status, body) = http("GET /patterns HTTP/1.1\r\nHost: t\r\n\r\n".into());
+    let (status, body) = http(&handle, "GET /patterns HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     let v = sfa_json::from_str(&body).unwrap();
     let Value::Array(patterns) = v.get("patterns").unwrap() else {
@@ -336,7 +342,7 @@ fn http_face_serves_match_patterns_and_metrics() {
 
     // GET /metrics is a parseable Prometheus exposition including the
     // serve counters (obs is on in the default test build).
-    let (status, body) = http("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n".into());
+    let (status, body) = http(&handle, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     let samples = sfa_obs::export::parse_prometheus(&body).expect("scrape must parse");
     assert!(
@@ -345,10 +351,71 @@ fn http_face_serves_match_patterns_and_metrics() {
     );
 
     // Unknown route: 404 with a typed body.
-    let (status, body) = http("GET /nope HTTP/1.1\r\nHost: t\r\n\r\n".into());
+    let (status, body) = http(&handle, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 404);
     assert!(body.contains("BAD_REQUEST"));
 
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn out_of_alphabet_symbols_are_rejected_and_the_daemon_serves_on() {
+    let scratch = patterns_dir("symbols");
+    let dir = scratch.path();
+    // One event-loop worker, which also owns the listener: a request
+    // that panicked it would stop every later accept.
+    let config = ServeConfig::new("127.0.0.1:0", dir)
+        .with_tenants(vec![TenantSpec::unlimited("alpha")])
+        .with_workers(1)
+        .with_match_threads(2);
+    let handle = server::start(&config).expect("server start");
+
+    let alphabet = Alphabet::amino_acids();
+    let dfa = Pipeline::search(alphabet.clone())
+        .compile_str("RG")
+        .unwrap();
+    let text = b"MKVARGAA";
+    let expected = match_sequential(&dfa, &alphabet.encode_bytes(text).unwrap());
+    // `Auto` is answered by the pattern's full-tier SFA; the other two
+    // run on the raw DFA.
+    for tier in [
+        TierPolicy::Auto,
+        TierPolicy::Sequential,
+        TierPolicy::Speculative,
+    ] {
+        for bad in [alphabet.len() as u8, 255] {
+            let mut client = connect(&handle);
+            let request = MatchRequest::symbols(vec![0, bad])
+                .with_pattern("rg")
+                .with_tier(tier);
+            match client.request("alpha", &request).unwrap() {
+                ServeReply::Rejected {
+                    code, http_status, ..
+                } => {
+                    assert_eq!(code, ErrorCode::BadRequest.as_str(), "{tier:?} {bad}");
+                    assert_eq!(http_status, 400);
+                }
+                ServeReply::Ok { outcome, .. } => {
+                    panic!("{tier:?}: symbol {bad} answered {}", outcome.verdict)
+                }
+            }
+            let envelope = format!(
+                r#"{{"tenant": "alpha", "request": {{"pattern": "rg", "tier": "{}", "input": {{"symbols": [{bad}]}}}}}}"#,
+                tier.as_str()
+            );
+            let (status, body) = post_match(&handle, &envelope);
+            assert_eq!(status, 400, "{tier:?} {bad}: {body}");
+            assert!(body.contains("BAD_REQUEST"), "{body}");
+
+            // The daemon still accepts and answers correctly.
+            let mut client = connect(&handle);
+            let request = MatchRequest::bytes(text.to_vec())
+                .with_pattern("rg")
+                .with_tier(tier);
+            let reply = client.request("alpha", &request).unwrap();
+            assert_eq!(reply.outcome().expect("served").verdict, expected);
+        }
+    }
     handle.shutdown_and_join();
 }
 
