@@ -118,10 +118,13 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
             if reps.saturating_mul(period) > (1usize << 28) {
                 return Err(CodecError::Corrupt("run too long"));
             }
-            let pattern = pattern.to_vec();
             pos += period;
-            for _ in 0..reps {
-                out.extend_from_slice(&pattern);
+            // Double the expanded prefix: O(log reps) copies per run.
+            let (start, total) = (out.len(), reps * period);
+            out.extend_from_slice(pattern);
+            while out.len() - start < total {
+                let have = out.len() - start;
+                out.extend_from_within(start..start + have.min(total - have));
             }
         }
     }

@@ -35,7 +35,7 @@ use crate::elem::Elem;
 use crate::matcher::AbortControl;
 use crate::parallel::ParallelOptions;
 use crate::scan::{run_lanes, Decode, Delta, Dense, Exits, Lane};
-use crate::state::{check_state_budget, InternStats, StateStore};
+use crate::state::{check_state_budget, InternStats, ReadBuf, StateStore};
 use crate::SfaError;
 use sfa_automata::alphabet::SymbolId;
 use sfa_automata::dfa::Dfa;
@@ -161,9 +161,10 @@ impl<'d> LazySfa<'d> {
         }
         let bytes = <u32 as Elem>::as_bytes(&cand);
         let fp = self.fingerprinter.fingerprint(bytes);
+        let (stats, mut scratch) = (InternStats::default(), ReadBuf::default());
         let succ = self
             .store
-            .intern(fp, bytes, false, true, &InternStats::default())?
+            .intern(fp, bytes, false, true, &stats, &mut scratch)?
             .id;
         self.store.set_succ(s, sym as usize, succ);
         Ok(succ)

@@ -14,10 +14,11 @@
 //!   kernels: all `|Σ|` candidate mappings of a state in one pass.
 //! * **Three phases** (§III-C): build raw until the ledger's watermark
 //!   trips; stop the world behind a barrier; all workers jointly
-//!   compress every state and rebuild the hash table without duplicate
-//!   checks; resume in compressed mode, compressing each new state and
-//!   comparing candidates by their *compressed* bytes (our codecs are
-//!   deterministic, so equal plaintexts ⇔ equal ciphertexts). The phase
+//!   re-encode every state with the codec; resume in compressed mode,
+//!   compressing each new state. The hash table is kept as it is: it is
+//!   keyed by the plaintext fingerprint each record keeps, and the store
+//!   compares a fingerprint hit against the resident's plaintext in every
+//!   phase, so a duplicate candidate is never compressed. The phase
 //!   flags, barriers and leader elections live here.
 //! * **Schedulers** ([`Scheduler`]) swap the work-distribution structure
 //!   to reproduce the paper's TBB-queue comparison (§IV-B) and the
@@ -1002,7 +1003,8 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         let blocks = shared.opts.symbol_blocks;
         let compressed_mode = shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED;
 
-        // Source mapping → u32 rows.
+        // Source mapping → u32 rows. `read_buf` is free again after the
+        // copy: the duplicate checks below decode residents into it.
         E::read_bytes(store.read(id, read_buf)?, elems_scratch);
         for (r, e) in rows_u32.iter_mut().zip(elems_scratch.iter()) {
             *r = e.to_u32();
@@ -1029,15 +1031,15 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         }
 
         for sym in sym_lo..sym_hi {
-            let cand_bytes = E::as_bytes(&transposed[sym * n..(sym + 1) * n]);
-            let fp = self.fingerprinter.fingerprint(cand_bytes);
+            let cand = E::as_bytes(&transposed[sym * n..(sym + 1) * n]);
+            let fp = self.fingerprinter.fingerprint(cand);
             // The fault site lets the regression suite force the
             // race-loser path: with it armed the store skips its duplicate
             // probe, so this worker allocates a record and then loses the
             // insert race whenever the candidate already exists — exactly
             // the arena gap pattern real CAS races produce.
             let probe_first = sfa_sync::fault_point!("construct/race").is_ok();
-            let interned = store.intern(fp, cand_bytes, compressed_mode, probe_first, stats)?;
+            let interned = store.intern(fp, cand, compressed_mode, probe_first, stats, read_buf)?;
             if interned.tripped && shared.phase.load(Ordering::SeqCst) == PHASE_RAW {
                 // First crossing of the watermark: request compression.
                 shared
@@ -1123,7 +1125,8 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
     /// The stop-the-world compression phase (§III-C). Entered from
     /// [`WorkerCtx::rendezvous`] with all workers quiesced (R1); between
     /// the barriers nobody processes states, so mapping buffers can be
-    /// swapped and freed safely.
+    /// swapped and freed safely. Unlike the paper's, the phase only
+    /// re-encodes: the hash table compares plaintext in every phase.
     fn participate_compression(&self) {
         let shared = self.shared;
         let threads = shared.opts.threads;
@@ -1162,29 +1165,13 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
             }
             shared.store.compress(id as u32);
         }
-        // B2: all states compressed.
-        shared.barrier.wait();
-        if leader {
-            // "the hash-table is emptied" — then rebuilt without
-            // duplicate checks.
-            shared.store.clear_index();
-        }
-        // B3: table cleared.
-        shared.barrier.wait();
-        for id in (self.index..total).step_by(threads) {
-            if shared.has_error.load(Ordering::SeqCst) {
-                break;
-            }
-            // Race losers stay out: the store skips them.
-            shared.store.reindex(id as u32);
-        }
-        // B4: table rebuilt.
+        // C1: all states re-encoded.
         shared.barrier.wait();
         if leader {
             shared.clock.lock().compression_end = Some(Instant::now());
             shared.phase.store(PHASE_COMPRESSED, Ordering::SeqCst);
         }
-        // B5: phase switch visible to everyone.
+        // C2: phase switch visible to everyone.
         shared.barrier.wait();
     }
 

@@ -7,8 +7,10 @@
 //!
 //! A payload changes form during a build (DESIGN.md §15): raw id bytes,
 //! then codec output once the §III-C compression phase has run, then a
-//! marker for bytes demoted to a [`SpillStore`] segment. `StateStore`
-//! owns everything that depends on the form — the fingerprint table, the
+//! marker for bytes demoted to a [`SpillStore`] segment. A state's
+//! identity is its plaintext row in every form: its fingerprint and
+//! every duplicate check read plaintext. `StateStore` owns everything
+//! that depends on the form — the fingerprint table, the
 //! [`MemoryManager`] ledger, the codec and the spill tier. The parallel
 //! engine and the lazy SFA intern candidates, read states back as
 //! plaintext, re-encode or demote payloads at a stop-the-world barrier
@@ -71,14 +73,6 @@ enum Payload {
 }
 
 impl Payload {
-    fn resident(compressed: bool, bytes: &[u8]) -> Payload {
-        if compressed {
-            Payload::Compressed(bytes.into())
-        } else {
-            Payload::Raw(bytes.into())
-        }
-    }
-
     /// Bytes held in memory: what the ledger charges for this payload.
     fn resident_len(&self) -> usize {
         match self {
@@ -156,7 +150,7 @@ pub(crate) struct Interned {
     pub tripped: bool,
 }
 
-/// Scratch buffers for [`StateStore::read`].
+/// Scratch buffers for [`StateStore::read`] and [`StateStore::intern`].
 #[derive(Default)]
 pub(crate) struct ReadBuf {
     fetched: Vec<u8>,
@@ -369,6 +363,16 @@ impl StateStore {
         Ok((id, self.mem.charge(len)))
     }
 
+    /// Plaintext `row` in its stored form: codec output if `compress`,
+    /// else the raw bytes.
+    fn encode(&self, row: &[u8], compress: bool) -> Payload {
+        if compress {
+            Payload::Compressed(self.codec.compress_to_vec(row).into())
+        } else {
+            Payload::Raw(row.into())
+        }
+    }
+
     /// Store plaintext `row` (fingerprint `fp`) as the next state without
     /// a duplicate check — the start state, or a checkpoint row being
     /// re-interned in canonical order — compressed if `compress`.
@@ -379,22 +383,20 @@ impl StateStore {
         row: &[u8],
         compress: bool,
     ) -> Result<(u32, bool), SfaError> {
-        let encoded = compress.then(|| self.codec.compress_to_vec(row));
-        let payload = Payload::resident(compress, encoded.as_deref().unwrap_or(row));
-        let (id, tripped) = self.alloc(fp, payload)?;
+        let (id, tripped) = self.alloc(fp, self.encode(row, compress))?;
         self.table.insert_unchecked(fp, id, self);
         Ok((id, tripped))
     }
 
-    /// Find-or-insert the candidate row `plain` with fingerprint `fp`,
-    /// stored compressed if `compressed` (the phase-3 rule: a compressed
-    /// candidate compares against compressed residents — the codecs are
-    /// deterministic, so equal plaintexts ⇔ equal ciphertexts).
+    /// Find-or-insert the candidate row `plain` with fingerprint `fp`.
+    /// The probe compares plaintext rows whatever the residents' stored
+    /// form (see [`StateStore::equals`]), decoding into `scratch`; only an
+    /// inserted candidate is encoded, compressed if `compressed`.
     ///
     /// With `probe_first` a lookup runs before the allocation, so a
     /// duplicate costs no record. A record that then loses the insert
-    /// race is tombstoned, so the compression-phase table rebuild never
-    /// resurrects it, and its bytes are credited back to the ledger.
+    /// race is tombstoned, so the compression phase and spill passes
+    /// skip it, and its bytes are credited back to the ledger.
     pub(crate) fn intern(
         &self,
         fp: u64,
@@ -402,14 +404,13 @@ impl StateStore {
         compressed: bool,
         probe_first: bool,
         stats: &InternStats,
+        scratch: &mut ReadBuf,
     ) -> Result<Interned, SfaError> {
         stats.candidates.update(|c| c + 1);
-        let encoded = compressed.then(|| self.codec.compress_to_vec(plain));
-        let repr = encoded.as_deref().unwrap_or(plain);
         let failed = Cell::new(None);
-        let eq = |other: u32| self.equals(other, fp, repr, stats, &failed);
+        let mut eq = |other: u32| self.equals(other, fp, plain, stats, scratch, &failed);
         let found = if probe_first {
-            self.table.find(fp, self, eq)
+            self.table.find(fp, self, &mut eq)
         } else {
             None
         };
@@ -419,13 +420,15 @@ impl StateStore {
                 if let Some(err) = failed.take() {
                     return Err(err);
                 }
-                let (id, tripped) = self.alloc(fp, Payload::resident(compressed, repr))?;
-                match self.table.find_or_insert(fp, id, self, eq) {
+                let payload = self.encode(plain, compressed);
+                let len = payload.resident_len();
+                let (id, tripped) = self.alloc(fp, payload)?;
+                match self.table.find_or_insert(fp, id, self, &mut eq) {
                     FindOrInsert::Inserted => (id, true, tripped),
                     FindOrInsert::Found(existing) => {
                         self.link(id).store(TOMBSTONE, Ordering::SeqCst);
                         self.losers.fetch_add(1, Ordering::Relaxed);
-                        self.mem.credit(repr.len());
+                        self.mem.credit(len);
                         (existing, false, tripped)
                     }
                 }
@@ -440,15 +443,17 @@ impl StateStore {
         Ok(Interned { id, new, tripped })
     }
 
-    /// Is resident `id` the candidate `repr` with fingerprint `fp`?
-    /// Compares in the stored form; a spilled resident is compared
-    /// against its segment bytes, and a failed fetch lands in `failed`.
+    /// Is resident `id` the candidate row `plain` with fingerprint `fp`?
+    /// Compares plaintext: a raw resident in place, a compressed or
+    /// spilled one decoded into `scratch` without promotion. A failed
+    /// read lands in `failed`.
     fn equals(
         &self,
         id: u32,
         fp: u64,
-        repr: &[u8],
+        plain: &[u8],
         stats: &InternStats,
+        scratch: &mut ReadBuf,
         failed: &Cell<Option<SfaError>>,
     ) -> bool {
         let same_fp = self.fingerprint(id) == fp;
@@ -456,17 +461,11 @@ impl StateStore {
             return same_fp;
         }
         stats.exhaustive.update(|c| c + 1);
-        let equal = match self.mapping(id) {
-            Payload::Raw(d) | Payload::Compressed(d) => sfa_simd::bytes_equal(d, repr),
-            &Payload::Spilled(r) => {
-                let mut spilled = Vec::new();
-                match self.spill_store().fetch(r, &mut spilled) {
-                    Ok(()) => spilled == repr,
-                    Err(e) => {
-                        failed.set(Some(e));
-                        false
-                    }
-                }
+        let equal = match self.plaintext(id, scratch, false) {
+            Ok(resident) => sfa_simd::bytes_equal(resident, plain),
+            Err(e) => {
+                failed.set(Some(e));
+                false
             }
         };
         if !equal && same_fp {
@@ -492,11 +491,13 @@ impl StateStore {
             Payload::Raw(d) => return Ok(d),
             Payload::Compressed(d) => d,
             &Payload::Spilled(r) => {
-                self.spill_store().fetch(r, &mut buf.fetched)?;
+                let spill = self.spill_store();
+                spill.fetch(r, &mut buf.fetched)?;
                 // Losing the promotion race just drops our copy: segment
                 // bytes are immutable, so both copies are identical.
                 if promote && self.try_promote(id, Payload::Compressed(buf.fetched[..].into())) {
                     let _ = self.mem.charge(buf.fetched.len());
+                    spill.record_promotion();
                 }
                 &buf.fetched
             }
@@ -532,20 +533,6 @@ impl StateStore {
             let _ = self.mem.charge(encoded.len());
             self.replace_mapping(id, Payload::Compressed(encoded.into()));
             self.reencodes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Empty the fingerprint table ahead of [`StateStore::reindex`].
-    /// Quiesced, one caller.
-    pub(crate) fn clear_index(&self) {
-        self.table.clear();
-    }
-
-    /// Re-insert state `id` into the table without a duplicate check,
-    /// unless it lost its insert race. Quiesced callers only.
-    pub(crate) fn reindex(&self, id: u32) {
-        if !self.is_tombstone(id) {
-            self.table.insert_unchecked(self.fingerprint(id), id, self);
         }
     }
 
@@ -789,12 +776,13 @@ mod tests {
     #[test]
     fn mapping_equality() {
         let s = store();
-        let stats = InternStats::default();
+        let (stats, mut scratch) = (InternStats::default(), ReadBuf::default());
         s.seed(7, &[9; 8], false).unwrap();
-        let dup = s.intern(7, &[9; 8], false, true, &stats).unwrap();
-        assert_eq!((dup.id, dup.new), (0, false));
+        let dup = s.intern(7, &[9; 8], false, true, &stats, &mut scratch);
+        assert_eq!(dup.map(|d| (d.id, d.new)), Ok((0, false)));
         // Same fingerprint, different bytes: a collision, then a new state.
-        let other = s.intern(7, &[9, 9, 9, 9, 9, 9, 9, 8], false, true, &stats);
+        let row = [9, 9, 9, 9, 9, 9, 9, 8];
+        let other = s.intern(7, &row, false, true, &stats, &mut scratch);
         assert_eq!(other.map(|o| (o.id, o.new)), Ok((1, true)));
         let mut totals = ConstructionStats::with_threads(1);
         stats.add_to(&mut totals);
@@ -804,17 +792,51 @@ mod tests {
     }
 
     #[test]
+    fn identity_is_the_plaintext_row_in_every_stored_form() {
+        let dir = sfa_workloads::ScratchDir::new("state_identity");
+        // A one-byte cap: a spill pass demotes every compressed payload.
+        let opts = ParallelOptions::default()
+            .state_budget(100)
+            .spill(dir.path());
+        let s = StateStore::new(&opts, 4, 3, Some(1)).unwrap();
+        let (stats, mut scratch) = (InternStats::default(), ReadBuf::default());
+        let row = [1, 0, 2, 0, 3, 0, 4, 0];
+        let mut intern = |row: &[u8], compressed| {
+            s.intern(7, row, compressed, true, &stats, &mut scratch)
+                .map(|i| (i.id, i.new))
+        };
+        s.seed(7, &row, false).unwrap();
+        // A compressed-mode candidate finds the raw resident.
+        assert_eq!(intern(&row, true), Ok((0, false)));
+        // A raw-mode candidate finds the compressed resident.
+        s.compress(0);
+        assert_eq!(intern(&row, false), Ok((0, false)));
+        // A spilled resident is decoded for the compare, not promoted.
+        s.demote_oldest().unwrap();
+        assert!(matches!(s.mapping(0), Payload::Spilled(_)));
+        assert_eq!(intern(&row, true), Ok((0, false)));
+        // Same fingerprint, other bytes: a new state.
+        assert_eq!(intern(&[1; 8], true), Ok((1, true)));
+        let mut totals = ConstructionStats::with_threads(1);
+        s.record_stats(&mut totals);
+        stats.add_to(&mut totals);
+        assert_eq!(totals.promotions, 0);
+        assert_eq!((totals.candidates, totals.duplicates), (4, 3));
+        // One collision per chain walk: the probe and the insert.
+        assert_eq!(totals.fingerprint_collisions, 2);
+    }
+
+    #[test]
     fn lost_race_is_tombstoned_and_credited() {
         let s = store();
         s.seed(5, &[3; 8], false).unwrap();
         // Skipping the probe allocates a record that then loses the insert.
-        let lost = s.intern(5, &[3; 8], false, false, &InternStats::default());
+        let (stats, mut scratch) = (InternStats::default(), ReadBuf::default());
+        let lost = s.intern(5, &[3; 8], false, false, &stats, &mut scratch);
         assert_eq!(lost.map(|l| (l.id, l.new)), Ok((0, false)));
         assert_eq!((s.len(), s.states(), s.resident_bytes()), (2, 1, 8));
-        // The compression phase neither re-encodes nor re-indexes it.
+        // The compression phase does not re-encode it.
         s.compress(1);
-        s.clear_index();
-        s.reindex(1);
         assert!(s.is_tombstone(1) && matches!(s.mapping(1), Payload::Raw(_)));
     }
 
@@ -861,18 +883,27 @@ mod tests {
         let counts = || {
             let mut stats = ConstructionStats::with_threads(1);
             s.record_stats(&mut stats);
-            (stats.demotions, stats.spilled_bytes)
+            (stats.demotions, stats.spilled_bytes, stats.promotions)
         };
         s.compress(0);
         s.compress(1);
         s.compress(0); // already compressed: not a second demotion
-        assert_eq!(counts(), (2, 0));
+        assert_eq!(counts(), (2, 0, 0));
         // The pass writes the two compressed payloads; raw state 2 stays.
         s.demote_oldest().unwrap();
-        let (demotions, spilled) = counts();
+        let (demotions, spilled, _) = counts();
         assert_eq!(demotions, 2 + 2);
         assert!(spilled > 0);
         assert!(matches!(s.mapping(2), Payload::Raw(_)));
+        // The snapshot decodes a spilled row in place; a read re-installs
+        // it, and only that counts as a promotion.
+        let snap = s.snapshot::<u16>(false).unwrap();
+        assert!(matches!(snap.rows, Rows::Plain(r) if r == [0; 4]));
+        assert_eq!(counts().2, 0);
+        let mut buf = ReadBuf::default();
+        assert_eq!(s.read(0, &mut buf).unwrap(), &[0; 8]);
+        assert_eq!(s.read(0, &mut buf).unwrap(), &[0; 8]);
+        assert_eq!(counts().2, 1);
     }
 
     #[test]

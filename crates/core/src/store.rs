@@ -39,8 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 // Global-registry tier metrics (DESIGN.md §12). The state store sets the
-// gauges after a spill pass and counts re-encodes; segment writes, fetches
-// and their timings are counted here.
+// gauges after a spill pass and counts re-encodes; segment writes,
+// promotions and their timings are counted here.
 static OBS_HOT_BYTES: crate::obs::LazyGauge = crate::obs::LazyGauge::new("sfa_store_hot_bytes");
 static OBS_COMPRESSED_BYTES: crate::obs::LazyGauge =
     crate::obs::LazyGauge::new("sfa_store_compressed_bytes");
@@ -198,9 +198,14 @@ impl SpillStore {
             )))?;
         out.clear();
         out.extend_from_slice(slice);
+        Ok(())
+    }
+
+    /// Count one fetched payload re-installed in memory; a fetch that
+    /// only reads is not a promotion.
+    pub(crate) fn record_promotion(&self) {
         self.promotions.fetch_add(1, Ordering::Relaxed);
         OBS_PROMOTIONS.inc();
-        Ok(())
     }
 
     /// Total bytes written to the spill tier over the store's lifetime.
@@ -213,7 +218,7 @@ impl SpillStore {
         self.demotions.load(Ordering::Relaxed)
     }
 
-    /// Payload fetches out of this store.
+    /// Payloads promoted back into memory.
     pub(crate) fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
     }
@@ -261,7 +266,7 @@ mod tests {
             .unwrap();
         assert_eq!(&out, b"spill");
         assert_eq!(store.demotions(), 2);
-        assert_eq!(store.promotions(), 1);
+        assert_eq!(store.promotions(), 0, "a fetch only reads");
         assert_eq!(store.spilled_bytes(), 16);
         // Out-of-range refs are typed, not panics.
         assert!(store

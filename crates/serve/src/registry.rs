@@ -18,8 +18,8 @@
 //! restarts, rebuilds, and concurrent tenants **share one artifact**
 //! instead of accumulating duplicates. `.sfar` files no ref points at
 //! (including pre-content-addressing `<dfa_fp>.sfar` files, which are
-//! re-homed on first load) are garbage-noted in the reload log, never
-//! silently deleted.
+//! never read) are garbage-noted in the reload log, never silently
+//! deleted.
 //!
 //! Registry entries leak their automata (`Box::leak`): the daemon
 //! serves them for its whole lifetime from many worker threads, and a
@@ -251,37 +251,22 @@ impl PatternRegistry {
     }
 
     /// Follow this pattern's `.ref` sidecar into the content-addressed
-    /// store, verifying the artifact's name against its own bytes. Falls
-    /// back to the pre-content-addressing `<dfa_fp>.sfar` layout, whose
-    /// artifacts are re-homed under their content hash so the next start
-    /// takes the fast path (the legacy file itself gets orphan-noted).
-    fn reload(&mut self, dfa: &'static Dfa, hash: &str) -> Option<Sfa> {
+    /// store, verifying the artifact's name against its own bytes.
+    fn reload(&self, dfa: &'static Dfa, hash: &str) -> Option<Sfa> {
         let ref_path = self.artifacts_dir.join(format!("{hash}.ref"));
-        if let Ok(content) = std::fs::read_to_string(&ref_path) {
-            let content = content.trim();
-            if content.len() == 16 && content.bytes().all(|b| b.is_ascii_hexdigit()) {
-                let path = self.artifacts_dir.join(format!("{content}.sfar"));
-                if let Ok(bytes) = std::fs::read(&path) {
-                    // The name IS the checksum claim: a mismatch means a
-                    // torn or mislabeled file, never to be trusted.
-                    if format!("{:016x}", artifact::content_hash(&bytes)) == content {
-                        if let Ok(sfa) = artifact::sfa_from_bytes(&bytes) {
-                            if sfa.validate(dfa).is_ok() {
-                                return Some(sfa);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let legacy = self.artifacts_dir.join(format!("{hash}.sfar"));
-        let bytes = std::fs::read(&legacy).ok()?;
-        let sfa = artifact::sfa_from_bytes(&bytes).ok()?;
-        if sfa.validate(dfa).is_err() {
+        let content = std::fs::read_to_string(ref_path).ok()?;
+        let content = content.trim();
+        if content.len() != 16 || !content.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
-        self.store(hash, &bytes);
-        Some(sfa)
+        let bytes = std::fs::read(self.artifacts_dir.join(format!("{content}.sfar"))).ok()?;
+        // The name IS the checksum claim: a mismatch means a torn or
+        // mislabeled file, never to be trusted.
+        if format!("{:016x}", artifact::content_hash(&bytes)) != content {
+            return None;
+        }
+        let sfa = artifact::sfa_from_bytes(&bytes).ok()?;
+        sfa.validate(dfa).is_ok().then_some(sfa)
     }
 
     /// Write artifact bytes under their content hash and point this
@@ -454,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_artifacts_are_rehomed_and_orphan_noted() {
+    fn legacy_artifacts_are_orphan_noted_and_never_read() {
         let scratch = ScratchDir::new("serve_registry_legacy");
         let dir = scratch.path();
         std::fs::write(dir.join("rg.pat"), "RG").unwrap();
@@ -470,16 +455,17 @@ mod tests {
         sfa_core::artifact::write_sfa(&artifacts.join(format!("{fp}.sfar")), &built.sfa).unwrap();
 
         let registry = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
-        // Reloaded (not reconstructed) from the legacy file, which is
-        // re-homed under its content hash and garbage-noted.
-        assert_eq!(registry.reloaded(), 1);
-        assert_eq!(registry.constructed(), 0);
+        // No ref points at the legacy file: the pattern is built once
+        // and cached under its content hash, and the file is an orphan.
+        assert_eq!(registry.constructed(), 1);
+        assert_eq!(registry.reloaded(), 0);
         assert_eq!(registry.orphans(), &[format!("{fp}.sfar")]);
-        assert_eq!(sfar_files(dir).len(), 2, "legacy + re-homed copy");
+        assert_eq!(sfar_files(dir).len(), 2, "legacy + content-addressed copy");
 
         // The next start follows the ref and sees the same orphan.
         let second = PatternRegistry::load(dir, 1 << 20, 2).unwrap();
         assert_eq!(second.reloaded(), 1);
+        assert_eq!(second.constructed(), 0);
         assert_eq!(second.orphans(), &[format!("{fp}.sfar")]);
     }
 

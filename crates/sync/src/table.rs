@@ -59,24 +59,16 @@ impl ChainedTable {
         self.buckets.len()
     }
 
-    /// Remove every entry (used when the compression phase rebuilds the
-    /// table, §III-C). Caller must guarantee no concurrent operations.
-    pub fn clear(&self) {
-        for b in self.buckets.iter() {
-            b.store(NIL, Ordering::Relaxed);
-        }
-    }
-
     #[inline]
     fn bucket(&self, fingerprint: u64) -> &AtomicU32 {
         &self.buckets[(fingerprint & self.mask) as usize]
     }
 
     /// Look up an entry equal to the probe (per `eq`) under `fingerprint`.
-    pub fn find<L, F>(&self, fingerprint: u64, links: &L, eq: F) -> Option<u32>
+    pub fn find<L, F>(&self, fingerprint: u64, links: &L, mut eq: F) -> Option<u32>
     where
         L: Links,
-        F: Fn(u32) -> bool,
+        F: FnMut(u32) -> bool,
     {
         let mut cur = self.bucket(fingerprint).load(Ordering::Acquire);
         while cur != NIL {
@@ -98,11 +90,11 @@ impl ChainedTable {
         fingerprint: u64,
         candidate: u32,
         links: &L,
-        eq: F,
+        mut eq: F,
     ) -> FindOrInsert
     where
         L: Links,
-        F: Fn(u32) -> bool,
+        F: FnMut(u32) -> bool,
     {
         debug_assert_ne!(candidate, NIL);
         let bucket = self.bucket(fingerprint);
@@ -154,10 +146,9 @@ impl ChainedTable {
         }
     }
 
-    /// Insert `id` at its bucket head **without** a duplicate check.
-    /// Used by the compression-phase table rebuild, where every id is
-    /// already known unique ("There is no need to check for duplicate
-    /// states with this operation", §III-C). Safe to call concurrently.
+    /// Insert `id` at its bucket head **without** a duplicate check, for
+    /// callers that already know every id unique (the SFA store seeding
+    /// its start state or a checkpoint's rows). Safe to call concurrently.
     pub fn insert_unchecked<L: Links>(&self, fingerprint: u64, id: u32, links: &L) {
         debug_assert_ne!(id, NIL);
         let bucket = self.bucket(fingerprint);
@@ -177,8 +168,8 @@ impl ChainedTable {
         }
     }
 
-    /// Iterate the ids stored in every bucket (quiescent callers only —
-    /// used by stats and the compression-phase rebuild).
+    /// Iterate the ids stored in every bucket (diagnostics; quiescent
+    /// callers only).
     pub fn iter_ids<'a, L: Links>(&'a self, links: &'a L) -> impl Iterator<Item = u32> + 'a {
         self.buckets.iter().flat_map(move |b| {
             let mut cur = b.load(Ordering::Acquire);
@@ -313,17 +304,6 @@ mod tests {
         let lens = table.chain_lengths(&store);
         assert_eq!(lens.iter().sum::<usize>(), 3);
         assert_eq!(*lens.iter().max().unwrap(), 3, "chained in one bucket");
-    }
-
-    #[test]
-    fn clear_empties_table() {
-        let store = Store::new(10);
-        let table = ChainedTable::new(16);
-        let id = store.add(1);
-        table.find_or_insert(fp(1), id, &store, |e| store.value(e) == 1);
-        table.clear();
-        assert_eq!(table.find(fp(1), &store, |e| store.value(e) == 1), None);
-        assert_eq!(table.iter_ids(&store).count(), 0);
     }
 
     #[test]
