@@ -347,7 +347,7 @@ pub fn artifact(argv: &[String]) -> Result<(), String> {
             };
             if parsed.flag("json") {
                 use sfa_json::ToJson;
-                let fields: Vec<(String, sfa_json::Value)> = vec![
+                let mut fields: Vec<(String, sfa_json::Value)> = vec![
                     ("kind".to_string(), kind.to_json()),
                     ("version".to_string(), (info.version as u64).to_json()),
                     ("total_bytes".to_string(), info.total_bytes.to_json()),
@@ -356,6 +356,10 @@ pub fn artifact(argv: &[String]) -> Result<(), String> {
                         (info.sections.len() as u64).to_json(),
                     ),
                 ];
+                if let Some(c) = info.checkpoint {
+                    fields.push(("processed_rows".to_string(), c.processed.to_json()));
+                    fields.push(("discovered_states".to_string(), c.states.to_json()));
+                }
                 outln!(
                     "{}",
                     sfa_json::to_string_pretty(&sfa_json::Value::Object(fields))
@@ -366,6 +370,10 @@ pub fn artifact(argv: &[String]) -> Result<(), String> {
                 outln!("total bytes          {}", info.total_bytes);
                 for s in &info.sections {
                     outln!("  section tag {:>3}    {} bytes", s.tag, s.len);
+                }
+                if let Some(c) = info.checkpoint {
+                    outln!("processed rows       {}", c.processed);
+                    outln!("discovered states    {}", c.states);
                 }
                 outln!("checksums            ok");
             }

@@ -246,6 +246,49 @@ fn sequential_build_refuses_a_checkpoint() {
 }
 
 #[test]
+fn artifact_verify_reports_checkpoint_progress() {
+    let scratch = ScratchDir::new("cli_ckpt_verify");
+    let ckpt = scratch.join("capped.ckpt");
+    let path = ckpt.to_str().unwrap();
+    // A state cap stops the build and leaves its due checkpoint.
+    let build = sfa(&[
+        "build",
+        "--rn",
+        "24",
+        "--threads",
+        "1",
+        "--budget",
+        "150",
+        "--checkpoint",
+        path,
+        "--checkpoint-every",
+        "16",
+    ]);
+    assert_eq!(build.status.code(), Some(1), "{}", stderr(&build));
+    let text = stdout(&sfa(&["artifact", "verify", "--file", path]));
+    let count = |label: &str| -> u64 {
+        let line = text.lines().find_map(|l| l.strip_prefix(label));
+        line.unwrap_or_else(|| panic!("no {label:?} in {text}"))
+            .trim()
+            .parse()
+            .unwrap()
+    };
+    let (processed, states) = (count("processed rows"), count("discovered states"));
+    assert!(
+        0 < processed && processed < states && states <= 150,
+        "{text}"
+    );
+    let json = stdout(&sfa(&["artifact", "verify", "--file", path, "--json"]));
+    for field in [
+        "\"sections\": 2".to_string(),
+        format!("\"processed_rows\": {processed}"),
+        format!("\"discovered_states\": {states}"),
+    ] {
+        assert!(json.contains(&field), "{field} missing from {json}");
+    }
+}
+
+#[test]
 fn match_with_planted_text() {
     let out = sfa(&[
         "match",

@@ -27,13 +27,14 @@
 //! [`crate::io::atomic_write`] — temp file, fsync, atomic rename — so a
 //! crash leaves the previous artifact intact, never a torn mix.
 //!
-//! Checkpoints persist the parallel engine's canonical prefix
-//! (processed-cursor, δₛ rows, mapping arena) plus a fingerprint of the
-//! source DFA so a checkpoint can never silently resume against the
-//! wrong automaton; see [`crate::parallel`] for the snapshot and resume
-//! logic and `SfaBuilder::resume_from` for the entry point.
+//! Checkpoints persist the parallel engine's canonical prefix — its
+//! counts and the δₛ rows of its processed states, no mapping rows —
+//! plus a fingerprint of the source DFA so a checkpoint can never
+//! silently resume against the wrong automaton. Resume derives every
+//! mapping row from δₛ and the DFA; see [`crate::parallel`] for the
+//! snapshot and resume logic and `SfaBuilder::resume_from` for the entry
+//! point.
 
-use crate::elem::Elem;
 use crate::io::{self, IoError};
 use crate::sfa::Sfa;
 use sfa_automata::Dfa;
@@ -48,9 +49,11 @@ const MAGIC: &[u8; 4] = b"SFAR";
 const HEADER_BYTES: usize = 24;
 
 const TAG_SFA: u8 = 1;
-const TAG_CKPT_META: u8 = 2;
 const TAG_CKPT_DELTA: u8 = 3;
-const TAG_CKPT_MAPPINGS: u8 = 4;
+/// Checkpoint meta. Tags 2 and 4 held the meta and the mapping rows of
+/// the earlier checkpoint layout, so a checkpoint in that layout fails
+/// as a missing section instead of being misread.
+const TAG_CKPT_META: u8 = 5;
 
 /// What an artifact file contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +111,17 @@ pub struct ArtifactInfo {
     pub total_bytes: u64,
     /// The sections present, in file order.
     pub sections: Vec<SectionInfo>,
+    /// A checkpoint's progress; `None` for an SFA.
+    pub checkpoint: Option<CheckpointProgress>,
+}
+
+/// How far the build a checkpoint records had got (for reports).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointProgress {
+    /// States whose δₛ rows the checkpoint holds.
+    pub processed: u64,
+    /// States discovered: the processed ones and the frontier.
+    pub states: u64,
 }
 
 /// Checkpoint cadence for a parallel build: snapshot the canonical
@@ -135,81 +149,49 @@ impl CheckpointConfig {
 /// A deserialized construction checkpoint: everything the parallel
 /// engine needs to continue an interrupted build to a byte-identical
 /// SFA (see DESIGN.md §11). States are numbered canonically, in the
-/// order of Algorithm 1's FIFO worklist, so a processed-cursor plus the
-/// arrays fully determines the remaining work; the fingerprint table is
-/// rebuilt by re-interning the persisted rows in id order.
+/// order of Algorithm 1's FIFO worklist, so the δₛ rows of the processed
+/// prefix fix every discovered state and its mapping row: an SFA state
+/// is the transformation of any word that reaches it, and resume derives
+/// each row from its BFS parent's row and the DFA.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// DFA state count `n` (mapping vector length).
     pub dfa_states: u32,
     /// Symbol count `k`.
     pub symbols: u32,
-    /// Mapping element width in bytes (2 or 4).
-    pub elem_bytes: u8,
     /// SFA states whose δₛ rows are complete (the worklist cursor).
     pub processed: u64,
-    /// SFA states discovered so far (arena length).
+    /// SFA states discovered so far: the processed prefix and the
+    /// frontier its rows reach.
     pub num_states: u64,
     /// [`dfa_fingerprint`] of the DFA this build belongs to.
     pub dfa_crc: u64,
-    /// δₛ, row-major `num_states × k`; `u32::MAX` marks a not-yet-filled
-    /// entry of an unprocessed row.
+    /// δₛ of the processed prefix, row-major `processed × k`.
     pub delta: Vec<u32>,
-    /// Mapping arena, `num_states × dfa_states` elements, little-endian.
-    pub mappings_le: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Decode the mapping arena at width `E` (little-endian), or `None`
-    /// when `E` does not match [`Checkpoint::elem_bytes`].
-    pub fn mappings<E: Elem>(&self) -> Option<Vec<E>> {
-        if E::BYTES != self.elem_bytes as usize {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.mappings_le.len() / E::BYTES);
-        for chunk in self.mappings_le.chunks_exact(E::BYTES) {
-            let mut v = 0u32;
-            for (i, &b) in chunk.iter().enumerate() {
-                v |= (b as u32) << (8 * i);
-            }
-            out.push(E::from_u32(v));
-        }
-        Some(out)
-    }
-
-    /// Validate this checkpoint against `dfa` at element width `E` and
-    /// decode its mapping arena. The parallel engine's resume path calls
-    /// it before it seeds a single row.
-    pub fn validate_for<E: Elem>(&self, dfa: &Dfa) -> Result<Vec<E>, IoError> {
-        let n = dfa.num_states() as usize;
-        let k = dfa.num_symbols();
+    /// Check that this checkpoint belongs to `dfa`. The parallel engine's
+    /// resume path calls it before it derives a single row.
+    pub fn validate_for(&self, dfa: &Dfa) -> Result<(), IoError> {
         if self.dfa_crc != dfa_fingerprint(dfa) {
             return Err(IoError::Corrupt(
                 "checkpoint was built from a different DFA",
             ));
         }
-        if self.dfa_states as usize != n || self.symbols as usize != k {
+        if self.dfa_states != dfa.num_states() || self.symbols as usize != dfa.num_symbols() {
             return Err(IoError::Corrupt(
                 "checkpoint dimensions disagree with the DFA",
             ));
         }
-        let Some(mappings) = self.mappings::<E>() else {
-            return Err(IoError::Corrupt(
-                "checkpoint element width disagrees with the DFA",
-            ));
-        };
-        if (mappings.len() / n) as u64 != self.num_states {
-            return Err(IoError::Corrupt("checkpoint arena size mismatch"));
-        }
-        Ok(mappings)
+        Ok(())
     }
 
     /// Serialize into an artifact byte vector (checksummed container).
     pub fn to_artifact_bytes(&self) -> Vec<u8> {
-        let mut meta = Vec::with_capacity(48);
+        let mut meta = Vec::with_capacity(40);
         varint::write_u64(&mut meta, self.dfa_states as u64);
         varint::write_u64(&mut meta, self.symbols as u64);
-        varint::write_u64(&mut meta, self.elem_bytes as u64);
         varint::write_u64(&mut meta, self.processed);
         varint::write_u64(&mut meta, self.num_states);
         meta.extend_from_slice(&self.dfa_crc.to_le_bytes());
@@ -219,15 +201,12 @@ impl Checkpoint {
         }
         assemble(
             ArtifactKind::Checkpoint,
-            &[
-                (TAG_CKPT_META, &meta),
-                (TAG_CKPT_DELTA, &delta),
-                (TAG_CKPT_MAPPINGS, &self.mappings_le),
-            ],
+            &[(TAG_CKPT_META, &meta), (TAG_CKPT_DELTA, &delta)],
         )
     }
 
-    /// Decode and validate an artifact byte vector.
+    /// Decode and validate an artifact byte vector. Every count is
+    /// checked against the bytes present before anything is sized by it.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<Checkpoint, IoError> {
         let (kind, sections) = parse(bytes)?;
         if kind != ArtifactKind::Checkpoint {
@@ -235,7 +214,6 @@ impl Checkpoint {
         }
         let meta = section(&sections, TAG_CKPT_META)?;
         let delta_raw = section(&sections, TAG_CKPT_DELTA)?;
-        let mappings_le = section(&sections, TAG_CKPT_MAPPINGS)?;
 
         let mut pos = 0usize;
         let mut rd = || -> Result<u64, IoError> {
@@ -243,7 +221,6 @@ impl Checkpoint {
         };
         let dfa_states = rd()?;
         let symbols = rd()?;
-        let elem_bytes = rd()?;
         let processed = rd()?;
         let num_states = rd()?;
         let crc_at = pos;
@@ -263,65 +240,60 @@ impl Checkpoint {
         if dfa_states > u32::MAX as u64 || symbols > u32::MAX as u64 {
             return Err(IoError::Corrupt("dimension overflow"));
         }
-        if !(elem_bytes == 2 || elem_bytes == 4) {
-            return Err(IoError::Corrupt("bad mapping element width"));
-        }
-        if processed > num_states {
-            return Err(IoError::Corrupt("checkpoint cursor beyond arena"));
-        }
-        let n = to_len(dfa_states)?;
         let k = to_len(symbols)?;
-        let states = to_len(num_states)?;
-        let delta_len = states
+        let delta_len = to_len(processed)?
             .checked_mul(k)
             .and_then(|x| x.checked_mul(4))
             .ok_or(IoError::Corrupt("dimension overflow"))?;
         if delta_raw.len() != delta_len {
             return Err(IoError::Corrupt("delta section size mismatch"));
         }
-        let mapping_len = states
-            .checked_mul(n)
-            .and_then(|x| x.checked_mul(elem_bytes as usize))
-            .ok_or(IoError::Corrupt("dimension overflow"))?;
-        if mappings_le.len() != mapping_len {
-            return Err(IoError::Corrupt("mapping section size mismatch"));
-        }
         let delta: Vec<u32> = delta_raw
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        for (i, &d) in delta.iter().enumerate() {
-            let row = i / k;
-            if (row as u64) < processed {
-                if d as u64 >= num_states {
-                    return Err(IoError::Corrupt("processed transition out of range"));
-                }
-            } else if d != u32::MAX && d as u64 >= num_states {
-                return Err(IoError::Corrupt("frontier transition out of range"));
-            }
-        }
-        // Every persisted mapping element must be a valid DFA state.
-        let width = elem_bytes as usize;
-        for chunk in mappings_le.chunks_exact(width) {
-            let mut v = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                v |= (b as u64) << (8 * i);
-            }
-            if v >= dfa_states {
-                return Err(IoError::Corrupt("mapping element out of range"));
-            }
-        }
+        check_canonical_prefix(&delta, k, to_len(num_states)?)?;
         Ok(Checkpoint {
             dfa_states: dfa_states as u32,
             symbols: symbols as u32,
-            elem_bytes: elem_bytes as u8,
             processed,
             num_states,
             dfa_crc,
             delta,
-            mappings_le: mappings_le.to_vec(),
         })
     }
+}
+
+/// Check that `delta`, the δₛ rows of the first `delta.len() / k`
+/// states, numbers states as the sequential FIFO worklist does and
+/// discovers exactly `num_states` of them: each row belongs to a state
+/// discovered before it, and each successor is a state already
+/// discovered or the next new id. That bounds `num_states` by
+/// `1 + rows·k`, so a caller may size allocations by it afterwards.
+pub(crate) fn check_canonical_prefix(
+    delta: &[u32],
+    k: usize,
+    num_states: usize,
+) -> Result<(), IoError> {
+    let mut discovered = 1usize;
+    for (state, row) in delta.chunks_exact(k).enumerate() {
+        if state >= discovered {
+            return Err(IoError::Corrupt("δₛ row of an undiscovered state"));
+        }
+        for &succ in row {
+            match (succ as usize).cmp(&discovered) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => discovered += 1,
+                std::cmp::Ordering::Greater => {
+                    return Err(IoError::Corrupt("δₛ does not number states canonically"))
+                }
+            }
+        }
+    }
+    if discovered != num_states {
+        return Err(IoError::Corrupt("state count disagrees with the δₛ prefix"));
+    }
+    Ok(())
 }
 
 fn to_len(v: u64) -> Result<usize, IoError> {
@@ -404,14 +376,19 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, IoError> {
 pub fn verify(path: &Path) -> Result<ArtifactInfo, IoError> {
     let bytes = read_artifact(path)?;
     let (kind, sections) = parse(&bytes)?;
-    match kind {
+    let checkpoint = match kind {
         ArtifactKind::Sfa => {
             io::from_bytes(section(&sections, TAG_SFA)?)?;
+            None
         }
         ArtifactKind::Checkpoint => {
-            Checkpoint::from_artifact_bytes(&bytes)?;
+            let ckpt = Checkpoint::from_artifact_bytes(&bytes)?;
+            Some(CheckpointProgress {
+                processed: ckpt.processed,
+                states: ckpt.num_states,
+            })
         }
-    }
+    };
     Ok(ArtifactInfo {
         kind,
         version: FORMAT_VERSION,
@@ -423,6 +400,7 @@ pub fn verify(path: &Path) -> Result<ArtifactInfo, IoError> {
                 len: payload.len() as u64,
             })
             .collect(),
+        checkpoint,
     })
 }
 
@@ -518,17 +496,6 @@ fn section<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<&'a [u8], IoError
         .find(|(t, _)| *t == tag)
         .map(|(_, p)| *p)
         .ok_or(IoError::Corrupt("missing artifact section"))
-}
-
-/// Encode a mapping arena slice as little-endian bytes for a
-/// [`Checkpoint`].
-pub(crate) fn mappings_to_le<E: Elem>(mappings: &[E]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(mappings.len() * E::BYTES);
-    for &m in mappings {
-        let v = m.to_u32();
-        out.extend_from_slice(&v.to_le_bytes()[..E::BYTES]);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -653,18 +620,13 @@ mod tests {
         let ck = Checkpoint {
             dfa_states: 3,
             symbols: 2,
-            elem_bytes: 2,
             processed: 1,
             num_states: 2,
             dfa_crc: 0xDEAD_BEEF,
-            delta: vec![1, 0, u32::MAX, u32::MAX],
-            mappings_le: mappings_to_le::<u16>(&[0, 1, 2, 1, 2, 0]),
+            delta: vec![1, 0],
         };
         let bytes = ck.to_artifact_bytes();
-        let back = Checkpoint::from_artifact_bytes(&bytes).unwrap();
-        assert_eq!(back, ck);
-        assert_eq!(back.mappings::<u16>().unwrap(), vec![0, 1, 2, 1, 2, 0]);
-        assert!(back.mappings::<u32>().is_none());
+        assert_eq!(Checkpoint::from_artifact_bytes(&bytes).unwrap(), ck);
     }
 
     #[test]
@@ -672,25 +634,27 @@ mod tests {
         let good = Checkpoint {
             dfa_states: 3,
             symbols: 2,
-            elem_bytes: 2,
-            processed: 1,
-            num_states: 2,
+            processed: 2,
+            num_states: 3,
             dfa_crc: 1,
-            delta: vec![1, 0, u32::MAX, u32::MAX],
-            mappings_le: mappings_to_le::<u16>(&[0, 1, 2, 1, 2, 0]),
+            delta: vec![1, 0, 2, 1],
         };
-        // A processed row may not contain unfilled (MAX) entries.
-        let mut hole = good.clone();
-        hole.delta[0] = u32::MAX;
-        assert!(Checkpoint::from_artifact_bytes(&hole.to_artifact_bytes()).is_err());
-        // Cursor beyond the arena.
-        let mut cursor = good.clone();
-        cursor.processed = 3;
-        assert!(Checkpoint::from_artifact_bytes(&cursor.to_artifact_bytes()).is_err());
-        // Mapping element outside the DFA.
-        let mut elem = good.clone();
-        elem.mappings_le = mappings_to_le::<u16>(&[0, 1, 9, 1, 2, 0]);
-        assert!(Checkpoint::from_artifact_bytes(&elem.to_artifact_bytes()).is_err());
+        assert!(Checkpoint::from_artifact_bytes(&good.to_artifact_bytes()).is_ok());
+        let rejected = |mutate: fn(&mut Checkpoint)| {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            let err = Checkpoint::from_artifact_bytes(&bad.to_artifact_bytes()).unwrap_err();
+            assert!(matches!(err, IoError::Corrupt(_)), "{bad:?} gave {err:?}");
+        };
+        // Cursor beyond the rows present.
+        rejected(|c| c.processed = 3);
+        // More states than the rows discover, and fewer.
+        rejected(|c| c.num_states = 4);
+        rejected(|c| c.num_states = 2);
+        // A successor id past the next new state.
+        rejected(|c| c.delta[0] = 2);
+        // Row 1 of a prefix whose row 0 discovers nothing new.
+        rejected(|c| c.delta[0] = 0);
         // A wrong-kind read is typed, not misparsed.
         let (_, sfa) = rg_sfa();
         assert!(Checkpoint::from_artifact_bytes(&sfa_to_bytes(&sfa)).is_err());

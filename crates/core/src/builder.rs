@@ -212,10 +212,11 @@ impl<'d> SfaBuilder<'d> {
     /// CRC-checked artifact), so an interrupted build can be continued
     /// with [`resume_from`] (producing a byte-identical SFA). The
     /// parallel engine snapshots every `every_states` discovered states:
-    /// all workers quiesce at a barrier and one of them snapshots the
-    /// canonical-order prefix. A snapshot that falls due is written
-    /// before the next governor poll, so a budget or cancel abort still
-    /// leaves it behind. Schedule-dependent options (probabilistic mode,
+    /// the worker that crosses the cadence writes the δₛ rows of the
+    /// canonical-order prefix, without mapping rows, while the others
+    /// keep working. A snapshot that falls due is written before the
+    /// next governor poll, so a budget or cancel abort still leaves it
+    /// behind. Schedule-dependent options (probabilistic mode,
     /// `CompressionPolicy::WhenMemoryExceeds`) are rejected, and so is a
     /// [`sequential`] variant: build with `threads(1)` instead, which
     /// yields the same bytes.
@@ -228,9 +229,10 @@ impl<'d> SfaBuilder<'d> {
     }
 
     /// Continue an interrupted build from the checkpoint artifact at
-    /// `path`. The checkpoint must have been written for the same DFA
-    /// (a fingerprint binds them); the finished SFA is byte-identical to
-    /// an uninterrupted run at any thread count. Like [`checkpoint`],
+    /// `path`, deriving every mapping row from its δₛ and the DFA. The
+    /// checkpoint must have been written for the same DFA (a fingerprint
+    /// binds them); the finished SFA is byte-identical to an
+    /// uninterrupted run at any thread count. Like [`checkpoint`],
     /// this runs on the parallel engine only.
     ///
     /// [`checkpoint`]: SfaBuilder::checkpoint

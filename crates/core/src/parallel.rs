@@ -33,12 +33,13 @@
 //!   compression policy), and race-loser arena garbage can never leave
 //!   gaps or aliases in the final id space.
 //! * **Checkpointing**: on top of that determinism, a build can snapshot
-//!   the canonical prefix of the automaton at a stop-the-world rendezvous
-//!   (same barrier machinery as the compression phase) and resume it at
-//!   any thread count to a byte-identical SFA (DESIGN.md §14). This is
-//!   the only engine that checkpoints: a due snapshot is raised before
-//!   a worker stops, so a stop on the state budget, a budget axis or the
-//!   cancel token still leaves it.
+//!   the canonical δₛ prefix of the automaton while it runs — the walk
+//!   reads only successor slots, which are written once, so no worker
+//!   stops for it — and resume it at any thread count to a
+//!   byte-identical SFA, deriving every mapping row from δₛ and the DFA
+//!   (DESIGN.md §14). This is the only engine that checkpoints: a due
+//!   snapshot is written before a worker stops, so a stop on the state
+//!   budget, a budget axis or the cancel token still leaves it.
 
 use crate::artifact::{self, Checkpoint, CheckpointConfig};
 use crate::budget::Governor;
@@ -272,8 +273,9 @@ pub(crate) fn construct_parallel_resumable(
     }
     if opts.probabilistic && (checkpoint.is_some() || resume.is_some()) {
         return Err(SfaError::InvalidOptions(
-            "probabilistic construction drops mapping payloads, so it can \
-             neither write nor resume checkpoints",
+            "probabilistic construction decides state identity by fingerprint \
+             alone, so which of two colliding states it keeps depends on the \
+             schedule; it can neither write nor resume checkpoints",
         ));
     }
     if opts.probabilistic && opts.spill.is_some() {
@@ -401,23 +403,28 @@ struct Shared<E: Elem> {
     has_error: AtomicBool,
     clock: Mutex<PhaseClock>,
     governor: Governor,
-    /// CRC-64 fingerprint of the source DFA (bound into checkpoints so a
-    /// snapshot can never be resumed against the wrong automaton).
-    dfa_crc: u64,
-    /// Checkpoint cadence, when parallel checkpointing is enabled.
-    ckpt: Option<CheckpointConfig>,
-    /// Set when a worker crosses [`Shared::ckpt_next`]: all workers then
-    /// converge on the rendezvous barrier and one of them snapshots the
-    /// canonical prefix.
-    ckpt_requested: AtomicBool,
-    /// Discovered-state count at which the next snapshot is due.
-    ckpt_next: AtomicU64,
+    /// Set when the build writes checkpoints.
+    ckpt: Option<Checkpointing>,
     /// One-shot leader latch for the compression protocol (CAS-elected —
     /// worker 0 may have exited on an error path before compressing).
     compress_leader: AtomicBool,
     /// Raised when a worker in compressed mode finds a spill pass due;
     /// everyone converges on the rendezvous and one leader demotes.
     spill_requested: AtomicBool,
+}
+
+/// The checkpoint cadence of a build and its writer.
+struct Checkpointing {
+    cfg: CheckpointConfig,
+    /// [`artifact::dfa_fingerprint`] of the source DFA, bound into every
+    /// snapshot so that it can never resume against another automaton.
+    dfa_crc: u64,
+    /// Discovered-state count at which the next snapshot is due.
+    next: AtomicU64,
+    /// Held from a snapshot's walk to its write: two writers would share
+    /// the atomic write's temporary file, and an earlier snapshot could
+    /// overwrite a later one.
+    writer: Mutex<()>,
 }
 
 #[derive(Default)]
@@ -514,10 +521,12 @@ impl<E: Elem> Engine<E> {
             has_error: AtomicBool::new(false),
             clock: Mutex::new(PhaseClock::default()),
             governor: governor.clone(),
-            dfa_crc: artifact::dfa_fingerprint(dfa),
-            ckpt: checkpoint.cloned(),
-            ckpt_requested: AtomicBool::new(false),
-            ckpt_next: AtomicU64::new(u64::MAX),
+            ckpt: checkpoint.map(|cfg| Checkpointing {
+                cfg: cfg.clone(),
+                dfa_crc: artifact::dfa_fingerprint(dfa),
+                next: AtomicU64::new(u64::MAX),
+                writer: Mutex::new(()),
+            }),
             compress_leader: AtomicBool::new(false),
             spill_requested: AtomicBool::new(false),
         };
@@ -559,23 +568,25 @@ impl<E: Elem> Engine<E> {
                 }
             }
             Some(ckpt) => {
-                // Re-intern the persisted arena in id order: snapshots
-                // are written in canonical order, so arena ids here equal
-                // checkpoint row indices and hash chains come back in
-                // discovery order.
-                let mappings = ckpt.validate_for::<E>(dfa).map_err(SfaError::Artifact)?;
-                let num_states = ckpt.num_states as usize;
-                for idx in 0..num_states {
-                    let id = seed_row(&mappings[idx * n..(idx + 1) * n])?;
+                // Derive every row from δₛ and the DFA and intern them in
+                // canonical order, so arena ids equal canonical ids and
+                // hash chains come back in discovery order.
+                ckpt.validate_for(dfa)?;
+                let rows = reconstruct_mappings(
+                    &shared.table_typed,
+                    n,
+                    &ckpt.delta,
+                    ckpt.num_states as usize,
+                )?;
+                for (idx, row) in rows.chunks_exact(n).enumerate() {
+                    let id = seed_row(row)?;
                     debug_assert_eq!(id as usize, idx);
                 }
-                // Processed rows keep their completed δₛ entries; frontier
-                // rows stay NIL and are recomputed by the workers.
-                for row in 0..ckpt.processed as usize {
-                    for sym in 0..k {
-                        shared
-                            .store
-                            .set_succ(row as u32, sym, ckpt.delta[row * k + sym]);
+                // Processed rows keep their δₛ entries; frontier rows stay
+                // NIL and are recomputed by the workers.
+                for (id, succs) in ckpt.delta.chunks_exact(k).enumerate() {
+                    for (sym, &succ) in succs.iter().enumerate() {
+                        shared.store.set_succ(id as u32, sym, succ);
                     }
                 }
                 let frontier = ckpt.num_states - ckpt.processed;
@@ -589,9 +600,9 @@ impl<E: Elem> Engine<E> {
                 }
             }
         }
-        if let Some(cfg) = checkpoint {
-            shared.ckpt_next.store(
-                shared.store.len() as u64 + cfg.every_states,
+        if let Some(ckpt) = &shared.ckpt {
+            ckpt.next.store(
+                shared.store.len() as u64 + ckpt.cfg.every_states,
                 Ordering::SeqCst,
             );
         }
@@ -693,10 +704,6 @@ impl<E: Elem> Engine<E> {
         let compressed_mode = shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESSED;
         let snap = shared.store.snapshot::<E>(compressed_mode)?;
         let num_states = snap.delta.len() / k;
-        debug_assert_eq!(
-            snap.processed, num_states,
-            "unprocessed state escaped the frontier drain"
-        );
         stats.states = num_states as u64;
         stats.uncompressed_bytes = (num_states * n * E::BYTES) as u64;
         let mappings = match snap.rows {
@@ -706,10 +713,13 @@ impl<E: Elem> Engine<E> {
                 blobs,
                 codec: opts.codec,
             },
-            // Payloads were dropped: reconstruct them from δₛ.
-            Rows::Dropped => {
-                E::into_store(reconstruct_mappings(&shared.table_typed, n, &snap.delta))
-            }
+            // Payloads were dropped: derive them from δₛ.
+            Rows::Dropped => E::into_store(reconstruct_mappings(
+                &shared.table_typed,
+                n,
+                &snap.delta,
+                num_states,
+            )?),
         };
         stats.stored_bytes = mappings.payload_bytes() as u64;
         shared.store.record_stats(&mut stats);
@@ -731,35 +741,37 @@ impl<E: Elem> Engine<E> {
     }
 }
 
-/// Rebuild all mapping vectors from δₛ and the DFA transition table
-/// (`n` states, row-major) for the probabilistic mode, whose construction
-/// discards payloads. BFS from the identity start mapping, state 0.
-fn reconstruct_mappings<E: Elem>(dfa_table: &[E], n: usize, delta: &[u32]) -> Vec<E> {
+/// Derive the mapping rows of the `num_states` states that `delta`, a
+/// canonical δₛ prefix, discovers: state 0 is the identity, and every
+/// later state's row is its BFS parent's row stepped through the DFA
+/// (`dfa_table`, `n` states, row-major) on the symbol that discovered
+/// it. The probabilistic harvest, which keeps no payloads, and resume,
+/// whose checkpoint stores none, both take their rows from here. A δₛ
+/// that does not number states canonically, or that discovers other than
+/// `num_states` states, is a typed error, raised before anything is
+/// sized by `num_states`.
+fn reconstruct_mappings<E: Elem>(
+    dfa_table: &[E],
+    n: usize,
+    delta: &[u32],
+    num_states: usize,
+) -> Result<Vec<E>, IoError> {
     let k = dfa_table.len() / n;
-    let num_states = delta.len() / k;
-    let mut flat: Vec<E> = vec![E::from_u32(0); num_states * n];
-    let mut visited = vec![false; num_states];
-    for (q, slot) in flat[..n].iter_mut().enumerate() {
-        *slot = E::from_u32(q as u32);
-    }
-    visited[0] = true;
-    let mut queue = std::collections::VecDeque::from([0u32]);
-    while let Some(s) = queue.pop_front() {
-        for sym in 0..k {
-            let succ = delta[s as usize * k + sym];
-            if visited[succ as usize] {
-                continue;
+    artifact::check_canonical_prefix(delta, k, num_states)?;
+    let mut flat: Vec<E> = Vec::with_capacity(num_states * n);
+    flat.extend((0..n as u32).map(E::from_u32));
+    for (parent, succs) in delta.chunks_exact(k).enumerate() {
+        for (sym, &succ) in succs.iter().enumerate() {
+            // Canonical ids are discovery order: a new state is the next row.
+            if succ as usize * n == flat.len() {
+                for q in 0..n {
+                    let cur = flat[parent * n + q].to_u32() as usize;
+                    flat.push(dfa_table[cur * k + sym]);
+                }
             }
-            visited[succ as usize] = true;
-            for q in 0..n {
-                let cur = flat[s as usize * n + q].to_u32() as usize;
-                flat[succ as usize * n + q] = dfa_table[cur * k + sym];
-            }
-            queue.push_back(succ);
         }
     }
-    debug_assert!(visited.iter().all(|&v| v), "unreachable SFA state");
-    flat
+    Ok(flat)
 }
 
 fn merge_snap(a: ContentionSnapshot, b: ContentionSnapshot) -> ContentionSnapshot {
@@ -824,11 +836,10 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         loop {
             // Stop-the-world protocols first: everyone must converge on
             // the rendezvous barrier, including idle and error-state
-            // workers. Compression and checkpoint requests share ONE
-            // entry barrier so workers can never split across two
-            // different barrier sequences (see `rendezvous`).
+            // workers. Compression and spill requests share ONE entry
+            // barrier so workers can never split across two different
+            // barrier sequences (see `rendezvous`).
             if shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESS_REQUESTED
-                || shared.ckpt_requested.load(Ordering::SeqCst)
                 || shared.spill_requested.load(Ordering::SeqCst)
             {
                 self.rendezvous();
@@ -841,28 +852,28 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
             // work item that filled the store), a budget axis or the
             // cancel token still leaves the snapshot its cadence made due.
             // The worker that advances the discovered-state watermark
-            // raises the request; everyone (including the raiser)
-            // converges on the rendezvous at their next loop turn.
+            // writes the snapshot while its peers keep working.
             let len = if counted {
                 shared.store.len() as u64
             } else {
                 0
             };
-            if let Some(cfg) = &shared.ckpt {
-                let due = shared.ckpt_next.load(Ordering::SeqCst);
+            if let Some(ckpt) = &shared.ckpt {
+                let due = ckpt.next.load(Ordering::SeqCst);
                 if len >= due
-                    && shared
-                        .ckpt_next
+                    && ckpt
+                        .next
                         .compare_exchange(
                             due,
-                            len + cfg.every_states,
+                            len + ckpt.cfg.every_states,
                             Ordering::SeqCst,
                             Ordering::SeqCst,
                         )
                         .is_ok()
                 {
-                    shared.ckpt_requested.store(true, Ordering::SeqCst);
-                    continue;
+                    if let Err(e) = self.write_checkpoint(ckpt) {
+                        self.record_error(e);
+                    }
                 }
             }
             if shared.has_error.load(Ordering::SeqCst) {
@@ -911,12 +922,11 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
                 }
                 None => {
                     if shared.pending.load(Ordering::SeqCst) == 0 {
-                        // Re-check the flags: a compression or checkpoint
+                        // Re-check the flags: a compression or spill
                         // request is ordered before the pending decrement
                         // that made us see 0 (all SeqCst), so this cannot
                         // miss one.
                         if shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESS_REQUESTED
-                            || shared.ckpt_requested.load(Ordering::SeqCst)
                             || shared.spill_requested.load(Ordering::SeqCst)
                         {
                             continue;
@@ -1078,47 +1088,40 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
     }
 
     /// Converge the workers for the stop-the-world sub-protocols. Both
-    /// the compression request and a checkpoint request funnel through
-    /// this single entry barrier: if each protocol had its own quiesce
+    /// the compression request and a spill request funnel through this
+    /// single entry barrier: if each protocol had its own quiesce
     /// barrier, workers racing toward different protocols would merge
-    /// into one barrier generation and corrupt both (e.g. a checkpoint
-    /// reader scanning mappings while a compression peer swaps them).
+    /// into one barrier generation and corrupt both (e.g. a spill leader
+    /// demoting payloads while a compression peer re-encodes them).
     ///
     /// After R1 no worker is processing a state, so `phase` and
-    /// `ckpt_requested` are frozen: every worker latches identical
+    /// `spill_requested` are frozen: every worker latches identical
     /// booleans and therefore executes an identical barrier sequence —
     /// compression first (it changes the stored representation), then
-    /// the checkpoint snapshot (which must read a settled arena).
+    /// the spill pass (which demotes the compressed payloads).
     fn rendezvous(&self) {
         let shared = self.shared;
         // R1: quiesce.
         shared.barrier.wait();
         let compress = shared.phase.load(Ordering::SeqCst) == PHASE_COMPRESS_REQUESTED;
-        let ckpt = shared.ckpt_requested.load(Ordering::SeqCst);
         let spill = shared.spill_requested.load(Ordering::SeqCst);
         // R1b: everyone has latched the flags before anyone may mutate
-        // them. Without this, the checkpoint writer's CAS (which clears
-        // `ckpt_requested` inside `participate_checkpoint`) can race a
-        // slow worker that hasn't latched yet — that worker would read
-        // `ckpt = false`, skip R2, and re-enter the main loop while the
-        // snapshot is still being written, merging barrier generations
-        // (and, transitively, allowing two concurrent writers on the
-        // same checkpoint path). Between R1 and R1b both flags are
+        // them. Without this, the spill leader's CAS (which clears
+        // `spill_requested` inside `participate_spill`) can race a slow
+        // worker that hasn't latched yet — that worker would read
+        // `spill = false`, skip the spill pass's closing barrier, and
+        // re-enter the main loop while the leader is still demoting,
+        // merging barrier generations. Between R1 and R1b both flags are
         // stable: every registered worker is inside this protocol, and
-        // the only mutators (the writer CAS, the compression leader's
-        // phase switch) run strictly after R1b.
+        // the only mutators (the spill leader's CAS, the compression
+        // leader's phase switch) run strictly after R1b.
         shared.barrier.wait();
         if compress {
             self.participate_compression();
         }
         if spill {
-            // After compression (the pass demotes compressed payloads)
-            // and before a checkpoint snapshot (which reads through the
-            // markers the pass installs).
+            // After compression: the pass demotes compressed payloads.
             self.participate_spill();
-        }
-        if ckpt {
-            self.participate_checkpoint();
         }
     }
 
@@ -1195,67 +1198,25 @@ impl<'s, E: Elem, F: Fingerprinter> WorkerCtx<'s, E, F> {
         shared.barrier.wait();
     }
 
-    /// The stop-the-world checkpoint snapshot. Entered from
-    /// [`WorkerCtx::rendezvous`] with all workers quiesced (R1, plus the
-    /// compression sub-protocol when both were requested), so the arena
-    /// is settled and the canonical prefix is stable. One worker —
-    /// whichever wins the CAS that clears the request flag, NOT worker 0
-    /// (which may already have exited on an error path) — snapshots and
-    /// writes the artifact; the closing barrier releases everyone.
-    fn participate_checkpoint(&self) {
-        let shared = self.shared;
-        if shared
-            .ckpt_requested
-            .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            // A budget stop (a governor axis, the cancel token or the
-            // state budget) leaves the store consistent, and a
-            // peer's stop may land between the request and this
-            // rendezvous: its due snapshot is still written. Any other
-            // failure may have left the store half-updated, and a
-            // checkpoint of it could shadow a good one.
-            let consistent = shared
-                .error
-                .lock()
-                .as_ref()
-                .is_none_or(SfaError::is_degradable);
-            if consistent {
-                let cfg = shared
-                    .ckpt
-                    .as_ref()
-                    .expect("checkpoint requested without a cadence config");
-                if let Err(e) = self.write_checkpoint(cfg) {
-                    self.record_error(e);
-                }
-            }
-        }
-        // R2: snapshot complete; peers resume.
-        shared.barrier.wait();
-    }
-
-    /// Snapshot the canonical prefix to the checkpoint artifact (atomic
-    /// write): `{mappings, δₛ, cursor}` in canonical order, plaintext
-    /// rows, so the resuming build re-compresses under its own policy.
-    fn write_checkpoint(&self, cfg: &CheckpointConfig) -> Result<(), SfaError> {
+    /// Snapshot the canonical δₛ prefix to the checkpoint artifact (an
+    /// atomic write). The walk reads only successor slots, so peers keep
+    /// working meanwhile. The writer lock is taken before the walk and
+    /// never held across a barrier.
+    fn write_checkpoint(&self, ckpt: &Checkpointing) -> Result<(), SfaError> {
+        let _writer = ckpt.writer.lock();
         sfa_sync::fault_point!("checkpoint/write")
             .map_err(|e| SfaError::Artifact(IoError::Io(e.to_string())))?;
         let shared = self.shared;
-        let snap = shared.store.snapshot::<E>(false)?;
-        let Rows::Plain(flat) = snap.rows else {
-            unreachable!("checkpointed builds keep their payloads")
-        };
-        let ckpt = Checkpoint {
+        let (order, delta) = shared.store.canonical_prefix();
+        let snapshot = Checkpoint {
             dfa_states: shared.n as u32,
             symbols: shared.k as u32,
-            elem_bytes: E::BYTES as u8,
-            processed: snap.processed as u64,
-            num_states: (snap.delta.len() / shared.k) as u64,
-            dfa_crc: shared.dfa_crc,
-            delta: snap.delta,
-            mappings_le: artifact::mappings_to_le(&flat),
+            processed: (delta.len() / shared.k) as u64,
+            num_states: order.len() as u64,
+            dfa_crc: ckpt.dfa_crc,
+            delta,
         };
-        artifact::write_checkpoint(&cfg.path, &ckpt).map_err(SfaError::Artifact)
+        artifact::write_checkpoint(&ckpt.cfg.path, &snapshot).map_err(SfaError::Artifact)
     }
 }
 

@@ -14,11 +14,11 @@
 //! [`MemoryManager`] ledger, the codec and the spill tier. The parallel
 //! engine and the lazy SFA intern candidates, read states back as
 //! plaintext, re-encode or demote payloads at a stop-the-world barrier
-//! and take the canonical snapshot without seeing a stored form. That
-//! snapshot is the one way a build leaves the store: harvest and every
-//! checkpoint take it, since the parallel engine is the only one that
-//! checkpoints. Every ledger charge and credit is made here: resident
-//! bytes equal the bytes of live resident payloads.
+//! and take the canonical snapshot without seeing a stored form. The
+//! canonical numbering is the one way a build leaves the store: harvest
+//! takes it with the rows, and every checkpoint takes its δₛ prefix
+//! alone, without stopping the build. Every ledger charge and credit is
+//! made here: resident bytes equal the bytes of live resident payloads.
 
 use crate::elem::Elem;
 use crate::io::IoError;
@@ -169,9 +169,7 @@ pub(crate) enum Rows<E> {
 
 /// The canonical snapshot: see [`StateStore::snapshot`].
 pub(crate) struct Snapshot<E> {
-    /// Length of the prefix of states whose δₛ rows are complete.
-    pub processed: usize,
-    /// δₛ in canonical ids, row-major; `u32::MAX` in rows from `processed` on.
+    /// δₛ in canonical ids, row-major.
     pub delta: Vec<u32>,
     /// Mapping rows.
     pub rows: Rows<E>,
@@ -610,38 +608,34 @@ impl StateStore {
         self.replace_mapping(id, Payload::Raw(Box::default()));
     }
 
-    /// The canonical snapshot: states numbered by BFS from the identity
-    /// (see [`StateStore::canonical_order`]), δₛ remapped to those ids,
+    /// The harvest's canonical snapshot: states numbered by BFS from the
+    /// identity (see [`StateStore::canonical_prefix`]), δₛ in those ids,
     /// and the mapping rows in that order. Rows are plaintext unless
     /// `keep_compressed` asks for the compressed payloads as stored —
     /// granted only without a spill tier, since which payloads are
-    /// compressed or spilled then depends on the schedule. Harvest and
-    /// checkpoints both take this snapshot; quiesced callers only.
+    /// compressed or spilled then depends on the schedule. Quiesced
+    /// callers only, once every state is processed.
     pub(crate) fn snapshot<E: Elem>(&self, keep_compressed: bool) -> Result<Snapshot<E>, SfaError> {
-        let (order, canon_of, processed) = self.canonical_order();
-        let (n, k, len) = (self.n, self.k, order.len());
-        let mut delta = vec![u32::MAX; len * k];
+        let (order, delta) = self.canonical_prefix();
+        debug_assert_eq!(
+            delta.len(),
+            order.len() * self.k,
+            "unprocessed state at harvest"
+        );
+        let (n, len) = (self.n, order.len());
         let mut rows = if self.probabilistic {
             Rows::Dropped
         } else if keep_compressed && self.spill.is_none() {
             Rows::Compressed(Vec::with_capacity(len))
         } else {
-            Rows::Plain(vec![E::from_u32(0); len * n])
+            Rows::Plain(Vec::with_capacity(len * n))
         };
         let (mut buf, mut elems) = (ReadBuf::default(), Vec::with_capacity(n));
-        // One pass over the canonical order: each record is visited once.
-        for (c, &id) in order.iter().enumerate() {
-            if c < processed {
-                for sym in 0..k {
-                    let succ = self.succ(id, sym) as usize;
-                    debug_assert_ne!(canon_of[succ], NIL, "successor outside BFS order");
-                    delta[c * k + sym] = canon_of[succ];
-                }
-            }
+        for &id in &order {
             match &mut rows {
                 Rows::Plain(flat) => {
                     E::read_bytes(self.plaintext(id, &mut buf, false)?, &mut elems);
-                    flat[c * n..(c + 1) * n].copy_from_slice(&elems);
+                    flat.extend_from_slice(&elems);
                 }
                 Rows::Compressed(blobs) => match self.mapping(id) {
                     Payload::Compressed(d) => blobs.push(d.clone()),
@@ -650,50 +644,58 @@ impl StateStore {
                 Rows::Dropped => {}
             }
         }
-        Ok(Snapshot {
-            processed,
-            delta,
-            rows,
-        })
+        Ok(Snapshot { delta, rows })
     }
 
     /// Canonical (= sequential) numbering: BFS from arena id 0, the
     /// identity, expanding successors in symbol order and stopping at the
-    /// first incomplete δₛ row. Returns `(order, canon_of, processed)`:
-    /// `order[c]` is the arena id of canonical id `c`, `canon_of` the
-    /// inverse (`NIL` for race losers and, mid build, states reachable
-    /// only through unprocessed rows), and `processed` the length of the
-    /// complete-row prefix. The sequential FIFO worklist assigns exactly
-    /// these ids, so mid build `order` is the arena a sequential build
-    /// holds at cursor `processed` — which is what a checkpoint persists
-    /// and a resumed build at any thread count continues (DESIGN.md §14).
-    fn canonical_order(&self) -> (Vec<u32>, Vec<u32>, usize) {
-        let len = self.len();
-        let mut canon_of = vec![NIL; len];
-        let mut order: Vec<u32> = Vec::with_capacity(len);
+    /// first state whose δₛ row is incomplete. Returns `(order, delta)`:
+    /// `order[c]` is the arena id of canonical id `c`, for every state
+    /// the walk discovers, and `delta` holds the rows of the processed
+    /// prefix (`delta.len() / k` states) in canonical ids. Race losers
+    /// are never a successor, so they get no id. The sequential FIFO
+    /// worklist assigns exactly these ids, so mid build this is the arena
+    /// a sequential build holds at that cursor — what a checkpoint
+    /// persists and a resumed build at any thread count continues
+    /// (DESIGN.md §14).
+    ///
+    /// Only successor slots are read, and each is written once, so the
+    /// walk needs no quiescence: a row read complete stays complete, and
+    /// a successor allocated after the arena length was read only grows
+    /// the inverse map.
+    pub(crate) fn canonical_prefix(&self) -> (Vec<u32>, Vec<u32>) {
+        let (k, len) = (self.k, self.len());
+        // Room for every state: a harvest fills it, and a checkpoint's
+        // short prefix leaves the reservation untouched.
+        let (mut order, mut delta) = (Vec::with_capacity(len), Vec::with_capacity(len * k));
         if len == 0 {
-            return (order, canon_of, 0);
+            return (order, delta);
         }
+        let mut canon_of = vec![NIL; len];
         canon_of[0] = 0;
         order.push(0);
-        let mut cursor = 0usize;
-        while cursor < order.len() {
-            let id = order[cursor];
-            // An incomplete row means the sequential engine would not
-            // have processed this state yet — nor, FIFO, any after it.
-            if (0..self.k).any(|sym| self.succ(id, sym) == NIL) {
+        let mut row = vec![NIL; k];
+        while let Some(&id) = order.get(delta.len() / k) {
+            // Read the row once: a slot may be filled between two reads.
+            for (sym, slot) in row.iter_mut().enumerate() {
+                *slot = self.succ(id, sym);
+            }
+            if row.contains(&NIL) {
                 break;
             }
-            for sym in 0..self.k {
-                let succ = self.succ(id, sym) as usize;
+            for &succ in &row {
+                let succ = succ as usize;
+                if succ >= canon_of.len() {
+                    canon_of.resize(succ + 1, NIL);
+                }
                 if canon_of[succ] == NIL {
                     canon_of[succ] = order.len() as u32;
                     order.push(succ as u32);
                 }
+                delta.push(canon_of[succ]);
             }
-            cursor += 1;
         }
-        (order, canon_of, cursor)
+        (order, delta)
     }
 
     /// Copy the ledger and tier counters into `stats`: demotions are
@@ -827,6 +829,27 @@ mod tests {
     }
 
     #[test]
+    fn canonical_prefix_stops_at_the_first_incomplete_row() {
+        let s = store();
+        for v in 0..4 {
+            s.seed(v, &[v as u8; 8], false).unwrap();
+        }
+        let row = |id, succs: [u32; 3]| {
+            for (sym, to) in succs.into_iter().enumerate() {
+                s.set_succ(id, sym, to);
+            }
+        };
+        // State 0 reaches arena id 2 before arena id 1.
+        row(0, [2, 0, 1]);
+        row(2, [3, 2, 2]);
+        // State 1's row is still being filled: the prefix ends there.
+        s.set_succ(1, 0, 0);
+        let (order, delta) = s.canonical_prefix();
+        assert_eq!(order, [0, 2, 1, 3]);
+        assert_eq!(delta, [1, 0, 2, 3, 1, 1]);
+    }
+
+    #[test]
     fn lost_race_is_tombstoned_and_credited() {
         let s = store();
         s.seed(5, &[3; 8], false).unwrap();
@@ -896,7 +919,9 @@ mod tests {
         assert!(spilled > 0);
         assert!(matches!(s.mapping(2), Payload::Raw(_)));
         // The snapshot decodes a spilled row in place; a read re-installs
-        // it, and only that counts as a promotion.
+        // it, and only that counts as a promotion. State 0, a self-loop,
+        // is the whole automaton the harvest reaches.
+        (0..3).for_each(|sym| s.set_succ(0, sym, 0));
         let snap = s.snapshot::<u16>(false).unwrap();
         assert!(matches!(snap.rows, Rows::Plain(r) if r == [0; 4]));
         assert_eq!(counts().2, 0);

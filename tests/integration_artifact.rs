@@ -7,10 +7,11 @@
 use proptest::prelude::*;
 use sfa_automata::pipeline::Pipeline;
 use sfa_automata::Alphabet;
-use sfa_core::artifact;
-use sfa_core::io;
+use sfa_core::artifact::{self, Checkpoint};
+use sfa_core::io::{self, IoError};
 use sfa_core::prelude::*;
-use sfa_core::sfa::Sfa;
+use sfa_core::sfa::{CodecChoice, Sfa};
+use sfa_hash::crc64::crc64;
 use sfa_workloads::ScratchDir;
 use std::sync::OnceLock;
 
@@ -160,6 +161,170 @@ fn checkpoint_for_a_different_dfa_is_rejected() {
     std::fs::remove_file(&ckpt).unwrap();
 }
 
+#[test]
+fn compressed_builds_resume_byte_identical_from_every_cap() {
+    // Resume into each stored form a checkpointed build can intern rows
+    // in (raw rows are covered above): compressed from the start with
+    // deflate and with RLE, one work item per state and one per symbol,
+    // at 1 and 4 threads. Each build is stopped by a state cap at a
+    // quarter, half and three quarters of its states, then resumed
+    // without the cap under the same options.
+    let scratch = ScratchDir::new("artifact_it");
+    let dfa = sfa_automata::random::rn(24);
+    let ckpt = scratch.join("stored_forms.ckpt");
+    for codec in [CodecChoice::Deflate, CodecChoice::Rle] {
+        for blocks in [1, dfa.num_symbols()] {
+            for threads in [1, 4] {
+                let opts = ParallelOptions::with_threads(threads)
+                    .compression(CompressionPolicy::FromStart)
+                    .codec(codec)
+                    .symbol_blocks(blocks);
+                let full = Sfa::builder(&dfa).options(&opts).build().unwrap().sfa;
+                assert!(full.is_compressed());
+                let (states, oracle) = (full.num_states() as usize, io::to_bytes(&full));
+                for cap in [states / 4, states / 2, states * 3 / 4] {
+                    let context =
+                        format!("{codec:?}, {blocks} blocks, {threads} threads, cap {cap}");
+                    let _ = std::fs::remove_file(&ckpt);
+                    let err = Sfa::builder(&dfa)
+                        .options(&opts.clone().state_budget(cap))
+                        .checkpoint(&ckpt, 8)
+                        .build()
+                        .unwrap_err();
+                    assert_eq!(
+                        err,
+                        SfaError::StateBudgetExceeded { budget: cap },
+                        "{context}"
+                    );
+                    let progress = artifact::verify(&ckpt)
+                        .unwrap_or_else(|e| panic!("{context}: no valid checkpoint: {e}"))
+                        .checkpoint
+                        .unwrap();
+                    assert!(progress.processed > 0, "{context}: nothing processed");
+                    let resumed = Sfa::builder(&dfa)
+                        .options(&opts)
+                        .resume_from(&ckpt)
+                        .build()
+                        .unwrap();
+                    assert_eq!(io::to_bytes(&resumed.sfa), oracle, "{context}");
+                }
+            }
+        }
+    }
+}
+
+/// A checkpoint container holding `sections` as given, checksummed as
+/// the artifact writer does.
+fn checkpoint_container(sections: &[(u8, &[u8])]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for (tag, payload) in sections {
+        body.push(*tag);
+        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        body.extend_from_slice(&crc64(payload).to_le_bytes());
+        body.extend_from_slice(payload);
+    }
+    let mut out = b"SFAR".to_vec();
+    out.extend_from_slice(&artifact::FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&[1, sections.len() as u8]);
+    out.extend_from_slice(&crc64(&body).to_le_bytes());
+    out.extend_from_slice(&crc64(&out).to_le_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+#[test]
+fn checkpoint_in_the_earlier_layout_is_rejected_typed() {
+    // The earlier layout: meta under tag 2 with a mapping element width,
+    // δₛ rows for every state (`u32::MAX` on the frontier) and the
+    // mapping rows under tag 4; here the start state, unprocessed.
+    let dfa = rgd_dfa();
+    let (n, k) = (dfa.num_states(), dfa.num_symbols() as u32);
+    // n, k, element width, processed, states: one-byte varints.
+    let mut meta = vec![n as u8, k as u8, 2, 0, 1];
+    meta.extend_from_slice(&artifact::dfa_fingerprint(&dfa).to_le_bytes());
+    let delta: Vec<u8> = (0..k).flat_map(|_| u32::MAX.to_le_bytes()).collect();
+    let rows: Vec<u8> = (0..n as u16).flat_map(u16::to_le_bytes).collect();
+    let bytes = checkpoint_container(&[(2, &meta), (3, &delta), (4, &rows)]);
+    assert_eq!(
+        Checkpoint::from_artifact_bytes(&bytes),
+        Err(IoError::Corrupt("missing artifact section"))
+    );
+    let scratch = ScratchDir::new("artifact_it");
+    let path = scratch.join("earlier_layout.ckpt");
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(artifact::verify(&path), Err(IoError::Corrupt(_))));
+    let resumed = Sfa::builder(&dfa).threads(1).resume_from(&path).build();
+    assert!(
+        matches!(resumed, Err(SfaError::Artifact(IoError::Corrupt(_)))),
+        "{:?}",
+        resumed.map(|r| r.stats)
+    );
+}
+
+/// A checkpoint with processed rows, and its DFA: rn(24) stopped by a
+/// 150-state cap.
+fn base_checkpoint() -> &'static (sfa_automata::Dfa, Checkpoint) {
+    static BASE: OnceLock<(sfa_automata::Dfa, Checkpoint)> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let dfa = sfa_automata::random::rn(24);
+        let scratch = ScratchDir::new("artifact_fuzz_base");
+        let path = scratch.join("base.ckpt");
+        let _ = Sfa::builder(&dfa)
+            .threads(1)
+            .state_budget(150)
+            .checkpoint(&path, 16)
+            .build()
+            .unwrap_err();
+        let ckpt = artifact::read_checkpoint(&path).unwrap();
+        assert!(ckpt.processed > 1, "the base checkpoint holds rows");
+        (dfa, ckpt)
+    })
+}
+
+/// Apply structured mutation `kind` to `c`, sized by `seed`. Kinds 0–5
+/// break the checkpoint's own structure; kind 6 breaks its binding to
+/// the DFA.
+fn mutate(c: &mut Checkpoint, kind: u8, seed: u64) {
+    let k = c.symbols as u64;
+    match kind {
+        // A cursor past the discovered states, with rows to match.
+        0 => {
+            let extra = c.num_states - c.processed + 1 + seed % 4;
+            c.processed += extra;
+            c.delta
+                .extend((0..extra * k).map(|i| ((i ^ seed) % c.num_states) as u32));
+        }
+        // A cursor far beyond the rows present.
+        1 => c.processed += 1 + seed % (1 << 40),
+        // More states than 1 + processed·k, up to far beyond the bytes.
+        2 => c.num_states = 2 + c.processed * k + seed % (1 << 40),
+        // A successor id at or past the state count.
+        3 => {
+            let i = (seed % c.delta.len() as u64) as usize;
+            c.delta[i] = (c.num_states + seed % 1000) as u32;
+        }
+        // Two states' discoveries swapped: a non-canonical numbering.
+        4 => {
+            let mut discovered = 1;
+            let mut firsts = Vec::new();
+            for (i, &succ) in c.delta.iter().enumerate() {
+                if succ == discovered {
+                    firsts.push(i);
+                    discovered += 1;
+                }
+            }
+            let a = (seed % (firsts.len() as u64 - 1)) as usize;
+            let b = a + 1 + ((seed >> 32) % (firsts.len() - 1 - a) as u64) as usize;
+            c.delta.swap(firsts[a], firsts[b]);
+        }
+        // A symbol count the rows present do not fill.
+        5 => c.symbols += 1 + (seed % 1000) as u32,
+        // Another DFA's dimensions or fingerprint.
+        _ if seed.is_multiple_of(2) => c.dfa_states += 1 + (seed % 1000) as u32,
+        _ => c.dfa_crc ^= 1 << (seed % 64),
+    }
+}
+
 /// The serialized artifacts the corruption properties run against,
 /// built once per test binary and shared read-only.
 fn artifact_corpora() -> &'static [Vec<u8>] {
@@ -228,5 +393,31 @@ proptest! {
         bytes.extend_from_slice(&tail);
         prop_assert!(artifact::sfa_from_bytes(&bytes).is_err());
         prop_assert!(artifact::Checkpoint::from_artifact_bytes(&bytes).is_err());
+    }
+
+    /// Structured mutations of a real checkpoint, re-checksummed so that
+    /// they reach the loader's checks: every one is a typed error from
+    /// the loader or from resume, never a panic or an allocation sized
+    /// by a count the bytes do not back.
+    #[test]
+    fn prop_mutated_checkpoints_fail_typed(kind in 0u8..7, seed in any::<u64>()) {
+        let (dfa, base) = base_checkpoint();
+        let mut c = base.clone();
+        mutate(&mut c, kind, seed);
+        let bytes = c.to_artifact_bytes();
+        let loaded = Checkpoint::from_artifact_bytes(&bytes);
+        prop_assert!(
+            matches!(loaded, Err(IoError::Corrupt(_))) || kind == 6,
+            "mutation {kind} (seed {seed}) loaded: {loaded:?}"
+        );
+        let scratch = ScratchDir::new("artifact_fuzz");
+        let path = scratch.join("mutated.ckpt");
+        std::fs::write(&path, &bytes).unwrap();
+        let resumed = Sfa::builder(dfa).threads(1).resume_from(&path).build();
+        prop_assert!(
+            matches!(resumed, Err(SfaError::Artifact(IoError::Corrupt(_)))),
+            "mutation {kind} (seed {seed}) resumed: {:?}",
+            resumed.map(|r| r.sfa.num_states())
+        );
     }
 }
