@@ -14,7 +14,7 @@
 //! reproduce serve-load        DESIGN §13 closed-loop load against the `sfa serve` daemon
 //! reproduce memory-cap        DESIGN §15 spill-tier builds under a resident-byte cap ladder
 //! reproduce speculative       DESIGN §16 speculative raw-DFA matching vs the sequential oracle
-//! reproduce hashes            §III-A    fingerprint throughput, large and state-sized buffers
+//! reproduce hashes            §III-A    fingerprint and CRC-64 throughput, large and state-sized buffers
 //! reproduce transpose         §III-A    transposition-kernel throughput (E9)
 //! reproduce ablations         DESIGN    fingerprint / scheduler / compression / budget ablations
 //! reproduce all               everything above with default sizes
@@ -1785,7 +1785,7 @@ fn speculative(cfg: &Config) -> Result<(), String> {
 // ------------------------------------------------------------ §III-A hashes
 
 fn hashes(cfg: &Config) -> Result<(), String> {
-    use sfa_hash::{city, fx, rabin};
+    use sfa_hash::{city, crc64, fx, rabin};
     use std::hint::black_box;
 
     let mhz = PlatformInfo::detect().cpu_mhz;
@@ -1796,11 +1796,13 @@ fn hashes(cfg: &Config) -> Result<(), String> {
         .collect();
     let table = rabin::RabinTable::new(rabin::DEFAULT_POLY);
     type Hash<'a> = &'a dyn Fn(&[u8]) -> u64;
-    let fns: [(&str, Hash); 4] = [
+    let fns: [(&str, Hash); 6] = [
         ("cityhash64", &city::city_hash64),
         ("rabin64", &|b| table.fingerprint(b)),
         ("rabin64_portable", &|b| table.fingerprint_portable(b)),
         ("fxhash64", &fx::fx_hash64),
+        ("crc64", &crc64::crc64),
+        ("crc64_portable", &crc64::crc64_portable),
     ];
     println!(
         "{:<18} {:>10} {:>10} {:>14} (paper: CityHash 5.1 B/cyc, Rabin+PCLMULQDQ 1.1 B/cyc)",

@@ -23,7 +23,9 @@
 //! payload additionally by its own CRC for precise diagnostics. A
 //! flipped bit anywhere outside the 4 magic bytes is therefore rejected
 //! as [`IoError::Corrupt`] (a corrupted magic reads as "not an artifact
-//! at all": [`IoError::BadMagic`]). All writes go through
+//! at all": [`IoError::BadMagic`]). Writing and loading each checksum
+//! every byte once: the body CRC follows from the section headers' and
+//! payloads' CRCs by [`sfa_hash::crc64::combine`]. All writes go through
 //! [`crate::io::atomic_write`] — temp file, fsync, atomic rename — so a
 //! crash leaves the previous artifact intact, never a torn mix.
 //!
@@ -39,7 +41,7 @@ use crate::io::{self, IoError};
 use crate::sfa::Sfa;
 use sfa_automata::Dfa;
 use sfa_compress::varint;
-use sfa_hash::crc64::{crc64, Crc64};
+use sfa_hash::crc64::{combine, crc64, Crc64};
 use std::path::{Path, PathBuf};
 
 /// Current on-disk container version.
@@ -47,6 +49,8 @@ pub const FORMAT_VERSION: u16 = 1;
 
 const MAGIC: &[u8; 4] = b"SFAR";
 const HEADER_BYTES: usize = 24;
+/// Tag, payload length and payload CRC.
+const SECTION_HEADER_BYTES: usize = 17;
 
 const TAG_SFA: u8 = 1;
 const TAG_CKPT_DELTA: u8 = 3;
@@ -189,20 +193,23 @@ impl Checkpoint {
 
     /// Serialize into an artifact byte vector (checksummed container).
     pub fn to_artifact_bytes(&self) -> Vec<u8> {
-        let mut meta = Vec::with_capacity(40);
-        varint::write_u64(&mut meta, self.dfa_states as u64);
-        varint::write_u64(&mut meta, self.symbols as u64);
-        varint::write_u64(&mut meta, self.processed);
-        varint::write_u64(&mut meta, self.num_states);
-        meta.extend_from_slice(&self.dfa_crc.to_le_bytes());
-        let mut delta = Vec::with_capacity(self.delta.len() * 4);
-        for &d in &self.delta {
-            delta.extend_from_slice(&d.to_le_bytes());
-        }
-        assemble(
+        // Four varints of at most 10 bytes and the DFA fingerprint.
+        let meta_bytes = 48;
+        let mut out = Container::new(
             ArtifactKind::Checkpoint,
-            &[(TAG_CKPT_META, &meta), (TAG_CKPT_DELTA, &delta)],
-        )
+            2 * SECTION_HEADER_BYTES + meta_bytes + self.delta.len() * 4,
+        );
+        out.section(TAG_CKPT_META, |meta| {
+            varint::write_u64(meta, self.dfa_states as u64);
+            varint::write_u64(meta, self.symbols as u64);
+            varint::write_u64(meta, self.processed);
+            varint::write_u64(meta, self.num_states);
+            meta.extend_from_slice(&self.dfa_crc.to_le_bytes());
+        });
+        out.section(TAG_CKPT_DELTA, |rows| {
+            io::extend_le(rows, &self.delta, u32::to_le_bytes)
+        });
+        out.finish()
     }
 
     /// Decode and validate an artifact byte vector. Every count is
@@ -212,8 +219,13 @@ impl Checkpoint {
         if kind != ArtifactKind::Checkpoint {
             return Err(IoError::Corrupt("artifact is not a checkpoint"));
         }
-        let meta = section(&sections, TAG_CKPT_META)?;
-        let delta_raw = section(&sections, TAG_CKPT_DELTA)?;
+        Checkpoint::from_sections(&sections)
+    }
+
+    /// Decode a checkpoint from the sections of a verified container.
+    fn from_sections(sections: &[(u8, &[u8])]) -> Result<Checkpoint, IoError> {
+        let meta = section(sections, TAG_CKPT_META)?;
+        let delta_raw = section(sections, TAG_CKPT_DELTA)?;
 
         let mut pos = 0usize;
         let mut rd = || -> Result<u64, IoError> {
@@ -318,20 +330,24 @@ pub fn dfa_fingerprint(dfa: &Dfa) -> u64 {
     c.update(&dfa.num_states().to_le_bytes());
     c.update(&(dfa.num_symbols() as u32).to_le_bytes());
     c.update(&dfa.start().to_le_bytes());
-    for &t in dfa.table() {
-        c.update(&t.to_le_bytes());
-    }
-    for q in 0..dfa.num_states() {
-        c.update(&[u8::from(dfa.is_accepting(q))]);
-    }
+    io::le_bytes(dfa.table(), u32::to_le_bytes, |bytes| c.update(bytes));
+    let accepting: Vec<u8> = (0..dfa.num_states())
+        .map(|q| u8::from(dfa.is_accepting(q)))
+        .collect();
+    c.update(&accepting);
     c.finish()
 }
 
-/// Serialize `sfa` into an artifact byte vector (checksummed container
-/// around [`io::to_bytes`]).
+/// Serialize `sfa` into an artifact byte vector: the checksummed
+/// container around the [`io::to_bytes`] payload, written straight into
+/// one buffer.
 pub fn sfa_to_bytes(sfa: &Sfa) -> Vec<u8> {
-    let payload = io::to_bytes(sfa);
-    assemble(ArtifactKind::Sfa, &[(TAG_SFA, &payload)])
+    let mut out = Container::new(
+        ArtifactKind::Sfa,
+        SECTION_HEADER_BYTES + io::encoded_len(sfa),
+    );
+    out.section(TAG_SFA, |payload| io::write_to(payload, sfa));
+    out.finish()
 }
 
 /// Decode an SFA from artifact bytes, verifying every checksum.
@@ -382,7 +398,7 @@ pub fn verify(path: &Path) -> Result<ArtifactInfo, IoError> {
             None
         }
         ArtifactKind::Checkpoint => {
-            let ckpt = Checkpoint::from_artifact_bytes(&bytes)?;
+            let ckpt = Checkpoint::from_sections(&sections)?;
             Some(CheckpointProgress {
                 processed: ckpt.processed,
                 states: ckpt.num_states,
@@ -409,34 +425,65 @@ fn read_artifact(path: &Path) -> Result<Vec<u8>, IoError> {
     std::fs::read(path).map_err(IoError::from)
 }
 
-/// Build the checksummed container around `sections`.
-fn assemble(kind: ArtifactKind, sections: &[(u8, &[u8])]) -> Vec<u8> {
-    debug_assert!(sections.len() <= u8::MAX as usize);
-    let body_len: usize = sections.iter().map(|(_, p)| 17 + p.len()).sum();
-    let mut out = Vec::with_capacity(HEADER_BYTES + body_len);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(kind.to_byte());
-    out.push(sections.len() as u8);
-    out.extend_from_slice(&[0u8; 16]); // body + header CRC placeholders
-    for (tag, payload) in sections {
-        out.push(*tag);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+/// A container being written. Each section's payload goes straight into
+/// the one buffer, and each byte is checksummed once: the body CRC
+/// follows from the section headers' and payloads' CRCs by [`combine`].
+struct Container {
+    out: Vec<u8>,
+    sections: u8,
+    /// CRC-64 of `out[HEADER_BYTES..]`.
+    body_crc: u64,
+}
+
+impl Container {
+    /// An empty container with room for `body_bytes` of sections,
+    /// their headers included.
+    fn new(kind: ArtifactKind, body_bytes: usize) -> Container {
+        let mut out = Vec::with_capacity(HEADER_BYTES + body_bytes);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.push(kind.to_byte());
+        out.push(0); // section count, set by `finish`
+        out.extend_from_slice(&[0u8; 16]); // body + header CRC placeholders
+        Container {
+            out,
+            sections: 0,
+            body_crc: 0,
+        }
     }
-    let body_crc = crc64(&out[HEADER_BYTES..]);
-    out[8..16].copy_from_slice(&body_crc.to_le_bytes());
-    let header_crc = crc64(&out[..16]);
-    out[16..24].copy_from_slice(&header_crc.to_le_bytes());
-    out
+
+    /// Append a section whose payload `write` appends to the buffer.
+    fn section(&mut self, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
+        let head = self.out.len();
+        let start = head + SECTION_HEADER_BYTES;
+        self.out.push(tag);
+        self.out.resize(start, 0); // length + CRC placeholders
+        write(&mut self.out);
+        let len = (self.out.len() - start) as u64;
+        let payload_crc = crc64(&self.out[start..]);
+        self.out[head + 1..head + 9].copy_from_slice(&len.to_le_bytes());
+        self.out[head + 9..start].copy_from_slice(&payload_crc.to_le_bytes());
+        let head_crc = crc64(&self.out[head..start]);
+        self.body_crc = combine(self.body_crc, head_crc, SECTION_HEADER_BYTES as u64);
+        self.body_crc = combine(self.body_crc, payload_crc, len);
+        self.sections += 1;
+    }
+
+    /// Fill in the section count and both CRCs.
+    fn finish(mut self) -> Vec<u8> {
+        self.out[7] = self.sections;
+        self.out[8..16].copy_from_slice(&self.body_crc.to_le_bytes());
+        let header_crc = crc64(&self.out[..16]);
+        self.out[16..24].copy_from_slice(&header_crc.to_le_bytes());
+        self.out
+    }
 }
 
 /// A parsed section: `(tag, payload)` borrowed from the container.
 type Sections<'a> = Vec<(u8, &'a [u8])>;
 
 /// Parse and checksum-verify the container; returns the sections as
-/// `(tag, payload)` borrows.
+/// `(tag, payload)` borrows. Each byte is checksummed once.
 fn parse(bytes: &[u8]) -> Result<(ArtifactKind, Sections<'_>), IoError> {
     if bytes.len() < HEADER_BYTES {
         if bytes.len() >= 4 && &bytes[..4] != MAGIC {
@@ -461,33 +508,51 @@ fn parse(bytes: &[u8]) -> Result<(ArtifactKind, Sections<'_>), IoError> {
     let kind = ArtifactKind::from_byte(bytes[6])?;
     let nsections = bytes[7] as usize;
     let stored_body_crc = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    if crc64(&bytes[HEADER_BYTES..]) != stored_body_crc {
+    let mut pos = HEADER_BYTES;
+    let mut body_crc = 0;
+    let sections = walk_sections(bytes, nsections, &mut pos, &mut body_crc);
+    // The body CRC decides first, as if checked before the walk: a fault
+    // the walk stopped at, or a trailing byte, is still a body mismatch.
+    let rest = &bytes[pos..];
+    if combine(body_crc, crc64(rest), rest.len() as u64) != stored_body_crc {
         // Covers truncation too: a shorter body hashes differently.
         return Err(IoError::Corrupt("body checksum mismatch"));
     }
-    let mut sections = Vec::with_capacity(nsections.min(16));
-    let mut pos = HEADER_BYTES;
-    for _ in 0..nsections {
-        let header_end = pos.checked_add(17).ok_or(IoError::Truncated)?;
-        let header = bytes.get(pos..header_end).ok_or(IoError::Truncated)?;
-        let tag = header[0];
-        let len = u64::from_le_bytes(header[1..9].try_into().unwrap());
-        let section_crc = u64::from_le_bytes(header[9..17].try_into().unwrap());
-        let len = to_len(len)?;
-        let payload_end = header_end.checked_add(len).ok_or(IoError::Truncated)?;
-        let payload = bytes
-            .get(header_end..payload_end)
-            .ok_or(IoError::Truncated)?;
-        if crc64(payload) != section_crc {
-            return Err(IoError::Corrupt("section checksum mismatch"));
-        }
-        sections.push((tag, payload));
-        pos = payload_end;
-    }
-    if pos != bytes.len() {
+    let sections = sections?;
+    if !rest.is_empty() {
         return Err(IoError::Corrupt("trailing bytes after sections"));
     }
     Ok((kind, sections))
+}
+
+/// Walk `nsections` sections from `*pos`, checking each payload against
+/// its section CRC. On return, `*body_crc` is the CRC-64 of
+/// `bytes[HEADER_BYTES..*pos]`, whether the walk finished or stopped at
+/// a fault.
+fn walk_sections<'a>(
+    bytes: &'a [u8],
+    nsections: usize,
+    pos: &mut usize,
+    body_crc: &mut u64,
+) -> Result<Sections<'a>, IoError> {
+    let mut sections = Vec::with_capacity(nsections.min(16));
+    for _ in 0..nsections {
+        let header = io::take(bytes, *pos, SECTION_HEADER_BYTES)?;
+        let tag = header[0];
+        let len = to_len(u64::from_le_bytes(header[1..9].try_into().unwrap()))?;
+        let section_crc = u64::from_le_bytes(header[9..17].try_into().unwrap());
+        *body_crc = combine(*body_crc, crc64(header), header.len() as u64);
+        *pos += header.len();
+        let payload = io::take(bytes, *pos, len)?;
+        let payload_crc = crc64(payload);
+        *body_crc = combine(*body_crc, payload_crc, payload.len() as u64);
+        *pos += payload.len();
+        if payload_crc != section_crc {
+            return Err(IoError::Corrupt("section checksum mismatch"));
+        }
+        sections.push((tag, payload));
+    }
+    Ok(sections)
 }
 
 fn section<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<&'a [u8], IoError> {
@@ -526,28 +591,47 @@ mod tests {
         assert_eq!(io::to_bytes(&back), io::to_bytes(&sfa));
     }
 
+    /// A small checkpoint with two processed rows.
+    fn small_checkpoint() -> Checkpoint {
+        Checkpoint {
+            dfa_states: 3,
+            symbols: 2,
+            processed: 2,
+            num_states: 3,
+            dfa_crc: 1,
+            delta: vec![1, 0, 2, 1],
+        }
+    }
+
+    type Load = fn(&[u8]) -> Result<(), IoError>;
+
+    /// One artifact of each kind, with the loader of that kind.
+    fn artifacts_of_each_kind() -> [(Vec<u8>, Load); 2] {
+        let (_, sfa) = rg_sfa();
+        [
+            (sfa_to_bytes(&sfa), |b| sfa_from_bytes(b).map(drop)),
+            (small_checkpoint().to_artifact_bytes(), |b| {
+                Checkpoint::from_artifact_bytes(b).map(drop)
+            }),
+        ]
+    }
+
     #[test]
     fn every_bit_flip_outside_magic_is_corrupt() {
-        let (_, sfa) = rg_sfa();
-        let bytes = sfa_to_bytes(&sfa);
-        // Exhaustive over the header + section header, sampled over the
-        // payload (the payload is fully covered by body + section CRCs).
-        let probe: Vec<usize> = (4..48)
-            .chain((48..bytes.len()).step_by(7))
-            .chain([bytes.len() - 1])
-            .collect();
-        for i in probe {
-            for bit in 0..8 {
-                let mut m = bytes.clone();
-                m[i] ^= 1 << bit;
-                let err = sfa_from_bytes(&m).expect_err("undetected flip");
-                assert!(
-                    matches!(
-                        err,
-                        IoError::Corrupt(_) | IoError::VersionMismatch { .. } | IoError::Truncated
-                    ),
-                    "flip at {i}:{bit} gave {err:?}"
-                );
+        // The header CRC covers bytes 0..16 and is stored at 16..24; the
+        // body CRC covers every byte after them, section lengths included.
+        for (bytes, load) in artifacts_of_each_kind() {
+            for i in 4..bytes.len() {
+                let want = if i < HEADER_BYTES {
+                    "header checksum mismatch"
+                } else {
+                    "body checksum mismatch"
+                };
+                for bit in 0..8 {
+                    let mut m = bytes.clone();
+                    m[i] ^= 1 << bit;
+                    assert_eq!(load(&m), Err(IoError::Corrupt(want)), "flip at {i}:{bit}");
+                }
             }
         }
     }
@@ -581,10 +665,15 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_at_every_length() {
-        let (_, sfa) = rg_sfa();
-        let bytes = sfa_to_bytes(&sfa);
-        for cut in 0..bytes.len() {
-            assert!(sfa_from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        for (bytes, load) in artifacts_of_each_kind() {
+            for cut in 0..bytes.len() {
+                let want = if cut < HEADER_BYTES {
+                    IoError::Truncated
+                } else {
+                    IoError::Corrupt("body checksum mismatch")
+                };
+                assert_eq!(load(&bytes[..cut]), Err(want), "cut {cut}");
+            }
         }
     }
 
@@ -615,6 +704,72 @@ mod tests {
         assert_eq!(dfa_fingerprint(&a), dfa_fingerprint(&a));
     }
 
+    /// `dfa_fingerprint` is persisted: checkpoints store it and serve
+    /// names its reference files by it.
+    #[test]
+    fn dfa_fingerprint_values_are_pinned() {
+        let (rg, _) = rg_sfa();
+        assert_eq!(dfa_fingerprint(&rg), 0x42cc_f416_e7a3_e99c, "R[GA]N");
+        assert_eq!(
+            dfa_fingerprint(&sfa_workloads::rn(50)),
+            0xc653_fa4e_7d10_7e58,
+            "rn(50)"
+        );
+    }
+
+    /// The artifact bytes of format version 1, pinned by content hash.
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        use crate::parallel::{CompressionPolicy, ParallelOptions};
+        use crate::sfa::{CodecChoice, MappingStore};
+        let compressed = |codec| {
+            let options = ParallelOptions::with_threads(2)
+                .compression(CompressionPolicy::FromStart)
+                .codec(codec);
+            let sfa = Sfa::builder(&sfa_workloads::rn(50))
+                .options(&options)
+                .build()
+                .unwrap()
+                .sfa;
+            assert!(sfa.is_compressed());
+            sfa_to_bytes(&sfa)
+        };
+        let u32_store = Sfa::from_parts(
+            3,
+            2,
+            0,
+            vec![1, 2, 2, 0, 1, 2],
+            MappingStore::U32(vec![0, 1, 2, 1, 2, 0, 2, 0, 1]),
+        );
+        let cases = [
+            (
+                "raw u16, R[GA]N",
+                sfa_to_bytes(&rg_sfa().1),
+                0x6aeb_0437_96c7_a9c3,
+            ),
+            ("raw u32", sfa_to_bytes(&u32_store), 0xa5e3_c63f_07ae_2f22),
+            (
+                "rn(50), deflate",
+                compressed(CodecChoice::Deflate),
+                0x135c_0a1e_2285_3339,
+            ),
+            (
+                "rn(50), RLE",
+                compressed(CodecChoice::Rle),
+                0x48fa_f309_c497_8dc7,
+            ),
+            (
+                "checkpoint",
+                small_checkpoint().to_artifact_bytes(),
+                0xe76d_3406_dd87_cf15,
+            ),
+        ];
+        for (name, bytes, want) in cases {
+            let got = content_hash(&bytes);
+            assert_eq!(got, want, "{name}: {got:#018x}");
+        }
+    }
+
     #[test]
     fn checkpoint_round_trip() {
         let ck = Checkpoint {
@@ -631,14 +786,7 @@ mod tests {
 
     #[test]
     fn checkpoint_validation_rejects_inconsistencies() {
-        let good = Checkpoint {
-            dfa_states: 3,
-            symbols: 2,
-            processed: 2,
-            num_states: 3,
-            dfa_crc: 1,
-            delta: vec![1, 0, 2, 1],
-        };
+        let good = small_checkpoint();
         assert!(Checkpoint::from_artifact_bytes(&good.to_artifact_bytes()).is_ok());
         let rejected = |mutate: fn(&mut Checkpoint)| {
             let mut bad = good.clone();

@@ -98,7 +98,23 @@ fn codec_from_tag(t: u8) -> Result<CodecChoice, IoError> {
 
 /// Serialize `sfa` into a byte vector.
 pub fn to_bytes(sfa: &Sfa) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + sfa.mapping_bytes() + sfa.num_states() as usize * 4);
+    let mut out = Vec::with_capacity(encoded_len(sfa));
+    write_to(&mut out, sfa);
+    out
+}
+
+/// An upper bound on the bytes [`write_to`] appends for `sfa`.
+pub(crate) fn encoded_len(sfa: &Sfa) -> usize {
+    const MAX_VARINT: usize = 10;
+    let blob_lengths = match sfa.mappings() {
+        MappingStore::Compressed { blobs, .. } => blobs.len() * MAX_VARINT,
+        _ => 0,
+    };
+    MAGIC.len() + 1 + 4 * MAX_VARINT + sfa.delta().len() * 4 + sfa.mapping_bytes() + blob_lengths
+}
+
+/// Append the serialization of `sfa` to `out`.
+pub(crate) fn write_to(out: &mut Vec<u8>, sfa: &Sfa) {
     out.extend_from_slice(MAGIC);
     let kind = match sfa.mappings() {
         MappingStore::U16(_) => KIND_U16,
@@ -108,40 +124,54 @@ pub fn to_bytes(sfa: &Sfa) -> Vec<u8> {
         } => KIND_COMPRESSED_BASE + codec_tag(*codec) * 2 + u8::from(*elem_bytes == 4),
     };
     out.push(kind);
-    varint::write_u64(&mut out, sfa.dfa_states() as u64);
-    varint::write_u64(&mut out, sfa.num_symbols() as u64);
-    varint::write_u64(&mut out, sfa.num_states() as u64);
-    varint::write_u64(&mut out, sfa.start() as u64);
-    for s in 0..sfa.num_states() {
-        for sym in 0..sfa.num_symbols() {
-            out.extend_from_slice(&sfa.step(s, sym as u8).to_le_bytes());
-        }
-    }
+    varint::write_u64(out, sfa.dfa_states() as u64);
+    varint::write_u64(out, sfa.num_symbols() as u64);
+    varint::write_u64(out, sfa.num_states() as u64);
+    varint::write_u64(out, sfa.start() as u64);
+    extend_le(out, sfa.delta(), u32::to_le_bytes);
     match sfa.mappings() {
-        MappingStore::U16(v) => {
-            for &x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        MappingStore::U32(v) => {
-            for &x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
+        MappingStore::U16(v) => extend_le(out, v, u16::to_le_bytes),
+        MappingStore::U32(v) => extend_le(out, v, u32::to_le_bytes),
         MappingStore::Compressed { blobs, .. } => {
             for b in blobs {
-                varint::write_u64(&mut out, b.len() as u64);
+                varint::write_u64(out, b.len() as u64);
                 out.extend_from_slice(b);
             }
         }
     }
-    out
+}
+
+/// Hand `values` to `sink` as little-endian bytes, 4,096 values at a
+/// time, so that the sink copies or checksums whole slices rather than
+/// one element at a time.
+pub(crate) fn le_bytes<T: Copy, const N: usize>(
+    values: &[T],
+    to_le: fn(T) -> [u8; N],
+    mut sink: impl FnMut(&[u8]),
+) {
+    let mut buf = [[0u8; N]; 4096];
+    for chunk in values.chunks(buf.len()) {
+        let encoded = &mut buf[..chunk.len()];
+        for (dst, &v) in encoded.iter_mut().zip(chunk) {
+            *dst = to_le(v);
+        }
+        sink(encoded.as_flattened());
+    }
+}
+
+/// Append `values` to `out` as little-endian bytes.
+pub(crate) fn extend_le<T: Copy, const N: usize>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: fn(T) -> [u8; N],
+) {
+    le_bytes(values, to_le, |bytes| out.extend_from_slice(bytes));
 }
 
 /// Bounds-checked sub-slice: `bytes[pos .. pos + len]`, with the offset
 /// addition itself checked so adversarial lengths can neither panic in
 /// debug builds nor wrap in release builds.
-fn take(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8], IoError> {
+pub(crate) fn take(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8], IoError> {
     let end = pos.checked_add(len).ok_or(IoError::Truncated)?;
     bytes.get(pos..end).ok_or(IoError::Truncated)
 }
